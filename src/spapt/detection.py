@@ -22,7 +22,7 @@ import numpy as np
 
 from .linalg import NumericError, ValidationError, herm_eig, partial_transpose
 from .states import DensityMatrix
-from .channels import apply, spa_pt, tetrahedral_states
+from .channels import SPA_PT_INSTRUMENT, apply, spa_pt
 from .tomography import ProbabilityTable, ideal_probabilities, tomo_basis
 
 __all__ = [
@@ -76,14 +76,10 @@ class DetectionVerdict:
 
 
 @lru_cache(maxsize=1)
-def _reconstruction_operators() -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+def _reconstruction_operators() -> tuple[np.ndarray, list[np.ndarray]]:
     projectors = [t.projector() for t in tomo_basis()]
     gram = np.array([[np.real(np.trace(a @ b)) for b in projectors] for a in projectors])
-    gram_inv = np.linalg.inv(gram)
-    prepared_b = [v.projector() for v in tetrahedral_states()]
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    prepared_a = [sy @ proj @ sy for proj in prepared_b]
-    return gram_inv, projectors, prepared_b, prepared_a
+    return np.linalg.inv(gram), projectors
 
 
 def f_hat(table: ProbabilityTable) -> FHatOperator:
@@ -92,19 +88,20 @@ def f_hat(table: ProbabilityTable) -> FHatOperator:
     The ``p`` block is inverted through the dual frame of the A-side
     reconstruction projectors, recovering the conditional A operators of
     the transpose branch; the ``q + r`` sums weight the re-prepared states
-    of the inversion branch with a maximally mixed B.  The whole map is
+    of the inversion branch with a maximally mixed B.  Branch weights and
+    prepared states come from :data:`SPA_PT_INSTRUMENT`.  The whole map is
     linear in the table, and on exact Born probabilities it equals the
     output of the approximated partial transpose.
     """
-    gram_inv, projectors, prepared_b, prepared_a = _reconstruction_operators()
+    gram_inv, projectors = _reconstruction_operators()
+    transpose, inversion = SPA_PT_INSTRUMENT
     coeff = gram_inv @ table.p  # coeff[i, j]: weight of projector i in the j-th conditional
     mat = np.zeros((4, 4), dtype=complex)
     for j in range(4):
         cond = sum(coeff[i, j] * projectors[i] for i in range(4))
-        mat += np.kron(cond, prepared_b[j]) / 3.0
-    eye_half = np.eye(2, dtype=complex) / 2.0
+        mat += transpose.weigh(np.kron(cond, transpose.projectors[j]))
     for k in range(4):
-        mat += (2.0 / 3.0) * (table.q[k] + table.r[k]) * np.kron(prepared_a[k], eye_half)
+        mat += inversion.weigh(table.q[k] + table.r[k]) * np.kron(inversion.projectors[k], np.eye(2) / 2.0)
     return FHatOperator((mat + mat.conj().T) / 2.0)
 
 

@@ -21,6 +21,7 @@ from .states import (
     werner,
 )
 from .channels import (
+    SPA_PT_INSTRUMENT,
     apply,
     choi,
     depolarize,
@@ -65,10 +66,10 @@ def _suite_channel_physicality(seed: int) -> None:
 
 
 def _suite_povm_completeness(seed: int) -> None:
-    for name, ch in (("spa_transpose", spa_transpose()), ("spa_inversion", spa_inversion())):
-        acc = sum(ch.povm)
+    for branch in SPA_PT_INSTRUMENT:
+        acc = sum(branch.povm)
         dev = float(np.max(np.abs(acc - np.eye(2))))
-        assert dev < 1e-10, f"{name} effects sum deviates from identity by {dev:.3e}"
+        assert dev < 1e-10, f"{branch.side}-side branch effects sum deviates from identity by {dev:.3e}"
 
 
 def _suite_measure_prepare_closed_form(seed: int) -> None:

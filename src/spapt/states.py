@@ -14,6 +14,7 @@ import numpy as np
 
 from .linalg import (
     HERMITIAN_TOL,
+    PAULI_Y,
     PSD_TOL,
     ValidationError,
     herm_eig,
@@ -73,9 +74,9 @@ class PureState:
 class DensityMatrix:
     """Validated density matrix of dimension 2 or 4.
 
-    Construction rejects anything that is not Hermitian within 1e-9,
-    unit-trace within 1e-9 or has an eigenvalue below -1e-9, naming the
-    violated invariant in the error message.
+    Construction rejects anything that has a NaN or inf entry, is not
+    Hermitian within 1e-9, unit-trace within 1e-9 or has an eigenvalue
+    below -1e-9, naming the violated invariant in the error message.
     """
 
     mat: np.ndarray
@@ -86,6 +87,8 @@ class DensityMatrix:
             raise ValidationError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] not in (2, 4):
             raise ValidationError(f"supported dimensions are 2 and 4, got {m.shape[0]}")
+        if not np.isfinite(m).all():
+            raise ValidationError("entries must be finite: the matrix holds NaN or inf")
         defect = float(np.max(np.abs(m - m.conj().T)))
         if defect > HERMITIAN_TOL:
             raise ValidationError(f"not Hermitian: max |m - m^dag| = {defect:.3e}")
@@ -199,11 +202,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def _spin_flip(mat: np.ndarray) -> np.ndarray:
-    yy = np.zeros((4, 4), dtype=complex)
-    yy[0, 3] = -1.0
-    yy[1, 2] = 1.0
-    yy[2, 1] = 1.0
-    yy[3, 0] = -1.0
+    yy = np.kron(PAULI_Y, PAULI_Y)
     return yy @ mat.conj() @ yy
 
 

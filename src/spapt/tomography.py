@@ -21,7 +21,7 @@ from .linalg import (
     partial_trace,
 )
 from .states import DensityMatrix, PureState
-from .channels import tetrahedral_states, _tetrahedral_povm
+from .channels import SPA_PT_INSTRUMENT, tetrahedral_povm
 
 __all__ = [
     "ShotConfig",
@@ -44,6 +44,10 @@ _TAG_QR = 1
 _TAG_TRAJ = 2
 _TAG_PAULI = 3
 
+# |0><0| and |1><1| on B, paired with the tetrahedral effects on A for q and r
+_KET0 = np.diag([1.0, 0.0]).astype(complex)
+_KET1 = np.diag([0.0, 1.0]).astype(complex)
+
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *map(int, path)])
@@ -58,8 +62,8 @@ class ShotConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if int(self.shots_per_setting) < 1:
-            raise ValidationError("shots_per_setting must be a positive integer")
+        if not 1 <= int(self.shots_per_setting) < 2**63:
+            raise ValidationError("shots_per_setting must be a positive integer that fits a signed 64-bit integer")
         if not 0 <= int(self.seed) < 2**64:
             raise ValidationError("seed must fit an unsigned 64-bit integer")
         object.__setattr__(self, "shots_per_setting", int(self.shots_per_setting))
@@ -88,6 +92,8 @@ class ProbabilityTable:
         if p.shape != (4, 4) or q.shape != (4,) or r.shape != (4,):
             raise ValidationError(f"expected p (4,4), q (4,), r (4,), got {p.shape}, {q.shape}, {r.shape}")
         for name, arr in (("p", p), ("q", q), ("r", r)):
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"{name} entries must be finite: the table holds NaN or inf")
             if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-9:
                 raise ValidationError(f"{name} entries must lie in [0, 1]")
         if np.any(p.sum(axis=1) > 1.0 + 1e-9):
@@ -119,10 +125,14 @@ def tomo_basis() -> tuple[PureState, PureState, PureState, PureState]:
     )
 
 
-def _setting_operators() -> tuple[list[np.ndarray], list[np.ndarray]]:
-    projectors = [t.projector() for t in tomo_basis()]
-    effects = list(_tetrahedral_povm())
-    return projectors, effects
+#: detection settings: reconstruction projectors on one qubit, tetrahedral effects on the other
+_PROJECTORS = tuple(t.projector() for t in tomo_basis())
+_EFFECTS = tetrahedral_povm()
+
+
+def _born(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:
+    """Born probability of the product effect a (x) b."""
+    return float(np.real(np.trace(rho.mat @ np.kron(a, b))))
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:
@@ -133,15 +143,9 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
 def ideal_probabilities(rho: DensityMatrix) -> ProbabilityTable:
     """Exact Born-rule table for the detection measurement settings."""
     _require_two_qubits(rho)
-    projectors, effects = _setting_operators()
-    e0 = np.diag([1.0, 0.0]).astype(complex)
-    e1 = np.diag([0.0, 1.0]).astype(complex)
-    p = np.empty((4, 4))
-    for i, proj in enumerate(projectors):
-        for j, eff in enumerate(effects):
-            p[i, j] = float(np.real(np.trace(rho.mat @ np.kron(proj, eff))))
-    q = np.array([float(np.real(np.trace(rho.mat @ np.kron(eff, e0)))) for eff in effects])
-    r = np.array([float(np.real(np.trace(rho.mat @ np.kron(eff, e1)))) for eff in effects])
+    p = np.array([[_born(rho, proj, eff) for eff in _EFFECTS] for proj in _PROJECTORS])
+    q = np.array([_born(rho, eff, _KET0) for eff in _EFFECTS])
+    r = np.array([_born(rho, eff, _KET1) for eff in _EFFECTS])
     return ProbabilityTable(np.clip(p, 0.0, 1.0), np.clip(q, 0.0, 1.0), np.clip(r, 0.0, 1.0), 0)
 
 
@@ -160,70 +164,59 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     """
     _require_two_qubits(rho)
     shots = cfg.shots_per_setting
-    projectors, effects = _setting_operators()
-    e0 = np.diag([1.0, 0.0]).astype(complex)
-    e1 = np.diag([0.0, 1.0]).astype(complex)
-    identity = np.eye(2, dtype=complex)
-
     p = np.empty((4, 4))
-    for i, proj in enumerate(projectors):
-        born = [np.real(np.trace(rho.mat @ np.kron(proj, eff))) for eff in effects]
-        born += [np.real(np.trace(rho.mat @ np.kron(identity - proj, eff))) for eff in effects]
+    for i, proj in enumerate(_PROJECTORS):
+        born = [_born(rho, a, eff) for a in (proj, np.eye(2) - proj) for eff in _EFFECTS]
         counts = _rng(cfg.seed, _TAG_TABLE, i).multinomial(shots, _normalized_probs(born))
         p[i] = counts[:4] / shots
 
-    born = [np.real(np.trace(rho.mat @ np.kron(eff, e0))) for eff in effects]
-    born += [np.real(np.trace(rho.mat @ np.kron(eff, e1))) for eff in effects]
+    born = [_born(rho, eff, e) for e in (_KET0, _KET1) for eff in _EFFECTS]
     counts = _rng(cfg.seed, _TAG_QR).multinomial(shots, _normalized_probs(born))
     return ProbabilityTable(p, counts[:4] / shots, counts[4:] / shots, shots)
 
 
-def _trajectory_components(rho: DensityMatrix) -> tuple[np.ndarray, list[np.ndarray]]:
+def _trajectory_components(rho: DensityMatrix) -> tuple[np.ndarray, list[np.ndarray | None]]:
     """Outcome probabilities and emitted states of one single-copy run.
 
-    Categories 0..3: transpose-approximation branch, outcome k on B
-    (A keeps its conditional state, B is re-prepared).  Categories
-    4..19: inversion branch, outcome k on A crossed with the Pauli
-    applied to B by the depolarizer.
+    Categories run over instrument branch, outcome, then correction: 0..3
+    are the transpose branch (outcome k on B), 4..19 the inversion branch
+    (outcome k on A crossed with the Pauli on B).  An outcome of Born
+    weight at most 1e-14 gets probability exactly 0 and no output state.
     """
-    effects = _tetrahedral_povm()
-    prepared_b = [v.projector() for v in tetrahedral_states()]
-    prepared_a = [
-        PAULIS[2] @ proj @ PAULIS[2] for proj in prepared_b
-    ]  # sigma_y conjugates of the tetrahedral projectors
     identity = np.eye(2, dtype=complex)
-
     probs: list[float] = []
-    outputs: list[np.ndarray] = []
-    for k, effect in enumerate(effects):
-        weight = float(np.real(np.trace(rho.mat @ np.kron(identity, effect))))
-        cond_a = partial_trace(np.kron(identity, effect) @ rho.mat, "A")
-        state = np.kron(cond_a / weight, prepared_b[k]) if weight > 1e-14 else None
-        probs.append(weight / 3.0)
-        outputs.append(state)
-    for k, effect in enumerate(effects):
-        weight = float(np.real(np.trace(rho.mat @ np.kron(effect, identity))))
-        cond_b = partial_trace(np.kron(effect, identity) @ rho.mat, "B")
-        for sigma in PAULIS:
-            if weight > 1e-14:
-                state = np.kron(prepared_a[k], sigma @ (cond_b / weight) @ sigma.conj().T)
-            else:
-                state = None
-            probs.append(2.0 / 3.0 * weight / 4.0)
-            outputs.append(state)
+    outputs: list[np.ndarray | None] = []
+    for branch in SPA_PT_INSTRUMENT:
+        n = len(branch.corrections)
+        for effect, projector in zip(branch.povm, branch.projectors):
+            local = np.kron(identity, effect) if branch.side == "B" else np.kron(effect, identity)
+            weight = float(np.real(np.trace(rho.mat @ local)))
+            if weight <= 1e-14:
+                probs += [0.0] * n
+                outputs += [None] * n
+                continue
+            cond = partial_trace(local @ rho.mat, "A" if branch.side == "B" else "B") / weight
+            probs += [branch.weigh(weight) / n] * n
+            for u in branch.corrections:
+                corrected = u @ cond @ u.conj().T
+                outputs.append(np.kron(corrected, projector) if branch.side == "B" else np.kron(projector, corrected))
     return _normalized_probs(probs), outputs
 
 
-def _trajectory_counts(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray:
-    probs, _ = _trajectory_components(rho)
-    return _rng(cfg.seed, _TAG_TRAJ).multinomial(cfg.shots_per_setting, probs)
+def _trajectory_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[np.ndarray, list[np.ndarray | None]]:
+    """Run counts and output states per category; only categories of nonzero probability are drawn."""
+    probs, outputs = _trajectory_components(rho)
+    drawn = probs > 0.0
+    counts = np.zeros(len(probs), dtype=np.int64)
+    counts[drawn] = _rng(cfg.seed, _TAG_TRAJ).multinomial(cfg.shots_per_setting, probs[drawn])
+    return counts, outputs
 
 
 def trajectory_branch_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[int, int]:
     """How many single-copy runs took the transpose branch vs the
     inversion branch (expected fractions 1/3 and 2/3)."""
     _require_two_qubits(rho)
-    counts = _trajectory_counts(rho, cfg)
+    counts, _ = _trajectory_counts(rho, cfg)
     return int(counts[:4].sum()), int(counts[4:].sum())
 
 
@@ -237,8 +230,7 @@ def trajectory_spa_pt(rho: DensityMatrix, cfg: ShotConfig) -> DensityMatrix:
     Converges to the exact channel output as the run count grows.
     """
     _require_two_qubits(rho)
-    probs, outputs = _trajectory_components(rho)
-    counts = _rng(cfg.seed, _TAG_TRAJ).multinomial(cfg.shots_per_setting, probs)
+    counts, outputs = _trajectory_counts(rho, cfg)
     total = float(cfg.shots_per_setting)
     acc = np.zeros((4, 4), dtype=complex)
     for count, state in zip(counts, outputs):

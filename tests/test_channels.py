@@ -4,9 +4,11 @@ decomposition identity of the approximated partial transpose."""
 import numpy as np
 import pytest
 
+from spapt.cli import CHANNEL_FACTORIES
 from spapt.linalg import PAULI_X, PAULI_Y, PAULI_Z, ValidationError, herm_eig
 from spapt.states import BELL_KINDS, DensityMatrix, bell, random_density_matrix, werner
 from spapt.channels import (
+    SPA_PT_INSTRUMENT,
     KrausChannel,
     MixtureChannel,
     ProductChannel,
@@ -52,8 +54,8 @@ def test_tetrahedral_overlaps_are_symmetric():
 
 
 def test_tetrahedral_povm_is_complete():
-    for ch in (spa_transpose(), spa_inversion()):
-        acc = sum(ch.povm)
+    for branch in SPA_PT_INSTRUMENT:
+        acc = sum(branch.povm)
         assert np.max(np.abs(acc - EYE2)) < 1e-10
 
 
@@ -251,3 +253,20 @@ def test_pauli_kraus_of_depolarize():
     acc = sum(k.conj().T @ k for k in kraus)
     assert np.max(np.abs(acc - EYE2)) < 1e-12
     assert np.max(np.abs(kraus[3] - PAULI_Z / 2.0)) < 1e-12
+
+
+REPRESENTATION_CASES = {**CHANNEL_FACTORIES, "spa_transpose": spa_transpose, "spa_inversion": spa_inversion, "depolarize": depolarize}
+
+
+@pytest.mark.parametrize("name", sorted(REPRESENTATION_CASES))
+def test_superoperator_agrees_with_kraus_family_and_choi_partial_trace(name):
+    ch = REPRESENTATION_CASES[name]()
+    d, d_out = ch.dim_in, ch.dim_out
+    rng = np.random.default_rng(36)
+    for _ in range(20):
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        kraus_sum = sum(k @ x @ k.conj().T for k in ch.kraus_ops())
+        assert np.max(np.abs(ch.apply_matrix(x) - kraus_sum)) < 1e-12
+    # oracle: the unnormalized Choi matrix traced over the output is I iff TP
+    reduced = np.einsum("abad->bd", (d * choi(ch).mat).reshape(d_out, d, d_out, d))
+    assert is_tp(ch) == bool(np.max(np.abs(reduced - np.eye(d))) <= 1e-9)

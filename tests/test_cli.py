@@ -157,6 +157,18 @@ def test_corrupted_state_file_names_the_invariant(tmp_path, capsys):
     assert "trace" in capsys.readouterr().err
 
 
+def test_nan_state_file_is_a_validation_error(tmp_path, capsys):
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps({"dim": 4, "re": [[float("nan")] * 4] * 4, "im": [[0.0] * 4] * 4, "metadata": {}}))
+    assert run_cli("detect", "--state", str(bad), "--method", "ppt") == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_oversized_shot_count_is_a_validation_error(bell_file, capsys):
+    assert run_cli("detect", "--state", bell_file, "--method", "f_hat_sampled", "--shots", str(10**19)) == 2
+    assert "64-bit" in capsys.readouterr().err
+
+
 def test_table1_report(tmp_path):
     path = tmp_path / "table1.json"
     assert run_cli("table1", "--shots", "100000", "--seed", "42", "--out", str(path)) == 0

@@ -235,6 +235,14 @@ def test_density_matrix_validation_names_the_violated_invariant():
         DensityMatrix(np.eye(3, dtype=complex) / 3.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    mat = np.eye(4, dtype=complex) / 4.0
+    mat[1, 2] = mat[2, 1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        DensityMatrix(mat)
+
+
 def test_pure_state_requires_unit_norm():
     with pytest.raises(ValidationError):
         PureState(np.array([1.0, 1.0], dtype=complex))

@@ -109,6 +109,28 @@ def test_zero_shots_are_rejected():
         ShotConfig(shots_per_setting=0, seed=1)
 
 
+def test_oversized_shot_count_is_rejected():
+    ShotConfig(shots_per_setting=2**63 - 1, seed=1)
+    with pytest.raises(ValidationError, match="64-bit"):
+        ShotConfig(shots_per_setting=2**63, seed=1)
+
+
+@pytest.mark.parametrize("leak", [0.0, 1e-7])
+def test_trajectory_never_draws_zero_weight_outcomes(leak):
+    # B is orthogonal (up to a Born weight of leak^2 / 2 <= 1e-14) to effect 0
+    # on B; with 10^15 runs a category of that weight would be drawn if it
+    # were sampled at all
+    v0 = tetrahedral_states()[0].amplitudes.conj()
+    b = np.array([-v0[1].conj(), v0[0].conj()]) + leak * v0
+    b /= np.linalg.norm(b)
+    rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), np.outer(b, b.conj())))
+    cfg = ShotConfig(shots_per_setting=10**15, seed=5)
+    n1, n2 = trajectory_branch_counts(rho, cfg)
+    assert n1 + n2 == 10**15
+    out = trajectory_spa_pt(rho, cfg)
+    assert fidelity(out, apply(spa_pt(), rho)) >= 0.999
+
+
 def test_trajectory_converges_to_exact_channel_output():
     channel = spa_pt()
     cfg = ShotConfig(shots_per_setting=10**6, seed=7)
@@ -232,3 +254,11 @@ def test_probability_table_validation():
         ProbabilityTable(np.zeros((2, 2)), good.q, good.r, 0)
     # the all-zero table stays constructible (linearity fixture)
     ProbabilityTable(np.zeros((4, 4)), np.zeros(4), np.zeros(4), 0)
+
+
+def test_probability_table_rejects_non_finite_entries():
+    good = ideal_probabilities(bell("phi+"))
+    with pytest.raises(ValidationError, match="finite"):
+        ProbabilityTable(np.full((4, 4), np.nan), good.q, good.r, 0)
+    with pytest.raises(ValidationError, match="finite"):
+        ProbabilityTable(good.p, np.array([np.inf, 0.0, 0.0, 0.0]), good.r, 0)
