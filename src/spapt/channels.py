@@ -25,9 +25,14 @@ from .linalg import (
     PAULI_I,
     PAULI_Y,
     PAULIS,
+    POVM_TOL,
+    PSD_TOL,
+    ROUND_TOL,
+    TRACE_TOL,
     ValidationError,
     herm_eig,
     partial_transpose,
+    require_hermitian,
 )
 from .states import DensityMatrix, PureState
 
@@ -58,11 +63,6 @@ __all__ = [
     "is_cp",
     "is_tp",
 ]
-
-_POVM_TOL = 1e-10
-_TP_TOL = 1e-9
-_CP_TOL = 1e-9
-
 
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
@@ -143,7 +143,7 @@ def KrausChannel(kraus: Sequence[np.ndarray]) -> Channel:
         raise ValidationError("all Kraus operators must share one 2-d shape")
     stack = np.array(ops)
     dev = float(np.max(np.abs(np.einsum("kji,kjl->il", stack.conj(), stack) - np.eye(shape[1]))))
-    if dev > _TP_TOL:
+    if dev > TRACE_TOL:
         raise ValidationError(f"Kraus family is not trace preserving: max |sum K^dag K - I| = {dev:.3e}")
     return _from_kraus(stack)
 
@@ -164,12 +164,12 @@ def MeasurePrepareChannel(povm: Sequence[np.ndarray], prepared: Sequence[PureSta
         if effect.shape != (d, d):
             raise ValidationError("all effects must be square matrices of one dimension")
         w, u = herm_eig(effect)
-        if w[0] < -_POVM_TOL:
+        if w[0] < -POVM_TOL:
             raise ValidationError(f"effect is not PSD: min eigenvalue = {w[0]:.3e}")
         # M_k = sum_r w_r |u_r><u_r| gives Kraus sqrt(w_r) |prepared_k><u_r|.
-        kraus += [np.outer(out_state.amplitudes, np.sqrt(w[r]) * u[:, r].conj()) for r in range(d) if w[r] > 1e-12]
+        kraus += [np.outer(out_state.amplitudes, np.sqrt(w[r]) * u[:, r].conj()) for r in range(d) if w[r] > ROUND_TOL]
     dev = float(np.max(np.abs(sum(effects) - np.eye(d))))
-    if dev > _POVM_TOL:
+    if dev > POVM_TOL:
         raise ValidationError(f"effects do not sum to identity: max deviation = {dev:.3e}")
     if len({state.dim for state in prepared}) != 1:
         raise ValidationError("prepared states must share one dimension")
@@ -189,7 +189,7 @@ def MixtureChannel(weights: Sequence[float], channels: Sequence[Channel]) -> Cha
     channels = tuple(channels)
     if len(w) != len(channels) or not w:
         raise ValidationError("weights and channels must have equal nonzero length")
-    if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-12:
+    if any(x < 0 for x in w) or abs(sum(w) - 1.0) > ROUND_TOL:
         raise ValidationError("weights must be nonnegative and sum to 1")
     if len({c.dims for c in channels}) != 1:
         raise ValidationError("mixed channels must share dimensions")
@@ -347,11 +347,7 @@ class ChoiMatrix:
     dims: tuple[int, int]  # (dim_in, dim_out)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.mat, dtype=complex)
-        defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > 1e-9:
-            raise ValidationError(f"Choi matrix is not Hermitian: max defect = {defect:.3e}")
-        object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "mat", require_hermitian(self.mat, "Choi matrix"))
 
 
 def choi(channel: Channel) -> ChoiMatrix:
@@ -368,7 +364,7 @@ def choi(channel: Channel) -> ChoiMatrix:
 def is_cp(channel: Channel) -> bool:
     """Complete positivity: the Choi matrix has no eigenvalue below -1e-9."""
     w = herm_eig(choi(channel).mat).values
-    return bool(w[0] >= -_CP_TOL)
+    return bool(w[0] >= -PSD_TOL)
 
 
 def is_tp(channel: Channel) -> bool:
@@ -376,4 +372,4 @@ def is_tp(channel: Channel) -> bool:
     unnormalized Choi matrix traced over the output is the identity."""
     din, dout = channel.dims
     row = vec(np.eye(dout)) @ channel.mat
-    return bool(float(np.max(np.abs(row - vec(np.eye(din))))) <= _TP_TOL)
+    return bool(float(np.max(np.abs(row - vec(np.eye(din))))) <= TRACE_TOL)

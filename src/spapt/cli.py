@@ -46,7 +46,7 @@ from .tomography import (
     sample_table,
     trajectory_spa_pt,
 )
-from .detection import SPA_THRESHOLD, detect, f_hat, lambda_min_d
+from .detection import detect, f_hat, lambda_min_d
 from .io import load_state, save_state, write_report
 from .selftest import run_all
 
@@ -271,7 +271,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _fig3_row(family: str, p: float, alpha: float | None, rho: DensityMatrix, cfg: ShotConfig, args: argparse.Namespace) -> dict[str, Any]:
-    lambda_th = detect(rho, "spa_spectrum").lambda_min
+    spa = detect(rho, "spa_spectrum")
     lambda_d_ideal = detect(rho, "f_hat").lambda_min
     lambda_d_sampled = lambda_min_d(f_hat(sample_table(rho, cfg)))
     return {
@@ -280,10 +280,10 @@ def _fig3_row(family: str, p: float, alpha: float | None, rho: DensityMatrix, cf
         "alpha": alpha,
         "tangle": tangle(rho),
         "linear_entropy": linear_entropy(rho),
-        "lambda_th": lambda_th,
+        "lambda_th": spa.lambda_min,
         "lambda_d_ideal": lambda_d_ideal,
         "lambda_d_sampled": lambda_d_sampled,
-        "verdict": "entangled" if lambda_th < SPA_THRESHOLD else "undetected",
+        "verdict": spa.verdict,
         "shots": args.shots,
         "seed": args.seed,
         "version": __version__,

@@ -2,9 +2,10 @@
 
 All operations act on plain ``numpy`` arrays of complex dtype and are pure
 functions: nothing here mutates its inputs, so everything is safe to call
-concurrently.  The eigensolver is a cyclic complex Jacobi iteration, which
-is simple and very accurate for the matrix sizes this package needs
-(dimension at most 16, i.e. up to the Choi matrix of a two-qubit channel).
+concurrently.  Eigensolves are one LAPACK call (``numpy.linalg.eigh``)
+behind :func:`require_hermitian`, the finite/Hermitian gate that every
+Hermitian input of the package passes; the tolerance table below holds
+every tolerance the package uses.
 """
 
 from __future__ import annotations
@@ -23,10 +24,16 @@ __all__ = [
     "PAULIS",
     "HERMITIAN_TOL",
     "PSD_TOL",
+    "TRACE_TOL",
+    "POVM_TOL",
+    "RAW_TOL",
+    "ROUND_TOL",
+    "ZERO_WEIGHT_TOL",
     "Spectrum",
     "dag",
-    "hermiticity_defect",
+    "require_hermitian",
     "herm_eig",
+    "sqrt_spectrum",
     "psd_sqrt",
     "partial_transpose",
     "partial_trace",
@@ -38,7 +45,7 @@ class ValidationError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """A numeric procedure failed to converge within its iteration cap."""
+    """A numeric procedure failed: no convergence, or no root where one was expected."""
 
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -49,14 +56,23 @@ PAULIS = (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z)
 for _p in PAULIS:
     _p.setflags(write=False)
 
-#: max |m - m^dag| entry accepted as "Hermitian"
+# Tolerances: every tolerance of the library, each with the reason it exists.
+#: max-entry defect of a matrix identity (m = m^dag, q q = q) accepted in validated input
 HERMITIAN_TOL = 1e-9
-#: eigenvalues above -PSD_TOL are treated as nonnegative
+#: eigenvalues above -PSD_TOL count as nonnegative (states, Choi matrices, PSD roots)
 PSD_TOL = 1e-9
+#: |tr - 1| of a state; TP defects and probabilities above 1 inherit this slack from the state
+TRACE_TOL = 1e-9
+#: POVM effects are built in closed form, so their PSD and completeness checks are tighter
+POVM_TOL = 1e-10
+#: slack for data no constructor validated (tomography output, witness trace, det-scan bracket)
+RAW_TOL = 1e-6
+#: rounding noise of a few O(1) float operations: this close to a boundary counts as on it
+ROUND_TOL = 1e-12
+#: a trajectory outcome this unlikely is never drawn; its conditional state would be noise
+ZERO_WEIGHT_TOL = 1e-14
 
 _MAX_DIM = 16
-_OFF_DIAG_THRESHOLD = 1e-14
-_MAX_SWEEPS = 100
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -71,10 +87,18 @@ def _as_square(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-entry deviation of ``m`` from its conjugate transpose."""
-    a = _as_square(m)
-    return float(np.max(np.abs(a - a.conj().T)))
+def require_hermitian(m: np.ndarray, what: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """The gate in front of every Hermitian input: a read-only complex copy
+    of ``m``, or ``ValidationError`` naming ``what`` when ``m`` is not
+    square, holds NaN or inf, or has an entry of ``m - m^dag`` above ``tol``."""
+    a = _as_square(np.array(m, dtype=complex))
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} entries must be finite: the matrix holds NaN or inf")
+    defect = float(np.max(np.abs(a - a.conj().T)))
+    if defect > tol:
+        raise ValidationError(f"{what} is not Hermitian: max |m - m^dag| = {defect:.3e}")
+    a.setflags(write=False)
+    return a
 
 
 class Spectrum(NamedTuple):
@@ -89,91 +113,40 @@ class Spectrum(NamedTuple):
 
 
 def herm_eig(m: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Full eigendecomposition of a Hermitian matrix, dimension at most 16.
 
-    Parameters
-    ----------
-    m : array
-        Square Hermitian matrix (max |m - m^dag| entry within 1e-9),
-        dimension at most 16.
-
-    Returns
-    -------
-    Spectrum
-        Ascending eigenvalues and matching orthonormal eigenvectors.
-        The reconstruction ``sum_k w_k v_k v_k^dag`` matches ``m`` to
-        better than 1e-9 in max-entry norm.
-
-    Raises
-    ------
-    ValidationError
-        Non-Hermitian input beyond tolerance, or unsupported dimension.
-    NumericError
-        No convergence within the sweep cap (does not happen for valid
-        input; the cap is a hard safety stop).
+    One LAPACK call (``numpy.linalg.eigh``) on the Hermitian part of ``m``
+    after :func:`require_hermitian`.  Raises ``ValidationError`` for
+    non-square, non-finite, non-Hermitian (max |m - m^dag| entry above
+    1e-9) or oversized input, and ``NumericError`` if LAPACK does not
+    converge.
     """
-    a = _as_square(m)
-    n = a.shape[0]
-    if n > _MAX_DIM:
-        raise ValidationError(f"dimension {n} exceeds the supported maximum {_MAX_DIM}")
-    defect = float(np.max(np.abs(a - a.conj().T)))
-    if defect > HERMITIAN_TOL:
-        raise ValidationError(f"matrix is not Hermitian: max |m - m^dag| = {defect:.3e}")
+    a = require_hermitian(m)
+    if a.shape[0] > _MAX_DIM:
+        raise ValidationError(f"dimension {a.shape[0]} exceeds the supported maximum {_MAX_DIM}")
+    try:
+        w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigh did not converge: {exc}") from exc
+    return Spectrum(values=w, vectors=v)
 
-    a = (a + a.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    # Scale-relative stop; the off-norm must be summed from the off-diagonal
-    # entries directly (total^2 - diag^2 cancels catastrophically).
-    scale = max(1.0, float(np.linalg.norm(a)))
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        off = float(np.linalg.norm(a - np.diag(np.diag(a))))
-        if off <= _OFF_DIAG_THRESHOLD * scale:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                mag = abs(g)
-                if mag == 0.0:
-                    continue
-                phase = g / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # One complex Jacobi rotation J with J[p,p]=J[q,q]=c,
-                # J[p,q] = s*phase, J[q,p] = -s*conj(phase); a <- J^dag a J.
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * np.conj(phase) * cq
-                a[:, q] = s * phase * cp + c * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * phase * rq
-                a[q, :] = s * np.conj(phase) * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * np.conj(phase) * vq
-                v[:, q] = s * phase * vp + c * vq
-    if not converged:
-        raise NumericError(f"Jacobi iteration did not converge in {_MAX_SWEEPS} sweeps")
 
-    w = np.real(np.diag(a))
-    order = np.argsort(w, kind="stable")
-    return Spectrum(values=w[order], vectors=v[:, order])
+def sqrt_spectrum(w: np.ndarray) -> np.ndarray:
+    """Square roots of PSD eigenvalues, taking those at or below ROUND_TOL as
+    exact zeros: the square root would inflate noise of 1e-17 to 3e-9."""
+    return np.sqrt(np.where(w > ROUND_TOL, w, 0.0))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-1e-9, 0) are clamped to zero before the square root;
-    anything below -1e-9 is rejected as genuinely non-PSD.
+    Eigenvalues in [-1e-9, 1e-12] are taken as zero before the square
+    root; anything below -1e-9 is rejected as genuinely non-PSD.
     """
     w, v = herm_eig(m)
     if w[0] < -PSD_TOL:
         raise ValidationError(f"matrix is not PSD: min eigenvalue = {w[0]:.3e}")
-    root = np.sqrt(np.clip(w, 0.0, None))
-    out = (v * root) @ v.conj().T
+    out = (v * sqrt_spectrum(w)) @ v.conj().T
     return (out + out.conj().T) / 2.0
 
 

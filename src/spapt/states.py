@@ -13,12 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    HERMITIAN_TOL,
     PAULI_Y,
     PSD_TOL,
+    ROUND_TOL,
+    TRACE_TOL,
     ValidationError,
     herm_eig,
     psd_sqrt,
+    require_hermitian,
+    sqrt_spectrum,
 )
 
 __all__ = [
@@ -38,10 +41,6 @@ __all__ = [
     "random_density_matrix",
 ]
 
-_TRACE_TOL = 1e-9
-_NORM_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class PureState:
     """Unit-norm state vector of a qubit or a qubit pair."""
@@ -53,7 +52,7 @@ class PureState:
         if amp.ndim != 1 or amp.shape[0] not in (2, 4):
             raise ValidationError(f"expected a vector of length 2 or 4, got shape {amp.shape}")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if abs(norm - 1.0) > ROUND_TOL:
             raise ValidationError(f"state vector is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -82,23 +81,15 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+        m = require_hermitian(self.mat, "state")
         if m.shape[0] not in (2, 4):
             raise ValidationError(f"supported dimensions are 2 and 4, got {m.shape[0]}")
-        if not np.isfinite(m).all():
-            raise ValidationError("entries must be finite: the matrix holds NaN or inf")
-        defect = float(np.max(np.abs(m - m.conj().T)))
-        if defect > HERMITIAN_TOL:
-            raise ValidationError(f"not Hermitian: max |m - m^dag| = {defect:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > _TRACE_TOL:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace is not 1: |tr - 1| = {abs(tr - 1.0):.3e}")
         lam_min = float(herm_eig(m).values[0])
         if lam_min < -PSD_TOL:
             raise ValidationError(f"not positive semidefinite: min eigenvalue = {lam_min:.3e}")
-        m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
     @property
@@ -195,9 +186,8 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     s = psd_sqrt(rho.mat)
-    inner = s @ sigma.mat @ s
-    w = herm_eig((inner + inner.conj().T) / 2.0).values
-    val = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+    w = herm_eig(s @ sigma.mat @ s).values
+    val = float(np.sum(sqrt_spectrum(w)) ** 2)
     return min(max(val, 0.0), 1.0)
 
 
@@ -216,9 +206,7 @@ def tangle(rho: DensityMatrix) -> float:
     if rho.dim != 4:
         raise ValidationError("tangle is defined for two-qubit states")
     s = psd_sqrt(rho.mat)
-    m = s @ _spin_flip(rho.mat) @ s
-    w = herm_eig((m + m.conj().T) / 2.0).values
-    lam = np.sqrt(np.clip(w, 0.0, None))[::-1]
+    lam = sqrt_spectrum(herm_eig(s @ _spin_flip(rho.mat) @ s).values)[::-1]
     c = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
     return min(c * c, 1.0)
 

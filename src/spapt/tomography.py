@@ -15,10 +15,15 @@ import numpy as np
 
 from .linalg import (
     PAULIS,
+    RAW_TOL,
+    ROUND_TOL,
+    TRACE_TOL,
+    ZERO_WEIGHT_TOL,
     NumericError,
     ValidationError,
     herm_eig,
     partial_trace,
+    require_hermitian,
 )
 from .states import DensityMatrix, PureState
 from .channels import SPA_PT_INSTRUMENT, tetrahedral_povm
@@ -94,11 +99,11 @@ class ProbabilityTable:
         for name, arr in (("p", p), ("q", q), ("r", r)):
             if not np.isfinite(arr).all():
                 raise ValidationError(f"{name} entries must be finite: the table holds NaN or inf")
-            if arr.min() < -1e-12 or arr.max() > 1.0 + 1e-9:
+            if arr.min() < -ROUND_TOL or arr.max() > 1.0 + TRACE_TOL:
                 raise ValidationError(f"{name} entries must lie in [0, 1]")
-        if np.any(p.sum(axis=1) > 1.0 + 1e-9):
+        if np.any(p.sum(axis=1) > 1.0 + TRACE_TOL):
             raise ValidationError("each p row must sum to at most 1 (binary A outcome per setting)")
-        if q.sum() + r.sum() > 1.0 + 1e-9:
+        if q.sum() + r.sum() > 1.0 + TRACE_TOL:
             raise ValidationError("q and r jointly exceed total probability 1")
         if int(self.shots_per_setting) < 0:
             raise ValidationError("shots_per_setting must be nonnegative")
@@ -191,7 +196,7 @@ def _trajectory_components(rho: DensityMatrix) -> tuple[np.ndarray, list[np.ndar
         for effect, projector in zip(branch.povm, branch.projectors):
             local = np.kron(identity, effect) if branch.side == "B" else np.kron(effect, identity)
             weight = float(np.real(np.trace(rho.mat @ local)))
-            if weight <= 1e-14:
+            if weight <= ZERO_WEIGHT_TOL:
                 probs += [0.0] * n
                 outputs += [None] * n
                 continue
@@ -314,17 +319,15 @@ def qst_linear_inversion(source: DensityMatrix | np.ndarray) -> np.ndarray:
 def project_to_physical(raw: np.ndarray) -> DensityMatrix:
     """Nearest physical state under the 2-norm on the spectrum.
 
-    The eigenbasis is kept.  The spectrum gets a uniform shift to restore
-    unit trace, then negative eigenvalues are clipped to zero with their
-    deficit spread uniformly over the remaining positive ones, iterating
-    until all are nonnegative.
+    This is the projection of Smolin, Gambetta and Smith, PRL 108, 070502
+    (2012).  The eigenbasis is kept.  The spectrum gets a uniform shift to
+    restore unit trace, then negative eigenvalues are clipped to zero with
+    their deficit spread uniformly over the remaining positive ones,
+    iterating until all are nonnegative.
     """
-    a = np.asarray(raw, dtype=complex)
-    defect = float(np.max(np.abs(a - a.conj().T)))
-    if defect > 1e-6:
-        raise ValidationError(f"not Hermitian enough to project: max |m - m^dag| = {defect:.3e}")
+    a = require_hermitian(raw, "matrix to project", RAW_TOL)
     trace_dev = abs(complex(np.trace(a)) - 1.0)
-    if trace_dev > 1e-6:
+    if trace_dev > RAW_TOL:
         raise ValidationError(f"trace too far from 1 to project: |tr - 1| = {trace_dev:.3e}")
     w, v = herm_eig((a + a.conj().T) / 2.0)
     n = len(w)

@@ -164,6 +164,15 @@ def test_nan_state_file_is_a_validation_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_lapack_failure_is_a_numeric_failure(bell_file, capsys, monkeypatch):
+    def no_convergence(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    assert run_cli("detect", "--state", bell_file, "--method", "ppt") == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_oversized_shot_count_is_a_validation_error(bell_file, capsys):
     assert run_cli("detect", "--state", bell_file, "--method", "f_hat_sampled", "--shots", str(10**19)) == 2
     assert "64-bit" in capsys.readouterr().err

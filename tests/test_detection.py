@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spapt.linalg import ValidationError, herm_eig
-from spapt.states import BELL_KINDS, DensityMatrix, bell, bell_vector, random_density_matrix, werner
+from spapt.states import BELL_KINDS, DensityMatrix, bell, bell_vector, mems, random_density_matrix, werner
 from spapt.channels import apply, spa_pt
 from spapt.tomography import ProbabilityTable, ShotConfig, ideal_probabilities, sample_table
 from spapt.detection import (
@@ -97,6 +97,20 @@ def test_detect_product_state_is_undetected():
     ppt = detect(KET00, "ppt")
     assert abs(ppt.lambda_min - PPT_THRESHOLD) < 1e-10
     assert ppt.verdict == "undetected"
+
+
+def test_separable_boundary_states_are_undetected_by_every_route():
+    # lambda sits on the threshold exactly; rounding noise must not decide the verdict
+    rng = np.random.default_rng(57)
+    states = [werner(2.0 / 3.0), mems(0.0)]
+    for _ in range(100):
+        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        states.append(DensityMatrix(np.outer(v, v.conj())))
+    for rho in states:
+        for method in ("ppt", "spa_spectrum", "f_hat"):
+            assert detect(rho, method).verdict == "undetected"
 
 
 def test_detect_werner_flips_at_two_thirds():

@@ -1,8 +1,9 @@
-"""Kernel tests: tensor algebra, Jacobi eigensolver, PSD square root,
-partial transpose and partial trace.
+"""Kernel tests: tensor algebra, the validated LAPACK eigensolver, the
+finite/Hermitian gate, PSD square root, partial transpose and partial trace.
 
-numpy.linalg.eigvalsh serves as the independent oracle for the
-hand-written Jacobi solver throughout."""
+herm_eig wraps numpy.linalg.eigh, so comparing it with eigvalsh checks the
+wrapper (gate, symmetrization, ordering), not LAPACK; analytic spectra and
+reconstruction identities are the independent oracles."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ from spapt.linalg import (
     partial_transpose,
     psd_sqrt,
 )
+from spapt.states import werner
+from spapt.channels import ChoiMatrix
+from spapt.tomography import project_to_physical
+from spapt.detection import FHatOperator, witness_expectation
 
 PHI_PLUS = np.zeros((4, 4), dtype=complex)
 PHI_PLUS[0, 0] = PHI_PLUS[0, 3] = PHI_PLUS[3, 0] = PHI_PLUS[3, 3] = 0.5
@@ -117,6 +122,23 @@ def test_herm_eig_rejects_non_hermitian():
 def test_herm_eig_rejects_oversized_input():
     with pytest.raises(ValidationError):
         herm_eig(np.eye(17, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        herm_eig,
+        psd_sqrt,
+        project_to_physical,
+        FHatOperator,
+        lambda m: ChoiMatrix(m, (2, 2)),
+        lambda m: witness_expectation(werner(0.5), m),
+    ],
+    ids=["herm_eig", "psd_sqrt", "project_to_physical", "FHatOperator", "ChoiMatrix", "witness_expectation"],
+)
+def test_non_finite_input_is_a_validation_error(call):
+    with pytest.raises(ValidationError, match="finite"):
+        call(np.full((4, 4), np.nan, dtype=complex))
 
 
 def test_herm_eig_reconstructs_random_hermitian():

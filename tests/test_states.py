@@ -91,6 +91,18 @@ def test_mems_tangle_is_p_squared():
         assert abs(wootters_tangle_oracle(rho.mat) - p * p) < 1e-9
 
 
+def test_tangle_matches_closed_forms_to_rounding():
+    # rank-deficient states: near-zero eigenvalues must not pass through sqrt as noise
+    for p in np.linspace(0.0, 1.0, 101):
+        assert abs(tangle(mems(p)) - p * p) < 1e-12
+    for p in np.linspace(0.0, 1.0, 11):
+        for alpha in np.linspace(0.0, 1.0, 11):
+            beta = np.sqrt(1.0 - alpha * alpha)
+            assert abs(tangle(rho_family(p, alpha)) - (2.0 * alpha * beta * abs(1.0 - 2.0 * p)) ** 2) < 1e-12
+    for kind in BELL_KINDS:
+        assert abs(tangle(bell(kind)) - 1.0) < 1e-12
+
+
 def test_rho_family_recovers_singlet():
     rho = rho_family(0.0, 1.0 / np.sqrt(2.0))
     assert np.max(np.abs(rho.mat - bell("psi-").mat)) < 1e-12
