@@ -82,11 +82,23 @@ class DetectionVerdict:
     margin: float
 
 
-@lru_cache(maxsize=1)
-def _reconstruction_operators() -> tuple[np.ndarray, list[np.ndarray]]:
-    projectors = [t.projector() for t in tomo_basis()]
-    gram = np.array([[np.real(np.trace(a @ b)) for b in projectors] for a in projectors])
-    return np.linalg.inv(gram), projectors
+def _f_hat_map() -> np.ndarray:
+    """(20, 16) map from the table vector [p.ravel(), q + r] to the entries of
+    f_hat: row 4l + j holds dual_l (x) S_j of the transpose branch (dual_l the
+    dual frame of reconstruction projector l), row 16 + k holds S'_k (x) I/2
+    of the inversion branch, each times its branch weight."""
+    projectors = np.array([t.projector() for t in tomo_basis()])
+    gram = np.einsum("aij,bji->ab", projectors, projectors).real
+    dual = np.einsum("il,ijk->ljk", np.linalg.inv(gram), projectors)
+    transpose, inversion = SPA_PT_INSTRUMENT
+    rows = [transpose.weigh(np.kron(d, s)) for d in dual for s in transpose.projectors]
+    rows += [inversion.weigh(np.kron(s, np.eye(2) / 2.0)) for s in inversion.projectors]
+    f_map = np.array(rows).reshape(20, 16)
+    f_map.setflags(write=False)
+    return f_map
+
+
+_F_HAT_MAP = _f_hat_map()
 
 
 def f_hat(table: ProbabilityTable) -> FHatOperator:
@@ -95,20 +107,12 @@ def f_hat(table: ProbabilityTable) -> FHatOperator:
     The ``p`` block is inverted through the dual frame of the A-side
     reconstruction projectors, recovering the conditional A operators of
     the transpose branch; the ``q + r`` sums weight the re-prepared states
-    of the inversion branch with a maximally mixed B.  Branch weights and
-    prepared states come from :data:`SPA_PT_INSTRUMENT`.  The whole map is
+    of the inversion branch with a maximally mixed B.  Both are one product
+    with a fixed map read from :data:`SPA_PT_INSTRUMENT`.  The whole map is
     linear in the table, and on exact Born probabilities it equals the
     output of the approximated partial transpose.
     """
-    gram_inv, projectors = _reconstruction_operators()
-    transpose, inversion = SPA_PT_INSTRUMENT
-    coeff = gram_inv @ table.p  # coeff[i, j]: weight of projector i in the j-th conditional
-    mat = np.zeros((4, 4), dtype=complex)
-    for j in range(4):
-        cond = sum(coeff[i, j] * projectors[i] for i in range(4))
-        mat += transpose.weigh(np.kron(cond, transpose.projectors[j]))
-    for k in range(4):
-        mat += inversion.weigh(table.q[k] + table.r[k]) * np.kron(inversion.projectors[k], np.eye(2) / 2.0)
+    mat = (np.concatenate([table.p.ravel(), table.q + table.r]) @ _F_HAT_MAP).reshape(4, 4)
     return FHatOperator((mat + mat.conj().T) / 2.0)
 
 
@@ -123,31 +127,34 @@ def lambda_min_det_scan(operator: FHatOperator, grid_points: int = 2048) -> floa
 
     Cross-check for :func:`lambda_min_d`: for a Hermitian operator the
     smallest determinant root is the smallest eigenvalue.  Assumes the
-    minimal root is simple (true for generic tables).
+    minimal root is simple (true for generic tables).  The grid is one
+    stacked determinant call, so ``grid_points`` must lie in [2, 2**16];
+    bisection runs until the bracket stops shrinking.
     """
+    if not 2 <= grid_points <= 2**16:
+        raise ValidationError(f"grid_points must lie in [2, 65536], got {grid_points}")
     m = operator.mat
     radii = np.sum(np.abs(m), axis=1) - np.abs(np.diag(m))
     lo = float(np.min(np.real(np.diag(m)) - radii)) - RAW_TOL
     hi = float(np.max(np.real(np.diag(m)) + radii)) + RAW_TOL
 
-    def char_det(kappa: float) -> float:
-        return float(np.real(np.linalg.det(m - kappa * np.eye(4))))
+    def char_det(kappa):
+        return np.real(np.linalg.det(m - np.multiply.outer(kappa, np.eye(4))))
 
     xs = np.linspace(lo, hi, grid_points)
-    values = np.array([char_det(x) for x in xs])
+    values = char_det(xs)
     crossings = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
     if len(crossings) == 0:
         raise NumericError("no determinant sign change found; minimal root may be degenerate")
     a, b = float(xs[crossings[0]]), float(xs[crossings[0] + 1])
-    fa = char_det(a)
-    for _ in range(200):
-        mid = (a + b) / 2.0
+    fa = values[crossings[0]]
+    while a < (mid := (a + b) / 2.0) < b:
         fm = char_det(mid)
         if fa * fm <= 0:
             b = mid
         else:
             a, fa = mid, fm
-    return (a + b) / 2.0
+    return mid
 
 
 @lru_cache(maxsize=1)

@@ -2,6 +2,12 @@
 single-copy trajectory simulation of the locally realized partial-transpose
 approximation, and linear-inversion state tomography.
 
+Each measurement route holds its product operators as one read-only stack
+built at import with ``np.kron``: 40 detection-setting effects, the 8 local
+effects of the SPA-PT instrument, 36 Pauli-setting projectors and 16 Pauli
+products.  A Born table is one stacked product ``tr(rho @ stack)``, equal bit
+for bit to the per-effect ``tr(rho @ np.kron(a, b))``.
+
 Randomness is fully reproducible: every measurement setting draws from its
 own substream derived from ``(seed, tag, indices)``, so settings are
 order-independent and results merge deterministically.
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    PAULI_I,
     PAULIS,
     RAW_TOL,
     ROUND_TOL,
@@ -22,7 +29,6 @@ from .linalg import (
     NumericError,
     ValidationError,
     herm_eig,
-    partial_trace,
     require_hermitian,
 )
 from .states import DensityMatrix, PureState
@@ -48,11 +54,6 @@ _TAG_TABLE = 0
 _TAG_QR = 1
 _TAG_TRAJ = 2
 _TAG_PAULI = 3
-
-# |0><0| and |1><1| on B, paired with the tetrahedral effects on A for q and r
-_KET0 = np.diag([1.0, 0.0]).astype(complex)
-_KET1 = np.diag([0.0, 1.0]).astype(complex)
-
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *map(int, path)])
@@ -130,14 +131,21 @@ def tomo_basis() -> tuple[PureState, PureState, PureState, PureState]:
     )
 
 
-#: detection settings: reconstruction projectors on one qubit, tetrahedral effects on the other
-_PROJECTORS = tuple(t.projector() for t in tomo_basis())
 _EFFECTS = tetrahedral_povm()
+#: detection settings, one row of eight outcomes each: rows 0..3 are
+#: {P_i (x) M_j} then {(I - P_i) (x) M_j}; row 4, for q and r, is
+#: {M_k (x) |0><0|} then {M_k (x) |1><1|}
+_TABLE_SETTINGS = np.array(
+    [[np.kron(a, eff) for a in (proj, np.eye(2) - proj) for eff in _EFFECTS] for proj in (t.projector() for t in tomo_basis())]
+    + [[np.kron(eff, ket) for ket in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) for eff in _EFFECTS]]
+)
 
 
-def _born(rho: DensityMatrix, a: np.ndarray, b: np.ndarray) -> float:
-    """Born probability of the product effect a (x) b."""
-    return float(np.real(np.trace(rho.mat @ np.kron(a, b))))
+def _born_weights(rho: DensityMatrix, stack: np.ndarray) -> np.ndarray:
+    """tr(rho E) for every effect E of a stack.  A stacked matmul then a trace
+    is the per-effect arithmetic exactly, as the seed contract needs; an
+    ``einsum`` or a matvec sums in another order."""
+    return np.trace(rho.mat @ stack, axis1=-2, axis2=-1).real
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:
@@ -148,14 +156,12 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
 def ideal_probabilities(rho: DensityMatrix) -> ProbabilityTable:
     """Exact Born-rule table for the detection measurement settings."""
     _require_two_qubits(rho)
-    p = np.array([[_born(rho, proj, eff) for eff in _EFFECTS] for proj in _PROJECTORS])
-    q = np.array([_born(rho, eff, _KET0) for eff in _EFFECTS])
-    r = np.array([_born(rho, eff, _KET1) for eff in _EFFECTS])
-    return ProbabilityTable(np.clip(p, 0.0, 1.0), np.clip(q, 0.0, 1.0), np.clip(r, 0.0, 1.0), 0)
+    born = np.clip(_born_weights(rho, _TABLE_SETTINGS), 0.0, 1.0)
+    return ProbabilityTable(born[:4, :4], born[4, :4], born[4, 4:], 0)
 
 
-def _normalized_probs(values: list[float]) -> np.ndarray:
-    pr = np.clip(np.asarray(values, dtype=float), 0.0, None)
+def _normalized_probs(values: np.ndarray) -> np.ndarray:
+    pr = np.clip(values, 0.0, None)
     return pr / pr.sum()
 
 
@@ -169,46 +175,45 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     """
     _require_two_qubits(rho)
     shots = cfg.shots_per_setting
+    born = _born_weights(rho, _TABLE_SETTINGS)
     p = np.empty((4, 4))
-    for i, proj in enumerate(_PROJECTORS):
-        born = [_born(rho, a, eff) for a in (proj, np.eye(2) - proj) for eff in _EFFECTS]
-        counts = _rng(cfg.seed, _TAG_TABLE, i).multinomial(shots, _normalized_probs(born))
-        p[i] = counts[:4] / shots
-
-    born = [_born(rho, eff, e) for e in (_KET0, _KET1) for eff in _EFFECTS]
-    counts = _rng(cfg.seed, _TAG_QR).multinomial(shots, _normalized_probs(born))
+    for i in range(4):
+        p[i] = _rng(cfg.seed, _TAG_TABLE, i).multinomial(shots, _normalized_probs(born[i]))[:4] / shots
+    counts = _rng(cfg.seed, _TAG_QR).multinomial(shots, _normalized_probs(born[4]))
     return ProbabilityTable(p, counts[:4] / shots, counts[4:] / shots, shots)
 
 
-def _trajectory_components(rho: DensityMatrix) -> tuple[np.ndarray, list[np.ndarray | None]]:
-    """Outcome probabilities and emitted states of one single-copy run.
+#: per instrument branch, the local effect of each outcome on the two qubits
+_BRANCH_EFFECTS = tuple(np.array([np.kron(PAULI_I, e) if b.side == "B" else np.kron(e, PAULI_I) for e in b.povm]) for b in SPA_PT_INSTRUMENT)
+#: per measured side: the partial trace keeping the other qubit, and the
+#: product (corrected other qubit) (x) (re-prepared projector) in qubit order
+_SIDE_SPECS = {"B": ("kabcb->kac", "kuac,kbd->kuabcd"), "A": ("kabac->kbc", "kubd,kac->kuabcd")}
+
+
+def _trajectory_components(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities and the (20, 4, 4) emitted states of one single-copy run.
 
     Categories run over instrument branch, outcome, then correction: 0..3
     are the transpose branch (outcome k on B), 4..19 the inversion branch
     (outcome k on A crossed with the Pauli on B).  An outcome of Born
-    weight at most 1e-14 gets probability exactly 0 and no output state.
+    weight at most 1e-14 gets probability exactly 0; its states are left
+    unnormalized, since they are never drawn.
     """
-    identity = np.eye(2, dtype=complex)
-    probs: list[float] = []
-    outputs: list[np.ndarray | None] = []
-    for branch in SPA_PT_INSTRUMENT:
+    probs, outputs = [], []
+    for branch, effects in zip(SPA_PT_INSTRUMENT, _BRANCH_EFFECTS):
+        w = _born_weights(rho, effects)
+        live = w > ZERO_WEIGHT_TOL
         n = len(branch.corrections)
-        for effect, projector in zip(branch.povm, branch.projectors):
-            local = np.kron(identity, effect) if branch.side == "B" else np.kron(effect, identity)
-            weight = float(np.real(np.trace(rho.mat @ local)))
-            if weight <= ZERO_WEIGHT_TOL:
-                probs += [0.0] * n
-                outputs += [None] * n
-                continue
-            cond = partial_trace(local @ rho.mat, "A" if branch.side == "B" else "B") / weight
-            probs += [branch.weigh(weight) / n] * n
-            for u in branch.corrections:
-                corrected = u @ cond @ u.conj().T
-                outputs.append(np.kron(corrected, projector) if branch.side == "B" else np.kron(projector, corrected))
-    return _normalized_probs(probs), outputs
+        probs.append(np.repeat(np.where(live, branch.weigh(w) / n, 0.0), n))
+        trace_spec, kron_spec = _SIDE_SPECS[branch.side]
+        cond = np.einsum(trace_spec, (effects @ rho.mat).reshape(-1, 2, 2, 2, 2)) / np.where(live, w, 1.0)[:, None, None]
+        u = np.array(branch.corrections)
+        corrected = u @ cond[:, None] @ u.conj().transpose(0, 2, 1)
+        outputs.append(np.einsum(kron_spec, corrected, np.array(branch.projectors)).reshape(-1, 4, 4))
+    return _normalized_probs(np.concatenate(probs)), np.concatenate(outputs)
 
 
-def _trajectory_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[np.ndarray, list[np.ndarray | None]]:
+def _trajectory_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[np.ndarray, np.ndarray]:
     """Run counts and output states per category; only categories of nonzero probability are drawn."""
     probs, outputs = _trajectory_components(rho)
     drawn = probs > 0.0
@@ -236,29 +241,28 @@ def trajectory_spa_pt(rho: DensityMatrix, cfg: ShotConfig) -> DensityMatrix:
     """
     _require_two_qubits(rho)
     counts, outputs = _trajectory_counts(rho, cfg)
-    total = float(cfg.shots_per_setting)
-    acc = np.zeros((4, 4), dtype=complex)
-    for count, state in zip(counts, outputs):
-        if count:
-            acc += (count / total) * state
+    acc = np.tensordot(counts / float(cfg.shots_per_setting), outputs, axes=1)
     return DensityMatrix((acc + acc.conj().T) / 2.0)
 
 
-_PAULI_EIGEN = {
-    1: np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0),  # x: |+>, |->
-    2: np.array([[1.0, 1.0], [1j, -1j]], dtype=complex) / np.sqrt(2.0),  # y: |+i>, |-i>
-    3: np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),  # z: |0>, |1>
-}
+#: eigenprojectors of x (|+>, |->), y (|+i>, |-i>) and z (|0>, |1>), from eigenbases as columns
+_PAULI_EIGENPROJECTORS = [
+    [np.outer(v, v.conj()) for v in basis.T]
+    for basis in (np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0), np.array([[1, 1], [1j, -1j]]) / np.sqrt(2.0), np.eye(2, dtype=complex))
+]
+#: setting (i, j) measures sigma_i (x) sigma_j, i, j in x, y, z; outcome 2a + b
+#: is eigenprojector a on A with eigenprojector b on B
+_PAULI_SETTINGS = np.array([[[np.kron(pa, pb) for pa in on_a for pb in on_b] for on_b in _PAULI_EIGENPROJECTORS] for on_a in _PAULI_EIGENPROJECTORS])
+#: sigma_i (x) sigma_j, index 0 the identity
+_PAULI_PRODUCTS = np.array([[np.kron(si, sj) for sj in PAULIS] for si in PAULIS])
+for _ops in (_TABLE_SETTINGS, *_BRANCH_EFFECTS, _PAULI_SETTINGS, _PAULI_PRODUCTS):
+    _ops.setflags(write=False)
 
 
 def pauli_expectations(rho: DensityMatrix) -> np.ndarray:
     """Exact 4x4 array of <sigma_i (x) sigma_j> (index 0 is the identity)."""
     _require_two_qubits(rho)
-    e = np.empty((4, 4))
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            e[i, j] = float(np.real(np.trace(rho.mat @ np.kron(si, sj))))
-    return e
+    return _born_weights(rho, _PAULI_PRODUCTS)
 
 
 def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray:
@@ -270,28 +274,15 @@ def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray
     """
     _require_two_qubits(rho)
     shots = cfg.shots_per_setting
-    e = np.zeros((4, 4))
-    e[0, 0] = 1.0
-    marg_a = np.zeros((3, 3))  # rows: Pauli on A, columns: companion setting
-    marg_b = np.zeros((3, 3))
+    born = _born_weights(rho, _PAULI_SETTINGS)
+    # freq[i, j, a, b]: setting (i, j), eigenvalue sign a on A and b on B
+    freq = np.array([[_rng(cfg.seed, _TAG_PAULI, i, j).multinomial(shots, _normalized_probs(born[i - 1, j - 1])) for j in (1, 2, 3)] for i in (1, 2, 3)])
+    freq = freq.reshape(3, 3, 2, 2) / shots
     signs = np.array([1.0, -1.0])
-    for i in (1, 2, 3):
-        basis_a = _PAULI_EIGEN[i]
-        for j in (1, 2, 3):
-            basis_b = _PAULI_EIGEN[j]
-            born = []
-            for a in range(2):
-                pa = np.outer(basis_a[:, a], basis_a[:, a].conj())
-                for b in range(2):
-                    pb = np.outer(basis_b[:, b], basis_b[:, b].conj())
-                    born.append(np.real(np.trace(rho.mat @ np.kron(pa, pb))))
-            freq = _rng(cfg.seed, _TAG_PAULI, i, j).multinomial(shots, _normalized_probs(born)) / shots
-            freq = freq.reshape(2, 2)
-            e[i, j] = float(np.einsum("a,b,ab->", signs, signs, freq))
-            marg_a[i - 1, j - 1] = float(signs @ freq.sum(axis=1))
-            marg_b[j - 1, i - 1] = float(signs @ freq.sum(axis=0))
-    e[1:, 0] = marg_a.mean(axis=1)
-    e[0, 1:] = marg_b.mean(axis=1)
+    e = np.ones((4, 4))
+    e[1:, 1:] = (freq @ signs) @ signs
+    e[1:, 0] = (freq.sum(axis=3) @ signs).mean(axis=1)
+    e[0, 1:] = (freq.sum(axis=2) @ signs).mean(axis=0)
     return e
 
 
@@ -299,9 +290,10 @@ def qst_linear_inversion(source: DensityMatrix | np.ndarray) -> np.ndarray:
     """Reconstruct a two-qubit operator from Pauli-product expectations.
 
     ``source`` is either a state (exact expectations are computed, and the
-    reconstruction round-trips the input) or a 4x4 real array of sampled
-    expectations with ``source[0, 0] == 1``.  Returns a raw matrix: from
-    noisy data it is generally not PSD, see :func:`project_to_physical`.
+    reconstruction round-trips the input) or a finite 4x4 real array of
+    sampled expectations whose ``source[0, 0]``, the trace, is 1 within
+    1e-9.  Returns a raw matrix: from noisy data it is generally not PSD,
+    see :func:`project_to_physical`.
     """
     if isinstance(source, DensityMatrix):
         expectations = pauli_expectations(source)
@@ -309,11 +301,11 @@ def qst_linear_inversion(source: DensityMatrix | np.ndarray) -> np.ndarray:
         expectations = np.asarray(source, dtype=float)
         if expectations.shape != (4, 4):
             raise ValidationError(f"expected all 16 Pauli expectations as a 4x4 array, got shape {expectations.shape}")
-    rho = np.zeros((4, 4), dtype=complex)
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            rho += expectations[i, j] * np.kron(si, sj)
-    return rho / 4.0
+        if not np.isfinite(expectations).all():
+            raise ValidationError("Pauli expectations must be finite: the array holds NaN or inf")
+        if abs(expectations[0, 0] - 1.0) > TRACE_TOL:
+            raise ValidationError(f"<I (x) I> is the trace and must be 1, got {expectations[0, 0]:.6g}")
+    return np.tensordot(expectations, _PAULI_PRODUCTS, axes=2) / 4.0
 
 
 def project_to_physical(raw: np.ndarray) -> DensityMatrix:

@@ -82,6 +82,22 @@ def test_det_scan_agrees_with_eigensolver():
         assert abs(lambda_min_det_scan(op) - lambda_min_d(op)) < 1e-8
 
 
+def test_det_scan_matches_eigensolver_on_dense_states_at_every_shot_budget():
+    rng = np.random.default_rng(71)
+    for shots in (10**4, 10**5, 10**6, 10**7):
+        for seed in range(3):
+            op = f_hat(sample_table(random_density_matrix(rng), ShotConfig(shots_per_setting=shots, seed=seed)))
+            assert abs(lambda_min_det_scan(op) - lambda_min_d(op)) < 1e-10
+
+
+def test_det_scan_bounds_its_grid():
+    op = f_hat(ideal_probabilities(bell("phi+")))
+    assert abs(lambda_min_det_scan(op, grid_points=2**16) - lambda_min_d(op)) < 1e-10
+    for bad in (1, 0, -5, 2**16 + 1):
+        with pytest.raises(ValidationError, match="grid_points"):
+            lambda_min_det_scan(op, grid_points=bad)
+
+
 def test_detect_singlet_with_spa_spectrum():
     verdict = detect(bell("psi-"), "spa_spectrum")
     assert abs(verdict.lambda_min - 1.0 / 6.0) < 1e-10

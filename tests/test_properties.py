@@ -1,6 +1,8 @@
 """Property tests on random PSD two-qubit states: the affine spectrum law,
 the output range of the approximated partial transpose, and agreement of
-the three detection routes away from the separable boundary.
+the three detection routes away from the separable boundary.  On random
+valid probability tables, f_hat is Hermitian and linear in the table, and
+on ideal tables it is the channel output PT(rho)/9 + (2/9) I.
 
 Examples are derandomized, so every run checks the same states."""
 
@@ -11,7 +13,8 @@ from hypothesis.extra.numpy import arrays
 from spapt.linalg import herm_eig, partial_transpose
 from spapt.states import DensityMatrix
 from spapt.channels import apply, spa_pt
-from spapt.detection import SPA_THRESHOLD, detect
+from spapt.tomography import ProbabilityTable, ideal_probabilities
+from spapt.detection import SPA_THRESHOLD, detect, f_hat
 
 SPA_PT = spa_pt()
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
@@ -50,3 +53,31 @@ def test_three_routes_agree_off_the_boundary(rho):
     assume(abs(ppt.lambda_min) > 1e-9)
     assert detect(rho, "spa_spectrum").verdict == ppt.verdict
     assert detect(rho, "f_hat").verdict == ppt.verdict
+
+
+@st.composite
+def probability_tables(draw):
+    """Each p row, and q followed by r, are the leading entries of a
+    probability vector with one extra outcome, so every table is valid."""
+    rows = draw(arrays(np.float64, (4, 5), elements=st.floats(0.0, 1.0)))
+    qr = draw(arrays(np.float64, 9, elements=st.floats(0.0, 1.0)))
+    assume(rows.sum(axis=1).min() > 1e-3 and qr.sum() > 1e-3)
+    p = rows / rows.sum(axis=1, keepdims=True)
+    qr = qr / qr.sum()
+    return ProbabilityTable(p[:, :4], qr[:4], qr[4:8])
+
+
+@PROPERTY_SETTINGS
+@given(probability_tables(), probability_tables(), st.floats(0.0, 1.0))
+def test_f_hat_is_hermitian_and_linear_in_the_table(a, b, w):
+    mixed = ProbabilityTable(w * a.p + (1 - w) * b.p, w * a.q + (1 - w) * b.q, w * a.r + (1 - w) * b.r)
+    fa, fb, fm = f_hat(a).mat, f_hat(b).mat, f_hat(mixed).mat
+    assert np.array_equal(fa, fa.conj().T) and np.array_equal(fm, fm.conj().T)
+    assert np.max(np.abs(fm - (w * fa + (1 - w) * fb))) < 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(density_matrices())
+def test_f_hat_of_ideal_table_is_the_spa_pt_output(rho):
+    expected = partial_transpose(rho.mat) / 9.0 + SPA_THRESHOLD * np.eye(4)
+    assert np.max(np.abs(f_hat(ideal_probabilities(rho)).mat - expected)) < 1e-12

@@ -4,9 +4,9 @@ simulation of the channel realization, and linear-inversion tomography."""
 import numpy as np
 import pytest
 
-from spapt.linalg import ValidationError, herm_eig
+from spapt.linalg import PAULIS, ValidationError, herm_eig
 from spapt.states import BELL_KINDS, DensityMatrix, bell, fidelity, random_density_matrix, werner
-from spapt.channels import apply, spa_pt, tetrahedral_states
+from spapt.channels import apply, spa_pt, tetrahedral_povm, tetrahedral_states
 from spapt.tomography import (
     ProbabilityTable,
     ShotConfig,
@@ -181,6 +181,41 @@ def test_linear_inversion_round_trips_exact_expectations():
 def test_linear_inversion_rejects_incomplete_expectations():
     with pytest.raises(ValidationError):
         qst_linear_inversion(np.ones((3, 3)))
+
+
+def test_linear_inversion_rejects_non_finite_expectations():
+    e = pauli_expectations(werner(0.3))
+    e[1, 2] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        qst_linear_inversion(e)
+
+
+def test_linear_inversion_rejects_expectations_without_unit_trace():
+    with pytest.raises(ValidationError, match="trace"):
+        qst_linear_inversion(np.zeros((4, 4)))
+    e = pauli_expectations(werner(0.3))
+    e[0, 0] = 1.0 + 1e-6
+    with pytest.raises(ValidationError, match="trace"):
+        qst_linear_inversion(e)
+
+
+def _per_effect_born(rho, left, right):
+    """Reference Born table, one np.kron product and trace per entry."""
+    return np.array([[np.real(np.trace(rho.mat @ np.kron(a, b))) for b in right] for a in left])
+
+
+def test_stacked_born_tables_equal_the_per_effect_products_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    projectors = [t.projector() for t in tomo_basis()]
+    effects = tetrahedral_povm()
+    kets = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    for n in range(200):
+        rho = random_density_matrix(rng, 1 + n % 4)
+        table = ideal_probabilities(rho)
+        qr = np.clip(_per_effect_born(rho, effects, kets), 0.0, 1.0)
+        assert np.array_equal(table.p, np.clip(_per_effect_born(rho, projectors, effects), 0.0, 1.0))
+        assert np.array_equal(table.q, qr[:, 0]) and np.array_equal(table.r, qr[:, 1])
+        assert np.array_equal(pauli_expectations(rho), _per_effect_born(rho, PAULIS, PAULIS))
 
 
 def test_sampled_tomography_reaches_high_fidelity():
