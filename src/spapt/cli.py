@@ -75,7 +75,32 @@ CHANNEL_FACTORIES: dict[str, Callable[[], Channel]] = {
     "identity": lambda: identity_channel(4),
 }
 
-DETECT_METHODS = ("ppt", "spa_spectrum", "f_hat_ideal", "f_hat_sampled")
+
+def _family(name: str, build: Callable[..., DensityMatrix], *flags: str) -> tuple[Callable[..., Any], tuple[str, ...]]:
+    return (lambda *values: (build(*values), {"family": name, **dict(zip(flags, values))})), flags
+
+
+def _state_file(path: str) -> tuple[DensityMatrix, dict[str, Any]]:
+    rho, metadata = load_state(path)
+    return rho, {**metadata, "family": "file", "source": path}
+
+
+# family -> (builder returning the state and its metadata, flags the builder takes in order)
+FAMILIES = {
+    "bell": _family("bell", bell, "kind"),
+    "werner": _family("werner", werner, "p"),
+    "mems": _family("mems", mems, "p"),
+    "rho_family": _family("rho_family", rho_family, "p", "alpha"),
+    "file": (_state_file, ("path",)),
+}
+
+# CLI method -> (library method, whether it reads a sampled table instead of the state)
+DETECTORS = {
+    "ppt": ("ppt", False),
+    "spa_spectrum": ("spa_spectrum", False),
+    "f_hat_ideal": ("f_hat", False),
+    "f_hat_sampled": ("f_hat", True),
+}
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -91,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     prepare = sub.add_parser("prepare", help="write a state file for a named family")
-    prepare.add_argument("family", choices=("bell", "werner", "mems", "rho_family", "file"))
+    prepare.add_argument("family", choices=tuple(FAMILIES))
     prepare.add_argument("--kind", choices=BELL_KINDS, help="Bell state name (family bell)")
     prepare.add_argument("--p", type=float, help="mixing parameter in [0, 1]")
     prepare.add_argument("--alpha", type=float, help="amplitude parameter in [0, 1] (family rho_family)")
@@ -109,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect_cmd = sub.add_parser("detect", help="entanglement verdict for a state file")
     detect_cmd.add_argument("--state", required=True, help="input state file")
-    detect_cmd.add_argument("--method", required=True, choices=DETECT_METHODS)
+    detect_cmd.add_argument("--method", required=True, choices=tuple(DETECTORS))
     _add_run_options(detect_cmd)
     detect_cmd.set_defaults(handler=_cmd_detect)
 
@@ -123,47 +148,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     selftest = sub.add_parser("selftest", help="run the invariant suites end to end")
     selftest.add_argument("--seed", type=int, default=42)
-    selftest.set_defaults(handler=_cmd_selftest)
+    # selftest has no --shots; the default completes the ShotConfig that checks its seed
+    selftest.set_defaults(handler=_cmd_selftest, shots=ShotConfig.shots_per_setting)
     return parser
 
 
-def _config_dict(args: argparse.Namespace, **extra: Any) -> dict[str, Any]:
-    cfg = {"version": __version__}
-    if hasattr(args, "seed"):
-        cfg["seed"] = args.seed
-    if hasattr(args, "shots"):
-        cfg["shots_per_setting"] = args.shots
-    cfg.update(extra)
-    return cfg
+def _report(args: argparse.Namespace, cfg: ShotConfig, rows: list[dict[str, Any]], **config: Any) -> int:
+    """Write the report envelope; every row ends with the seed and the version."""
+    report = {
+        "command": args.command,
+        "config": {"version": __version__, "seed": cfg.seed, "shots_per_setting": cfg.shots_per_setting, **config},
+        "rows": [{**row, "seed": cfg.seed, "version": __version__} for row in rows],
+    }
+    write_report(report, args.output_format, args.out)
+    return 0
 
 
-def _cmd_prepare(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "bell":
-        if args.kind is None:
-            raise UsageError("family bell requires --kind")
-        rho = bell(args.kind)
-        metadata = {"family": "bell", "kind": args.kind}
-    elif family == "werner":
-        if args.p is None:
-            raise UsageError("family werner requires --p")
-        rho = werner(args.p)
-        metadata = {"family": "werner", "p": args.p}
-    elif family == "mems":
-        if args.p is None:
-            raise UsageError("family mems requires --p")
-        rho = mems(args.p)
-        metadata = {"family": "mems", "p": args.p}
-    elif family == "rho_family":
-        if args.p is None or args.alpha is None:
-            raise UsageError("family rho_family requires --p and --alpha")
-        rho = rho_family(args.p, args.alpha)
-        metadata = {"family": "rho_family", "p": args.p, "alpha": args.alpha}
-    else:
-        if args.path is None:
-            raise UsageError("family file requires --path")
-        rho, metadata = load_state(args.path)
-        metadata = {**metadata, "family": "file", "source": args.path}
+def _cmd_prepare(args: argparse.Namespace, cfg: None) -> int:
+    build, flags = FAMILIES[args.family]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        raise UsageError(f"family {args.family} requires " + " and ".join(f"--{flag}" for flag in flags))
+    rho, metadata = build(*values)
     metadata["version"] = __version__
     save_state(rho, metadata, args.out)
     return 0
@@ -176,8 +182,8 @@ def _spectrum_row(mat: np.ndarray) -> dict[str, float]:
     return row
 
 
-def _cmd_apply(args: argparse.Namespace) -> int:
-    rho, metadata = load_state(args.state)
+def _cmd_apply(args: argparse.Namespace, cfg: ShotConfig) -> int:
+    rho, _ = load_state(args.state)
     channel = CHANNEL_FACTORIES[args.channel]()
     if channel.dim_in != rho.dim:
         raise ValidationError(f"channel {args.channel} expects dim {channel.dim_in}, state has dim {rho.dim}")
@@ -185,10 +191,9 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     if args.mode == "trajectory":
         if args.channel != "spa_pt":
             raise ValidationError("trajectory mode is implemented for the spa_pt channel only")
-        cfg = ShotConfig(shots_per_setting=args.shots, seed=args.seed)
         out_state = trajectory_spa_pt(rho, cfg)
         fidelity_to_exact = fidelity(out_state, exact_out)
-        shots = args.shots
+        shots = cfg.shots_per_setting
     else:
         out_state = exact_out
         fidelity_to_exact = None
@@ -197,31 +202,16 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     row.update(_spectrum_row(out_state.mat))
     row["fidelity_to_exact"] = fidelity_to_exact
     row["shots"] = shots
-    row["seed"] = args.seed
-    row["version"] = __version__
-    report = {
-        "command": "apply",
-        "config": _config_dict(args, channel=args.channel, mode=args.mode, state=args.state),
-        "rows": [row],
-    }
     if args.state_out is not None:
-        out_meta = {"family": "channel_output", "channel": args.channel, "mode": args.mode, "source": args.state, "seed": args.seed, "shots": shots}
+        out_meta = {"family": "channel_output", "channel": args.channel, "mode": args.mode, "source": args.state, "seed": cfg.seed, "shots": shots}
         save_state(out_state, out_meta, args.state_out)
-    write_report(report, args.output_format, args.out)
-    return 0
+    return _report(args, cfg, [row], channel=args.channel, mode=args.mode, state=args.state)
 
 
-def _cmd_detect(args: argparse.Namespace) -> int:
+def _cmd_detect(args: argparse.Namespace, cfg: ShotConfig) -> int:
     rho, _ = load_state(args.state)
-    if args.method == "ppt":
-        verdict = detect(rho, "ppt")
-    elif args.method == "spa_spectrum":
-        verdict = detect(rho, "spa_spectrum")
-    elif args.method == "f_hat_ideal":
-        verdict = detect(rho, "f_hat")
-    else:
-        cfg = ShotConfig(shots_per_setting=args.shots, seed=args.seed)
-        verdict = detect(sample_table(rho, cfg), "f_hat")
+    method, sampled = DETECTORS[args.method]
+    verdict = detect(sample_table(rho, cfg) if sampled else rho, method)
     row = {
         "method": args.method,
         "lambda_min": verdict.lambda_min,
@@ -229,12 +219,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         "margin": verdict.margin,
         "verdict": verdict.verdict,
         "shots": verdict.shots,
-        "seed": args.seed,
-        "version": __version__,
     }
-    report = {"command": "detect", "config": _config_dict(args, method=args.method, state=args.state), "rows": [row]}
-    write_report(report, args.output_format, args.out)
-    return 0
+    return _report(args, cfg, [row], method=args.method, state=args.state)
 
 
 def _lambda_exp(rho: DensityMatrix, cfg: ShotConfig) -> float:
@@ -246,74 +232,57 @@ def _lambda_exp(rho: DensityMatrix, cfg: ShotConfig) -> float:
     return float(herm_eig(reconstructed.mat).values[0])
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    cfg = ShotConfig(shots_per_setting=args.shots, seed=args.seed)
+def _cmd_table1(args: argparse.Namespace, cfg: ShotConfig) -> int:
     rows = []
     for kind in BELL_KINDS:
         rho = bell(kind)
-        lambda_th = detect(rho, "spa_spectrum").lambda_min
-        lambda_exp = _lambda_exp(rho, cfg)
-        lambda_d = lambda_min_d(f_hat(sample_table(rho, cfg)))
         rows.append(
             {
                 "state": kind,
-                "lambda_th": lambda_th,
-                "lambda_exp": lambda_exp,
-                "lambda_d": lambda_d,
-                "shots": args.shots,
-                "seed": args.seed,
-                "version": __version__,
+                "lambda_th": detect(rho, "spa_spectrum").lambda_min,
+                "lambda_exp": _lambda_exp(rho, cfg),
+                "lambda_d": lambda_min_d(f_hat(sample_table(rho, cfg))),
+                "shots": cfg.shots_per_setting,
             }
         )
-    report = {"command": "table1", "config": _config_dict(args), "rows": rows}
-    write_report(report, args.output_format, args.out)
-    return 0
+    return _report(args, cfg, rows)
 
 
-def _fig3_row(family: str, p: float, alpha: float | None, rho: DensityMatrix, cfg: ShotConfig, args: argparse.Namespace) -> dict[str, Any]:
-    spa = detect(rho, "spa_spectrum")
-    lambda_d_ideal = detect(rho, "f_hat").lambda_min
-    lambda_d_sampled = lambda_min_d(f_hat(sample_table(rho, cfg)))
-    return {
-        "family": family,
-        "p": p,
-        "alpha": alpha,
-        "tangle": tangle(rho),
-        "linear_entropy": linear_entropy(rho),
-        "lambda_th": spa.lambda_min,
-        "lambda_d_ideal": lambda_d_ideal,
-        "lambda_d_sampled": lambda_d_sampled,
-        "verdict": spa.verdict,
-        "shots": args.shots,
-        "seed": args.seed,
-        "version": __version__,
-    }
-
-
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    cfg = ShotConfig(shots_per_setting=args.shots, seed=args.seed)
-    rows = []
-    for p, alpha in NINE_STATE_PARAMS:
-        rows.append(_fig3_row("rho_family", p, alpha, rho_family(p, alpha), cfg, args))
+def _cmd_fig3(args: argparse.Namespace, cfg: ShotConfig) -> int:
     grid = [round(0.05 * k, 10) for k in range(21)]
-    for p in grid:
-        rows.append(_fig3_row("werner", p, None, werner(p), cfg, args))
-    for p in grid:
-        rows.append(_fig3_row("mems", p, None, mems(p), cfg, args))
-    report = {"command": "fig3", "config": _config_dict(args), "rows": rows}
-    write_report(report, args.output_format, args.out)
-    return 0
+    sweep = [("rho_family", p, alpha, rho_family(p, alpha)) for p, alpha in NINE_STATE_PARAMS]
+    sweep += [("werner", p, None, werner(p)) for p in grid]
+    sweep += [("mems", p, None, mems(p)) for p in grid]
+    rows = []
+    for family, p, alpha, rho in sweep:
+        spa = detect(rho, "spa_spectrum")
+        rows.append(
+            {
+                "family": family,
+                "p": p,
+                "alpha": alpha,
+                "tangle": tangle(rho),
+                "linear_entropy": linear_entropy(rho),
+                "lambda_th": spa.lambda_min,
+                "lambda_d_ideal": detect(rho, "f_hat").lambda_min,
+                "lambda_d_sampled": lambda_min_d(f_hat(sample_table(rho, cfg))),
+                "verdict": spa.verdict,
+                "shots": cfg.shots_per_setting,
+            }
+        )
+    return _report(args, cfg, rows)
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    return 0 if run_all(args.seed) else 3
+def _cmd_selftest(args: argparse.Namespace, cfg: ShotConfig) -> int:
+    return 0 if run_all(cfg.seed) else 3
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # every command but prepare samples: its shots and seed are checked before any work
+        cfg = None if args.command == "prepare" else ShotConfig(args.shots, args.seed)
+        return args.handler(args, cfg)
     except UsageError as exc:
         print(f"spapt: error: {exc}", file=sys.stderr)
         return 1

@@ -59,8 +59,11 @@ def _write_text(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fp:
-            fp.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fp:
+                fp.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {out}: {exc}") from exc
 
 
 def save_state(rho: DensityMatrix, metadata: dict[str, Any], out: str | None) -> None:
@@ -74,16 +77,20 @@ def load_state(path: str) -> tuple[DensityMatrix, dict[str, Any]]:
             doc = json.load(fp)
     except OSError as exc:
         raise ValidationError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, bad UTF-8, over-long integers, deep nesting
         raise ValidationError(f"state file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"state file {path} must hold a JSON object, got {type(doc).__name__}")
     for key in ("dim", "re", "im"):
         if key not in doc:
             raise ValidationError(f"state file {path} lacks required key {key!r}")
+    dim = doc["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool):
+        raise ValidationError(f"state file {path}: key 'dim' must be a JSON integer, got {type(dim).__name__}")
     try:
-        dim = int(doc["dim"])
         re = np.array(doc["re"], dtype=float)
         im = np.array(doc["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"state file {path} has malformed arrays: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(f"state file {path}: re/im must both be {dim}x{dim} arrays, got {re.shape} and {im.shape}")

@@ -1,12 +1,15 @@
 """Command line harness: state files, reports, encodings, exit codes."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spapt.cli import main
 from spapt.io import load_state, round12
@@ -178,6 +181,106 @@ def test_oversized_shot_count_is_a_validation_error(bell_file, capsys):
     assert "64-bit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b"5", "must hold a JSON object"),
+        (b"null", "must hold a JSON object"),
+        (b'{"dim": Infinity, "re": [], "im": []}', "key 'dim' must be a JSON integer"),
+        (b'{"dim": 4.7, "re": [], "im": []}', "key 'dim' must be a JSON integer"),
+        (b'{"dim": "4", "re": [], "im": []}', "key 'dim' must be a JSON integer"),
+        (b'{"dim": true, "re": [], "im": []}', "key 'dim' must be a JSON integer"),
+        (b'{"dim": 1, "re": [[1' + b"0" * 400 + b']], "im": [[0]]}', "malformed arrays"),
+        (b"\xff\xfe{}", "is not valid JSON"),
+    ],
+    ids=["int", "null", "dim-infinity", "dim-float", "dim-string", "dim-bool", "int-overflow", "not-utf8"],
+)
+def test_malformed_state_document_is_a_validation_error(tmp_path, capsys, raw, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    assert run_cli("detect", "--state", str(bad), "--method", "ppt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"spapt: validation error: state file {bad}")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("prepare", "bell", "--kind", "phi+", "--out", "{missing}"),
+        ("detect", "--state", "{state}", "--method", "ppt", "--out", "{missing}"),
+        ("apply", "--state", "{state}", "--channel", "spa_pt", "--state-out", "{missing}"),
+    ],
+    ids=["prepare-out", "detect-out", "apply-state-out"],
+)
+def test_unwritable_output_path_is_a_validation_error(tmp_path, bell_file, capsys, argv):
+    missing = str(tmp_path / "nonexistent" / "t.json")
+    assert run_cli(*(arg.format(state=bell_file, missing=missing) for arg in argv)) == 2
+    assert capsys.readouterr().err.startswith(f"spapt: validation error: cannot write {missing}")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("detect", "--state", "{state}", "--method", "ppt", "--shots", "-5", "--seed", "-3"),
+        ("apply", "--state", "{state}", "--channel", "spa_pt", "--mode", "exact", "--shots", "0"),
+        ("table1", "--shots", "0"),
+        ("fig3", f"--seed={2**64}"),
+        ("selftest", "--seed", "-1"),
+    ],
+    ids=["detect", "apply", "table1", "fig3", "selftest"],
+)
+def test_out_of_range_shots_or_seed_exit_2_before_any_work(bell_file, capsys, argv):
+    assert run_cli(*(arg.format(state=bell_file) for arg in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("spapt: validation error:") and "64-bit" in captured.err
+
+
+def _main_captured(*argv):
+    """In-process ``main`` with stdout and stderr captured; returns (code, stderr)."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=16,
+)
+MATRICES = st.integers(0, 4).flatmap(lambda n: st.lists(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), min_size=n, max_size=n))
+STATE_DOCUMENTS = JSON_VALUES | st.fixed_dictionaries(
+    {"dim": st.integers(-1, 5) | JSON_VALUES, "re": MATRICES | JSON_VALUES, "im": MATRICES | JSON_VALUES},
+    optional={"metadata": JSON_VALUES},
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(STATE_DOCUMENTS)
+def test_any_json_state_file_exits_0_or_2(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "any_json_state.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, err = _main_captured("detect", "--state", str(path), "--method", "ppt")
+    assert code in (0, 2)
+    assert code == 0 or err.startswith("spapt: validation error")
+
+
+EDGE_SHOTS = st.sampled_from([-1, 0, 1, 2**63 - 1, 2**63])
+EDGE_SEEDS = st.sampled_from([-1, 0, 2**64 - 1, 2**64])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(["ppt", "f_hat_sampled"]), EDGE_SHOTS | st.integers(-(2**66), 2**66), EDGE_SEEDS | st.integers(-(2**66), 2**66))
+def test_shots_and_seed_exit_0_exactly_in_range(tmp_path_factory, method, shots, seed):
+    state = tmp_path_factory.getbasetemp() / "range_state.json"
+    if not state.exists():
+        assert _main_captured("prepare", "werner", "--p", "0.5", "--out", str(state))[0] == 0
+    code, _ = _main_captured("detect", "--state", str(state), "--method", method, f"--shots={shots}", f"--seed={seed}")
+    assert code == (0 if 1 <= shots < 2**63 and 0 <= seed < 2**64 else 2)
+
+
 def test_table1_report(tmp_path):
     path = tmp_path / "table1.json"
     assert run_cli("table1", "--shots", "100000", "--seed", "42", "--out", str(path)) == 0
@@ -212,11 +315,26 @@ def test_fig3_dataset(tmp_path):
         assert row["alpha"] == ""
 
 
-def test_csv_and_json_carry_identical_numbers(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table1", "--shots", "20000", "--seed", "9"),
+        ("fig3", "--shots", "20000", "--seed", "9"),
+        ("detect", "--state", "{state}", "--method", "ppt"),
+        ("detect", "--state", "{state}", "--method", "spa_spectrum"),
+        ("detect", "--state", "{state}", "--method", "f_hat_ideal"),
+        ("detect", "--state", "{state}", "--method", "f_hat_sampled", "--shots", "20000", "--seed", "9"),
+        ("apply", "--state", "{state}", "--channel", "id_depolarize", "--mode", "exact"),
+        ("apply", "--state", "{state}", "--channel", "spa_pt", "--mode", "trajectory", "--shots", "20000", "--seed", "9"),
+    ],
+    ids=["table1", "fig3", "detect-ppt", "detect-spa_spectrum", "detect-f_hat_ideal", "detect-f_hat_sampled", "apply-exact", "apply-trajectory"],
+)
+def test_csv_and_json_carry_identical_numbers(tmp_path, bell_file, argv):
+    argv = [arg.format(state=bell_file) for arg in argv]
     json_path = tmp_path / "t.json"
     csv_path = tmp_path / "t.csv"
-    assert run_cli("table1", "--shots", "20000", "--seed", "9", "--out", str(json_path)) == 0
-    assert run_cli("table1", "--shots", "20000", "--seed", "9", "--format", "csv", "--out", str(csv_path)) == 0
+    assert run_cli(*argv, "--out", str(json_path)) == 0
+    assert run_cli(*argv, "--format", "csv", "--out", str(csv_path)) == 0
     json_rows = read_json(json_path)["rows"]
     csv_rows = read_csv(csv_path)
     assert len(json_rows) == len(csv_rows)
@@ -224,6 +342,8 @@ def test_csv_and_json_carry_identical_numbers(tmp_path):
         for key, value in jrow.items():
             if isinstance(value, float):
                 assert float(crow[key]) == value == round12(value)
+            elif value is None:
+                assert crow[key] == ""
             else:
                 assert str(value) == crow[key]
 
