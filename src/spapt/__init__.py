@@ -6,160 +6,18 @@ the transpose and to the inversion as measure-and-prepare channels, mixes
 them into the two-qubit partial-transpose approximation, simulates its
 finite-shot single-copy realization, and turns measured statistics into
 entanglement verdicts thresholded at 2/9.
+
+The package namespace re-exports the public names of its modules: each
+module's ``__all__`` is the list.
 """
 
 __version__ = "1.0.0"
 
-from .linalg import (
-    NumericError,
-    PAULI_I,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    PAULIS,
-    Spectrum,
-    ValidationError,
-    dag,
-    herm_eig,
-    partial_trace,
-    partial_transpose,
-    psd_sqrt,
-)
-from .states import (
-    BELL_KINDS,
-    NINE_STATE_PARAMS,
-    DensityMatrix,
-    PureState,
-    bell,
-    bell_vector,
-    fidelity,
-    linear_entropy,
-    mems,
-    min_eigenvalue,
-    random_density_matrix,
-    rho_family,
-    tangle,
-    werner,
-)
-from .channels import (
-    Channel,
-    ChoiMatrix,
-    KrausChannel,
-    MeasurePrepareChannel,
-    MixtureChannel,
-    ProductChannel,
-    apply,
-    choi,
-    depolarize,
-    ideal_pt,
-    identity_channel,
-    is_cp,
-    is_tp,
-    partial_transpose_channel,
-    replace_channel,
-    spa_inversion,
-    spa_pt,
-    spa_transpose,
-    superoperator_from_function,
-    tetrahedral_states,
-)
-from .tomography import (
-    ProbabilityTable,
-    ShotConfig,
-    ideal_probabilities,
-    pauli_expectations,
-    project_to_physical,
-    qst_linear_inversion,
-    sample_pauli_expectations,
-    sample_table,
-    tomo_basis,
-    trajectory_branch_counts,
-    trajectory_spa_pt,
-)
-from .detection import (
-    DetectionVerdict,
-    FHatOperator,
-    PPT_THRESHOLD,
-    SPA_THRESHOLD,
-    detect,
-    f_hat,
-    lambda_min_d,
-    lambda_min_det_scan,
-    witness_expectation,
-)
+from . import channels, detection, linalg, states, tomography
+from .linalg import *  # noqa: F401,F403
+from .states import *  # noqa: F401,F403
+from .channels import *  # noqa: F401,F403
+from .tomography import *  # noqa: F401,F403
+from .detection import *  # noqa: F401,F403
 
-__all__ = [
-    "__version__",
-    # linalg
-    "ValidationError",
-    "NumericError",
-    "PAULI_I",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "PAULIS",
-    "Spectrum",
-    "dag",
-    "herm_eig",
-    "psd_sqrt",
-    "partial_transpose",
-    "partial_trace",
-    # states
-    "PureState",
-    "DensityMatrix",
-    "BELL_KINDS",
-    "NINE_STATE_PARAMS",
-    "bell",
-    "bell_vector",
-    "werner",
-    "mems",
-    "rho_family",
-    "fidelity",
-    "tangle",
-    "linear_entropy",
-    "min_eigenvalue",
-    "random_density_matrix",
-    # channels
-    "Channel",
-    "KrausChannel",
-    "MeasurePrepareChannel",
-    "ProductChannel",
-    "MixtureChannel",
-    "ChoiMatrix",
-    "identity_channel",
-    "superoperator_from_function",
-    "tetrahedral_states",
-    "spa_transpose",
-    "spa_inversion",
-    "depolarize",
-    "spa_pt",
-    "ideal_pt",
-    "partial_transpose_channel",
-    "replace_channel",
-    "apply",
-    "choi",
-    "is_cp",
-    "is_tp",
-    # tomography
-    "ShotConfig",
-    "ProbabilityTable",
-    "tomo_basis",
-    "ideal_probabilities",
-    "sample_table",
-    "trajectory_spa_pt",
-    "trajectory_branch_counts",
-    "pauli_expectations",
-    "sample_pauli_expectations",
-    "qst_linear_inversion",
-    "project_to_physical",
-    # detection
-    "PPT_THRESHOLD",
-    "SPA_THRESHOLD",
-    "FHatOperator",
-    "DetectionVerdict",
-    "f_hat",
-    "lambda_min_d",
-    "lambda_min_det_scan",
-    "detect",
-    "witness_expectation",
-]
+__all__ = ["__version__"] + [name for module in (linalg, states, channels, tomography, detection) for name in module.__all__]

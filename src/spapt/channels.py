@@ -1,10 +1,15 @@
-"""Quantum channels held as superoperators, and the SPA-PT instrument.
+"""Quantum channels held as superoperators, each physical one declared as a
+local instrument.
 
-Constructor functions build a :class:`Channel` from a Kraus family, a
-measure-and-prepare pair list, a tensor product or a convex mixture.
-:data:`SPA_PT_INSTRUMENT` declares the local instrument realizing the
-physical approximation of the two-qubit partial transpose; the exact
-channel, the trajectory sampler and f_hat are all read from it.  The ideal
+Every physical channel of the package is a weighted choice between
+branches of local steps.  In a :class:`Branch` each subsystem takes the
+step of its :class:`Side`: it is measured and re-prepared in a fixed state
+per outcome, or only corrected by a unitary drawn uniformly from a set.
+:func:`instrument_channel` derives the exact superoperator from such a
+declaration, and the trajectory sampler in :mod:`spapt.tomography` derives
+the single-copy runs from the same one.  :data:`SPA_PT_INSTRUMENT`
+realizes the physical approximation of the two-qubit partial transpose;
+the exact channel, the trajectory sampler and f_hat all read it.  The ideal
 (non-physical) partial transpose is kept as an oracle, and Choi matrices
 certify complete positivity and trace preservation.
 
@@ -14,10 +19,11 @@ so the map ``x -> a x b`` has superoperator ``kron(b.T, a)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Sequence
+from functools import cached_property, reduce
+from typing import Sequence
 
 import numpy as np
 
@@ -38,17 +44,19 @@ from .states import DensityMatrix, PureState
 
 __all__ = [
     "Channel",
-    "KrausChannel",
-    "MeasurePrepareChannel",
-    "ProductChannel",
-    "MixtureChannel",
     "ChoiMatrix",
+    "Side",
     "Branch",
+    "IDENTITY_SIDE",
+    "DEPOLARIZE_SIDE",
+    "TRANSPOSE_SIDE",
+    "INVERSION_SIDE",
     "SPA_PT_INSTRUMENT",
     "vec",
     "unvec",
+    "instrument_channel",
+    "local_channel",
     "identity_channel",
-    "superoperator_from_function",
     "tetrahedral_states",
     "tetrahedral_povm",
     "spa_transpose",
@@ -74,32 +82,31 @@ def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
     """A linear map on operators: its superoperator ``mat`` of shape
-    (dim_out^2, dim_in^2), plus the (n, dim_out, dim_in) Kraus stack when
-    built from one.  No CP/TP condition is enforced, so the raw partial
-    transpose is a channel too.  Channels are immutable and application is
-    pure, so instances may be shared across concurrent workers.
+    (dim_out^2, dim_in^2), plus the local instrument it was derived from,
+    if any.  No CP/TP condition is enforced, so the raw partial transpose is
+    a channel too.  Channels are immutable and application is pure, so
+    instances may be shared across concurrent workers.
     """
 
     mat: np.ndarray
     dims: tuple[int, int]  # (dim_in, dim_out)
-    kraus: np.ndarray | None = None
+    instrument: tuple[Branch, ...] = ()
 
     def __post_init__(self) -> None:
         m = np.array(self.mat, dtype=complex)
         din, dout = self.dims
         if m.shape != (dout * dout, din * din):
             raise ValidationError(f"superoperator shape {m.shape} does not match dims {self.dims}")
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
-        if self.kraus is not None:
-            k = np.array(self.kraus, dtype=complex)
-            if k.ndim != 3 or k.shape[1:] != (dout, din):
-                raise ValidationError(f"Kraus stack shape {k.shape} does not match dims {self.dims}")
-            k.setflags(write=False)
-            object.__setattr__(self, "kraus", k)
+        object.__setattr__(self, "mat", _read_only(m))
+        object.__setattr__(self, "instrument", tuple(self.instrument))
 
     @property
     def dim_in(self) -> int:
@@ -113,11 +120,6 @@ class Channel:
         """Matrix of size (dim_out^2, dim_in^2) acting on vectorized operators."""
         return self.mat
 
-    def kraus_ops(self) -> np.ndarray:
-        if self.kraus is None:
-            raise ValidationError("channel has no Kraus representation")
-        return self.kraus
-
     def apply_matrix(self, operator: np.ndarray) -> np.ndarray:
         """Apply the map to a raw matrix (no physicality validation)."""
         a = np.asarray(operator, dtype=complex)
@@ -126,88 +128,173 @@ class Channel:
         return unvec(self.mat @ vec(a), self.dim_out)
 
 
-def _from_kraus(kraus: np.ndarray) -> Channel:
-    """Channel of an (n, dim_out, dim_in) Kraus stack: S = sum_k conj(K_k) (x) K_k."""
-    _, dout, din = kraus.shape
-    mat = np.einsum("kpr,kqs->pqrs", kraus.conj(), kraus).reshape(dout * dout, din * din)
-    return Channel(mat, (din, dout), kraus)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a[i], b[j])`` for stacks of matrices, in order i * len(b) + j."""
+    joint = np.einsum("iab,jcd->ijacbd", a, b)
+    return joint.reshape(len(a) * len(b), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
 
 
-def KrausChannel(kraus: Sequence[np.ndarray]) -> Channel:
-    """Channel given by a Kraus family {K_k}; trace preservation is checked."""
-    ops = tuple(np.asarray(k, dtype=complex) for k in kraus)
-    if not ops:
-        raise ValidationError("at least one Kraus operator is required")
-    shape = ops[0].shape
-    if len(shape) != 2 or any(k.shape != shape for k in ops):
-        raise ValidationError("all Kraus operators must share one 2-d shape")
-    stack = np.array(ops)
-    dev = float(np.max(np.abs(np.einsum("kji,kjl->il", stack.conj(), stack) - np.eye(shape[1]))))
-    if dev > TRACE_TOL:
-        raise ValidationError(f"Kraus family is not trace preserving: max |sum K^dag K - I| = {dev:.3e}")
-    return _from_kraus(stack)
+def _tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Superoperators of ``a[i] (x) b[j]`` on the joint system, in order
+    i * len(b) + j, for stacks of superoperators on each subsystem."""
+    da, db = math.isqrt(a.shape[-1]), math.isqrt(b.shape[-1])
+    # a vectorized operator reshapes to (column, row); a joint one to
+    # (column A, column B, row A, row B)
+    joint = np.einsum("iCAca,jDBdb->ijCDABcdab", a.reshape(-1, da, da, da, da), b.reshape(-1, db, db, db, db))
+    n = (da * db) ** 2
+    return joint.reshape(len(a) * len(b), n, n)
 
 
-def MeasurePrepareChannel(povm: Sequence[np.ndarray], prepared: Sequence[PureState]) -> Channel:
-    """Measure a POVM, then prepare a fixed pure state per outcome.
+@dataclass(frozen=True, eq=False)
+class Side:
+    """One subsystem's step within a :class:`Branch`.
 
-    Such channels are entanglement breaking and therefore always physical.
-    Effects must be PSD and sum to the identity within 1e-10.
+    A measured side (``povm`` and ``prepared``) re-prepares ``prepared[k]``
+    on outcome k of ``povm``.  A corrected side applies one of the unitaries
+    ``corrections``, drawn uniformly at random; ``(I,)`` leaves the
+    subsystem alone.  Exactly one of the two is given.  Effects must be PSD
+    and sum to the identity within 1e-10, corrections must be unitary
+    within 1e-9.
     """
-    effects = tuple(np.asarray(m, dtype=complex) for m in povm)
-    prepared = tuple(prepared)
-    if len(effects) != len(prepared) or not effects:
-        raise ValidationError("povm and prepared lists must have equal nonzero length")
-    d = effects[0].shape[0]
-    kraus = []
-    for effect, out_state in zip(effects, prepared):
-        if effect.shape != (d, d):
-            raise ValidationError("all effects must be square matrices of one dimension")
-        w, u = herm_eig(effect)
-        if w[0] < -POVM_TOL:
-            raise ValidationError(f"effect is not PSD: min eigenvalue = {w[0]:.3e}")
-        # M_k = sum_r w_r |u_r><u_r| gives Kraus sqrt(w_r) |prepared_k><u_r|.
-        kraus += [np.outer(out_state.amplitudes, np.sqrt(w[r]) * u[:, r].conj()) for r in range(d) if w[r] > ROUND_TOL]
-    dev = float(np.max(np.abs(sum(effects) - np.eye(d))))
-    if dev > POVM_TOL:
-        raise ValidationError(f"effects do not sum to identity: max deviation = {dev:.3e}")
-    if len({state.dim for state in prepared}) != 1:
-        raise ValidationError("prepared states must share one dimension")
-    return _from_kraus(np.array(kraus))
+
+    povm: tuple[np.ndarray, ...] = ()
+    prepared: tuple[PureState, ...] = ()
+    corrections: tuple[np.ndarray, ...] = ()
+
+    def __post_init__(self) -> None:
+        povm = tuple(_read_only(np.array(m, dtype=complex)) for m in self.povm)
+        prepared = tuple(self.prepared)
+        corrections = tuple(_read_only(np.array(u, dtype=complex)) for u in self.corrections)
+        if bool(povm or prepared) == bool(corrections):
+            raise ValidationError("a side is either measured (povm and prepared states) or corrected (unitaries), not both or neither")
+        ops = povm or corrections
+        shape = ops[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(op.shape != shape for op in ops):
+            raise ValidationError("the effects or corrections of a side must be square matrices of one dimension")
+        eye = np.eye(shape[0])
+        if povm:
+            if len(prepared) != len(povm) or any(v.dim != shape[0] for v in prepared):
+                raise ValidationError("a measured side needs one prepared state per effect, of the effects' dimension")
+            low = min(herm_eig(effect).values[0] for effect in povm)
+            if low < -POVM_TOL:
+                raise ValidationError(f"effect is not PSD: min eigenvalue = {low:.3e}")
+            dev = float(np.max(np.abs(sum(povm) - eye)))
+            if dev > POVM_TOL:
+                raise ValidationError(f"effects do not sum to identity: max deviation = {dev:.3e}")
+        else:
+            dev = max(float(np.max(np.abs(u.conj().T @ u - eye))) for u in corrections)
+            if dev > TRACE_TOL:
+                raise ValidationError(f"correction is not unitary: max |U^dag U - I| = {dev:.3e}")
+        object.__setattr__(self, "povm", povm)
+        object.__setattr__(self, "prepared", prepared)
+        object.__setattr__(self, "corrections", corrections)
+
+    @property
+    def dim(self) -> int:
+        return (self.povm or self.corrections)[0].shape[0]
+
+    @property
+    def draws(self) -> int:
+        """How many corrections a run draws from uniformly; 1 when measured."""
+        return len(self.corrections) or 1
+
+    @cached_property
+    def effects(self) -> np.ndarray:
+        """Born effect per outcome, or the identity per correction."""
+        return _read_only(np.array(self.povm or [np.eye(self.dim, dtype=complex)] * self.draws))
+
+    @cached_property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """Projectors onto the prepared states."""
+        return tuple(v.projector() for v in self.prepared)
+
+    @cached_property
+    def maps(self) -> np.ndarray:
+        """Superoperator per outcome, x -> tr(M_k x) |v_k><v_k|, or per
+        correction, x -> U x U^dag."""
+        if self.povm:
+            return _read_only(np.array([np.outer(vec(p), vec(m.T)) for p, m in zip(self.projectors, self.povm)]))
+        return _read_only(np.array([np.kron(u.conj(), u) for u in self.corrections]))
 
 
-def ProductChannel(first: Channel, second: Channel) -> Channel:
-    """Tensor product acting as ``first`` on subsystem A and ``second`` on B."""
-    a, b = first.kraus_ops(), second.kraus_ops()
-    kraus = np.einsum("iac,jbd->ijabcd", a, b)
-    return _from_kraus(kraus.reshape(len(a) * len(b), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2]))
+@dataclass(frozen=True, eq=False)
+class Branch:
+    """One branch of a local instrument: with probability ``weight``, held
+    as a Fraction, each subsystem takes the step of its side in ``sides``,
+    subsystem A first.
+
+    A run of the branch ends in one category: an outcome or a correction
+    per side, with side A's index running slowest.
+    """
+
+    weight: Fraction
+    sides: tuple[Side, ...]
+
+    def __post_init__(self) -> None:
+        weight = Fraction(self.weight)
+        sides = tuple(self.sides)
+        if not 0 <= weight <= 1:
+            raise ValidationError(f"branch weight must lie in [0, 1], got {float(weight)}")
+        if not sides or not all(isinstance(s, Side) for s in sides):
+            raise ValidationError("a branch needs one Side per subsystem")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "sides", sides)
+
+    def weigh(self, value):
+        """``weight * value`` as ``value * numerator / denominator``: the seed
+        contract was sampled dividing by 3, not multiplying by ``float(1/3)``."""
+        return value * self.weight.numerator / self.weight.denominator
+
+    @property
+    def dim(self) -> int:
+        return math.prod(s.dim for s in self.sides)
+
+    @property
+    def draws(self) -> int:
+        """How many equally likely corrections follow each joint outcome."""
+        return math.prod(s.draws for s in self.sides)
+
+    @cached_property
+    def effects(self) -> np.ndarray:
+        """Born effect per category: a run ends in category c with
+        probability ``weigh(tr(rho effects[c])) / draws``."""
+        return _read_only(reduce(_kron, (s.effects for s in self.sides)))
+
+    @cached_property
+    def maps(self) -> np.ndarray:
+        """Superoperator per category: a run ending in category c emits
+        ``maps[c] @ vec(rho)`` divided by ``tr(rho effects[c])``."""
+        return _read_only(reduce(_tensor, (s.maps for s in self.sides)))
+
+    @cached_property
+    def superoperator(self) -> np.ndarray:
+        """``weight`` times the product of the sides' averaged superoperators."""
+        local = (s.maps.sum(axis=0, keepdims=True) / s.draws for s in self.sides)
+        return _read_only(self.weigh(reduce(_tensor, local)[0]))
 
 
-def MixtureChannel(weights: Sequence[float], channels: Sequence[Channel]) -> Channel:
-    """Convex mixture sum_i w_i Lambda_i of channels with equal dimensions."""
-    w = tuple(float(x) for x in weights)
-    channels = tuple(channels)
-    if len(w) != len(channels) or not w:
-        raise ValidationError("weights and channels must have equal nonzero length")
-    if any(x < 0 for x in w) or abs(sum(w) - 1.0) > ROUND_TOL:
-        raise ValidationError("weights must be nonnegative and sum to 1")
-    if len({c.dims for c in channels}) != 1:
-        raise ValidationError("mixed channels must share dimensions")
-    mat = sum(x * c.mat for x, c in zip(w, channels))
-    has_kraus = all(c.kraus is not None for c in channels)
-    kraus = np.concatenate([np.sqrt(x) * c.kraus for x, c in zip(w, channels)]) if has_kraus else None
-    return Channel(mat, channels[0].dims, kraus)
+def instrument_channel(instrument: Sequence[Branch]) -> Channel:
+    """The exact channel of a local instrument: the sum of its branches'
+    superoperators.  The branches must act on subsystems of equal
+    dimensions, and their weights must sum to 1."""
+    branches = tuple(instrument)
+    if not branches:
+        raise ValidationError("an instrument needs at least one branch")
+    if len({tuple(s.dim for s in b.sides) for b in branches}) != 1:
+        raise ValidationError("all branches must act on subsystems of the same dimensions")
+    if abs(float(sum(b.weight for b in branches)) - 1.0) > ROUND_TOL:
+        raise ValidationError("branch weights must sum to 1")
+    dim = branches[0].dim
+    return Channel(sum(b.superoperator for b in branches), (dim, dim), branches)
+
+
+def local_channel(*sides: Side) -> Channel:
+    """The channel of one branch in which each subsystem takes its side, A first."""
+    return instrument_channel((Branch(1, sides),))
 
 
 def identity_channel(dim: int) -> Channel:
-    return KrausChannel((np.eye(dim, dtype=complex),))
-
-
-def superoperator_from_function(fn: Callable[[np.ndarray], np.ndarray], dim_in: int, dim_out: int | None = None) -> Channel:
-    """Build a superoperator column by column from a matrix-valued map."""
-    dim_out = dim_in if dim_out is None else dim_out
-    columns = [vec(fn(unvec(e, dim_in))) for e in np.eye(dim_in * dim_in, dtype=complex)]
-    return Channel(np.stack(columns, axis=1), (dim_in, dim_out))
+    return local_channel(Side(corrections=(np.eye(dim),)))
 
 
 def tetrahedral_states() -> tuple[PureState, PureState, PureState, PureState]:
@@ -235,39 +322,21 @@ def tetrahedral_povm() -> tuple[np.ndarray, ...]:
     return effects
 
 
-@dataclass(frozen=True, eq=False)
-class Branch:
-    """One branch of a local measure-and-prepare instrument on two qubits.
-
-    With probability ``weight`` the qubit named by ``side`` ("A" or "B")
-    is measured with ``povm``; outcome k re-prepares it in ``prepared[k]``
-    and applies one of the unitaries ``corrections``, drawn uniformly at
-    random, to the other qubit.
-    """
-
-    weight: Fraction
-    side: str
-    povm: tuple[np.ndarray, ...]
-    prepared: tuple[PureState, ...]
-    corrections: tuple[np.ndarray, ...]
-
-    def weigh(self, value):
-        """``weight * value`` as ``value * numerator / denominator``: the seed
-        contract was sampled dividing by 3, not multiplying by ``float(1/3)``."""
-        return value * self.weight.numerator / self.weight.denominator
-
-    @cached_property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """Projectors onto the prepared states."""
-        return tuple(v.projector() for v in self.prepared)
-
+#: The four local steps the channels of the package are built from: leave
+#: the qubit alone, apply a uniformly random Pauli, measure the tetrahedral
+#: POVM and re-prepare the matching state, or re-prepare its
+#: sigma_y-rotated state.
+IDENTITY_SIDE = Side(corrections=(PAULI_I,))
+DEPOLARIZE_SIDE = Side(corrections=PAULIS)
+TRANSPOSE_SIDE = Side(povm=tetrahedral_povm(), prepared=tetrahedral_states())
+INVERSION_SIDE = Side(povm=tetrahedral_povm(), prepared=tuple(PureState(PAULI_Y @ v.amplitudes) for v in tetrahedral_states()))
 
 #: SPA-PT as a local instrument: transpose branch on B, A untouched; inversion
 #: branch on A, sigma_y-rotated states, a random Pauli on B.  The inversion
 #: weight is the double nearest 2/3, which the mixture has always used.
 SPA_PT_INSTRUMENT = (
-    Branch(Fraction(1, 3), "B", tetrahedral_povm(), tetrahedral_states(), (PAULI_I,)),
-    Branch(Fraction(2.0 / 3.0), "A", tetrahedral_povm(), tuple(PureState(PAULI_Y @ v.amplitudes) for v in tetrahedral_states()), PAULIS),
+    Branch(Fraction(1, 3), (IDENTITY_SIDE, TRANSPOSE_SIDE)),
+    Branch(Fraction(2.0 / 3.0), (INVERSION_SIDE, DEPOLARIZE_SIDE)),
 )
 
 
@@ -277,20 +346,18 @@ def spa_transpose() -> Channel:
     Measures the tetrahedral POVM and prepares the matching tetrahedral
     state; the resulting action is (1/3) rho^T + (2/3) tr(rho) I/2.
     """
-    branch = SPA_PT_INSTRUMENT[0]
-    return MeasurePrepareChannel(branch.povm, branch.prepared)
+    return local_channel(TRANSPOSE_SIDE)
 
 
 def spa_inversion() -> Channel:
     """Physical approximation to the inversion, sigma_y-conjugate of
     :func:`spa_transpose`; acts as (2/3) tr(rho) I - (1/3) rho."""
-    branch = SPA_PT_INSTRUMENT[1]
-    return MeasurePrepareChannel(branch.povm, branch.prepared)
+    return local_channel(INVERSION_SIDE)
 
 
 def depolarize() -> Channel:
     """Fully depolarizing qubit channel as uniform random Pauli application."""
-    return KrausChannel(tuple(p / 2.0 for p in PAULIS))
+    return local_channel(DEPOLARIZE_SIDE)
 
 
 def spa_pt() -> Channel:
@@ -303,12 +370,7 @@ def spa_pt() -> Channel:
     so output spectra are the partial-transpose spectra compressed into
     [1/6, 1/3].
     """
-    branches = []
-    for b in SPA_PT_INSTRUMENT:
-        measured = MeasurePrepareChannel(b.povm, b.prepared)
-        corrected = KrausChannel(tuple(u / np.sqrt(len(b.corrections)) for u in b.corrections))
-        branches.append(ProductChannel(corrected, measured) if b.side == "B" else ProductChannel(measured, corrected))
-    return MixtureChannel(tuple(b.weight for b in SPA_PT_INSTRUMENT), branches)
+    return instrument_channel(SPA_PT_INSTRUMENT)
 
 
 def ideal_pt(rho: DensityMatrix) -> np.ndarray:
@@ -320,13 +382,17 @@ def ideal_pt(rho: DensityMatrix) -> np.ndarray:
 
 
 def partial_transpose_channel() -> Channel:
-    """The non-physical map ``identity (x) transpose`` on two qubits."""
-    return superoperator_from_function(partial_transpose, 4)
+    """The non-physical map ``identity (x) transpose`` on two qubits, a
+    fixed permutation of the vectorized entries: the partial transpose of
+    the matrix of vec positions says where each output entry comes from."""
+    source = vec(partial_transpose(unvec(np.arange(16), 4))).real.astype(int)
+    return Channel(np.eye(16)[source], (4, 4))
 
 
 def replace_channel(dim: int) -> Channel:
-    """The map ``rho -> tr(rho) I/dim``."""
-    return superoperator_from_function(lambda x: np.trace(x) * np.eye(dim) / dim, dim)
+    """The map ``rho -> tr(rho) I/dim``, of rank one: vec(I/dim) vec(I)^T."""
+    eye = np.eye(dim)
+    return Channel(np.outer(vec(eye / dim), vec(eye)), (dim, dim))
 
 
 def apply(channel: Channel, rho: DensityMatrix) -> DensityMatrix:

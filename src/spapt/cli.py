@@ -29,14 +29,15 @@ from .states import (
     werner,
 )
 from .channels import (
+    DEPOLARIZE_SIDE,
+    IDENTITY_SIDE,
+    INVERSION_SIDE,
+    TRANSPOSE_SIDE,
+    Branch,
     Channel,
-    ProductChannel,
     apply,
-    depolarize,
-    identity_channel,
-    spa_inversion,
+    instrument_channel,
     spa_pt,
-    spa_transpose,
 )
 from .tomography import (
     ShotConfig,
@@ -44,6 +45,7 @@ from .tomography import (
     project_to_physical,
     sample_pauli_expectations,
     sample_table,
+    trajectory,
     trajectory_spa_pt,
 )
 from .detection import detect, f_hat, lambda_min_d
@@ -65,14 +67,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _local(side_a, side_b) -> Callable[[], Channel]:
+    # one instrument per factory, so its effect and superoperator stacks are built once
+    instrument = (Branch(1, (side_a, side_b)),)
+    return lambda: instrument_channel(instrument)
+
+
+# every channel is a local instrument, so both modes of apply serve each one
 CHANNEL_FACTORIES: dict[str, Callable[[], Channel]] = {
     "spa_pt": spa_pt,
-    "id_spa_transpose": lambda: ProductChannel(identity_channel(2), spa_transpose()),
-    "spa_transpose_id": lambda: ProductChannel(spa_transpose(), identity_channel(2)),
-    "spa_inversion_depolarize": lambda: ProductChannel(spa_inversion(), depolarize()),
-    "id_depolarize": lambda: ProductChannel(identity_channel(2), depolarize()),
-    "depolarize_id": lambda: ProductChannel(depolarize(), identity_channel(2)),
-    "identity": lambda: identity_channel(4),
+    "id_spa_transpose": _local(IDENTITY_SIDE, TRANSPOSE_SIDE),
+    "spa_transpose_id": _local(TRANSPOSE_SIDE, IDENTITY_SIDE),
+    "spa_inversion_depolarize": _local(INVERSION_SIDE, DEPOLARIZE_SIDE),
+    "id_depolarize": _local(IDENTITY_SIDE, DEPOLARIZE_SIDE),
+    "depolarize_id": _local(DEPOLARIZE_SIDE, IDENTITY_SIDE),
+    "identity": _local(IDENTITY_SIDE, IDENTITY_SIDE),
 }
 
 
@@ -189,9 +198,7 @@ def _cmd_apply(args: argparse.Namespace, cfg: ShotConfig) -> int:
         raise ValidationError(f"channel {args.channel} expects dim {channel.dim_in}, state has dim {rho.dim}")
     exact_out = apply(channel, rho)
     if args.mode == "trajectory":
-        if args.channel != "spa_pt":
-            raise ValidationError("trajectory mode is implemented for the spa_pt channel only")
-        out_state = trajectory_spa_pt(rho, cfg)
+        out_state = trajectory(rho, channel.instrument, cfg)
         fidelity_to_exact = fidelity(out_state, exact_out)
         shots = cfg.shots_per_setting
     else:

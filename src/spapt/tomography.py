@@ -1,12 +1,14 @@
 """Measurement modeling: Born probabilities, finite-shot sampling,
-single-copy trajectory simulation of the locally realized partial-transpose
-approximation, and linear-inversion state tomography.
+single-copy trajectory simulation of any local instrument, the locally
+realized partial-transpose approximation among them, and linear-inversion
+state tomography.
 
 Each measurement route holds its product operators as one read-only stack
-built at import with ``np.kron``: 40 detection-setting effects, the 8 local
-effects of the SPA-PT instrument, 36 Pauli-setting projectors and 16 Pauli
-products.  A Born table is one stacked product ``tr(rho @ stack)``, equal bit
-for bit to the per-effect ``tr(rho @ np.kron(a, b))``.
+built once with ``np.kron``: 40 detection-setting effects, 36 Pauli-setting
+projectors and 16 Pauli products at import, and the joint effects of each
+instrument branch, cached on the branch.  A Born table is one stacked
+product ``tr(rho @ stack)``, equal bit for bit to the per-effect
+``tr(rho @ np.kron(a, b))``.
 
 Randomness is fully reproducible: every measurement setting draws from its
 own substream derived from ``(seed, tag, indices)``, so settings are
@@ -16,11 +18,11 @@ order-independent and results merge deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import (
-    PAULI_I,
     PAULIS,
     RAW_TOL,
     ROUND_TOL,
@@ -32,7 +34,7 @@ from .linalg import (
     require_hermitian,
 )
 from .states import DensityMatrix, PureState
-from .channels import SPA_PT_INSTRUMENT, tetrahedral_povm
+from .channels import SPA_PT_INSTRUMENT, Branch, tetrahedral_povm, vec
 
 __all__ = [
     "ShotConfig",
@@ -40,6 +42,7 @@ __all__ = [
     "tomo_basis",
     "ideal_probabilities",
     "sample_table",
+    "trajectory",
     "trajectory_spa_pt",
     "trajectory_branch_counts",
     "pauli_expectations",
@@ -183,66 +186,74 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     return ProbabilityTable(p, counts[:4] / shots, counts[4:] / shots, shots)
 
 
-#: per instrument branch, the local effect of each outcome on the two qubits
-_BRANCH_EFFECTS = tuple(np.array([np.kron(PAULI_I, e) if b.side == "B" else np.kron(e, PAULI_I) for e in b.povm]) for b in SPA_PT_INSTRUMENT)
-#: per measured side: the partial trace keeping the other qubit, and the
-#: product (corrected other qubit) (x) (re-prepared projector) in qubit order
-_SIDE_SPECS = {"B": ("kabcb->kac", "kuac,kbd->kuabcd"), "A": ("kabac->kbc", "kubd,kac->kuabcd")}
+def _trajectory_components(rho: DensityMatrix, instrument: Sequence[Branch]) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome probabilities and emitted states of one single-copy run of a
+    local instrument, one per category.
 
-
-def _trajectory_components(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome probabilities and the (20, 4, 4) emitted states of one single-copy run.
-
-    Categories run over instrument branch, outcome, then correction: 0..3
-    are the transpose branch (outcome k on B), 4..19 the inversion branch
-    (outcome k on A crossed with the Pauli on B).  An outcome of Born
-    weight at most 1e-14 gets probability exactly 0; its states are left
-    unnormalized, since they are never drawn.
+    Categories run over branch, then over the outcomes and corrections of
+    the branch's sides, side A slowest: for SPA-PT, 0..3 are the transpose
+    branch (outcome k on B), 4..19 the inversion branch (outcome k on A
+    crossed with the Pauli on B).  An outcome of Born weight at most 1e-14
+    gets probability exactly 0; its states are left unnormalized, since
+    they are never drawn.
     """
     probs, outputs = [], []
-    for branch, effects in zip(SPA_PT_INSTRUMENT, _BRANCH_EFFECTS):
-        w = _born_weights(rho, effects)
+    v = vec(rho.mat)
+    for branch in instrument:
+        w = _born_weights(rho, branch.effects)
         live = w > ZERO_WEIGHT_TOL
-        n = len(branch.corrections)
-        probs.append(np.repeat(np.where(live, branch.weigh(w) / n, 0.0), n))
-        trace_spec, kron_spec = _SIDE_SPECS[branch.side]
-        cond = np.einsum(trace_spec, (effects @ rho.mat).reshape(-1, 2, 2, 2, 2)) / np.where(live, w, 1.0)[:, None, None]
-        u = np.array(branch.corrections)
-        corrected = u @ cond[:, None] @ u.conj().transpose(0, 2, 1)
-        outputs.append(np.einsum(kron_spec, corrected, np.array(branch.projectors)).reshape(-1, 4, 4))
+        probs.append(np.where(live, branch.weigh(w) / branch.draws, 0.0))
+        emitted = (branch.maps @ v) / np.where(live, w, 1.0)[:, None]
+        outputs.append(emitted.reshape(-1, rho.dim, rho.dim).transpose(0, 2, 1))
     return _normalized_probs(np.concatenate(probs)), np.concatenate(outputs)
 
 
-def _trajectory_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[np.ndarray, np.ndarray]:
+def _trajectory_counts(rho: DensityMatrix, instrument: Sequence[Branch], cfg: ShotConfig) -> tuple[np.ndarray, np.ndarray]:
     """Run counts and output states per category; only categories of nonzero probability are drawn."""
-    probs, outputs = _trajectory_components(rho)
+    probs, outputs = _trajectory_components(rho, instrument)
     drawn = probs > 0.0
     counts = np.zeros(len(probs), dtype=np.int64)
     counts[drawn] = _rng(cfg.seed, _TAG_TRAJ).multinomial(cfg.shots_per_setting, probs[drawn])
     return counts, outputs
 
 
+def trajectory(rho: DensityMatrix, instrument: Sequence[Branch], cfg: ShotConfig) -> DensityMatrix:
+    """Ensemble average of finite single-copy runs of a local instrument,
+    such as the ``instrument`` of a channel.
+
+    Each run picks a branch with its weight, measures each measured side and
+    re-prepares the state of its outcome, and applies a uniformly random
+    correction to each corrected side.  Converges to the exact channel
+    output as the run count grows.
+    """
+    if not instrument:
+        raise ValidationError("the channel has no local instrument to run")
+    if instrument[0].dim != rho.dim:
+        raise ValidationError(f"the instrument acts on dim {instrument[0].dim}, the state has dim {rho.dim}")
+    counts, outputs = _trajectory_counts(rho, instrument, cfg)
+    acc = np.tensordot(counts / float(cfg.shots_per_setting), outputs, axes=1)
+    return DensityMatrix((acc + acc.conj().T) / 2.0)
+
+
 def trajectory_branch_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[int, int]:
     """How many single-copy runs took the transpose branch vs the
     inversion branch (expected fractions 1/3 and 2/3)."""
     _require_two_qubits(rho)
-    counts, _ = _trajectory_counts(rho, cfg)
-    return int(counts[:4].sum()), int(counts[4:].sum())
+    counts, _ = _trajectory_counts(rho, SPA_PT_INSTRUMENT, cfg)
+    split = len(SPA_PT_INSTRUMENT[0].maps)
+    return int(counts[:split].sum()), int(counts[split:].sum())
 
 
 def trajectory_spa_pt(rho: DensityMatrix, cfg: ShotConfig) -> DensityMatrix:
-    """Ensemble average of finite single-copy measure-and-prepare runs.
+    """Single-copy trajectories of :data:`~spapt.channels.SPA_PT_INSTRUMENT`.
 
     Each run picks the transpose branch with probability 1/3 (measure the
     tetrahedral POVM on B, re-prepare the matching state, keep A) or the
     inversion branch with probability 2/3 (measure A, prepare the
     sigma_y-rotated state there, apply a uniformly random Pauli to B).
-    Converges to the exact channel output as the run count grows.
     """
     _require_two_qubits(rho)
-    counts, outputs = _trajectory_counts(rho, cfg)
-    acc = np.tensordot(counts / float(cfg.shots_per_setting), outputs, axes=1)
-    return DensityMatrix((acc + acc.conj().T) / 2.0)
+    return trajectory(rho, SPA_PT_INSTRUMENT, cfg)
 
 
 #: eigenprojectors of x (|+>, |->), y (|+i>, |-i>) and z (|0>, |1>), from eigenbases as columns
@@ -255,7 +266,7 @@ _PAULI_EIGENPROJECTORS = [
 _PAULI_SETTINGS = np.array([[[np.kron(pa, pb) for pa in on_a for pb in on_b] for on_b in _PAULI_EIGENPROJECTORS] for on_a in _PAULI_EIGENPROJECTORS])
 #: sigma_i (x) sigma_j, index 0 the identity
 _PAULI_PRODUCTS = np.array([[np.kron(si, sj) for sj in PAULIS] for si in PAULIS])
-for _ops in (_TABLE_SETTINGS, *_BRANCH_EFFECTS, _PAULI_SETTINGS, _PAULI_PRODUCTS):
+for _ops in (_TABLE_SETTINGS, _PAULI_SETTINGS, _PAULI_PRODUCTS):
     _ops.setflags(write=False)
 
 

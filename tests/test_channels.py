@@ -8,15 +8,17 @@ from spapt.cli import CHANNEL_FACTORIES
 from spapt.linalg import PAULI_X, PAULI_Y, PAULI_Z, ValidationError, herm_eig
 from spapt.states import BELL_KINDS, DensityMatrix, bell, random_density_matrix, werner
 from spapt.channels import (
+    IDENTITY_SIDE,
     SPA_PT_INSTRUMENT,
-    KrausChannel,
-    MixtureChannel,
-    ProductChannel,
+    Branch,
+    Channel,
+    Side,
     apply,
     choi,
     depolarize,
     ideal_pt,
     identity_channel,
+    instrument_channel,
     is_cp,
     is_tp,
     partial_transpose_channel,
@@ -24,9 +26,10 @@ from spapt.channels import (
     spa_inversion,
     spa_pt,
     spa_transpose,
-    superoperator_from_function,
+    tetrahedral_povm,
     tetrahedral_states,
 )
+from spapt.tomography import _trajectory_components
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -54,9 +57,10 @@ def test_tetrahedral_overlaps_are_symmetric():
 
 
 def test_tetrahedral_povm_is_complete():
-    for branch in SPA_PT_INSTRUMENT:
-        acc = sum(branch.povm)
-        assert np.max(np.abs(acc - EYE2)) < 1e-10
+    measured = [side for branch in SPA_PT_INSTRUMENT for side in branch.sides if side.povm]
+    assert len(measured) == 2
+    for side in measured:
+        assert np.max(np.abs(sum(side.povm) - EYE2)) < 1e-10
 
 
 def test_spa_transpose_closed_form():
@@ -77,7 +81,7 @@ def test_spa_transpose_closed_form():
 
 def test_spa_transpose_is_physical_but_raw_transpose_is_not():
     assert herm_eig(choi(spa_transpose()).mat).values[0] >= -1e-10
-    raw_transpose = superoperator_from_function(lambda x: x.T, 2)
+    raw_transpose = Channel(np.eye(4)[[0, 2, 1, 3]], (2, 2))  # vec(x.T) permutes vec(x)
     lam = herm_eig(choi(raw_transpose).mat).values[0]
     assert abs(lam + 0.5) < 1e-10
 
@@ -225,13 +229,17 @@ def test_superoperator_maps_identity_to_unit_trace_state():
         assert abs(np.trace(out) - 1.0) < 1e-12
 
 
-def test_mixture_and_kraus_validation():
-    with pytest.raises(ValidationError):
-        MixtureChannel((0.5, 0.6), (identity_channel(2), identity_channel(2)))
-    with pytest.raises(ValidationError):
-        MixtureChannel((0.5, 0.5), (identity_channel(2), identity_channel(4)))
-    with pytest.raises(ValidationError):
-        KrausChannel((np.eye(2, dtype=complex) * 2.0,))
+def test_instrument_validation():
+    with pytest.raises(ValidationError, match="sum to 1"):
+        instrument_channel((Branch(0.5, (IDENTITY_SIDE,)), Branch(0.6, (IDENTITY_SIDE,))))
+    with pytest.raises(ValidationError, match="same dimensions"):
+        instrument_channel((Branch(0.5, (IDENTITY_SIDE,)), Branch(0.5, (IDENTITY_SIDE, IDENTITY_SIDE))))
+    with pytest.raises(ValidationError, match="sum to identity"):
+        Side(povm=tetrahedral_povm()[:3], prepared=tetrahedral_states()[:3])
+    with pytest.raises(ValidationError, match="not unitary"):
+        Side(corrections=(np.eye(2, dtype=complex) * 2.0,))
+    with pytest.raises(ValidationError, match="not both or neither"):
+        Side(povm=tetrahedral_povm(), prepared=tetrahedral_states(), corrections=(EYE2,))
 
 
 def test_apply_rejects_dimension_mismatch():
@@ -240,33 +248,74 @@ def test_apply_rejects_dimension_mismatch():
         apply(spa_pt(), qubit)
 
 
-def test_product_channel_dimensions():
-    ch = ProductChannel(spa_inversion(), depolarize())
-    assert ch.dim_in == 4 and ch.dim_out == 4
-    assert len(ch.kraus_ops()) == 16
-    assert is_cp(ch) and is_tp(ch)
+def _spa_transpose_oracle(x):
+    return x.T / 3.0 + np.trace(x) * EYE2 / 3.0
 
 
-def test_pauli_kraus_of_depolarize():
-    kraus = depolarize().kraus_ops()
-    assert len(kraus) == 4
-    acc = sum(k.conj().T @ k for k in kraus)
-    assert np.max(np.abs(acc - EYE2)) < 1e-12
-    assert np.max(np.abs(kraus[3] - PAULI_Z / 2.0)) < 1e-12
+def _spa_inversion_oracle(x):
+    return (2.0 / 3.0) * np.trace(x) * EYE2 - x / 3.0
 
 
+def _depolarize_oracle(x):
+    return np.trace(x) * EYE2 / 2.0
+
+
+def _identity_oracle(x):
+    return x
+
+
+def _product_oracle(on_a, on_b):
+    """(on_a (x) on_b)(x): on_b maps each 2x2 block of x, on_a the 2x2
+    arrays that collect one entry of every block."""
+
+    def fn(x):
+        t = x.reshape(2, 2, 2, 2).astype(complex)  # [row A, row B, col A, col B]
+        for a in range(2):
+            for c in range(2):
+                t[a, :, c, :] = on_b(t[a, :, c, :])
+        for b in range(2):
+            for d in range(2):
+                t[:, b, :, d] = on_a(t[:, b, :, d])
+        return t.reshape(4, 4)
+
+    return fn
+
+
+def _spa_pt_oracle(x):
+    pt = x.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    return pt / 9.0 + (2.0 / 9.0) * np.trace(x) * np.eye(4)
+
+
+CLOSED_FORMS = {
+    "spa_pt": _spa_pt_oracle,
+    "id_spa_transpose": _product_oracle(_identity_oracle, _spa_transpose_oracle),
+    "spa_transpose_id": _product_oracle(_spa_transpose_oracle, _identity_oracle),
+    "spa_inversion_depolarize": _product_oracle(_spa_inversion_oracle, _depolarize_oracle),
+    "id_depolarize": _product_oracle(_identity_oracle, _depolarize_oracle),
+    "depolarize_id": _product_oracle(_depolarize_oracle, _identity_oracle),
+    "identity": _identity_oracle,
+    "spa_transpose": _spa_transpose_oracle,
+    "spa_inversion": _spa_inversion_oracle,
+    "depolarize": _depolarize_oracle,
+}
 REPRESENTATION_CASES = {**CHANNEL_FACTORIES, "spa_transpose": spa_transpose, "spa_inversion": spa_inversion, "depolarize": depolarize}
 
 
 @pytest.mark.parametrize("name", sorted(REPRESENTATION_CASES))
-def test_superoperator_agrees_with_kraus_family_and_choi_partial_trace(name):
+def test_superoperator_agrees_with_block_oracle_and_choi_partial_trace(name):
     ch = REPRESENTATION_CASES[name]()
-    d, d_out = ch.dim_in, ch.dim_out
+    d = 2 if name in ("spa_transpose", "spa_inversion", "depolarize") else 4
+    assert ch.dims == (d, d)
+    assert is_cp(ch) and is_tp(ch)
     rng = np.random.default_rng(36)
     for _ in range(20):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        kraus_sum = sum(k @ x @ k.conj().T for k in ch.kraus_ops())
-        assert np.max(np.abs(ch.apply_matrix(x) - kraus_sum)) < 1e-12
+        assert np.max(np.abs(ch.apply_matrix(x) - CLOSED_FORMS[name](x))) < 1e-12
     # oracle: the unnormalized Choi matrix traced over the output is I iff TP
-    reduced = np.einsum("abad->bd", (d * choi(ch).mat).reshape(d_out, d, d_out, d))
-    assert is_tp(ch) == bool(np.max(np.abs(reduced - np.eye(d))) <= 1e-9)
+    reduced = np.einsum("abad->bd", (d * choi(ch).mat).reshape(d, d, d, d))
+    assert np.max(np.abs(reduced - np.eye(d))) <= 1e-9
+    # the sampler's exact outcome sum sum_c pi_c rho_c is the channel output
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T))
+    probs, outputs = _trajectory_components(rho, ch.instrument)
+    assert np.max(np.abs(np.tensordot(probs, outputs, axes=1) - ch.apply_matrix(rho.mat))) < 1e-12

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spapt.cli import main
+from spapt.cli import CHANNEL_FACTORIES, main
 from spapt.io import load_state, round12
+from spapt.selftest import _suite_sampled_detection_stability
 from spapt.states import NINE_STATE_PARAMS
 
 
@@ -116,9 +117,19 @@ def test_apply_spa_pt_fixes_maximally_mixed(tmp_path):
         assert row[key] == pytest.approx(0.25, abs=1e-10)
 
 
-def test_apply_rejects_trajectory_for_other_channels(bell_file, capsys):
-    assert run_cli("apply", "--state", bell_file, "--channel", "id_depolarize", "--mode", "trajectory") == 2
-    assert "trajectory" in capsys.readouterr().err
+@pytest.mark.parametrize("channel", sorted(CHANNEL_FACTORIES))
+def test_apply_trajectory_for_every_channel(tmp_path, channel):
+    state = tmp_path / "rho.json"
+    report_path = tmp_path / "report.json"
+    assert run_cli("prepare", "rho_family", "--p", "0.12", "--alpha", "0.71", "--out", str(state)) == 0
+    code = run_cli(
+        "apply", "--state", str(state), "--channel", channel, "--mode", "trajectory",
+        "--shots", "100000", "--seed", "5", "--out", str(report_path),
+    )
+    assert code == 0
+    row = read_json(report_path)["rows"][0]
+    assert row["fidelity_to_exact"] >= 0.999
+    assert row["shots"] == 100000
 
 
 def test_detect_methods(tmp_path, bell_file):
@@ -369,6 +380,11 @@ def test_reports_embed_reproducible_config(tmp_path):
 
 def test_selftest_command():
     assert run_cli("selftest", "--seed", "42") == 0
+
+
+def test_sampled_detection_suite_runs_at_the_largest_seed():
+    # its 50 seeds seed + k wrap modulo 2**64 instead of leaving the seed range
+    _suite_sampled_detection_stability(2**64 - 1)
 
 
 def test_console_entry_point_runs():
