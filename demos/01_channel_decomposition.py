@@ -69,5 +69,5 @@ print("raw PT Choi minimum eigenvalue:", round(herm_eig(choi(raw).mat).values[0]
 # Output spectra are partial-transpose spectra compressed into [1/6, 1/3]:
 # a Bell state lands on the lower edge 1/6.
 out = apply(channel, bell("phi+"))
-print("\nchannel output spectrum for a Bell state:", np.round(herm_eig(out.mat).values, 9))
+print("\nchannel output spectrum for a Bell state:", np.round(out.spectrum.values, 9))
 print("minimum eigenvalue 1/6 =", round(1.0 / 6.0, 9))

@@ -18,7 +18,6 @@ from spapt import (
     detect,
     f_hat,
     fidelity,
-    herm_eig,
     lambda_min_d,
     project_to_physical,
     qst_linear_inversion,
@@ -59,7 +58,7 @@ for kind in BELL_KINDS:
     lam_th = detect(rho, "spa_spectrum").lambda_min
     out = trajectory_spa_pt(rho, cfg)
     rec = project_to_physical(qst_linear_inversion(sample_pauli_expectations(out, cfg)))
-    lam_exp = float(herm_eig(rec.mat).values[0])
+    lam_exp = float(rec.spectrum.values[0])
     lam_d = lambda_min_d(f_hat(sample_table(rho, cfg)))
     print(f"{kind:<6} {lam_th:>10.6f} {lam_exp:>11.6f} {lam_d:>10.6f}")
 print("\nall three sit near the maximal-entanglement floor 1/6 =", round(1 / 6, 6))

@@ -9,13 +9,12 @@ reproduce it bit for bit.  Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Any, Callable
 
-import numpy as np
-
 from . import __version__
-from .linalg import NumericError, ValidationError, herm_eig
+from .linalg import NumericError, ValidationError
 from .states import (
     BELL_KINDS,
     NINE_STATE_PARAMS,
@@ -102,6 +101,8 @@ FAMILIES = {
     "rho_family": _family("rho_family", rho_family, "p", "alpha"),
     "file": (_state_file, ("path",)),
 }
+#: every flag that some family takes, in first-use order
+_FAMILY_FLAGS = tuple(dict.fromkeys(flag for _, flags in FAMILIES.values() for flag in flags))
 
 # CLI method -> (library method, whether it reads a sampled table instead of the state)
 DETECTORS = {
@@ -178,14 +179,17 @@ def _cmd_prepare(args: argparse.Namespace, cfg: None) -> int:
     values = [getattr(args, flag) for flag in flags]
     if None in values:
         raise UsageError(f"family {args.family} requires " + " and ".join(f"--{flag}" for flag in flags))
+    foreign = [flag for flag in _FAMILY_FLAGS if flag not in flags and getattr(args, flag) is not None]
+    if foreign:
+        raise UsageError(f"family {args.family} does not take " + " or ".join(f"--{flag}" for flag in foreign))
     rho, metadata = build(*values)
     metadata["version"] = __version__
     save_state(rho, metadata, args.out)
     return 0
 
 
-def _spectrum_row(mat: np.ndarray) -> dict[str, float]:
-    values = herm_eig(mat).values
+def _spectrum_row(rho: DensityMatrix) -> dict[str, float]:
+    values = rho.spectrum.values
     row = {f"eig_{k + 1}": float(v) for k, v in enumerate(values)}
     row["min_eigenvalue"] = float(values[0])
     return row
@@ -206,7 +210,7 @@ def _cmd_apply(args: argparse.Namespace, cfg: ShotConfig) -> int:
         fidelity_to_exact = None
         shots = 0
     row: dict[str, Any] = {"channel": args.channel, "mode": args.mode}
-    row.update(_spectrum_row(out_state.mat))
+    row.update(_spectrum_row(out_state))
     row["fidelity_to_exact"] = fidelity_to_exact
     row["shots"] = shots
     if args.state_out is not None:
@@ -236,7 +240,7 @@ def _lambda_exp(rho: DensityMatrix, cfg: ShotConfig) -> float:
     out = trajectory_spa_pt(rho, cfg)
     expectations = sample_pauli_expectations(out, cfg)
     reconstructed = project_to_physical(qst_linear_inversion(expectations))
-    return float(herm_eig(reconstructed.mat).values[0])
+    return float(reconstructed.spectrum.values[0])
 
 
 def _cmd_table1(args: argparse.Namespace, cfg: ShotConfig) -> int:
@@ -284,8 +288,15 @@ def _cmd_selftest(args: argparse.Namespace, cfg: ShotConfig) -> int:
     return 0 if run_all(cfg.seed) else 3
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call of main, not at import, and reused: parsing
+    # leaves no state in the parser, and building it costs more than most commands
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # every command but prepare samples: its shots and seed are checked before any work
         cfg = None if args.command == "prepare" else ShotConfig(args.shots, args.seed)

@@ -199,7 +199,7 @@ def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVe
     if method == "ppt":
         lam = float(herm_eig(partial_transpose(target.mat)).values[0])
         return _verdict(method, lam, PPT_THRESHOLD, 0)
-    lam = float(herm_eig(apply(_spa_pt_channel(), target).mat).values[0])
+    lam = float(apply(_spa_pt_channel(), target).spectrum.values[0])
     return _verdict(method, lam, SPA_THRESHOLD, 0)
 
 

@@ -4,8 +4,9 @@ All operations act on plain ``numpy`` arrays of complex dtype and are pure
 functions: nothing here mutates its inputs, so everything is safe to call
 concurrently.  Eigensolves are one LAPACK call (``numpy.linalg.eigh``)
 behind :func:`require_hermitian`, the finite/Hermitian gate that every
-Hermitian input of the package passes; the tolerance table below holds
-every tolerance the package uses.
+Hermitian input of the package passes; a matrix that has passed it is
+solved by :func:`gated_eig` without a second gate.  The tolerance table
+below holds every tolerance the package uses.
 """
 
 from __future__ import annotations
@@ -121,7 +122,12 @@ def herm_eig(m: np.ndarray) -> Spectrum:
     1e-9) or oversized input, and ``NumericError`` if LAPACK does not
     converge.
     """
-    a = require_hermitian(m)
+    return gated_eig(require_hermitian(m))
+
+
+def gated_eig(a: np.ndarray) -> Spectrum:
+    """The solve step of :func:`herm_eig`, for a matrix that has already
+    passed :func:`require_hermitian`: one ``eigh`` on its Hermitian part."""
     if a.shape[0] > _MAX_DIM:
         raise ValidationError(f"dimension {a.shape[0]} exceeds the supported maximum {_MAX_DIM}")
     try:
@@ -143,7 +149,12 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     Eigenvalues in [-1e-9, 1e-12] are taken as zero before the square
     root; anything below -1e-9 is rejected as genuinely non-PSD.
     """
-    w, v = herm_eig(m)
+    return psd_sqrt_from(herm_eig(m))
+
+
+def psd_sqrt_from(spectrum: Spectrum) -> np.ndarray:
+    """:func:`psd_sqrt` of the matrix whose eigendecomposition is ``spectrum``."""
+    w, v = spectrum
     if w[0] < -PSD_TOL:
         raise ValidationError(f"matrix is not PSD: min eigenvalue = {w[0]:.3e}")
     out = (v * sqrt_spectrum(w)) @ v.conj().T

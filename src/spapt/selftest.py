@@ -100,7 +100,7 @@ def _suite_verdict_equivalence(seed: int) -> None:
         spa = detect(rho, "spa_spectrum")
         assert ppt.verdict == spa.verdict, "ppt and spa_spectrum verdicts disagree"
         spec_pt = herm_eig(partial_transpose(rho.mat)).values
-        spec_spa = herm_eig(apply(channel, rho).mat).values
+        spec_spa = apply(channel, rho).spectrum.values
         dev = float(np.max(np.abs(spec_spa - (spec_pt / 9.0 + 2.0 / 9.0))))
         assert dev < EXACT_BOUND, f"affine spectrum law deviates by {dev:.3e}"
 

@@ -8,7 +8,7 @@ workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,9 +17,11 @@ from .linalg import (
     PSD_TOL,
     ROUND_TOL,
     TRACE_TOL,
+    Spectrum,
     ValidationError,
+    gated_eig,
     herm_eig,
-    psd_sqrt,
+    psd_sqrt_from,
     require_hermitian,
     sqrt_spectrum,
 )
@@ -76,9 +78,12 @@ class DensityMatrix:
     Construction rejects anything that has a NaN or inf entry, is not
     Hermitian within 1e-9, unit-trace within 1e-9 or has an eigenvalue
     below -1e-9, naming the violated invariant in the error message.
+    The eigendecomposition that checks positivity is kept, read-only, as
+    ``spectrum``: it equals ``herm_eig(mat)`` bit for bit.
     """
 
     mat: np.ndarray
+    spectrum: Spectrum = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         m = require_hermitian(self.mat, "state")
@@ -87,10 +92,14 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace is not 1: |tr - 1| = {abs(tr - 1.0):.3e}")
-        lam_min = float(herm_eig(m).values[0])
+        spectrum = gated_eig(m)
+        lam_min = float(spectrum.values[0])
         if lam_min < -PSD_TOL:
             raise ValidationError(f"not positive semidefinite: min eigenvalue = {lam_min:.3e}")
+        for a in spectrum:
+            a.setflags(write=False)
         object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -185,15 +194,18 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 in [0, 1]."""
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    s = psd_sqrt(rho.mat)
+    s = psd_sqrt_from(rho.spectrum)
     w = herm_eig(s @ sigma.mat @ s).values
     val = float(np.sum(sqrt_spectrum(w)) ** 2)
     return min(max(val, 0.0), 1.0)
 
 
+_YY = np.kron(PAULI_Y, PAULI_Y)
+_YY.setflags(write=False)
+
+
 def _spin_flip(mat: np.ndarray) -> np.ndarray:
-    yy = np.kron(PAULI_Y, PAULI_Y)
-    return yy @ mat.conj() @ yy
+    return _YY @ mat.conj() @ _YY
 
 
 def tangle(rho: DensityMatrix) -> float:
@@ -205,7 +217,7 @@ def tangle(rho: DensityMatrix) -> float:
     """
     if rho.dim != 4:
         raise ValidationError("tangle is defined for two-qubit states")
-    s = psd_sqrt(rho.mat)
+    s = psd_sqrt_from(rho.spectrum)
     lam = sqrt_spectrum(herm_eig(s @ _spin_flip(rho.mat) @ s).values)[::-1]
     c = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
     return min(c * c, 1.0)
@@ -221,7 +233,7 @@ def linear_entropy(rho: DensityMatrix) -> float:
 
 def min_eigenvalue(rho: DensityMatrix) -> float:
     """Smallest eigenvalue of the state."""
-    return float(herm_eig(rho.mat).values[0])
+    return float(rho.spectrum.values[0])
 
 
 def random_density_matrix(rng: np.random.Generator, n_components: int = 4) -> DensityMatrix:

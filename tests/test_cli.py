@@ -1,5 +1,6 @@
 """Command line harness: state files, reports, encodings, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spapt.cli import CHANNEL_FACTORIES, main
+from spapt.cli import CHANNEL_FACTORIES, build_parser, main
 from spapt.io import load_state, round12
 from spapt.selftest import _suite_sampled_detection_stability
 from spapt.states import NINE_STATE_PARAMS
@@ -70,6 +71,26 @@ def test_prepare_rejects_unknown_family():
 def test_prepare_requires_family_parameters():
     assert run_cli("prepare", "bell") == 1
     assert run_cli("prepare", "rho_family", "--p", "0.1") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("bell", "--kind", "phi+", "--p", "0.3"), "--p"),
+        (("werner", "--p", "0.3", "--kind", "phi+"), "--kind"),
+        (("mems", "--p", "0.5", "--alpha", "0.7"), "--alpha"),
+        (("rho_family", "--p", "0.1", "--alpha", "0.7", "--path", "{state}"), "--path"),
+        (("file", "--path", "{state}", "--kind", "phi+"), "--kind"),
+    ],
+    ids=["bell", "werner", "mems", "rho_family", "file"],
+)
+def test_prepare_rejects_a_flag_its_family_does_not_take(tmp_path, bell_file, capsys, argv, flag):
+    out = tmp_path / "state.json"
+    assert run_cli("prepare", *(arg.format(state=bell_file) for arg in argv), "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"spapt: error: family {argv[0]} does not take {flag}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_prepare_roundtrip_through_file_family(tmp_path, bell_file):
@@ -254,6 +275,55 @@ def _main_captured(*argv):
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(list(argv))
     return code, err.getvalue()
+
+
+def test_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, bell_file, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "spapt":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    calls = []
+
+    def call(*argv):
+        calls.append(argv)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr()
+
+    state_out = tmp_path / "out.json"
+    for _ in range(2):
+        assert call("apply", "--state", bell_file, "--channel", "spa_pt", "--state-out", str(state_out))[0] == 0
+        assert state_out.exists()
+        state_out.unlink()
+        assert call("apply", "--state", bell_file, "--channel", "spa_pt")[0] == 0
+        assert not state_out.exists()
+
+        code, captured = call("detect", "--state", bell_file, "--method", "ppt", "--format", "csv")
+        assert code == 0 and captured.out.startswith("method,")
+        code, captured = call("detect", "--state", bell_file, "--method", "ppt")
+        assert code == 0 and json.loads(captured.out)["rows"][0]["method"] == "ppt"
+
+        assert call("detect", "--state", bell_file, "--method", "bogus")[0] == 1
+        assert call("detect", "--state", bell_file, "--method", "ppt")[0] == 0
+
+        code, captured = call("--version")
+        assert code == 0 and captured.out.startswith("spapt ")
+        assert call("detect", "--state", bell_file, "--method", "ppt")[0] == 0
+
+        code, captured = call("prepare", "werner")
+        assert code == 1 and "requires --p" in captured.err
+        code, captured = call("prepare", "werner", "--p", "0.5")
+        assert code == 0 and json.loads(captured.out)["metadata"]["family"] == "werner"
+    assert len(calls) >= 20
+    assert len(built) <= 1
+    assert build_parser() is not build_parser()
 
 
 JSON_VALUES = st.recursive(

@@ -1,16 +1,20 @@
-"""The package surface: every exported name resolves, and every demo runs
-against the current API."""
+"""The package surface: every exported name resolves, every demo runs
+against the current API, and importing the package does no CLI work."""
 
 import contextlib
 import io
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import spapt
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_every_exported_name_resolves():
@@ -25,3 +29,26 @@ def test_demo_runs(path):
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(path), run_name="__main__")
     assert out.getvalue()
+
+
+IMPORT_BUILDS_NO_PARSER = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import spapt, spapt.cli
+assert built == [], f"import built parsers {built}"
+spapt.cli.build_parser()
+assert "spapt" in built, "the construction counter saw no parser"
+"""
+
+
+def test_importing_the_package_builds_no_parser():
+    # in a fresh interpreter, so that no earlier test has imported spapt
+    paths = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    result = subprocess.run([sys.executable, "-c", IMPORT_BUILDS_NO_PARSER], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
