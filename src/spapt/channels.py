@@ -121,11 +121,15 @@ class Channel:
         return self.mat
 
     def apply_matrix(self, operator: np.ndarray) -> np.ndarray:
-        """Apply the map to a raw matrix (no physicality validation)."""
+        """Apply the map to a raw matrix, or to each matrix of a stack (no
+        physicality validation).  Each matrix is one matrix-vector product
+        with the superoperator."""
         a = np.asarray(operator, dtype=complex)
-        if a.shape != (self.dim_in, self.dim_in):
+        if a.shape[-2:] != (self.dim_in, self.dim_in):
             raise ValidationError(f"operator shape {a.shape} does not match channel input dim {self.dim_in}")
-        return unvec(self.mat @ vec(a), self.dim_out)
+        lead = a.shape[:-2]
+        columns = a.swapaxes(-1, -2).reshape(lead + (self.dim_in**2, 1))  # vec of each matrix, as a column
+        return (self.mat @ columns).reshape(lead + (self.dim_out, self.dim_out)).swapaxes(-1, -2)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 * ``ppt``: exact partial-transpose spectrum, threshold 0 (the oracle).
 * ``spa_spectrum``: spectrum of the physically approximated partial
-  transpose applied to the state, threshold 2/9.
+  transpose applied to the state, threshold 2/9.  It reads the channel's
+  closed form PT(rho)/9 + (2/9) tr(rho) I; the channel itself
+  (:func:`~spapt.channels.spa_pt`) stays the certificate of that form in
+  the tests and the selftest.
 * ``f_hat``: an operator assembled purely from measured outcome
   probabilities, thresholded at 2/9.  The assembly linearly inverts the
   measured table (dual frame of the reconstruction basis on A), so on
@@ -11,12 +14,15 @@
 
 A fixed entanglement witness expectation is included as the
 basis-dependent baseline the operation-based routes are contrasted with.
+
+:func:`detect_batch` runs one method over a whole batch with one stacked
+eigensolve; :func:`detect` runs the same kernels on one state or table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -26,13 +32,14 @@ from .linalg import (
     ROUND_TOL,
     NumericError,
     ValidationError,
-    herm_eig,
+    dag,
+    gated_eig,
     partial_transpose,
     require_hermitian,
 )
-from .states import DensityMatrix
-from .channels import SPA_PT_INSTRUMENT, apply, spa_pt
-from .tomography import ProbabilityTable, ideal_probabilities, tomo_basis
+from .states import DensityMatrix, stack_two_qubit
+from .channels import SPA_PT_INSTRUMENT
+from .tomography import ProbabilityTable, ideal_probabilities, ideal_probabilities_batch, tomo_basis
 
 __all__ = [
     "PPT_THRESHOLD",
@@ -43,6 +50,7 @@ __all__ = [
     "lambda_min_d",
     "lambda_min_det_scan",
     "detect",
+    "detect_batch",
     "witness_expectation",
 ]
 
@@ -54,7 +62,7 @@ SPA_THRESHOLD = 2.0 / 9.0
 METHODS = ("ppt", "spa_spectrum", "f_hat")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FHatOperator:
     """Hermitian 4x4 operator reconstructed from a probability table."""
 
@@ -101,6 +109,22 @@ def _f_hat_map() -> np.ndarray:
 _F_HAT_MAP = _f_hat_map()
 
 
+def _f_hat_matrices(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The Hermitian part of the f_hat matrix of one table, or of each table
+    of a stack, before the gate.  Each table vector is its own (1, 20) row
+    times the map, so a stack equals its tables one by one bit for bit; an
+    (N, 20) matrix product would sum in another order."""
+    lead = p.shape[:-2]
+    rows = np.concatenate([p.reshape(lead + (16,)), q + r], axis=-1)[..., None, :]
+    mat = (rows @ _F_HAT_MAP).reshape(lead + (4, 4))
+    return (mat + dag(mat)) / 2.0
+
+
+def _lambda_min(mats: np.ndarray) -> np.ndarray:
+    """Minimum eigenvalue of a gated matrix, or of each of a stack: one eigensolve."""
+    return gated_eig(mats).values[..., 0]
+
+
 def f_hat(table: ProbabilityTable) -> FHatOperator:
     """Assemble the detection operator from measured probabilities.
 
@@ -112,14 +136,13 @@ def f_hat(table: ProbabilityTable) -> FHatOperator:
     linear in the table, and on exact Born probabilities it equals the
     output of the approximated partial transpose.
     """
-    mat = (np.concatenate([table.p.ravel(), table.q + table.r]) @ _F_HAT_MAP).reshape(4, 4)
-    return FHatOperator((mat + mat.conj().T) / 2.0)
+    return FHatOperator(_f_hat_matrices(table.p, table.q, table.r))
 
 
 def lambda_min_d(operator: FHatOperator) -> float:
     """Minimum eigenvalue of the reconstructed operator (authoritative
-    eigensolver route)."""
-    return float(herm_eig(operator.mat).values[0])
+    eigensolver route); the operator passed the gate when it was built."""
+    return float(_lambda_min(operator.mat))
 
 
 def lambda_min_det_scan(operator: FHatOperator, grid_points: int = 2048) -> float:
@@ -157,11 +180,6 @@ def lambda_min_det_scan(operator: FHatOperator, grid_points: int = 2048) -> floa
     return mid
 
 
-@lru_cache(maxsize=1)
-def _spa_pt_channel():
-    return spa_pt()
-
-
 def _verdict(method: str, lam: float, threshold: float, shots: int) -> DetectionVerdict:
     verdict = "entangled" if lam < threshold - ROUND_TOL else "undetected"
     return DetectionVerdict(
@@ -174,33 +192,85 @@ def _verdict(method: str, lam: float, threshold: float, shots: int) -> Detection
     )
 
 
+_TWO_NINTHS_I = (2.0 / 9.0) * np.eye(4)
+_TWO_NINTHS_I.setflags(write=False)
+
+
+def _spa_pt_closed_form(mats: np.ndarray) -> np.ndarray:
+    """The output of :func:`~spapt.channels.spa_pt` on one state matrix, or on
+    each of a stack: PT(rho)/9 + (2/9) tr(rho) I."""
+    return partial_transpose(mats) / 9.0 + mats.trace(axis1=-2, axis2=-1)[..., None, None] * _TWO_NINTHS_I
+
+
+_THRESHOLDS = {"ppt": PPT_THRESHOLD, "spa_spectrum": SPA_THRESHOLD}
+_TWO_QUBITS = "detection needs a two-qubit state"
+
+
+def _reads_tables(targets: Sequence[DensityMatrix] | Sequence[ProbabilityTable], method: str) -> bool:
+    """Check the method and the targets of a detection run: whether f_hat
+    reads measured tables (True) or every target is a state (False)."""
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "f_hat":
+        if all(isinstance(t, ProbabilityTable) for t in targets):
+            return True
+        if not all(isinstance(t, DensityMatrix) for t in targets):
+            raise ValidationError("f_hat needs a DensityMatrix or a ProbabilityTable")
+        return False
+    if not all(isinstance(t, DensityMatrix) for t in targets):
+        raise ValidationError(f"method {method!r} needs a DensityMatrix")
+    if any(t.dim != 4 for t in targets):
+        raise ValidationError(_TWO_QUBITS)
+    return False
+
+
+def _state_lambda_min(method: str, mats: np.ndarray) -> np.ndarray:
+    """lambda_min of ``ppt`` or ``spa_spectrum`` for one two-qubit state
+    matrix or a stack.  The partial transpose of a validated state is
+    Hermitian, so it is solved without a second gate."""
+    return _lambda_min(partial_transpose(mats) if method == "ppt" else _spa_pt_closed_form(mats))
+
+
+def _f_hat_lambda_min(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """lambda_min of f_hat for one table or a stack: the gate of
+    :class:`FHatOperator`, then the eigensolve."""
+    return _lambda_min(require_hermitian(_f_hat_matrices(p, q, r), "operator"))
+
+
+def detect_batch(targets: Sequence[DensityMatrix] | Sequence[ProbabilityTable], method: str) -> list[DetectionVerdict]:
+    """Run one detection method on a batch of states or of measured tables.
+
+    ``ppt`` and ``spa_spectrum`` require states.  ``f_hat`` accepts states
+    (their ideal tables are computed internally) or tables, whose
+    ``shots_per_setting`` is echoed into each verdict.  The batch is one
+    stacked eigensolve, and each verdict equals :func:`detect` of its
+    target bit for bit: both run the same kernels, on a stack here and on
+    one matrix or table there.
+    """
+    if _reads_tables(targets, method):
+        p = np.array([t.p for t in targets]).reshape(-1, 4, 4)
+        q = np.array([t.q for t in targets]).reshape(-1, 4)
+        r = np.array([t.r for t in targets]).reshape(-1, 4)
+        return [_verdict(method, lam, SPA_THRESHOLD, t.shots_per_setting) for lam, t in zip(_f_hat_lambda_min(p, q, r), targets)]
+    if method == "f_hat":
+        return detect_batch(ideal_probabilities_batch(targets), method)
+    lams = _state_lambda_min(method, stack_two_qubit(targets, _TWO_QUBITS))
+    return [_verdict(method, lam, _THRESHOLDS[method], 0) for lam in lams]
+
+
 def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVerdict:
     """Run one detection method on a state or on a measured table.
 
     ``ppt`` and ``spa_spectrum`` require a state.  ``f_hat`` accepts a
     state (its ideal table is computed internally) or a table, whose
-    ``shots_per_setting`` is echoed into the verdict.
+    ``shots_per_setting`` is echoed into the verdict.  The verdict equals
+    that of :func:`detect_batch` on a batch holding ``target``.
     """
-    if method not in METHODS:
-        raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
+    if _reads_tables((target,), method):
+        return _verdict(method, _f_hat_lambda_min(target.p, target.q, target.r), SPA_THRESHOLD, target.shots_per_setting)
     if method == "f_hat":
-        if isinstance(target, DensityMatrix):
-            table = ideal_probabilities(target)
-        elif isinstance(target, ProbabilityTable):
-            table = target
-        else:
-            raise ValidationError("f_hat needs a DensityMatrix or a ProbabilityTable")
-        lam = lambda_min_d(f_hat(table))
-        return _verdict(method, lam, SPA_THRESHOLD, table.shots_per_setting)
-    if not isinstance(target, DensityMatrix):
-        raise ValidationError(f"method {method!r} needs a DensityMatrix")
-    if target.dim != 4:
-        raise ValidationError("detection needs a two-qubit state")
-    if method == "ppt":
-        lam = float(herm_eig(partial_transpose(target.mat)).values[0])
-        return _verdict(method, lam, PPT_THRESHOLD, 0)
-    lam = float(apply(_spa_pt_channel(), target).spectrum.values[0])
-    return _verdict(method, lam, SPA_THRESHOLD, 0)
+        return detect(ideal_probabilities(target), method)
+    return _verdict(method, _state_lambda_min(method, target.mat), _THRESHOLDS[method], 0)
 
 
 def witness_expectation(rho: DensityMatrix, q_projector: np.ndarray) -> float:

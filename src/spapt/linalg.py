@@ -2,16 +2,19 @@
 
 All operations act on plain ``numpy`` arrays of complex dtype and are pure
 functions: nothing here mutates its inputs, so everything is safe to call
-concurrently.  Eigensolves are one LAPACK call (``numpy.linalg.eigh``)
-behind :func:`require_hermitian`, the finite/Hermitian gate that every
-Hermitian input of the package passes; a matrix that has passed it is
-solved by :func:`gated_eig` without a second gate.  The tolerance table
-below holds every tolerance the package uses.
+concurrently.  The gate, the eigensolve, the square root and the partial
+transpose and trace take one matrix or a stack of them along leading axes,
+and a single matrix runs the same code as a stack; a failure in a stack
+names the index of its first offending entry.  Eigensolves are one LAPACK
+call (``numpy.linalg.eigh``) behind :func:`require_hermitian`, the
+finite/Hermitian gate that every Hermitian input of the package passes; a
+matrix that has passed it is solved by :func:`gated_eig` without a second
+gate.  The tolerance table below holds every tolerance the package uses.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,36 +80,52 @@ _MAX_DIM = 16
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
+
+
+def require_each(ok: np.ndarray, message: Callable[[tuple[int, ...]], str]) -> None:
+    """Raise ``ValidationError`` unless every per-entry flag in ``ok`` is set.
+
+    ``ok`` holds one flag per matrix: 0-d for a single matrix, one per
+    entry of a stack.  The error is ``message(index)`` of the first failing
+    entry, after "stack entry <index>: " when it is an entry of a stack.
+    """
+    if np.count_nonzero(ok) == ok.size if ok.ndim else ok:  # both far cheaper than ok.all()
+        return
+    index = tuple(int(i) for i in np.argwhere(~ok)[0])
+    text = message(index)
+    if index:
+        text = f"stack entry {index[0] if len(index) == 1 else index}: {text}"
+    raise ValidationError(text)
 
 
 def _as_square(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     return a
 
 
 def require_hermitian(m: np.ndarray, what: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndarray:
     """The gate in front of every Hermitian input: a read-only complex copy
-    of ``m``, or ``ValidationError`` naming ``what`` when ``m`` is not
-    square, holds NaN or inf, or has an entry of ``m - m^dag`` above ``tol``."""
+    of ``m``, a matrix or a stack of them, or ``ValidationError`` naming
+    ``what`` when a matrix is not square, holds NaN or inf, or has an entry
+    of ``m - m^dag`` above ``tol``."""
     a = _as_square(np.array(m, dtype=complex))
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{what} entries must be finite: the matrix holds NaN or inf")
-    defect = float(np.max(np.abs(a - a.conj().T)))
-    if defect > tol:
-        raise ValidationError(f"{what} is not Hermitian: max |m - m^dag| = {defect:.3e}")
+    require_each(np.isfinite(a).all(axis=(-2, -1)), lambda i: f"{what} entries must be finite: the matrix holds NaN or inf")
+    defect = np.abs(a - dag(a)).max(axis=(-2, -1))
+    require_each(defect <= tol, lambda i: f"{what} is not Hermitian: max |m - m^dag| = {defect[i]:.3e}")
     a.setflags(write=False)
     return a
 
 
 class Spectrum(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack.
 
-    ``values`` are real and sorted ascending; column ``k`` of ``vectors``
-    is the orthonormal eigenvector paired with ``values[k]``.
+    ``values`` are real and sorted ascending along the last axis; column
+    ``k`` of ``vectors`` is the orthonormal eigenvector paired with
+    ``values[..., k]``.
     """
 
     values: np.ndarray
@@ -114,7 +133,8 @@ class Spectrum(NamedTuple):
 
 
 def herm_eig(m: np.ndarray) -> Spectrum:
-    """Full eigendecomposition of a Hermitian matrix, dimension at most 16.
+    """Full eigendecomposition of a Hermitian matrix, or of each matrix of a
+    stack, dimension at most 16.
 
     One LAPACK call (``numpy.linalg.eigh``) on the Hermitian part of ``m``
     after :func:`require_hermitian`.  Raises ``ValidationError`` for
@@ -127,14 +147,16 @@ def herm_eig(m: np.ndarray) -> Spectrum:
 
 def gated_eig(a: np.ndarray) -> Spectrum:
     """The solve step of :func:`herm_eig`, for a matrix that has already
-    passed :func:`require_hermitian`: one ``eigh`` on its Hermitian part."""
-    if a.shape[0] > _MAX_DIM:
-        raise ValidationError(f"dimension {a.shape[0]} exceeds the supported maximum {_MAX_DIM}")
+    passed :func:`require_hermitian`: one ``eigh`` on its Hermitian part.
+    A stack is one ``eigh`` call, bit-identical entry by entry to solving
+    each matrix alone."""
+    if a.shape[-1] > _MAX_DIM:
+        raise ValidationError(f"dimension {a.shape[-1]} exceeds the supported maximum {_MAX_DIM}")
     try:
-        w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+        w, v = np.linalg.eigh((a + dag(a)) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigh did not converge: {exc}") from exc
-    return Spectrum(values=w, vectors=v)
+    return Spectrum(w, v)
 
 
 def sqrt_spectrum(w: np.ndarray) -> np.ndarray:
@@ -153,12 +175,13 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def psd_sqrt_from(spectrum: Spectrum) -> np.ndarray:
-    """:func:`psd_sqrt` of the matrix whose eigendecomposition is ``spectrum``."""
+    """:func:`psd_sqrt` of the matrix, or of each matrix of the stack, whose
+    eigendecomposition is ``spectrum``."""
     w, v = spectrum
-    if w[0] < -PSD_TOL:
-        raise ValidationError(f"matrix is not PSD: min eigenvalue = {w[0]:.3e}")
-    out = (v * sqrt_spectrum(w)) @ v.conj().T
-    return (out + out.conj().T) / 2.0
+    lam_min = w[..., 0]
+    require_each(lam_min >= -PSD_TOL, lambda i: f"matrix is not PSD: min eigenvalue = {lam_min[i]:.3e}")
+    out = (v * sqrt_spectrum(w)[..., None, :]) @ dag(v)
+    return (out + dag(out)) / 2.0
 
 
 def partial_transpose(m: np.ndarray) -> np.ndarray:
@@ -167,22 +190,25 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     In the product basis {|00>, |01>, |10>, |11>} each 2x2 block indexed
     by the first qubit is transposed in the second-qubit indices.  The map
     is an involution and preserves trace and Hermiticity; it does not
-    preserve positivity, which is the whole point.
+    preserve positivity, which is the whole point.  A stack is transposed
+    entry by entry in one reshape.
     """
     a = _as_square(m)
-    if a.shape[0] != 4:
-        raise ValidationError(f"partial transpose is defined for dim 4, got {a.shape[0]}")
-    return a.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    if a.shape[-1] != 4:
+        raise ValidationError(f"partial transpose is defined for dim 4, got {a.shape[-1]}")
+    lead = a.shape[:-2]
+    return a.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(lead + (4, 4))
 
 
 def partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
-    """Reduce a two-qubit operator to the kept subsystem ("A" or "B")."""
+    """Reduce a two-qubit operator, or each one of a stack, to the kept
+    subsystem ("A" or "B")."""
     a = _as_square(m)
-    if a.shape[0] != 4:
-        raise ValidationError(f"partial trace is defined for dim 4, got {a.shape[0]}")
-    t = a.reshape(2, 2, 2, 2)
+    if a.shape[-1] != 4:
+        raise ValidationError(f"partial trace is defined for dim 4, got {a.shape[-1]}")
+    t = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
     if keep == "A":
-        return np.einsum("abcb->ac", t)
+        return np.einsum("...abcb->...ac", t)
     if keep == "B":
-        return np.einsum("abac->bc", t)
+        return np.einsum("...abac->...bc", t)
     raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")

@@ -1,14 +1,22 @@
 """Validated quantum states, benchmark state families and scalar functionals.
 
-States are immutable value objects: construction validates the physical
-invariants (Hermiticity, unit trace, positivity within tolerance) and the
-wrapped arrays are frozen, so instances can be shared freely across
-workers.
+States are immutable: construction validates the physical invariants
+(Hermiticity, unit trace, positivity within tolerance) and the wrapped
+arrays are frozen, so instances can be shared freely across workers.  They
+compare and hash by identity, since the arrays they wrap have no single
+truth value.
+
+The validation, the tangle and the linear entropy are each one kernel over
+a matrix or an ``(N, d, d)`` stack: :func:`density_matrix_batch` validates
+a whole stack with one gate, one trace check and one eigensolve, and
+:class:`DensityMatrix`, :func:`tangle` and :func:`linear_entropy` run the
+same code on one matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -22,6 +30,7 @@ from .linalg import (
     gated_eig,
     herm_eig,
     psd_sqrt_from,
+    require_each,
     require_hermitian,
     sqrt_spectrum,
 )
@@ -31,19 +40,36 @@ __all__ = [
     "DensityMatrix",
     "BELL_KINDS",
     "NINE_STATE_PARAMS",
+    "density_matrix_batch",
     "bell_vector",
     "bell",
+    "werner_matrix",
     "werner",
+    "mems_matrix",
     "mems",
+    "rho_family_matrix",
     "rho_family",
     "fidelity",
     "tangle",
+    "tangle_batch",
     "linear_entropy",
+    "linear_entropy_batch",
     "min_eigenvalue",
     "random_density_matrix",
+    "random_density_matrix_batch",
 ]
 
-@dataclass(frozen=True)
+
+def prevalidated(cls: type, **fields: Any) -> Any:
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` that a
+    stacked validator has already checked, so ``__post_init__`` is skipped."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm state vector of a qubit or a qubit pair."""
 
@@ -71,7 +97,24 @@ class PureState:
         return DensityMatrix(self.projector())
 
 
-@dataclass(frozen=True)
+def _validated_states(mats: np.ndarray) -> tuple[np.ndarray, Spectrum]:
+    """The validation of :class:`DensityMatrix` for one matrix or a stack:
+    one gate, one trace check and one eigensolve.  Returns the read-only
+    matrices and their read-only eigendecompositions."""
+    m = require_hermitian(mats, "state")
+    if m.shape[-1] not in (2, 4):
+        raise ValidationError(f"supported dimensions are 2 and 4, got {m.shape[-1]}")
+    off = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+    require_each(off <= TRACE_TOL, lambda i: f"trace is not 1: |tr - 1| = {off[i]:.3e}")
+    spectrum = gated_eig(m)
+    lam_min = spectrum.values[..., 0]
+    require_each(lam_min >= -PSD_TOL, lambda i: f"not positive semidefinite: min eigenvalue = {lam_min[i]:.3e}")
+    spectrum.values.setflags(write=False)
+    spectrum.vectors.setflags(write=False)
+    return m, spectrum
+
+
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated density matrix of dimension 2 or 4.
 
@@ -79,31 +122,46 @@ class DensityMatrix:
     Hermitian within 1e-9, unit-trace within 1e-9 or has an eigenvalue
     below -1e-9, naming the violated invariant in the error message.
     The eigendecomposition that checks positivity is kept, read-only, as
-    ``spectrum``: it equals ``herm_eig(mat)`` bit for bit.
+    ``spectrum``: it equals ``herm_eig(mat)`` bit for bit.  A state is the
+    single-matrix case of :func:`density_matrix_batch`.
     """
 
     mat: np.ndarray
-    spectrum: Spectrum = field(init=False, compare=False, repr=False)
+    spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = require_hermitian(self.mat, "state")
-        if m.shape[0] not in (2, 4):
-            raise ValidationError(f"supported dimensions are 2 and 4, got {m.shape[0]}")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace is not 1: |tr - 1| = {abs(tr - 1.0):.3e}")
-        spectrum = gated_eig(m)
-        lam_min = float(spectrum.values[0])
-        if lam_min < -PSD_TOL:
-            raise ValidationError(f"not positive semidefinite: min eigenvalue = {lam_min:.3e}")
-        for a in spectrum:
-            a.setflags(write=False)
+        if np.ndim(self.mat) != 2:
+            raise ValidationError(f"expected a square matrix, got shape {np.shape(self.mat)}")
+        m, spectrum = _validated_states(self.mat)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def density_matrix_batch(mats: np.ndarray | Sequence[np.ndarray]) -> tuple[DensityMatrix, ...]:
+    """Validated states from a stack of candidate matrices of one dimension.
+
+    The whole stack passes one gate, one trace check and one eigensolve;
+    each state holds its slice of the stack and of its eigendecomposition,
+    equal bit for bit to ``DensityMatrix(mats[k])``.  A bad entry raises
+    ``ValidationError`` naming its index.
+    """
+    stack = np.asarray(mats, dtype=complex)
+    if stack.ndim != 3:
+        raise ValidationError(f"expected a stack of square matrices, got shape {stack.shape}")
+    m, (values, vectors) = _validated_states(stack)
+    return tuple(prevalidated(DensityMatrix, mat=m[k], spectrum=Spectrum(values[k], vectors[k])) for k in range(len(m)))
+
+
+def stack_two_qubit(states: Sequence[DensityMatrix], requirement: str) -> np.ndarray:
+    """The matrices of two-qubit states as one (N, 4, 4) stack; any other
+    dimension raises ``ValidationError(requirement)``."""
+    if any(rho.dim != 4 for rho in states):
+        raise ValidationError(requirement)
+    return np.array([rho.mat for rho in states], dtype=complex).reshape(-1, 4, 4)
 
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
@@ -151,19 +209,19 @@ def _check_unit_interval(name: str, value: float) -> float:
     return value
 
 
+def werner_matrix(p: float) -> np.ndarray:
+    """The raw matrix of :func:`werner`, for :func:`density_matrix_batch`."""
+    p = _check_unit_interval("p", p)
+    return p * np.eye(4, dtype=complex) / 4.0 + (1.0 - p) * bell_vector("psi-").projector()
+
+
 def werner(p: float) -> DensityMatrix:
     """Singlet mixed with white noise: p*I/4 + (1-p)|psi-><psi-|."""
-    p = _check_unit_interval("p", p)
-    mat = p * np.eye(4, dtype=complex) / 4.0 + (1.0 - p) * bell_vector("psi-").projector()
-    return DensityMatrix(mat)
+    return DensityMatrix(werner_matrix(p))
 
 
-def mems(p: float) -> DensityMatrix:
-    """Maximally entangled mixed state at off-diagonal coherence p.
-
-    X-shaped family with f(p) = p/2 for p >= 2/3 and f(p) = 1/3 below;
-    its concurrence equals p, so the tangle is p^2.
-    """
+def mems_matrix(p: float) -> np.ndarray:
+    """The raw matrix of :func:`mems`, for :func:`density_matrix_batch`."""
     p = _check_unit_interval("p", p)
     f = p / 2.0 if p >= 2.0 / 3.0 else 1.0 / 3.0
     mat = np.zeros((4, 4), dtype=complex)
@@ -172,7 +230,26 @@ def mems(p: float) -> DensityMatrix:
     mat[0, 3] = p / 2.0
     mat[3, 0] = p / 2.0
     mat[1, 1] = 1.0 - 2.0 * f
-    return DensityMatrix(mat)
+    return mat
+
+
+def mems(p: float) -> DensityMatrix:
+    """Maximally entangled mixed state at off-diagonal coherence p.
+
+    X-shaped family with f(p) = p/2 for p >= 2/3 and f(p) = 1/3 below;
+    its concurrence equals p, so the tangle is p^2.
+    """
+    return DensityMatrix(mems_matrix(p))
+
+
+def rho_family_matrix(p: float, alpha: float) -> np.ndarray:
+    """The raw matrix of :func:`rho_family`, for :func:`density_matrix_batch`."""
+    p = _check_unit_interval("p", p)
+    alpha = _check_unit_interval("alpha", alpha)
+    beta = np.sqrt(1.0 - alpha * alpha)
+    psi = np.array([0.0, alpha, -beta, 0.0], dtype=complex)
+    perp = np.array([0.0, beta, alpha, 0.0], dtype=complex)
+    return (1.0 - p) * np.outer(psi, psi.conj()) + p * np.outer(perp, perp.conj())
 
 
 def rho_family(p: float, alpha: float) -> DensityMatrix:
@@ -181,13 +258,7 @@ def rho_family(p: float, alpha: float) -> DensityMatrix:
     |psi> = alpha|01> - sqrt(1-alpha^2)|10> and |psi_perp> is its unique
     (up to phase) orthogonal companion in span{|01>, |10>}; alpha is real.
     """
-    p = _check_unit_interval("p", p)
-    alpha = _check_unit_interval("alpha", alpha)
-    beta = np.sqrt(1.0 - alpha * alpha)
-    psi = np.array([0.0, alpha, -beta, 0.0], dtype=complex)
-    perp = np.array([0.0, beta, alpha, 0.0], dtype=complex)
-    mat = (1.0 - p) * np.outer(psi, psi.conj()) + p * np.outer(perp, perp.conj())
-    return DensityMatrix(mat)
+    return DensityMatrix(rho_family_matrix(p, alpha))
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -202,10 +273,26 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 _YY = np.kron(PAULI_Y, PAULI_Y)
 _YY.setflags(write=False)
+_TANGLE_DIM = "tangle is defined for two-qubit states"
+_ENTROPY_DIM = "linear entropy is defined for two-qubit states"
 
 
-def _spin_flip(mat: np.ndarray) -> np.ndarray:
-    return _YY @ mat.conj() @ _YY
+def _tangles(mats: np.ndarray, spectra: Spectrum) -> np.ndarray:
+    """Tangle of one two-qubit state matrix, or of each of a stack, from the
+    stored eigendecompositions that give the state roots: one eigensolve."""
+    s = psd_sqrt_from(spectra)
+    lam = sqrt_spectrum(herm_eig(s @ (_YY @ mats.conj() @ _YY) @ s).values)[..., ::-1]
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return np.minimum(c * c, 1.0)
+
+
+def tangle_batch(states: Sequence[DensityMatrix]) -> np.ndarray:
+    """Squared concurrence of each two-qubit state of a batch, equal bit for
+    bit to :func:`tangle` of each."""
+    mats = stack_two_qubit(states, _TANGLE_DIM)
+    values = np.array([rho.spectrum.values for rho in states]).reshape(-1, 4)
+    vectors = np.array([rho.spectrum.vectors for rho in states]).reshape(-1, 4, 4)
+    return _tangles(mats, Spectrum(values, vectors))
 
 
 def tangle(rho: DensityMatrix) -> float:
@@ -216,24 +303,47 @@ def tangle(rho: DensityMatrix) -> float:
     the eigenvalues of the Hermitian sqrt(rho) spin_flip(rho) sqrt(rho).
     """
     if rho.dim != 4:
-        raise ValidationError("tangle is defined for two-qubit states")
-    s = psd_sqrt_from(rho.spectrum)
-    lam = sqrt_spectrum(herm_eig(s @ _spin_flip(rho.mat) @ s).values)[::-1]
-    c = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
-    return min(c * c, 1.0)
+        raise ValidationError(_TANGLE_DIM)
+    return float(_tangles(rho.mat, rho.spectrum))
+
+
+def _linear_entropies(mats: np.ndarray) -> np.ndarray:
+    return (4.0 / 3.0) * (1.0 - (mats @ mats).trace(axis1=-2, axis2=-1).real)
+
+
+def linear_entropy_batch(states: Sequence[DensityMatrix]) -> np.ndarray:
+    """Normalized mixedness of each two-qubit state of a batch, equal bit
+    for bit to :func:`linear_entropy` of each."""
+    return _linear_entropies(stack_two_qubit(states, _ENTROPY_DIM))
 
 
 def linear_entropy(rho: DensityMatrix) -> float:
     """Normalized mixedness (4/3)(1 - tr rho^2), 0 for pure and 1 for I/4."""
     if rho.dim != 4:
-        raise ValidationError("linear entropy is defined for two-qubit states")
-    purity = float(np.real(np.trace(rho.mat @ rho.mat)))
-    return (4.0 / 3.0) * (1.0 - purity)
+        raise ValidationError(_ENTROPY_DIM)
+    return float(_linear_entropies(rho.mat))
 
 
 def min_eigenvalue(rho: DensityMatrix) -> float:
     """Smallest eigenvalue of the state."""
     return float(rho.spectrum.values[0])
+
+
+def _random_state_matrix(rng: np.random.Generator, n_components: int) -> np.ndarray:
+    weights = rng.dirichlet(np.ones(n_components))
+    mat = np.zeros((4, 4), dtype=complex)
+    for w in weights:
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        v /= np.linalg.norm(v)
+        mat += w * np.outer(v, v.conj())
+    mat = (mat + mat.conj().T) / 2.0
+    return mat / np.real(np.trace(mat))
+
+
+def random_density_matrix_batch(rng: np.random.Generator, count: int, n_components: int = 4) -> tuple[DensityMatrix, ...]:
+    """``count`` states of :func:`random_density_matrix`, drawn one after
+    the other from ``rng`` and validated as one stack."""
+    return density_matrix_batch(np.array([_random_state_matrix(rng, n_components) for _ in range(count)]).reshape(-1, 4, 4))
 
 
 def random_density_matrix(rng: np.random.Generator, n_components: int = 4) -> DensityMatrix:
@@ -242,11 +352,4 @@ def random_density_matrix(rng: np.random.Generator, n_components: int = 4) -> De
     Mixture of ``n_components`` Haar-random pure states with uniform
     simplex (Dirichlet) weights; cheap and spans full-rank states.
     """
-    weights = rng.dirichlet(np.ones(n_components))
-    mat = np.zeros((4, 4), dtype=complex)
-    for w in weights:
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        mat += w * np.outer(v, v.conj())
-    mat = (mat + mat.conj().T) / 2.0
-    return DensityMatrix(mat / np.real(np.trace(mat)))
+    return DensityMatrix(_random_state_matrix(rng, n_components))

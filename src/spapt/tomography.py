@@ -8,7 +8,8 @@ built once with ``np.kron``: 40 detection-setting effects, 36 Pauli-setting
 projectors and 16 Pauli products at import, and the joint effects of each
 instrument branch, cached on the branch.  A Born table is one stacked
 product ``tr(rho @ stack)``, equal bit for bit to the per-effect
-``tr(rho @ np.kron(a, b))``.
+``tr(rho @ np.kron(a, b))``.  Born tables and their validation take one
+state or a whole batch at once, through the same code.
 
 Randomness is fully reproducible: every measurement setting draws from its
 own substream derived from ``(seed, tag, indices)``, so settings are
@@ -31,9 +32,10 @@ from .linalg import (
     NumericError,
     ValidationError,
     herm_eig,
+    require_each,
     require_hermitian,
 )
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, prevalidated, stack_two_qubit
 from .channels import SPA_PT_INSTRUMENT, Branch, tetrahedral_povm, vec
 
 __all__ = [
@@ -41,7 +43,9 @@ __all__ = [
     "ProbabilityTable",
     "tomo_basis",
     "ideal_probabilities",
+    "ideal_probabilities_batch",
     "sample_table",
+    "sample_table_batch",
     "trajectory",
     "trajectory_spa_pt",
     "trajectory_branch_counts",
@@ -79,7 +83,41 @@ class ShotConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True)
+def _checked_tables(p: np.ndarray, q: np.ndarray, r: np.ndarray, shots: int, lead: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The validation of :class:`ProbabilityTable` for one table, or for a
+    stack of tables of leading shape ``lead`` and one shot count: read-only
+    float copies of ``p``, ``q`` and ``r``, and the shots as an int."""
+    p = np.array(p, dtype=float)
+    q = np.array(q, dtype=float)
+    r = np.array(r, dtype=float)
+    if p.shape != lead + (4, 4) or q.shape != lead + (4,) or r.shape != lead + (4,):
+        raise ValidationError(f"expected p (4,4), q (4,), r (4,), got {p.shape}, {q.shape}, {r.shape}")
+    p_sums, qr_sums = p.sum(axis=-1), q.sum(axis=-1) + r.sum(axis=-1)
+    # one test of the whole stack, failed by NaN and inf too as min and max
+    # propagate them: every entry is at least 0 and every entry and sum at most 1
+    bounded = np.concatenate([p.reshape(lead + (16,)), q, r, p_sums, qr_sums[..., None]], axis=-1)
+    if not (bounded.min(initial=0.0) >= -ROUND_TOL and bounded.max(initial=0.0) <= 1.0 + TRACE_TOL):
+        _name_table_defect(p, q, r, p_sums, qr_sums, lead)
+    if int(shots) < 0:
+        raise ValidationError("shots_per_setting must be nonnegative")
+    for arr in (p, q, r):
+        arr.setflags(write=False)
+    return p, q, r, int(shots)
+
+
+def _name_table_defect(p: np.ndarray, q: np.ndarray, r: np.ndarray, p_sums: np.ndarray, qr_sums: np.ndarray, lead: tuple[int, ...]) -> None:
+    """Raise ``ValidationError`` for the first invariant a table breaks, in
+    the order finite and in [0, 1] for p, q, r, then the row and q + r sums."""
+    for name, arr in (("p", p), ("q", q), ("r", r)):
+        entries = tuple(range(len(lead), arr.ndim))
+        require_each(np.isfinite(arr).all(axis=entries), lambda i: f"{name} entries must be finite: the table holds NaN or inf")
+        inside = (arr.min(axis=entries) >= -ROUND_TOL) & (arr.max(axis=entries) <= 1.0 + TRACE_TOL)
+        require_each(inside, lambda i: f"{name} entries must lie in [0, 1]")
+    require_each(np.all(p_sums <= 1.0 + TRACE_TOL, axis=-1), lambda i: "each p row must sum to at most 1 (binary A outcome per setting)")
+    require_each(qr_sums <= 1.0 + TRACE_TOL, lambda i: "q and r jointly exceed total probability 1")
+
+
+@dataclass(frozen=True, eq=False)
 class ProbabilityTable:
     """Measured statistics feeding detection.
 
@@ -95,28 +133,16 @@ class ProbabilityTable:
     shots_per_setting: int = 0
 
     def __post_init__(self) -> None:
-        p = np.array(self.p, dtype=float)
-        q = np.array(self.q, dtype=float)
-        r = np.array(self.r, dtype=float)
-        if p.shape != (4, 4) or q.shape != (4,) or r.shape != (4,):
-            raise ValidationError(f"expected p (4,4), q (4,), r (4,), got {p.shape}, {q.shape}, {r.shape}")
-        for name, arr in (("p", p), ("q", q), ("r", r)):
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"{name} entries must be finite: the table holds NaN or inf")
-            if arr.min() < -ROUND_TOL or arr.max() > 1.0 + TRACE_TOL:
-                raise ValidationError(f"{name} entries must lie in [0, 1]")
-        if np.any(p.sum(axis=1) > 1.0 + TRACE_TOL):
-            raise ValidationError("each p row must sum to at most 1 (binary A outcome per setting)")
-        if q.sum() + r.sum() > 1.0 + TRACE_TOL:
-            raise ValidationError("q and r jointly exceed total probability 1")
-        if int(self.shots_per_setting) < 0:
-            raise ValidationError("shots_per_setting must be nonnegative")
-        for arr in (p, q, r):
-            arr.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "shots_per_setting", int(self.shots_per_setting))
+        checked = _checked_tables(self.p, self.q, self.r, self.shots_per_setting)
+        for name, value in zip(("p", "q", "r", "shots_per_setting"), checked):
+            object.__setattr__(self, name, value)
+
+
+def _table_batch(p: np.ndarray, q: np.ndarray, r: np.ndarray, shots: int) -> list[ProbabilityTable]:
+    """Validated tables from (N, 4, 4), (N, 4), (N, 4) stacks sharing one
+    shot count: one stacked check, each table holding its slices."""
+    p, q, r, shots = _checked_tables(p, q, r, shots, p.shape[:1])
+    return [prevalidated(ProbabilityTable, p=p[k], q=q[k], r=r[k], shots_per_setting=shots) for k in range(len(p))]
 
 
 def tomo_basis() -> tuple[PureState, PureState, PureState, PureState]:
@@ -144,28 +170,67 @@ _TABLE_SETTINGS = np.array(
 )
 
 
-def _born_weights(rho: DensityMatrix, stack: np.ndarray) -> np.ndarray:
-    """tr(rho E) for every effect E of a stack.  A stacked matmul then a trace
-    is the per-effect arithmetic exactly, as the seed contract needs; an
-    ``einsum`` or a matvec sums in another order."""
-    return np.trace(rho.mat @ stack, axis1=-2, axis2=-1).real
+def _born_weights(mats: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """tr(rho E) for every state matrix rho, one or a stack of them, and
+    every effect E of ``stack``: shape ``mats.shape[:-2] + stack.shape[:-2]``.
+    A stacked matmul then a trace is the per-effect arithmetic exactly, as
+    the seed contract needs; an ``einsum`` or a matvec sums in another order."""
+    per_state = mats.reshape(mats.shape[:-2] + (1,) * (stack.ndim - 2) + mats.shape[-2:])
+    return np.trace(per_state @ stack, axis1=-2, axis2=-1).real
+
+
+_TWO_QUBITS = "a two-qubit state is required"
 
 
 def _require_two_qubits(rho: DensityMatrix) -> None:
     if rho.dim != 4:
-        raise ValidationError("a two-qubit state is required")
+        raise ValidationError(_TWO_QUBITS)
+
+
+def _ideal_tables(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p, q and r of the exact Born-rule table of one state matrix, or of each of a stack."""
+    born = np.clip(_born_weights(mats, _TABLE_SETTINGS), 0.0, 1.0)
+    return born[..., :4, :4], born[..., 4, :4], born[..., 4, 4:]
+
+
+def ideal_probabilities_batch(states: Sequence[DensityMatrix]) -> list[ProbabilityTable]:
+    """Exact Born-rule tables of a batch of two-qubit states: one stacked
+    product for every state and setting, one stacked validation."""
+    return _table_batch(*_ideal_tables(stack_two_qubit(states, _TWO_QUBITS)), 0)
 
 
 def ideal_probabilities(rho: DensityMatrix) -> ProbabilityTable:
     """Exact Born-rule table for the detection measurement settings."""
     _require_two_qubits(rho)
-    born = np.clip(_born_weights(rho, _TABLE_SETTINGS), 0.0, 1.0)
-    return ProbabilityTable(born[:4, :4], born[4, :4], born[4, 4:], 0)
+    return ProbabilityTable(*_ideal_tables(rho.mat), 0)
 
 
 def _normalized_probs(values: np.ndarray) -> np.ndarray:
     pr = np.clip(values, 0.0, None)
-    return pr / pr.sum()
+    return pr / pr.sum(axis=-1, keepdims=True)
+
+
+def sample_table_batch(states: Sequence[DensityMatrix], cfg: ShotConfig) -> list[ProbabilityTable]:
+    """Finite-shot tables of a batch of two-qubit states, each equal to its
+    :func:`sample_table`.
+
+    Born weights are one stacked product and the tables one stacked
+    validation; the draws stay one multinomial per state and setting.
+    Every state draws each setting's substream from its start, so each
+    substream is seeded once and rewound to its start state for every
+    later state.
+    """
+    born = _normalized_probs(_born_weights(stack_two_qubit(states, _TWO_QUBITS), _TABLE_SETTINGS))
+    shots = cfg.shots_per_setting
+    streams = [_rng(cfg.seed, _TAG_TABLE, i) for i in range(4)] + [_rng(cfg.seed, _TAG_QR)]
+    starts = [rng.bit_generator.state for rng in streams]
+    counts = np.empty(born.shape, dtype=np.int64)
+    for k in range(len(born)):
+        for i, (rng, start) in enumerate(zip(streams, starts)):
+            if k:
+                rng.bit_generator.state = start
+            counts[k, i] = rng.multinomial(shots, born[k, i])
+    return _table_batch(counts[:, :4, :4] / shots, counts[:, 4, :4] / shots, counts[:, 4, 4:] / shots, shots)
 
 
 def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
@@ -176,14 +241,7 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     ``p``.  The q/r setting draws from {M_k (x) |0><0|, M_k (x) |1><1|},
     a complete POVM, so the sampled q and r sum to exactly 1.
     """
-    _require_two_qubits(rho)
-    shots = cfg.shots_per_setting
-    born = _born_weights(rho, _TABLE_SETTINGS)
-    p = np.empty((4, 4))
-    for i in range(4):
-        p[i] = _rng(cfg.seed, _TAG_TABLE, i).multinomial(shots, _normalized_probs(born[i]))[:4] / shots
-    counts = _rng(cfg.seed, _TAG_QR).multinomial(shots, _normalized_probs(born[4]))
-    return ProbabilityTable(p, counts[:4] / shots, counts[4:] / shots, shots)
+    return sample_table_batch([rho], cfg)[0]
 
 
 def _trajectory_components(rho: DensityMatrix, instrument: Sequence[Branch]) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +258,7 @@ def _trajectory_components(rho: DensityMatrix, instrument: Sequence[Branch]) -> 
     probs, outputs = [], []
     v = vec(rho.mat)
     for branch in instrument:
-        w = _born_weights(rho, branch.effects)
+        w = _born_weights(rho.mat, branch.effects)
         live = w > ZERO_WEIGHT_TOL
         probs.append(np.where(live, branch.weigh(w) / branch.draws, 0.0))
         emitted = (branch.maps @ v) / np.where(live, w, 1.0)[:, None]
@@ -273,7 +331,7 @@ for _ops in (_TABLE_SETTINGS, _PAULI_SETTINGS, _PAULI_PRODUCTS):
 def pauli_expectations(rho: DensityMatrix) -> np.ndarray:
     """Exact 4x4 array of <sigma_i (x) sigma_j> (index 0 is the identity)."""
     _require_two_qubits(rho)
-    return _born_weights(rho, _PAULI_PRODUCTS)
+    return _born_weights(rho.mat, _PAULI_PRODUCTS)
 
 
 def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray:
@@ -285,7 +343,7 @@ def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray
     """
     _require_two_qubits(rho)
     shots = cfg.shots_per_setting
-    born = _born_weights(rho, _PAULI_SETTINGS)
+    born = _born_weights(rho.mat, _PAULI_SETTINGS)
     # freq[i, j, a, b]: setting (i, j), eigenvalue sign a on A and b on B
     freq = np.array([[_rng(cfg.seed, _TAG_PAULI, i, j).multinomial(shots, _normalized_probs(born[i - 1, j - 1])) for j in (1, 2, 3)] for i in (1, 2, 3)])
     freq = freq.reshape(3, 3, 2, 2) / shots
