@@ -36,6 +36,8 @@ from .linalg import (
     ROUND_TOL,
     TRACE_TOL,
     ValidationError,
+    dag,
+    gated_eig,
     herm_eig,
     partial_transpose,
     require_hermitian,
@@ -378,8 +380,9 @@ def spa_pt() -> Channel:
 
 
 def ideal_pt(rho: DensityMatrix) -> np.ndarray:
-    """Exact partial transpose of a two-qubit state, returned as a raw
-    matrix because the result is generally not positive semidefinite."""
+    """Exact partial transpose of a two-qubit state, or of each state of a
+    stack, returned as a raw matrix because the result is generally not
+    positive semidefinite."""
     if rho.dim != 4:
         raise ValidationError("the partial transpose oracle needs a two-qubit state")
     return partial_transpose(rho.mat)
@@ -400,11 +403,12 @@ def replace_channel(dim: int) -> Channel:
 
 
 def apply(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply a physical channel to a state; the output is validated."""
+    """Apply a physical channel to a state, or to each state of a stack;
+    the output is validated."""
     if channel.dim_in != rho.dim:
         raise ValidationError(f"channel input dim {channel.dim_in} does not match state dim {rho.dim}")
     out = channel.apply_matrix(rho.mat)
-    return DensityMatrix((out + out.conj().T) / 2.0)
+    return DensityMatrix((out + dag(out)) / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,8 +436,9 @@ def choi(channel: Channel) -> ChoiMatrix:
 
 
 def is_cp(channel: Channel) -> bool:
-    """Complete positivity: the Choi matrix has no eigenvalue below -1e-9."""
-    w = herm_eig(choi(channel).mat).values
+    """Complete positivity: the Choi matrix has no eigenvalue below -1e-9.
+    The Choi matrix passed the gate when it was built."""
+    w = gated_eig(choi(channel).mat).values
     return bool(w[0] >= -PSD_TOL)
 
 

@@ -21,14 +21,13 @@ from .states import (
     DensityMatrix,
     bell,
     bell_vector,
-    density_matrix_batch,
     fidelity,
-    linear_entropy_batch,
+    linear_entropy,
     mems,
     mems_matrix,
     rho_family,
     rho_family_matrix,
-    tangle_batch,
+    tangle,
     werner,
     werner_matrix,
 )
@@ -49,11 +48,10 @@ from .tomography import (
     project_to_physical,
     sample_pauli_expectations,
     sample_table,
-    sample_table_batch,
     trajectory,
     trajectory_spa_pt,
 )
-from .detection import detect, detect_batch
+from .detection import detect
 from .io import load_state, save_state, write_report
 from .selftest import run_all
 
@@ -250,9 +248,9 @@ def _lambda_exp(rho: DensityMatrix, cfg: ShotConfig) -> float:
 
 
 def _cmd_table1(args: argparse.Namespace, cfg: ShotConfig) -> int:
-    # each column but the trajectory tomography of lambda_exp is one batch over the Bell states
-    states = density_matrix_batch([bell_vector(kind).projector() for kind in BELL_KINDS])
-    columns = zip(BELL_KINDS, states, detect_batch(states, "spa_spectrum"), detect_batch(sample_table_batch(states, cfg), "f_hat"))
+    # each column but the trajectory tomography of lambda_exp is one call on the stack of Bell states
+    states = DensityMatrix([bell_vector(kind).projector() for kind in BELL_KINDS])
+    columns = zip(BELL_KINDS, states, detect(states, "spa_spectrum"), detect(sample_table(states, cfg), "f_hat"))
     rows = [
         {"state": kind, "lambda_th": th.lambda_min, "lambda_exp": _lambda_exp(rho, cfg), "lambda_d": d.lambda_min, "shots": cfg.shots_per_setting}
         for kind, rho, th, d in columns
@@ -261,18 +259,18 @@ def _cmd_table1(args: argparse.Namespace, cfg: ShotConfig) -> int:
 
 
 def _cmd_fig3(args: argparse.Namespace, cfg: ShotConfig) -> int:
-    # the sweep is one batch of states, and each column one stacked call over it
+    # the sweep is one stack of states, and each column one call on it
     grid = [round(0.05 * k, 10) for k in range(21)]
     sweep = [("rho_family", p, alpha, rho_family_matrix(p, alpha)) for p, alpha in NINE_STATE_PARAMS]
     sweep += [("werner", p, None, werner_matrix(p)) for p in grid]
     sweep += [("mems", p, None, mems_matrix(p)) for p in grid]
-    states = density_matrix_batch([mat for *_, mat in sweep])
+    states = DensityMatrix([mat for *_, mat in sweep])
     columns = zip(
-        tangle_batch(states),
-        linear_entropy_batch(states),
-        detect_batch(states, "spa_spectrum"),
-        detect_batch(states, "f_hat"),
-        detect_batch(sample_table_batch(states, cfg), "f_hat"),
+        tangle(states),
+        linear_entropy(states),
+        detect(states, "spa_spectrum"),
+        detect(states, "f_hat"),
+        detect(sample_table(states, cfg), "f_hat"),
     )
     rows = [
         {

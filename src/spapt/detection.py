@@ -15,14 +15,13 @@
 A fixed entanglement witness expectation is included as the
 basis-dependent baseline the operation-based routes are contrasted with.
 
-:func:`detect_batch` runs one method over a whole batch with one stacked
-eigensolve; :func:`detect` runs the same kernels on one state or table.
+:func:`detect` runs one method on a state or a table, or over a whole
+stack of them with one stacked eigensolve, through the same kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,9 +36,9 @@ from .linalg import (
     partial_transpose,
     require_hermitian,
 )
-from .states import DensityMatrix, stack_two_qubit
+from .states import DensityMatrix, require_single
 from .channels import SPA_PT_INSTRUMENT
-from .tomography import ProbabilityTable, ideal_probabilities, ideal_probabilities_batch, tomo_basis
+from .tomography import ProbabilityTable, ideal_probabilities, tomo_basis
 
 __all__ = [
     "PPT_THRESHOLD",
@@ -50,7 +49,6 @@ __all__ = [
     "lambda_min_d",
     "lambda_min_det_scan",
     "detect",
-    "detect_batch",
     "witness_expectation",
 ]
 
@@ -203,74 +201,37 @@ def _spa_pt_closed_form(mats: np.ndarray) -> np.ndarray:
 
 
 _THRESHOLDS = {"ppt": PPT_THRESHOLD, "spa_spectrum": SPA_THRESHOLD}
-_TWO_QUBITS = "detection needs a two-qubit state"
 
 
-def _reads_tables(targets: Sequence[DensityMatrix] | Sequence[ProbabilityTable], method: str) -> bool:
-    """Check the method and the targets of a detection run: whether f_hat
-    reads measured tables (True) or every target is a state (False)."""
-    if method not in METHODS:
-        raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method == "f_hat":
-        if all(isinstance(t, ProbabilityTable) for t in targets):
-            return True
-        if not all(isinstance(t, DensityMatrix) for t in targets):
-            raise ValidationError("f_hat needs a DensityMatrix or a ProbabilityTable")
-        return False
-    if not all(isinstance(t, DensityMatrix) for t in targets):
-        raise ValidationError(f"method {method!r} needs a DensityMatrix")
-    if any(t.dim != 4 for t in targets):
-        raise ValidationError(_TWO_QUBITS)
-    return False
-
-
-def _state_lambda_min(method: str, mats: np.ndarray) -> np.ndarray:
-    """lambda_min of ``ppt`` or ``spa_spectrum`` for one two-qubit state
-    matrix or a stack.  The partial transpose of a validated state is
-    Hermitian, so it is solved without a second gate."""
-    return _lambda_min(partial_transpose(mats) if method == "ppt" else _spa_pt_closed_form(mats))
-
-
-def _f_hat_lambda_min(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """lambda_min of f_hat for one table or a stack: the gate of
-    :class:`FHatOperator`, then the eigensolve."""
-    return _lambda_min(require_hermitian(_f_hat_matrices(p, q, r), "operator"))
-
-
-def detect_batch(targets: Sequence[DensityMatrix] | Sequence[ProbabilityTable], method: str) -> list[DetectionVerdict]:
-    """Run one detection method on a batch of states or of measured tables.
-
-    ``ppt`` and ``spa_spectrum`` require states.  ``f_hat`` accepts states
-    (their ideal tables are computed internally) or tables, whose
-    ``shots_per_setting`` is echoed into each verdict.  The batch is one
-    stacked eigensolve, and each verdict equals :func:`detect` of its
-    target bit for bit: both run the same kernels, on a stack here and on
-    one matrix or table there.
-    """
-    if _reads_tables(targets, method):
-        p = np.array([t.p for t in targets]).reshape(-1, 4, 4)
-        q = np.array([t.q for t in targets]).reshape(-1, 4)
-        r = np.array([t.r for t in targets]).reshape(-1, 4)
-        return [_verdict(method, lam, SPA_THRESHOLD, t.shots_per_setting) for lam, t in zip(_f_hat_lambda_min(p, q, r), targets)]
-    if method == "f_hat":
-        return detect_batch(ideal_probabilities_batch(targets), method)
-    lams = _state_lambda_min(method, stack_two_qubit(targets, _TWO_QUBITS))
-    return [_verdict(method, lam, _THRESHOLDS[method], 0) for lam in lams]
-
-
-def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVerdict:
-    """Run one detection method on a state or on a measured table.
+def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVerdict | list[DetectionVerdict]:
+    """Run one detection method on a state or on a measured table, or on
+    each of a stack of them.
 
     ``ppt`` and ``spa_spectrum`` require a state.  ``f_hat`` accepts a
     state (its ideal table is computed internally) or a table, whose
-    ``shots_per_setting`` is echoed into the verdict.  The verdict equals
-    that of :func:`detect_batch` on a batch holding ``target``.
+    ``shots_per_setting`` is echoed into the verdict.  A stack is one
+    stacked eigensolve and gives the list of its verdicts, each equal bit
+    for bit to the verdict of its entry alone.
     """
-    if _reads_tables((target,), method):
-        return _verdict(method, _f_hat_lambda_min(target.p, target.q, target.r), SPA_THRESHOLD, target.shots_per_setting)
-    if method == "f_hat":
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "f_hat" and isinstance(target, ProbabilityTable):
+        # the gate of FHatOperator, then the eigensolve
+        lams = _lambda_min(require_hermitian(_f_hat_matrices(target.p, target.q, target.r), "operator"))
+        threshold, shots = SPA_THRESHOLD, target.shots_per_setting
+    elif not isinstance(target, DensityMatrix):
+        raise ValidationError("f_hat needs a DensityMatrix or a ProbabilityTable" if method == "f_hat" else f"method {method!r} needs a DensityMatrix")
+    elif method == "f_hat":
         return detect(ideal_probabilities(target), method)
-    return _verdict(method, _state_lambda_min(method, target.mat), _THRESHOLDS[method], 0)
+    elif target.dim != 4:
+        raise ValidationError("detection needs a two-qubit state")
+    else:
+        # the partial transpose of a validated state is Hermitian: solved without a second gate
+        lams = _lambda_min(partial_transpose(target.mat) if method == "ppt" else _spa_pt_closed_form(target.mat))
+        threshold, shots = _THRESHOLDS[method], 0
+    if np.ndim(lams) == 0:
+        return _verdict(method, lams, threshold, shots)
+    return [_verdict(method, lam, threshold, shots) for lam in lams]
 
 
 def witness_expectation(rho: DensityMatrix, q_projector: np.ndarray) -> float:
@@ -280,6 +241,7 @@ def witness_expectation(rho: DensityMatrix, q_projector: np.ndarray) -> float:
     certifies entanglement.  Unlike the operation-based routes, the
     verdict depends on how Q is aligned with the state's local basis.
     """
+    require_single("witness_expectation", rho)
     if rho.dim != 4:
         raise ValidationError("the witness baseline needs a two-qubit state")
     q = require_hermitian(q_projector, "Q")

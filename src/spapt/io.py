@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .linalg import ValidationError
-from .states import DensityMatrix
+from .states import DensityMatrix, require_single
 
 __all__ = [
     "round12",
@@ -45,6 +45,7 @@ def round12(x: float) -> float:
 
 def state_payload(rho: DensityMatrix, metadata: dict[str, Any]) -> dict[str, Any]:
     """JSON-ready document for a state file."""
+    require_single("state_payload", rho)
     return {
         "dim": rho.dim,
         "re": [[round12(v) for v in row] for row in np.real(rho.mat).tolist()],

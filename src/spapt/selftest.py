@@ -14,12 +14,11 @@ import numpy as np
 from .linalg import herm_eig, partial_transpose
 from .states import (
     BELL_KINDS,
+    DensityMatrix,
     bell,
     bell_vector,
-    density_matrix_batch,
     fidelity,
     random_density_matrix,
-    random_density_matrix_batch,
     werner,
 )
 from .channels import (
@@ -42,7 +41,7 @@ from .tomography import (
     sample_table,
     trajectory_spa_pt,
 )
-from .detection import SPA_THRESHOLD, detect, detect_batch, f_hat, lambda_min_d, witness_expectation
+from .detection import SPA_THRESHOLD, detect, f_hat, lambda_min_d, witness_expectation
 
 __all__ = ["SUITES", "run_all"]
 
@@ -95,15 +94,15 @@ def _suite_measure_prepare_closed_form(seed: int) -> None:
 def _channel_spectra(states) -> np.ndarray:
     """Output spectra of the spa_pt superoperator applied to a stack of states:
     the certificate of the closed form that detect reads."""
-    return herm_eig(spa_pt().apply_matrix(np.array([rho.mat for rho in states]))).values
+    return herm_eig(spa_pt().apply_matrix(states.mat)).values
 
 
 def _suite_verdict_equivalence(seed: int) -> None:
-    states = random_density_matrix_batch(np.random.default_rng([seed, 11]), 1000)
-    ppt = detect_batch(states, "ppt")
-    spa = detect_batch(states, "spa_spectrum")
+    states = random_density_matrix(np.random.default_rng([seed, 11]), count=1000)
+    ppt = detect(states, "ppt")
+    spa = detect(states, "spa_spectrum")
     assert all(a.verdict == b.verdict for a, b in zip(ppt, spa)), "ppt and spa_spectrum verdicts disagree"
-    spec_pt = herm_eig(partial_transpose(np.array([rho.mat for rho in states]))).values
+    spec_pt = herm_eig(partial_transpose(states.mat)).values
     spec_spa = _channel_spectra(states)
     dev = float(np.max(np.abs(spec_spa - (spec_pt / 9.0 + 2.0 / 9.0))))
     assert dev < EXACT_BOUND, f"affine spectrum law deviates by {dev:.3e}"
@@ -113,7 +112,7 @@ def _suite_verdict_equivalence(seed: int) -> None:
 
 def _suite_spa_range_law(seed: int) -> None:
     rng = np.random.default_rng([seed, 12])
-    mixed = random_density_matrix_batch(rng, 200)
+    mixed = random_density_matrix(rng, count=200)
     products = []
     for _ in range(20):
         a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -124,10 +123,10 @@ def _suite_spa_range_law(seed: int) -> None:
     # (states, range their output min eigenvalues must lie in, what fails otherwise)
     for states, low, high, failure in (
         (mixed, 1.0 / 6.0 - EXACT_BOUND, 0.25 + ROUND_BOUND, "mixed state outside [1/6, 1/4]"),
-        (density_matrix_batch(bells), 1.0 / 6.0 - EXACT_BOUND, 1.0 / 6.0 + EXACT_BOUND, "Bell state does not attain 1/6"),
-        (density_matrix_batch(products), SPA_THRESHOLD - EXACT_BOUND, SPA_THRESHOLD + EXACT_BOUND, "pure product input does not attain 2/9"),
+        (DensityMatrix(bells), 1.0 / 6.0 - EXACT_BOUND, 1.0 / 6.0 + EXACT_BOUND, "Bell state does not attain 1/6"),
+        (DensityMatrix(products), SPA_THRESHOLD - EXACT_BOUND, SPA_THRESHOLD + EXACT_BOUND, "pure product input does not attain 2/9"),
     ):
-        lam = np.array([v.lambda_min for v in detect_batch(states, "spa_spectrum")])
+        lam = np.array([v.lambda_min for v in detect(states, "spa_spectrum")])
         bad = np.flatnonzero((lam < low) | (lam > high))
         assert not bad.size, f"{failure}: output min eigenvalue {lam[bad[0]]}"
         dev = float(np.max(np.abs(lam - _channel_spectra(states)[:, 0])))

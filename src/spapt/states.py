@@ -6,17 +6,17 @@ arrays are frozen, so instances can be shared freely across workers.  They
 compare and hash by identity, since the arrays they wrap have no single
 truth value.
 
-The validation, the tangle and the linear entropy are each one kernel over
-a matrix or an ``(N, d, d)`` stack: :func:`density_matrix_batch` validates
-a whole stack with one gate, one trace check and one eigensolve, and
-:class:`DensityMatrix`, :func:`tangle` and :func:`linear_entropy` run the
-same code on one matrix.
+A :class:`DensityMatrix` holds one state or an ``(N, d, d)`` stack of
+them, validated by the same code: one gate, one trace check and one
+eigensolve.  :func:`tangle` and :func:`linear_entropy` return one value per
+entry of a stack; the functionals that compare or read one state raise
+``ValidationError`` for a stack.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Sequence
 
 import numpy as np
 
@@ -40,7 +40,6 @@ __all__ = [
     "DensityMatrix",
     "BELL_KINDS",
     "NINE_STATE_PARAMS",
-    "density_matrix_batch",
     "bell_vector",
     "bell",
     "werner_matrix",
@@ -51,22 +50,10 @@ __all__ = [
     "rho_family",
     "fidelity",
     "tangle",
-    "tangle_batch",
     "linear_entropy",
-    "linear_entropy_batch",
     "min_eigenvalue",
     "random_density_matrix",
-    "random_density_matrix_batch",
 ]
-
-
-def prevalidated(cls: type, **fields: Any) -> Any:
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` that a
-    stacked validator has already checked, so ``__post_init__`` is skipped."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,71 +84,71 @@ class PureState:
         return DensityMatrix(self.projector())
 
 
-def _validated_states(mats: np.ndarray) -> tuple[np.ndarray, Spectrum]:
-    """The validation of :class:`DensityMatrix` for one matrix or a stack:
-    one gate, one trace check and one eigensolve.  Returns the read-only
-    matrices and their read-only eigendecompositions."""
-    m = require_hermitian(mats, "state")
-    if m.shape[-1] not in (2, 4):
-        raise ValidationError(f"supported dimensions are 2 and 4, got {m.shape[-1]}")
-    off = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
-    require_each(off <= TRACE_TOL, lambda i: f"trace is not 1: |tr - 1| = {off[i]:.3e}")
-    spectrum = gated_eig(m)
-    lam_min = spectrum.values[..., 0]
-    require_each(lam_min >= -PSD_TOL, lambda i: f"not positive semidefinite: min eigenvalue = {lam_min[i]:.3e}")
-    spectrum.values.setflags(write=False)
-    spectrum.vectors.setflags(write=False)
-    return m, spectrum
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated density matrix of dimension 2 or 4.
+    """Validated density matrix of dimension 2 or 4, or an ``(N, d, d)``
+    stack of them.
 
     Construction rejects anything that has a NaN or inf entry, is not
     Hermitian within 1e-9, unit-trace within 1e-9 or has an eigenvalue
-    below -1e-9, naming the violated invariant in the error message.
-    The eigendecomposition that checks positivity is kept, read-only, as
-    ``spectrum``: it equals ``herm_eig(mat)`` bit for bit.  A state is the
-    single-matrix case of :func:`density_matrix_batch`.
+    below -1e-9, naming the violated invariant in the error message, after
+    "stack entry k: " for entry k of a stack.  A stack passes one gate, one
+    trace check and one eigensolve.  The eigendecomposition that checks
+    positivity is kept, read-only, as ``spectrum``: it equals
+    ``herm_eig(mat)`` bit for bit.  ``len(states)`` and ``states[k]`` give
+    the size of a stack and its entry k, a single state that holds its
+    slice of the stack and of the spectrum and is not validated again.
     """
 
     mat: np.ndarray
     spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if np.ndim(self.mat) != 2:
-            raise ValidationError(f"expected a square matrix, got shape {np.shape(self.mat)}")
-        m, spectrum = _validated_states(self.mat)
+        if np.ndim(self.mat) > 3:
+            raise ValidationError(f"expected a square matrix or an (N, d, d) stack, got shape {np.shape(self.mat)}")
+        m = require_hermitian(self.mat, "state")
+        if m.shape[-1] not in (2, 4):
+            raise ValidationError(f"supported dimensions are 2 and 4, got {m.shape[-1]}")
+        off = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+        require_each(off <= TRACE_TOL, lambda i: f"trace is not 1: |tr - 1| = {off[i]:.3e}")
+        spectrum = gated_eig(m)
+        lam_min = spectrum.values[..., 0]
+        require_each(lam_min >= -PSD_TOL, lambda i: f"not positive semidefinite: min eigenvalue = {lam_min[i]:.3e}")
+        spectrum.values.setflags(write=False)
+        spectrum.vectors.setflags(write=False)
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
+
+    def __len__(self) -> int:
+        if self.mat.ndim == 2:
+            raise TypeError("a single state has no length")
+        return len(self.mat)
+
+    def __getitem__(self, k: int) -> DensityMatrix:
+        if self.mat.ndim == 2:
+            raise TypeError("a single state has no entries")
+        k = operator.index(k)
+        entry = object.__new__(DensityMatrix)
+        object.__setattr__(entry, "mat", self.mat[k])
+        object.__setattr__(entry, "spectrum", Spectrum(self.spectrum.values[k], self.spectrum.vectors[k]))
+        return entry
 
 
-def density_matrix_batch(mats: np.ndarray | Sequence[np.ndarray]) -> tuple[DensityMatrix, ...]:
-    """Validated states from a stack of candidate matrices of one dimension.
-
-    The whole stack passes one gate, one trace check and one eigensolve;
-    each state holds its slice of the stack and of its eigendecomposition,
-    equal bit for bit to ``DensityMatrix(mats[k])``.  A bad entry raises
-    ``ValidationError`` naming its index.
-    """
-    stack = np.asarray(mats, dtype=complex)
-    if stack.ndim != 3:
-        raise ValidationError(f"expected a stack of square matrices, got shape {stack.shape}")
-    m, (values, vectors) = _validated_states(stack)
-    return tuple(prevalidated(DensityMatrix, mat=m[k], spectrum=Spectrum(values[k], vectors[k])) for k in range(len(m)))
+def require_single(what: str, *states: DensityMatrix) -> None:
+    """Raise ``ValidationError`` when one of ``states`` is a stack: ``what``
+    has no meaning entry by entry."""
+    for rho in states:
+        if rho.mat.ndim != 2:
+            raise ValidationError(f"{what} takes a single state, not a stack of {len(rho)}")
 
 
-def stack_two_qubit(states: Sequence[DensityMatrix], requirement: str) -> np.ndarray:
-    """The matrices of two-qubit states as one (N, 4, 4) stack; any other
-    dimension raises ``ValidationError(requirement)``."""
-    if any(rho.dim != 4 for rho in states):
-        raise ValidationError(requirement)
-    return np.array([rho.mat for rho in states], dtype=complex).reshape(-1, 4, 4)
+def _per_entry(values: np.ndarray) -> float | np.ndarray:
+    """A float for a single state, the array of values for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
@@ -210,7 +197,7 @@ def _check_unit_interval(name: str, value: float) -> float:
 
 
 def werner_matrix(p: float) -> np.ndarray:
-    """The raw matrix of :func:`werner`, for :func:`density_matrix_batch`."""
+    """The raw matrix of :func:`werner`, to stack into one :class:`DensityMatrix`."""
     p = _check_unit_interval("p", p)
     return p * np.eye(4, dtype=complex) / 4.0 + (1.0 - p) * bell_vector("psi-").projector()
 
@@ -221,7 +208,7 @@ def werner(p: float) -> DensityMatrix:
 
 
 def mems_matrix(p: float) -> np.ndarray:
-    """The raw matrix of :func:`mems`, for :func:`density_matrix_batch`."""
+    """The raw matrix of :func:`mems`, to stack into one :class:`DensityMatrix`."""
     p = _check_unit_interval("p", p)
     f = p / 2.0 if p >= 2.0 / 3.0 else 1.0 / 3.0
     mat = np.zeros((4, 4), dtype=complex)
@@ -243,7 +230,7 @@ def mems(p: float) -> DensityMatrix:
 
 
 def rho_family_matrix(p: float, alpha: float) -> np.ndarray:
-    """The raw matrix of :func:`rho_family`, for :func:`density_matrix_batch`."""
+    """The raw matrix of :func:`rho_family`, to stack into one :class:`DensityMatrix`."""
     p = _check_unit_interval("p", p)
     alpha = _check_unit_interval("alpha", alpha)
     beta = np.sqrt(1.0 - alpha * alpha)
@@ -263,6 +250,7 @@ def rho_family(p: float, alpha: float) -> DensityMatrix:
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 in [0, 1]."""
+    require_single("fidelity", rho, sigma)
     if rho.dim != sigma.dim:
         raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     s = psd_sqrt_from(rho.spectrum)
@@ -273,8 +261,6 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 _YY = np.kron(PAULI_Y, PAULI_Y)
 _YY.setflags(write=False)
-_TANGLE_DIM = "tangle is defined for two-qubit states"
-_ENTROPY_DIM = "linear entropy is defined for two-qubit states"
 
 
 def _tangles(mats: np.ndarray, spectra: Spectrum) -> np.ndarray:
@@ -286,46 +272,29 @@ def _tangles(mats: np.ndarray, spectra: Spectrum) -> np.ndarray:
     return np.minimum(c * c, 1.0)
 
 
-def tangle_batch(states: Sequence[DensityMatrix]) -> np.ndarray:
-    """Squared concurrence of each two-qubit state of a batch, equal bit for
-    bit to :func:`tangle` of each."""
-    mats = stack_two_qubit(states, _TANGLE_DIM)
-    values = np.array([rho.spectrum.values for rho in states]).reshape(-1, 4)
-    vectors = np.array([rho.spectrum.vectors for rho in states]).reshape(-1, 4, 4)
-    return _tangles(mats, Spectrum(values, vectors))
-
-
-def tangle(rho: DensityMatrix) -> float:
-    """Squared concurrence of a two-qubit state.
+def tangle(rho: DensityMatrix) -> float | np.ndarray:
+    """Squared concurrence of a two-qubit state, or of each state of a stack.
 
     Computed as C = max(0, l1 - l2 - l3 - l4) with l_k the descending
     square roots of the eigenvalues of rho * spin_flip(rho); those equal
     the eigenvalues of the Hermitian sqrt(rho) spin_flip(rho) sqrt(rho).
     """
     if rho.dim != 4:
-        raise ValidationError(_TANGLE_DIM)
-    return float(_tangles(rho.mat, rho.spectrum))
+        raise ValidationError("tangle is defined for two-qubit states")
+    return _per_entry(_tangles(rho.mat, rho.spectrum))
 
 
-def _linear_entropies(mats: np.ndarray) -> np.ndarray:
-    return (4.0 / 3.0) * (1.0 - (mats @ mats).trace(axis1=-2, axis2=-1).real)
-
-
-def linear_entropy_batch(states: Sequence[DensityMatrix]) -> np.ndarray:
-    """Normalized mixedness of each two-qubit state of a batch, equal bit
-    for bit to :func:`linear_entropy` of each."""
-    return _linear_entropies(stack_two_qubit(states, _ENTROPY_DIM))
-
-
-def linear_entropy(rho: DensityMatrix) -> float:
-    """Normalized mixedness (4/3)(1 - tr rho^2), 0 for pure and 1 for I/4."""
+def linear_entropy(rho: DensityMatrix) -> float | np.ndarray:
+    """Normalized mixedness (4/3)(1 - tr rho^2), 0 for pure and 1 for I/4,
+    of a two-qubit state or of each state of a stack."""
     if rho.dim != 4:
-        raise ValidationError(_ENTROPY_DIM)
-    return float(_linear_entropies(rho.mat))
+        raise ValidationError("linear entropy is defined for two-qubit states")
+    return _per_entry((4.0 / 3.0) * (1.0 - (rho.mat @ rho.mat).trace(axis1=-2, axis2=-1).real))
 
 
 def min_eigenvalue(rho: DensityMatrix) -> float:
     """Smallest eigenvalue of the state."""
+    require_single("min_eigenvalue", rho)
     return float(rho.spectrum.values[0])
 
 
@@ -340,16 +309,13 @@ def _random_state_matrix(rng: np.random.Generator, n_components: int) -> np.ndar
     return mat / np.real(np.trace(mat))
 
 
-def random_density_matrix_batch(rng: np.random.Generator, count: int, n_components: int = 4) -> tuple[DensityMatrix, ...]:
-    """``count`` states of :func:`random_density_matrix`, drawn one after
-    the other from ``rng`` and validated as one stack."""
-    return density_matrix_batch(np.array([_random_state_matrix(rng, n_components) for _ in range(count)]).reshape(-1, 4, 4))
-
-
-def random_density_matrix(rng: np.random.Generator, n_components: int = 4) -> DensityMatrix:
-    """Random full-rank two-qubit state.
+def random_density_matrix(rng: np.random.Generator, n_components: int = 4, count: int | None = None) -> DensityMatrix:
+    """Random full-rank two-qubit state, or a stack of ``count`` of them
+    drawn one after the other from ``rng``.
 
     Mixture of ``n_components`` Haar-random pure states with uniform
     simplex (Dirichlet) weights; cheap and spans full-rank states.
     """
-    return DensityMatrix(_random_state_matrix(rng, n_components))
+    if count is None:
+        return DensityMatrix(_random_state_matrix(rng, n_components))
+    return DensityMatrix(np.array([_random_state_matrix(rng, n_components) for _ in range(count)]).reshape(-1, 4, 4))

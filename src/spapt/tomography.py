@@ -8,8 +8,8 @@ built once with ``np.kron``: 40 detection-setting effects, 36 Pauli-setting
 projectors and 16 Pauli products at import, and the joint effects of each
 instrument branch, cached on the branch.  A Born table is one stacked
 product ``tr(rho @ stack)``, equal bit for bit to the per-effect
-``tr(rho @ np.kron(a, b))``.  Born tables and their validation take one
-state or a whole batch at once, through the same code.
+``tr(rho @ np.kron(a, b))``.  Born tables, sampled tables and their
+validation take one state or a stack of them, through the same code.
 
 Randomness is fully reproducible: every measurement setting draws from its
 own substream derived from ``(seed, tag, indices)``, so settings are
@@ -19,7 +19,7 @@ order-independent and results merge deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -31,11 +31,11 @@ from .linalg import (
     ZERO_WEIGHT_TOL,
     NumericError,
     ValidationError,
-    herm_eig,
+    gated_eig,
     require_each,
     require_hermitian,
 )
-from .states import DensityMatrix, PureState, prevalidated, stack_two_qubit
+from .states import DensityMatrix, PureState, require_single
 from .channels import SPA_PT_INSTRUMENT, Branch, tetrahedral_povm, vec
 
 __all__ = [
@@ -43,9 +43,7 @@ __all__ = [
     "ProbabilityTable",
     "tomo_basis",
     "ideal_probabilities",
-    "ideal_probabilities_batch",
     "sample_table",
-    "sample_table_batch",
     "trajectory",
     "trajectory_spa_pt",
     "trajectory_branch_counts",
@@ -62,8 +60,17 @@ _TAG_QR = 1
 _TAG_TRAJ = 2
 _TAG_PAULI = 3
 
+
 def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *map(int, path)])
+
+
+def _integer(value: Any, low: int, high: float, message: str) -> int:
+    """``value`` as an int in [low, high); ``ValidationError(message)`` for
+    anything else, floats and bools included, rather than truncating it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value < high:
+        raise ValidationError(message)
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -75,34 +82,10 @@ class ShotConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if not 1 <= int(self.shots_per_setting) < 2**63:
-            raise ValidationError("shots_per_setting must be a positive integer that fits a signed 64-bit integer")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValidationError("seed must fit an unsigned 64-bit integer")
-        object.__setattr__(self, "shots_per_setting", int(self.shots_per_setting))
-        object.__setattr__(self, "seed", int(self.seed))
-
-
-def _checked_tables(p: np.ndarray, q: np.ndarray, r: np.ndarray, shots: int, lead: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The validation of :class:`ProbabilityTable` for one table, or for a
-    stack of tables of leading shape ``lead`` and one shot count: read-only
-    float copies of ``p``, ``q`` and ``r``, and the shots as an int."""
-    p = np.array(p, dtype=float)
-    q = np.array(q, dtype=float)
-    r = np.array(r, dtype=float)
-    if p.shape != lead + (4, 4) or q.shape != lead + (4,) or r.shape != lead + (4,):
-        raise ValidationError(f"expected p (4,4), q (4,), r (4,), got {p.shape}, {q.shape}, {r.shape}")
-    p_sums, qr_sums = p.sum(axis=-1), q.sum(axis=-1) + r.sum(axis=-1)
-    # one test of the whole stack, failed by NaN and inf too as min and max
-    # propagate them: every entry is at least 0 and every entry and sum at most 1
-    bounded = np.concatenate([p.reshape(lead + (16,)), q, r, p_sums, qr_sums[..., None]], axis=-1)
-    if not (bounded.min(initial=0.0) >= -ROUND_TOL and bounded.max(initial=0.0) <= 1.0 + TRACE_TOL):
-        _name_table_defect(p, q, r, p_sums, qr_sums, lead)
-    if int(shots) < 0:
-        raise ValidationError("shots_per_setting must be nonnegative")
-    for arr in (p, q, r):
-        arr.setflags(write=False)
-    return p, q, r, int(shots)
+        shots = _integer(self.shots_per_setting, 1, 2**63, "shots_per_setting must be a positive integer that fits a signed 64-bit integer")
+        seed = _integer(self.seed, 0, 2**64, "seed must be an integer that fits an unsigned 64-bit integer")
+        object.__setattr__(self, "shots_per_setting", shots)
+        object.__setattr__(self, "seed", seed)
 
 
 def _name_table_defect(p: np.ndarray, q: np.ndarray, r: np.ndarray, p_sums: np.ndarray, qr_sums: np.ndarray, lead: tuple[int, ...]) -> None:
@@ -119,12 +102,14 @@ def _name_table_defect(p: np.ndarray, q: np.ndarray, r: np.ndarray, p_sums: np.n
 
 @dataclass(frozen=True, eq=False)
 class ProbabilityTable:
-    """Measured statistics feeding detection.
+    """Measured statistics feeding detection, of one state or of each state
+    of a stack.
 
     ``p[i, j]`` is the joint probability of projector ``i`` on A and
     tetrahedral effect ``j`` on B; ``q[k]``/``r[k]`` pair effect ``k`` on A
-    with |0><0| / |1><1| on B.  ``shots_per_setting == 0`` marks an
-    ideal (analytic) table.
+    with |0><0| / |1><1| on B.  A stack of N tables holds (N, 4, 4), (N, 4)
+    and (N, 4) arrays and one shot count; a bad table of it is named by its
+    index.  ``shots_per_setting == 0`` marks an ideal (analytic) table.
     """
 
     p: np.ndarray
@@ -133,16 +118,23 @@ class ProbabilityTable:
     shots_per_setting: int = 0
 
     def __post_init__(self) -> None:
-        checked = _checked_tables(self.p, self.q, self.r, self.shots_per_setting)
-        for name, value in zip(("p", "q", "r", "shots_per_setting"), checked):
-            object.__setattr__(self, name, value)
-
-
-def _table_batch(p: np.ndarray, q: np.ndarray, r: np.ndarray, shots: int) -> list[ProbabilityTable]:
-    """Validated tables from (N, 4, 4), (N, 4), (N, 4) stacks sharing one
-    shot count: one stacked check, each table holding its slices."""
-    p, q, r, shots = _checked_tables(p, q, r, shots, p.shape[:1])
-    return [prevalidated(ProbabilityTable, p=p[k], q=q[k], r=r[k], shots_per_setting=shots) for k in range(len(p))]
+        p = np.array(self.p, dtype=float)
+        q = np.array(self.q, dtype=float)
+        r = np.array(self.r, dtype=float)
+        lead = p.shape[:1] if p.ndim == 3 else ()
+        if p.shape != lead + (4, 4) or q.shape != lead + (4,) or r.shape != lead + (4,):
+            raise ValidationError(f"expected p (4,4), q (4,), r (4,), got {p.shape}, {q.shape}, {r.shape}")
+        p_sums, qr_sums = p.sum(axis=-1), q.sum(axis=-1) + r.sum(axis=-1)
+        # one test of the whole stack, failed by NaN and inf too as min and max
+        # propagate them: every entry is at least 0 and every entry and sum at most 1
+        bounded = np.concatenate([p.reshape(lead + (16,)), q, r, p_sums, qr_sums[..., None]], axis=-1)
+        if not (bounded.min(initial=0.0) >= -ROUND_TOL and bounded.max(initial=0.0) <= 1.0 + TRACE_TOL):
+            _name_table_defect(p, q, r, p_sums, qr_sums, lead)
+        shots = _integer(self.shots_per_setting, 0, float("inf"), "shots_per_setting must be a nonnegative integer")
+        for name, arr in (("p", p), ("q", q), ("r", r)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "shots_per_setting", shots)
 
 
 def tomo_basis() -> tuple[PureState, PureState, PureState, PureState]:
@@ -179,12 +171,9 @@ def _born_weights(mats: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.trace(per_state @ stack, axis1=-2, axis2=-1).real
 
 
-_TWO_QUBITS = "a two-qubit state is required"
-
-
 def _require_two_qubits(rho: DensityMatrix) -> None:
     if rho.dim != 4:
-        raise ValidationError(_TWO_QUBITS)
+        raise ValidationError("a two-qubit state is required")
 
 
 def _ideal_tables(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -193,14 +182,9 @@ def _ideal_tables(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return born[..., :4, :4], born[..., 4, :4], born[..., 4, 4:]
 
 
-def ideal_probabilities_batch(states: Sequence[DensityMatrix]) -> list[ProbabilityTable]:
-    """Exact Born-rule tables of a batch of two-qubit states: one stacked
-    product for every state and setting, one stacked validation."""
-    return _table_batch(*_ideal_tables(stack_two_qubit(states, _TWO_QUBITS)), 0)
-
-
 def ideal_probabilities(rho: DensityMatrix) -> ProbabilityTable:
-    """Exact Born-rule table for the detection measurement settings."""
+    """Exact Born-rule table for the detection measurement settings, of one
+    state or stacked for a stack: one product for every state and setting."""
     _require_two_qubits(rho)
     return ProbabilityTable(*_ideal_tables(rho.mat), 0)
 
@@ -210,38 +194,31 @@ def _normalized_probs(values: np.ndarray) -> np.ndarray:
     return pr / pr.sum(axis=-1, keepdims=True)
 
 
-def sample_table_batch(states: Sequence[DensityMatrix], cfg: ShotConfig) -> list[ProbabilityTable]:
-    """Finite-shot tables of a batch of two-qubit states, each equal to its
-    :func:`sample_table`.
-
-    Born weights are one stacked product and the tables one stacked
-    validation; the draws stay one multinomial per state and setting.
-    Every state draws each setting's substream from its start, so each
-    substream is seeded once and rewound to its start state for every
-    later state.
-    """
-    born = _normalized_probs(_born_weights(stack_two_qubit(states, _TWO_QUBITS), _TABLE_SETTINGS))
-    shots = cfg.shots_per_setting
-    streams = [_rng(cfg.seed, _TAG_TABLE, i) for i in range(4)] + [_rng(cfg.seed, _TAG_QR)]
-    starts = [rng.bit_generator.state for rng in streams]
-    counts = np.empty(born.shape, dtype=np.int64)
-    for k in range(len(born)):
-        for i, (rng, start) in enumerate(zip(streams, starts)):
-            if k:
-                rng.bit_generator.state = start
-            counts[k, i] = rng.multinomial(shots, born[k, i])
-    return _table_batch(counts[:, :4, :4] / shots, counts[:, 4, :4] / shots, counts[:, 4, 4:] / shots, shots)
-
-
 def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
-    """Finite-shot table with one multinomial draw per measurement setting.
+    """Finite-shot table with one multinomial draw per measurement setting,
+    of one state or stacked for a stack.
 
     Setting ``i`` draws from the eight outcomes {P_i (x) M_j} and
     {(I - P_i) (x) M_j}; only the first four relative frequencies enter
     ``p``.  The q/r setting draws from {M_k (x) |0><0|, M_k (x) |1><1|},
     a complete POVM, so the sampled q and r sum to exactly 1.
+
+    Every state of a stack draws each setting's substream from its start,
+    so its table equals the one sampled for it alone: each substream is
+    seeded once and rewound to its start state for every later state.
     """
-    return sample_table_batch([rho], cfg)[0]
+    _require_two_qubits(rho)
+    born = _normalized_probs(_born_weights(rho.mat, _TABLE_SETTINGS))
+    shots = cfg.shots_per_setting
+    streams = [_rng(cfg.seed, _TAG_TABLE, i) for i in range(4)] + [_rng(cfg.seed, _TAG_QR)]
+    starts = [rng.bit_generator.state for rng in streams]
+    counts = np.empty(born.shape, dtype=np.int64)
+    for n, k in enumerate(np.ndindex(born.shape[:-2])):
+        for i, (rng, start) in enumerate(zip(streams, starts)):
+            if n:
+                rng.bit_generator.state = start
+            counts[k + (i,)] = rng.multinomial(shots, born[k + (i,)])
+    return ProbabilityTable(counts[..., :4, :4] / shots, counts[..., 4, :4] / shots, counts[..., 4, 4:] / shots, shots)
 
 
 def _trajectory_components(rho: DensityMatrix, instrument: Sequence[Branch]) -> tuple[np.ndarray, np.ndarray]:
@@ -284,6 +261,7 @@ def trajectory(rho: DensityMatrix, instrument: Sequence[Branch], cfg: ShotConfig
     correction to each corrected side.  Converges to the exact channel
     output as the run count grows.
     """
+    require_single("trajectory", rho)
     if not instrument:
         raise ValidationError("the channel has no local instrument to run")
     if instrument[0].dim != rho.dim:
@@ -296,6 +274,7 @@ def trajectory(rho: DensityMatrix, instrument: Sequence[Branch], cfg: ShotConfig
 def trajectory_branch_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[int, int]:
     """How many single-copy runs took the transpose branch vs the
     inversion branch (expected fractions 1/3 and 2/3)."""
+    require_single("trajectory_branch_counts", rho)
     _require_two_qubits(rho)
     counts, _ = _trajectory_counts(rho, SPA_PT_INSTRUMENT, cfg)
     split = len(SPA_PT_INSTRUMENT[0].maps)
@@ -329,7 +308,8 @@ for _ops in (_TABLE_SETTINGS, _PAULI_SETTINGS, _PAULI_PRODUCTS):
 
 
 def pauli_expectations(rho: DensityMatrix) -> np.ndarray:
-    """Exact 4x4 array of <sigma_i (x) sigma_j> (index 0 is the identity)."""
+    """Exact 4x4 array of <sigma_i (x) sigma_j> (index 0 is the identity),
+    or one per state of a stack."""
     _require_two_qubits(rho)
     return _born_weights(rho.mat, _PAULI_PRODUCTS)
 
@@ -341,6 +321,7 @@ def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray
     i, j in {x, y, z}; single-qubit expectations are averaged over the
     three settings that contain the given Pauli, and <I (x) I> is 1.
     """
+    require_single("sample_pauli_expectations", rho)
     _require_two_qubits(rho)
     shots = cfg.shots_per_setting
     born = _born_weights(rho.mat, _PAULI_SETTINGS)
@@ -365,6 +346,7 @@ def qst_linear_inversion(source: DensityMatrix | np.ndarray) -> np.ndarray:
     see :func:`project_to_physical`.
     """
     if isinstance(source, DensityMatrix):
+        require_single("qst_linear_inversion", source)
         expectations = pauli_expectations(source)
     else:
         expectations = np.asarray(source, dtype=float)
@@ -387,10 +369,12 @@ def project_to_physical(raw: np.ndarray) -> DensityMatrix:
     iterating until all are nonnegative.
     """
     a = require_hermitian(raw, "matrix to project", RAW_TOL)
+    if a.ndim != 2:
+        raise ValidationError(f"expected one square matrix to project, got shape {a.shape}")
     trace_dev = abs(complex(np.trace(a)) - 1.0)
     if trace_dev > RAW_TOL:
         raise ValidationError(f"trace too far from 1 to project: |tr - 1| = {trace_dev:.3e}")
-    w, v = herm_eig((a + a.conj().T) / 2.0)
+    w, v = gated_eig(a)
     n = len(w)
     x = w + (1.0 - w.sum()) / n
     for _ in range(n + 1):

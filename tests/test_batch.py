@@ -1,50 +1,57 @@
-"""The batch-of-one numerical core.
+"""One state type for one matrix or a stack.
 
-Every stacked entry point must give, entry by entry, exactly what the
-single-state call gives: the same bits (``==``), not values within a
-tolerance.  fig3
-runs each column as one stacked call, so its rows must equal a loop over
-the single-state API.  A bad entry of a stack must be named by its index,
-while errors for a single matrix keep their wording."""
+Every function given an ``(N, d, d)`` stack of states must give, entry by
+entry, exactly what it gives for each state alone: the same bits (``==``),
+not values within a tolerance.  fig3 runs each column as one call on the
+stack of its states, so its rows must equal a loop over single states.  A
+function without a per-entry meaning must refuse a stack.  A bad entry of
+a stack must be named by its index, while errors for a single matrix keep
+their wording."""
 
 import contextlib
+import inspect
 import io
 import json
 
 import numpy as np
 import pytest
 
+import spapt
+import spapt.io
+from spapt.channels import SPA_PT_INSTRUMENT, apply, ideal_pt, spa_pt
 from spapt.cli import main
-from spapt.detection import FHatOperator, detect, detect_batch, f_hat, lambda_min_d
-from spapt.io import round12
+from spapt.detection import DetectionVerdict, FHatOperator, detect, f_hat, lambda_min_d, witness_expectation
+from spapt.io import round12, save_state, state_payload
 from spapt.linalg import ValidationError, herm_eig, partial_transpose, psd_sqrt, require_hermitian
 from spapt.states import (
     NINE_STATE_PARAMS,
     DensityMatrix,
     PureState,
     bell,
-    density_matrix_batch,
+    bell_vector,
+    fidelity,
     linear_entropy,
-    linear_entropy_batch,
     mems,
     mems_matrix,
+    min_eigenvalue,
     random_density_matrix,
-    random_density_matrix_batch,
     rho_family,
     rho_family_matrix,
     tangle,
-    tangle_batch,
     werner,
     werner_matrix,
 )
 from spapt.tomography import (
     ProbabilityTable,
     ShotConfig,
-    _table_batch,
     ideal_probabilities,
-    ideal_probabilities_batch,
+    pauli_expectations,
+    qst_linear_inversion,
+    sample_pauli_expectations,
     sample_table,
-    sample_table_batch,
+    trajectory,
+    trajectory_branch_counts,
+    trajectory_spa_pt,
 )
 
 GRID = [round(0.05 * k, 10) for k in range(21)]
@@ -56,52 +63,64 @@ FIG3_MATRICES = (
 MATRICES = [random_density_matrix(np.random.default_rng([2025, k]), n_components=1 + k % 4).mat for k in range(200)] + FIG3_MATRICES
 
 
-def _same_table(a, b):
-    return np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q) and np.array_equal(a.r, b.r) and a.shots_per_setting == b.shots_per_setting
+def _same_table(stack, k, one):
+    """Table ``k`` of a stacked table equals the single table ``one`` bit for bit."""
+    return (
+        np.array_equal(stack.p[k], one.p)
+        and np.array_equal(stack.q[k], one.q)
+        and np.array_equal(stack.r[k], one.r)
+        and stack.shots_per_setting == one.shots_per_setting
+    )
 
 
 def test_a_batch_of_n_equals_n_batches_of_one():
-    states = density_matrix_batch(MATRICES)
+    states = DensityMatrix(MATRICES)
     singles = [DensityMatrix(m) for m in MATRICES]
-    for rho, one in zip(states, singles):
+    assert len(states) == len(singles)
+    for k, one in enumerate(singles):
+        rho = states[k]
         assert np.array_equal(rho.mat, one.mat)
         assert np.array_equal(rho.spectrum.values, one.spectrum.values)
         assert np.array_equal(rho.spectrum.vectors, one.spectrum.vectors)
-        assert np.array_equal(rho.spectrum.values, density_matrix_batch([one.mat])[0].spectrum.values)
-    for table, one in zip(ideal_probabilities_batch(states), singles):
-        assert _same_table(table, ideal_probabilities(one))
+        assert np.array_equal(rho.spectrum.values, DensityMatrix([one.mat])[0].spectrum.values)
+    ideal = ideal_probabilities(states)
+    assert all(_same_table(ideal, k, ideal_probabilities(one)) for k, one in enumerate(singles))
     cfg = ShotConfig(shots_per_setting=1000, seed=11)
-    for table, one in zip(sample_table_batch(states, cfg), singles):
-        assert _same_table(table, sample_table(one, cfg))
+    tables = sample_table(states, cfg)
+    assert all(_same_table(tables, k, sample_table(one, cfg)) for k, one in enumerate(singles))
     for method in ("ppt", "spa_spectrum", "f_hat"):
-        assert detect_batch(states, method) == [detect(one, method) for one in singles]
-    tables = sample_table_batch(states, cfg)
-    assert [v.lambda_min for v in detect_batch(tables, "f_hat")] == [lambda_min_d(f_hat(t)) for t in tables]
-    assert tangle_batch(states).tolist() == [tangle(one) for one in singles]
-    assert linear_entropy_batch(states).tolist() == [linear_entropy(one) for one in singles]
+        assert detect(states, method) == [detect(one, method) for one in singles]
+    assert [v.lambda_min for v in detect(tables, "f_hat")] == [lambda_min_d(f_hat(sample_table(one, cfg))) for one in singles]
+    assert tangle(states).tolist() == [tangle(one) for one in singles]
+    assert linear_entropy(states).tolist() == [linear_entropy(one) for one in singles]
 
 
 def test_batch_states_keep_a_read_only_slice_of_the_spectrum():
-    rho = density_matrix_batch(FIG3_MATRICES)[3]
+    rho = DensityMatrix(FIG3_MATRICES)[3]
     assert rho.dim == 4
     for array in (rho.mat, rho.spectrum.values, rho.spectrum.vectors):
         with pytest.raises(ValueError):
             array[0] = 1.0
+    assert [s.mat.tolist() for s in DensityMatrix(FIG3_MATRICES[:3])] == [np.asarray(m).tolist() for m in FIG3_MATRICES[:3]]
+    with pytest.raises(TypeError):
+        len(bell("phi+"))
+    with pytest.raises(TypeError):
+        bell("phi+")[0]
 
 
 def test_random_batch_draws_the_same_states_as_single_calls():
-    batch = random_density_matrix_batch(np.random.default_rng(8), 20, n_components=3)
+    batch = random_density_matrix(np.random.default_rng(8), n_components=3, count=20)
     rng = np.random.default_rng(8)
     for rho in batch:
         assert np.array_equal(rho.mat, random_density_matrix(rng, n_components=3).mat)
 
 
 def test_fig3_samples_each_table_as_sample_table_does():
-    states = density_matrix_batch(FIG3_MATRICES)
+    states = DensityMatrix(FIG3_MATRICES)
     for seed, shots in ((42, 100000), (7, 1000), (2**64 - 1, 1)):
         cfg = ShotConfig(shots_per_setting=shots, seed=seed)
-        for table, rho in zip(sample_table_batch(states, cfg), states):
-            assert _same_table(table, sample_table(rho, cfg))
+        tables = sample_table(states, cfg)
+        assert all(_same_table(tables, k, sample_table(rho, cfg)) for k, rho in enumerate(states))
 
 
 def _fig3_rows(seed, shots):
@@ -139,6 +158,85 @@ def test_fig3_rows_equal_a_loop_over_the_single_state_api(seed, shots):
     assert [{k: v for k, v in row.items() if k != "version"} for row in rows] == expected
 
 
+CFG = ShotConfig(shots_per_setting=1000, seed=4)
+PHI_PLUS = bell_vector("phi+").projector()
+
+#: every public function that takes a DensityMatrix, as (function, call on
+#: the state, whether it has a per-entry meaning); functions without one
+#: must refuse a stack
+STATE_CALLS = [
+    (tangle, tangle, True),
+    (linear_entropy, linear_entropy, True),
+    (fidelity, lambda rho: fidelity(rho, bell("phi+")), False),
+    (fidelity, lambda rho: fidelity(bell("phi+"), rho), False),
+    (min_eigenvalue, min_eigenvalue, False),
+    (ideal_pt, ideal_pt, True),
+    (apply, lambda rho: apply(spa_pt(), rho), True),
+    (ideal_probabilities, ideal_probabilities, True),
+    (sample_table, lambda rho: sample_table(rho, CFG), True),
+    (trajectory, lambda rho: trajectory(rho, SPA_PT_INSTRUMENT, CFG), False),
+    (trajectory_spa_pt, lambda rho: trajectory_spa_pt(rho, CFG), False),
+    (trajectory_branch_counts, lambda rho: trajectory_branch_counts(rho, CFG), False),
+    (pauli_expectations, pauli_expectations, True),
+    (sample_pauli_expectations, lambda rho: sample_pauli_expectations(rho, CFG), False),
+    (qst_linear_inversion, qst_linear_inversion, False),
+    (detect, lambda rho: detect(rho, "ppt"), True),
+    (detect, lambda rho: detect(rho, "spa_spectrum"), True),
+    (detect, lambda rho: detect(rho, "f_hat"), True),
+    (witness_expectation, lambda rho: witness_expectation(rho, PHI_PLUS), False),
+    (state_payload, lambda rho: state_payload(rho, {}), False),
+    (save_state, lambda rho: save_state(rho, {}, None), False),
+]
+
+
+def _entry(result, k):
+    """Entry ``k`` of a per-entry result, in the form :func:`_whole` gives a single result."""
+    if isinstance(result, DensityMatrix):
+        return result[k].mat
+    if isinstance(result, ProbabilityTable):
+        return (result.p[k], result.q[k], result.r[k], result.shots_per_setting)
+    return result[k]
+
+
+def _whole(result):
+    if isinstance(result, DensityMatrix):
+        return result.mat
+    if isinstance(result, ProbabilityTable):
+        return (result.p, result.q, result.r, result.shots_per_setting)
+    return result
+
+
+def _same(a, b):
+    if isinstance(a, tuple):
+        return all(_same(x, y) for x, y in zip(a, b, strict=True))
+    if isinstance(a, DetectionVerdict):
+        return a == b
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("function, call, per_entry", STATE_CALLS, ids=[f"{fn.__name__}-{k}" for k, (fn, *_) in enumerate(STATE_CALLS)])
+def test_each_function_of_a_state_serves_a_stack_entry_by_entry_or_refuses_it(function, call, per_entry):
+    stack = DensityMatrix([bell_vector("psi-").projector(), werner_matrix(0.5), rho_family_matrix(0.12, 0.71)])
+    if not per_entry:
+        with pytest.raises(ValidationError, match="takes a single state, not a stack of 3"):
+            call(stack)
+        return
+    result = call(stack)
+    assert len(result.p if isinstance(result, ProbabilityTable) else result) == 3
+    for k in range(3):
+        assert _same(_entry(result, k), _whole(call(stack[k])))
+
+
+def test_every_function_of_a_state_is_checked_on_a_stack():
+    takes_a_state = set()
+    for module in (spapt, spapt.io):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and any("DensityMatrix" in str(p.annotation) for p in inspect.signature(obj).parameters.values()):
+                takes_a_state.add(obj)
+    assert takes_a_state == {fn for fn, *_ in STATE_CALLS}
+
+
 def _bad_stack(index, entry):
     stack = np.array([np.eye(4, dtype=complex) / 4.0] * 6)
     stack[index] = entry
@@ -160,7 +258,7 @@ NOT_FINITE = np.where(np.eye(4) > 0, np.nan, 0.0).astype(complex)
 )
 def test_a_bad_stack_entry_is_named_by_its_index(index, entry, invariant):
     with pytest.raises(ValidationError, match=rf"^stack entry {index}: .*{invariant}"):
-        density_matrix_batch(_bad_stack(index, entry))
+        DensityMatrix(_bad_stack(index, entry))
 
 
 def test_the_gate_and_the_solve_name_the_bad_entry_of_a_stack():
@@ -179,10 +277,10 @@ def test_a_bad_table_of_a_stack_is_named_by_its_index():
     r = np.array([good.r] * 4)
     q[2, 0] = -0.5
     with pytest.raises(ValidationError, match=r"^stack entry 2: q entries must lie in \[0, 1\]"):
-        _table_batch(p, q, r, 0)
+        ProbabilityTable(p, q, r, 0)
     p[1, 3, 3] = np.inf
     with pytest.raises(ValidationError, match=r"^stack entry 1: p entries must be finite"):
-        _table_batch(p, q, r, 0)
+        ProbabilityTable(p, q, r, 0)
 
 
 def test_single_matrix_errors_keep_their_wording():
@@ -193,8 +291,12 @@ def test_single_matrix_errors_keep_their_wording():
         DensityMatrix(np.eye(4, dtype=complex) / 2.0)
     assert str(err.value) == "trace is not 1: |tr - 1| = 1.000e+00"
     with pytest.raises(ValidationError) as err:
+        DensityMatrix(np.zeros(4))
+    assert str(err.value) == "expected a square matrix, got shape (4,)"
+    # a stack of two zero matrices is a stack now, and its first entry is the bad one
+    with pytest.raises(ValidationError) as err:
         DensityMatrix(np.zeros((2, 4, 4)))
-    assert str(err.value) == "expected a square matrix, got shape (2, 4, 4)"
+    assert str(err.value) == "stack entry 0: trace is not 1: |tr - 1| = 1.000e+00"
     good = ideal_probabilities(bell("phi+"))
     with pytest.raises(ValidationError) as err:
         ProbabilityTable(good.p, good.q, np.array([0.5, 0.5, 0.5, 0.5]), 0)
@@ -216,12 +318,16 @@ def test_value_classes_compare_and_hash_by_identity():
 
 
 def test_detect_batch_accepts_an_empty_batch_and_rejects_mixed_targets():
+    empty = DensityMatrix(np.zeros((0, 4, 4)))
     for method in ("ppt", "spa_spectrum", "f_hat"):
-        assert detect_batch([], method) == []
+        assert detect(empty, method) == []
+    # a list is not a stack: a state and a table cannot share one call
     with pytest.raises(ValidationError, match="f_hat needs"):
-        detect_batch([bell("phi+"), ideal_probabilities(bell("phi+"))], "f_hat")
+        detect([bell("phi+"), ideal_probabilities(bell("phi+"))], "f_hat")
+    with pytest.raises(ValidationError, match="needs a DensityMatrix"):
+        detect([bell("phi+")], "ppt")
     with pytest.raises(ValidationError, match="two-qubit"):
-        detect_batch([bell("phi+"), DensityMatrix(np.eye(2) / 2.0)], "ppt")
+        detect(DensityMatrix([np.eye(2) / 2.0, np.eye(2) / 2.0]), "ppt")
 
 
 def test_stacked_partial_transpose_transposes_each_entry():
@@ -234,7 +340,7 @@ def test_lambda_min_d_solves_the_gated_operator_without_a_second_gate(monkeypatc
     from spapt import linalg
 
     cfg = ShotConfig(shots_per_setting=500, seed=3)
-    operators = [f_hat(table) for table in sample_table_batch(density_matrix_batch(MATRICES), cfg)]
+    operators = [f_hat(sample_table(rho, cfg)) for rho in DensityMatrix(MATRICES)]
     expected = [float(herm_eig(op.mat).values[0]) for op in operators]
     gates = []
     gate = linalg.require_hermitian

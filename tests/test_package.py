@@ -1,9 +1,11 @@
-"""The package surface: every exported name resolves, every demo runs
-against the current API, and importing the package does no CLI work."""
+"""The package surface: every exported name resolves, every demo and the
+README's example run against the current API, and importing the package
+does no CLI work."""
 
 import contextlib
 import io
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -21,6 +23,14 @@ def test_every_exported_name_resolves():
     missing = [name for name in spapt.__all__ if not hasattr(spapt, name)]
     assert not missing
     assert len(set(spapt.__all__)) == len(spapt.__all__)
+
+
+def test_the_readme_python_block_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.finditer(r"^```python\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
+    # padded so that a traceback names the README's own line numbers
+    code = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
+    exec(compile(code, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])

@@ -115,6 +115,21 @@ def test_oversized_shot_count_is_rejected():
         ShotConfig(shots_per_setting=2**63, seed=1)
 
 
+@pytest.mark.parametrize("shots, seed", [(1.5, 3), (100, 3.7), (100.0, 3), (True, 3), (100, False), (np.bool_(True), 3)])
+def test_non_integer_shots_and_seeds_are_rejected_not_truncated(shots, seed):
+    with pytest.raises(ValidationError, match="integer"):
+        ShotConfig(shots_per_setting=shots, seed=seed)
+
+
+def test_probability_table_rejects_a_non_integer_shot_count():
+    good = ideal_probabilities(bell("phi+"))
+    for shots in (2.5, True, -1):
+        with pytest.raises(ValidationError, match="shots_per_setting must be a nonnegative integer"):
+            ProbabilityTable(good.p, good.q, good.r, shots)
+    assert ProbabilityTable(good.p, good.q, good.r, np.int64(7)).shots_per_setting == 7
+    assert ShotConfig(np.int64(5), np.uint64(2**64 - 1)) == ShotConfig(5, 2**64 - 1)
+
+
 @pytest.mark.parametrize("leak", [0.0, 1e-7])
 def test_trajectory_never_draws_zero_weight_outcomes(leak):
     # B is orthogonal (up to a Born weight of leak^2 / 2 <= 1e-14) to effect 0
@@ -277,6 +292,8 @@ def test_project_to_physical_rejects_bad_input():
         project_to_physical(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(ValidationError):
         project_to_physical(np.eye(4, dtype=complex))  # trace 4
+    with pytest.raises(ValidationError, match="one square matrix"):
+        project_to_physical(np.array([np.eye(4, dtype=complex) / 4.0] * 3))
 
 
 def test_probability_table_validation():
