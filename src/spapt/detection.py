@@ -35,6 +35,7 @@ from .linalg import (
     gated_eig,
     partial_transpose,
     require_hermitian,
+    require_integer,
 )
 from .states import DensityMatrix, require_single
 from .channels import SPA_PT_INSTRUMENT
@@ -143,24 +144,66 @@ def lambda_min_d(operator: FHatOperator) -> float:
     return float(_lambda_min(operator.mat))
 
 
+def _tridiagonal(m: np.ndarray) -> tuple[list[float], list[float]]:
+    """The real diagonal and the squared off-diagonal moduli of a
+    tridiagonal matrix unitarily similar to the Hermitian part of the 4x4
+    ``m``.  Reflection k (I - 2 v v^dag / v^dag v, Hermitian and unitary)
+    maps column k below the subdiagonal onto its first entry, whose modulus
+    is the norm of that column; only the modulus enters det(F - kappa I)."""
+    a = (m + dag(m)) / 2.0
+    off_sq = []
+    for k in range(2):
+        x = a[k + 1 :, k]
+        norm_sq = float(np.vdot(x, x).real)
+        off_sq.append(norm_sq)
+        if norm_sq == 0.0:
+            continue
+        v = x.copy()
+        v[0] += (x[0] / abs(x[0]) if x[0] != 0 else 1.0) * norm_sq**0.5
+        h = np.eye(3 - k) - (2.0 / np.vdot(v, v).real) * np.outer(v, v.conj())
+        a[k + 1 :, k + 1 :] = h @ a[k + 1 :, k + 1 :] @ h
+    off_sq.append(float(abs(a[3, 2])) ** 2)
+    return a.diagonal().real.tolist(), off_sq
+
+
 def lambda_min_det_scan(operator: FHatOperator, grid_points: int = 2048) -> float:
     """Minimum root of det(F - kappa I) by sign-change scan plus bisection.
 
-    Cross-check for :func:`lambda_min_d`: for a Hermitian operator the
-    smallest determinant root is the smallest eigenvalue.  Assumes the
-    minimal root is simple (true for generic tables).  The grid is one
-    stacked determinant call, so ``grid_points`` must lie in [2, 2**16];
-    bisection runs until the bracket stops shrinking.
+    Cross-check for :func:`lambda_min_d` that calls no eigensolver: for a
+    Hermitian operator the smallest determinant root is the smallest
+    eigenvalue.  Two Householder reflections turn F into a unitarily
+    similar tridiagonal matrix with real diagonal a_k and off-diagonal
+    moduli |b_k|, which leaves the determinant unchanged, and
+    det(F - kappa I) is the last term of the three-term recurrence
+    p_0 = 1, p_1 = a_1 - kappa, p_k = (a_k - kappa) p_{k-1} - |b_{k-1}|^2 p_{k-2}
+    (Barth, Martin and Wilkinson, Numer. Math. 9, 386, 1967).  The computed
+    recurrence is the exact determinant of a tridiagonal matrix within a few
+    rounding errors of the reduced F, so its sign changes sit within
+    rounding noise of the eigenvalues even at a multiple root, such as the
+    triple root 2/9 of a pure product state, where the coefficients of the
+    characteristic polynomial would miss by 1e-7 to 1e-6.  The scan assumes
+    that the minimal root has odd multiplicity: at a root of even
+    multiplicity the determinant keeps its sign, so the scan returns the
+    next root, or raises ``NumericError`` when no root changes the sign.
+
+    The grid between the Gershgorin bounds is evaluated as arrays of
+    ``grid_points`` floats, so ``grid_points`` must be an integer in
+    [2, 2**16]: at least one cell, and at most 512 KB per array of the
+    recurrence.  The first sign change is bisected on Python floats until
+    the bracket stops shrinking.
     """
-    if not 2 <= grid_points <= 2**16:
-        raise ValidationError(f"grid_points must lie in [2, 65536], got {grid_points}")
+    require_integer(grid_points, 2, 2**16 + 1, f"grid_points must lie in [2, 65536], got {grid_points!r}")
     m = operator.mat
     radii = np.sum(np.abs(m), axis=1) - np.abs(np.diag(m))
     lo = float(np.min(np.real(np.diag(m)) - radii)) - RAW_TOL
     hi = float(np.max(np.real(np.diag(m)) + radii)) + RAW_TOL
+    diag, off_sq = _tridiagonal(m)
 
     def char_det(kappa):
-        return np.real(np.linalg.det(m - np.multiply.outer(kappa, np.eye(4))))
+        p_prev, p = 1.0, diag[0] - kappa
+        for a_k, b_sq in zip(diag[1:], off_sq):
+            p_prev, p = p, (a_k - kappa) * p - b_sq * p_prev
+        return p
 
     xs = np.linspace(lo, hi, grid_points)
     values = char_det(xs)
@@ -168,7 +211,7 @@ def lambda_min_det_scan(operator: FHatOperator, grid_points: int = 2048) -> floa
     if len(crossings) == 0:
         raise NumericError("no determinant sign change found; minimal root may be degenerate")
     a, b = float(xs[crossings[0]]), float(xs[crossings[0] + 1])
-    fa = values[crossings[0]]
+    fa = float(values[crossings[0]])
     while a < (mid := (a + b) / 2.0) < b:
         fm = char_det(mid)
         if fa * fm <= 0:

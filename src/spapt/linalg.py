@@ -14,7 +14,7 @@ gate.  The tolerance table below holds every tolerance the package uses.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -100,8 +100,19 @@ def require_each(ok: np.ndarray, message: Callable[[tuple[int, ...]], str]) -> N
     raise ValidationError(text)
 
 
-def _as_square(m: np.ndarray) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
+def require_integer(value: Any, low: int, high: float, message: str) -> int:
+    """``value`` as an int in [low, high); ``ValidationError(message)`` for
+    anything else, floats and bools included, rather than truncating it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value < high:
+        raise ValidationError(message)
+    return int(value)
+
+
+def _as_square(m: np.ndarray, copy: bool = False) -> np.ndarray:
+    try:
+        a = np.array(m, dtype=complex) if copy else np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"expected a numeric matrix, got an input numpy cannot convert: {exc}") from exc
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -112,7 +123,7 @@ def require_hermitian(m: np.ndarray, what: str = "matrix", tol: float = HERMITIA
     of ``m``, a matrix or a stack of them, or ``ValidationError`` naming
     ``what`` when a matrix is not square, holds NaN or inf, or has an entry
     of ``m - m^dag`` above ``tol``."""
-    a = _as_square(np.array(m, dtype=complex))
+    a = _as_square(m, copy=True)
     require_each(np.isfinite(a).all(axis=(-2, -1)), lambda i: f"{what} entries must be finite: the matrix holds NaN or inf")
     defect = np.abs(a - dag(a)).max(axis=(-2, -1))
     require_each(defect <= tol, lambda i: f"{what} is not Hermitian: max |m - m^dag| = {defect[i]:.3e}")

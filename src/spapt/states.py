@@ -32,6 +32,7 @@ from .linalg import (
     psd_sqrt_from,
     require_each,
     require_hermitian,
+    require_integer,
     sqrt_spectrum,
 )
 
@@ -104,9 +105,9 @@ class DensityMatrix:
     spectrum: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if np.ndim(self.mat) > 3:
-            raise ValidationError(f"expected a square matrix or an (N, d, d) stack, got shape {np.shape(self.mat)}")
         m = require_hermitian(self.mat, "state")
+        if m.ndim > 3:
+            raise ValidationError(f"expected a square matrix or an (N, d, d) stack, got shape {m.shape}")
         if m.shape[-1] not in (2, 4):
             raise ValidationError(f"supported dimensions are 2 and 4, got {m.shape[-1]}")
         off = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
@@ -318,4 +319,5 @@ def random_density_matrix(rng: np.random.Generator, n_components: int = 4, count
     """
     if count is None:
         return DensityMatrix(_random_state_matrix(rng, n_components))
+    count = require_integer(count, 0, float("inf"), f"count must be a nonnegative integer or None, got {count!r}")
     return DensityMatrix(np.array([_random_state_matrix(rng, n_components) for _ in range(count)]).reshape(-1, 4, 4))

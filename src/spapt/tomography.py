@@ -19,7 +19,7 @@ order-independent and results merge deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .linalg import (
     gated_eig,
     require_each,
     require_hermitian,
+    require_integer,
 )
 from .states import DensityMatrix, PureState, require_single
 from .channels import SPA_PT_INSTRUMENT, Branch, tetrahedral_povm, vec
@@ -65,14 +66,6 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), *map(int, path)])
 
 
-def _integer(value: Any, low: int, high: float, message: str) -> int:
-    """``value`` as an int in [low, high); ``ValidationError(message)`` for
-    anything else, floats and bools included, rather than truncating it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not low <= value < high:
-        raise ValidationError(message)
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ShotConfig:
     """Finite-shot sampling configuration; identical (state, config) pairs
@@ -82,8 +75,8 @@ class ShotConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        shots = _integer(self.shots_per_setting, 1, 2**63, "shots_per_setting must be a positive integer that fits a signed 64-bit integer")
-        seed = _integer(self.seed, 0, 2**64, "seed must be an integer that fits an unsigned 64-bit integer")
+        shots = require_integer(self.shots_per_setting, 1, 2**63, "shots_per_setting must be a positive integer that fits a signed 64-bit integer")
+        seed = require_integer(self.seed, 0, 2**64, "seed must be an integer that fits an unsigned 64-bit integer")
         object.__setattr__(self, "shots_per_setting", shots)
         object.__setattr__(self, "seed", seed)
 
@@ -130,7 +123,7 @@ class ProbabilityTable:
         bounded = np.concatenate([p.reshape(lead + (16,)), q, r, p_sums, qr_sums[..., None]], axis=-1)
         if not (bounded.min(initial=0.0) >= -ROUND_TOL and bounded.max(initial=0.0) <= 1.0 + TRACE_TOL):
             _name_table_defect(p, q, r, p_sums, qr_sums, lead)
-        shots = _integer(self.shots_per_setting, 0, float("inf"), "shots_per_setting must be a nonnegative integer")
+        shots = require_integer(self.shots_per_setting, 0, float("inf"), "shots_per_setting must be a nonnegative integer")
         for name, arr in (("p", p), ("q", q), ("r", r)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -115,6 +115,13 @@ def test_random_batch_draws_the_same_states_as_single_calls():
         assert np.array_equal(rho.mat, random_density_matrix(rng, n_components=3).mat)
 
 
+def test_random_batch_count_must_be_a_nonnegative_integer():
+    assert random_density_matrix(np.random.default_rng(8), count=0).mat.shape == (0, 4, 4)
+    for bad in (-1, 2.5, "3", True):
+        with pytest.raises(ValidationError, match="count"):
+            random_density_matrix(np.random.default_rng(8), count=bad)
+
+
 def test_fig3_samples_each_table_as_sample_table_does():
     states = DensityMatrix(FIG3_MATRICES)
     for seed, shots in ((42, 100000), (7, 1000), (2**64 - 1, 1)):

@@ -4,7 +4,7 @@ eigenvalue by two methods, verdicts, and the witness baseline."""
 import numpy as np
 import pytest
 
-from spapt.linalg import ValidationError, herm_eig
+from spapt.linalg import NumericError, ValidationError, herm_eig
 from spapt.states import BELL_KINDS, DensityMatrix, bell, bell_vector, mems, random_density_matrix, werner
 from spapt.channels import apply, spa_pt
 from spapt.tomography import ProbabilityTable, ShotConfig, ideal_probabilities, sample_table
@@ -93,9 +93,50 @@ def test_det_scan_matches_eigensolver_on_dense_states_at_every_shot_budget():
 def test_det_scan_bounds_its_grid():
     op = f_hat(ideal_probabilities(bell("phi+")))
     assert abs(lambda_min_det_scan(op, grid_points=2**16) - lambda_min_d(op)) < 1e-10
-    for bad in (1, 0, -5, 2**16 + 1):
+    for bad in (1, 0, -5, 2**16 + 1, 2048.0, "3", None):
         with pytest.raises(ValidationError, match="grid_points"):
             lambda_min_det_scan(op, grid_points=bad)
+
+
+def _random_product_state(rng):
+    a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+    return DensityMatrix(np.outer(v, v.conj()))
+
+
+def test_det_scan_is_exact_at_the_triple_root_of_product_states():
+    # f_hat of a pure product state has eigenvalue 2/9 three times: the separable boundary
+    rng = np.random.default_rng(58)
+    for _ in range(200):
+        op = f_hat(ideal_probabilities(_random_product_state(rng)))
+        assert abs(lambda_min_det_scan(op) - lambda_min_d(op)) < 1e-14
+
+
+def test_det_scan_raises_without_a_sign_change():
+    # f_hat of I/4 is I/4: a 4-fold root, so the determinant never changes sign
+    op = f_hat(ideal_probabilities(DensityMatrix(np.eye(4, dtype=complex) / 4.0)))
+    with pytest.raises(NumericError, match="no determinant sign change"):
+        lambda_min_det_scan(op)
+
+
+def _counting(name, calls):
+    original = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    return counted
+
+
+def test_det_scan_calls_no_determinant_or_eigensolver(monkeypatch):
+    op = f_hat(sample_table(werner(0.5), ShotConfig(shots_per_setting=10**5, seed=3)))
+    calls = []
+    for name in ("det", "eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name, _counting(name, calls))
+    lambda_min_det_scan(op)
+    assert calls == []
 
 
 def test_detect_singlet_with_spa_spectrum():
@@ -118,12 +159,7 @@ def test_detect_product_state_is_undetected():
 def test_separable_boundary_states_are_undetected_by_every_route():
     # lambda sits on the threshold exactly; rounding noise must not decide the verdict
     rng = np.random.default_rng(57)
-    states = [werner(2.0 / 3.0), mems(0.0)]
-    for _ in range(100):
-        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-        states.append(DensityMatrix(np.outer(v, v.conj())))
+    states = [werner(2.0 / 3.0), mems(0.0)] + [_random_product_state(rng) for _ in range(100)]
     for rho in states:
         for method in ("ppt", "spa_spectrum", "f_hat"):
             assert detect(rho, method).verdict == "undetected"

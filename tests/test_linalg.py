@@ -18,7 +18,7 @@ from spapt.linalg import (
     partial_transpose,
     psd_sqrt,
 )
-from spapt.states import werner
+from spapt.states import DensityMatrix, werner
 from spapt.channels import ChoiMatrix
 from spapt.tomography import project_to_physical
 from spapt.detection import FHatOperator, witness_expectation
@@ -139,6 +139,21 @@ def test_herm_eig_rejects_oversized_input():
 def test_non_finite_input_is_a_validation_error(call):
     with pytest.raises(ValidationError, match="finite"):
         call(np.full((4, 4), np.nan, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: DensityMatrix([np.eye(4) / 4.0, np.eye(2) / 2.0]),
+        lambda: DensityMatrix(np.full((4, 4), "x")),
+        lambda: herm_eig([[1, 2], [3]]),
+        lambda: partial_transpose([[1, 2], [3]]),
+    ],
+    ids=["ragged_state_stack", "string_matrix", "ragged_herm_eig", "ragged_partial_transpose"],
+)
+def test_non_numeric_input_is_a_validation_error(call):
+    with pytest.raises(ValidationError, match="numeric"):
+        call()
 
 
 def test_herm_eig_reconstructs_random_hermitian():
