@@ -50,6 +50,7 @@ from .tomography import (
     sample_table,
     trajectory,
     trajectory_spa_pt,
+    _ideal_and_sampled_tables,
 )
 from .detection import detect
 from .io import load_state, save_state, write_report
@@ -265,13 +266,8 @@ def _cmd_fig3(args: argparse.Namespace, cfg: ShotConfig) -> int:
     sweep += [("werner", p, None, werner_matrix(p)) for p in grid]
     sweep += [("mems", p, None, mems_matrix(p)) for p in grid]
     states = DensityMatrix([mat for *_, mat in sweep])
-    columns = zip(
-        tangle(states),
-        linear_entropy(states),
-        detect(states, "spa_spectrum"),
-        detect(states, "f_hat"),
-        detect(sample_table(states, cfg), "f_hat"),
-    )
+    ideal, sampled = _ideal_and_sampled_tables(states, cfg)
+    columns = zip(tangle(states), linear_entropy(states), detect(states, "spa_spectrum"), detect(ideal, "f_hat"), detect(sampled, "f_hat"))
     rows = [
         {
             "family": family,

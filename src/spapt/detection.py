@@ -21,6 +21,7 @@ stack of them with one stacked eigensolve, through the same kernels.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +30,11 @@ from .linalg import (
     HERMITIAN_TOL,
     RAW_TOL,
     ROUND_TOL,
-    NumericError,
     ValidationError,
     dag,
     gated_eig,
     partial_transpose,
     require_hermitian,
-    require_integer,
 )
 from .states import DensityMatrix, require_single
 from .channels import SPA_PT_INSTRUMENT
@@ -144,81 +143,72 @@ def lambda_min_d(operator: FHatOperator) -> float:
     return float(_lambda_min(operator.mat))
 
 
+def _reflect(x0, x1, x2, b00, b10, b11, b20, b21, b22):
+    """|x|^2 and the lower triangle of H B H, for B the Hermitian 3x3 of lower triangle
+    (b00, b10, b11, b20, b21, b22) and H = I - v v^dag / tau the reflection that maps x onto
+    its first axis: v = x + e^{i arg x0} |x| e_0, tau = v^dag v / 2.  On complex scalars,
+    H B H = B - v w^dag - w v^dag with p = B v / tau and w = p - (v^dag p / 2 tau) v."""
+    s = abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2
+    if s == 0.0:
+        return s, b00, b10, b11, b20, b21, b22
+    r, norm = abs(x0), s**0.5
+    v0 = x0 + (x0 / r * norm if r else norm)
+    inv_tau = 1.0 / (s + r * norm)
+    p0 = inv_tau * (b00 * v0 + b10.conjugate() * x1 + b20.conjugate() * x2)
+    p1 = inv_tau * (b10 * v0 + b11 * x1 + b21.conjugate() * x2)
+    p2 = inv_tau * (b20 * v0 + b21 * x1 + b22 * x2)
+    k = 0.5 * inv_tau * (v0.conjugate() * p0 + x1.conjugate() * p1 + x2.conjugate() * p2).real
+    w0, w1, w2 = p0 - k * v0, p1 - k * x1, p2 - k * x2
+    return (s, b00 - 2.0 * (v0 * w0.conjugate()).real, b10 - x1 * w0.conjugate() - w1 * v0.conjugate(), b11 - 2.0 * (x1 * w1.conjugate()).real,
+            b20 - x2 * w0.conjugate() - w2 * v0.conjugate(), b21 - x2 * w1.conjugate() - w2 * x1.conjugate(), b22 - 2.0 * (x2 * w2.conjugate()).real)
+
+
 def _tridiagonal(m: np.ndarray) -> tuple[list[float], list[float]]:
-    """The real diagonal and the squared off-diagonal moduli of a
-    tridiagonal matrix unitarily similar to the Hermitian part of the 4x4
-    ``m``.  Reflection k (I - 2 v v^dag / v^dag v, Hermitian and unitary)
-    maps column k below the subdiagonal onto its first entry, whose modulus
-    is the norm of that column; only the modulus enters det(F - kappa I)."""
-    a = (m + dag(m)) / 2.0
-    off_sq = []
-    for k in range(2):
-        x = a[k + 1 :, k]
-        norm_sq = float(np.vdot(x, x).real)
-        off_sq.append(norm_sq)
-        if norm_sq == 0.0:
-            continue
-        v = x.copy()
-        v[0] += (x[0] / abs(x[0]) if x[0] != 0 else 1.0) * norm_sq**0.5
-        h = np.eye(3 - k) - (2.0 / np.vdot(v, v).real) * np.outer(v, v.conj())
-        a[k + 1 :, k + 1 :] = h @ a[k + 1 :, k + 1 :] @ h
-    off_sq.append(float(abs(a[3, 2])) ** 2)
-    return a.diagonal().real.tolist(), off_sq
+    """Diagonal a_k and squared off-diagonal moduli |b_k|^2 of a tridiagonal matrix unitarily
+    similar to the Hermitian part of ``m``: two reflections clear columns 0 and 1."""
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = m.tolist()
+    h10, h20, h30, h21, h31, h32 = ((low + up.conjugate()) * 0.5 for low, up in ((m10, m01), (m20, m02), (m30, m03), (m21, m12), (m31, m13), (m32, m23)))
+    s0, b00, b10, b11, b20, b21, b22 = _reflect(h10, h20, h30, m11.real, h21, m22.real, h31, h32, m33.real)
+    s1, c00, c10, c11, *_ = _reflect(b10, b20, 0.0, b11, b21, b22, 0.0, 0.0, 0.0)
+    return [m00.real, b00, c00, c11], [s0, s1, abs(c10) ** 2]
 
 
-def lambda_min_det_scan(operator: FHatOperator, grid_points: int = 2048) -> float:
-    """Minimum root of det(F - kappa I) by sign-change scan plus bisection.
+def lambda_min_det_scan(operator: FHatOperator) -> float:
+    """Minimum eigenvalue by a Sturm count and bisection, with no eigensolver.
 
-    Cross-check for :func:`lambda_min_d` that calls no eigensolver: for a
-    Hermitian operator the smallest determinant root is the smallest
-    eigenvalue.  Two Householder reflections turn F into a unitarily
-    similar tridiagonal matrix with real diagonal a_k and off-diagonal
-    moduli |b_k|, which leaves the determinant unchanged, and
-    det(F - kappa I) is the last term of the three-term recurrence
-    p_0 = 1, p_1 = a_1 - kappa, p_k = (a_k - kappa) p_{k-1} - |b_{k-1}|^2 p_{k-2}
-    (Barth, Martin and Wilkinson, Numer. Math. 9, 386, 1967).  The computed
-    recurrence is the exact determinant of a tridiagonal matrix within a few
-    rounding errors of the reduced F, so its sign changes sit within
-    rounding noise of the eigenvalues even at a multiple root, such as the
-    triple root 2/9 of a pure product state, where the coefficients of the
-    characteristic polynomial would miss by 1e-7 to 1e-6.  The scan assumes
-    that the minimal root has odd multiplicity: at a root of even
-    multiplicity the determinant keeps its sign, so the scan returns the
-    next root, or raises ``NumericError`` when no root changes the sign.
+    Cross-check for :func:`lambda_min_d` (Barth, Martin and Wilkinson,
+    Numer. Math. 9, 386, 1967).  Two Householder reflections on complex
+    scalars turn the Hermitian part of F into a unitarily similar
+    tridiagonal T with real diagonal a_k and off-diagonal moduli |b_k|.  By
+    Sylvester's law of inertia, T has as many eigenvalues below kappa as
+    the LDL^T factorization of T - kappa I has negative pivots
+    q_1 = a_1 - kappa, q_k = (a_k - kappa) - |b_{k-1}|^2 / q_{k-1}.  The count
+    stops at the first pivot <= 0; a zero pivot leaves a leading block of
+    T - kappa I singular and positive semidefinite, so by interlacing T has
+    an eigenvalue <= kappa too.  "Some pivot <= 0" is thus exactly
+    "lambda_min <= kappa" at any multiplicity of lambda_min: a double root,
+    the triple root 2/9 of a pure product state and the 4-fold root of I/4
+    are found like simple ones.
 
-    The grid between the Gershgorin bounds is evaluated as arrays of
-    ``grid_points`` floats, so ``grid_points`` must be an integer in
-    [2, 2**16]: at least one cell, and at most 512 KB per array of the
-    recurrence.  The first sign change is bisected on Python floats until
-    the bracket stops shrinking.
+    The bracket runs from the Gershgorin bound of T minus ``RAW_TOL`` to
+    min a_k + ``RAW_TOL``, since each a_k is a Rayleigh quotient and so at
+    least lambda_min.  Each step moves the upper end to kappa when some
+    pivot is <= 0 and the lower end otherwise.  Bisection stops when the
+    bracket stops shrinking or is narrower than eps times its starting
+    width, so within about 53 steps, and returns the upper end.
     """
-    require_integer(grid_points, 2, 2**16 + 1, f"grid_points must lie in [2, 65536], got {grid_points!r}")
-    m = operator.mat
-    radii = np.sum(np.abs(m), axis=1) - np.abs(np.diag(m))
-    lo = float(np.min(np.real(np.diag(m)) - radii)) - RAW_TOL
-    hi = float(np.max(np.real(np.diag(m)) + radii)) + RAW_TOL
-    diag, off_sq = _tridiagonal(m)
-
-    def char_det(kappa):
-        p_prev, p = 1.0, diag[0] - kappa
-        for a_k, b_sq in zip(diag[1:], off_sq):
-            p_prev, p = p, (a_k - kappa) * p - b_sq * p_prev
-        return p
-
-    xs = np.linspace(lo, hi, grid_points)
-    values = char_det(xs)
-    crossings = np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
-    if len(crossings) == 0:
-        raise NumericError("no determinant sign change found; minimal root may be degenerate")
-    a, b = float(xs[crossings[0]]), float(xs[crossings[0] + 1])
-    fa = float(values[crossings[0]])
-    while a < (mid := (a + b) / 2.0) < b:
-        fm = char_det(mid)
-        if fa * fm <= 0:
-            b = mid
+    (a1, a2, a3, a4), (b1_sq, b2_sq, b3_sq) = _tridiagonal(operator.mat)
+    b1, b2, b3 = b1_sq**0.5, b2_sq**0.5, b3_sq**0.5
+    lo = min(a1 - b1, a2 - b1 - b2, a3 - b2 - b3, a4 - b3) - RAW_TOL
+    hi = min(a1, a2, a3, a4) + RAW_TOL
+    floor = sys.float_info.epsilon * (hi - lo)
+    while hi - lo > floor and lo < (kappa := (lo + hi) / 2.0) < hi:
+        q = a1 - kappa
+        if q > 0.0 and (q := a2 - kappa - b1_sq / q) > 0.0 and (q := a3 - kappa - b2_sq / q) > 0.0 and a4 - kappa - b3_sq / q > 0.0:
+            lo = kappa
         else:
-            a, fa = mid, fm
-    return mid
+            hi = kappa
+    return hi
 
 
 def _verdict(method: str, lam: float, threshold: float, shots: int) -> DetectionVerdict:

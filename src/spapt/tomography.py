@@ -169,22 +169,38 @@ def _require_two_qubits(rho: DensityMatrix) -> None:
         raise ValidationError("a two-qubit state is required")
 
 
-def _ideal_tables(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """p, q and r of the exact Born-rule table of one state matrix, or of each of a stack."""
-    born = np.clip(_born_weights(mats, _TABLE_SETTINGS), 0.0, 1.0)
-    return born[..., :4, :4], born[..., 4, :4], born[..., 4, 4:]
+def _ideal_table(born: np.ndarray) -> ProbabilityTable:
+    """The exact table of the detection-setting Born weights of one state or of a stack."""
+    born = np.clip(born, 0.0, 1.0)
+    return ProbabilityTable(born[..., :4, :4], born[..., 4, :4], born[..., 4, 4:], 0)
 
 
 def ideal_probabilities(rho: DensityMatrix) -> ProbabilityTable:
     """Exact Born-rule table for the detection measurement settings, of one
     state or stacked for a stack: one product for every state and setting."""
     _require_two_qubits(rho)
-    return ProbabilityTable(*_ideal_tables(rho.mat), 0)
+    return _ideal_table(_born_weights(rho.mat, _TABLE_SETTINGS))
 
 
 def _normalized_probs(values: np.ndarray) -> np.ndarray:
     pr = np.clip(values, 0.0, None)
     return pr / pr.sum(axis=-1, keepdims=True)
+
+
+def _sampled_table(born: np.ndarray, cfg: ShotConfig) -> ProbabilityTable:
+    """The finite-shot table of the detection-setting Born weights of one state or of a stack."""
+    born = _normalized_probs(born)
+    shots = cfg.shots_per_setting
+    streams = [_rng(cfg.seed, _TAG_TABLE, i) for i in range(4)] + [_rng(cfg.seed, _TAG_QR)]
+    # only a stack of two or more states rewinds the substreams, to these start states
+    starts = [rng.bit_generator.state for rng in streams] if born.ndim > 2 and len(born) > 1 else []
+    counts = np.empty(born.shape, dtype=np.int64)
+    for n, k in enumerate(np.ndindex(born.shape[:-2])):
+        for i, rng in enumerate(streams):
+            if n:
+                rng.bit_generator.state = starts[i]
+            counts[k + (i,)] = rng.multinomial(shots, born[k + (i,)])
+    return ProbabilityTable(counts[..., :4, :4] / shots, counts[..., 4, :4] / shots, counts[..., 4, 4:] / shots, shots)
 
 
 def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
@@ -201,17 +217,15 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     seeded once and rewound to its start state for every later state.
     """
     _require_two_qubits(rho)
-    born = _normalized_probs(_born_weights(rho.mat, _TABLE_SETTINGS))
-    shots = cfg.shots_per_setting
-    streams = [_rng(cfg.seed, _TAG_TABLE, i) for i in range(4)] + [_rng(cfg.seed, _TAG_QR)]
-    starts = [rng.bit_generator.state for rng in streams]
-    counts = np.empty(born.shape, dtype=np.int64)
-    for n, k in enumerate(np.ndindex(born.shape[:-2])):
-        for i, (rng, start) in enumerate(zip(streams, starts)):
-            if n:
-                rng.bit_generator.state = start
-            counts[k + (i,)] = rng.multinomial(shots, born[k + (i,)])
-    return ProbabilityTable(counts[..., :4, :4] / shots, counts[..., 4, :4] / shots, counts[..., 4, 4:] / shots, shots)
+    return _sampled_table(_born_weights(rho.mat, _TABLE_SETTINGS), cfg)
+
+
+def _ideal_and_sampled_tables(rho: DensityMatrix, cfg: ShotConfig) -> tuple[ProbabilityTable, ProbabilityTable]:
+    """``ideal_probabilities(rho)`` and ``sample_table(rho, cfg)``, bit for
+    bit, from one evaluation of the Born weights."""
+    _require_two_qubits(rho)
+    born = _born_weights(rho.mat, _TABLE_SETTINGS)
+    return _ideal_table(born), _sampled_table(born, cfg)
 
 
 def _trajectory_components(rho: DensityMatrix, instrument: Sequence[Branch]) -> tuple[np.ndarray, np.ndarray]:

@@ -3,20 +3,24 @@ eigenvalue by two methods, verdicts, and the witness baseline."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spapt.linalg import NumericError, ValidationError, herm_eig
+from spapt import detection
+from spapt.linalg import ValidationError, herm_eig, partial_transpose
 from spapt.states import BELL_KINDS, DensityMatrix, bell, bell_vector, mems, random_density_matrix, werner
 from spapt.channels import apply, spa_pt
 from spapt.tomography import ProbabilityTable, ShotConfig, ideal_probabilities, sample_table
 from spapt.detection import (
     PPT_THRESHOLD,
     SPA_THRESHOLD,
+    FHatOperator,
     detect,
     f_hat,
     lambda_min_d,
     lambda_min_det_scan,
     witness_expectation,
 )
+from test_states import haar_unitary
 
 KET00 = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
 
@@ -90,14 +94,6 @@ def test_det_scan_matches_eigensolver_on_dense_states_at_every_shot_budget():
             assert abs(lambda_min_det_scan(op) - lambda_min_d(op)) < 1e-10
 
 
-def test_det_scan_bounds_its_grid():
-    op = f_hat(ideal_probabilities(bell("phi+")))
-    assert abs(lambda_min_det_scan(op, grid_points=2**16) - lambda_min_d(op)) < 1e-10
-    for bad in (1, 0, -5, 2**16 + 1, 2048.0, "3", None):
-        with pytest.raises(ValidationError, match="grid_points"):
-            lambda_min_det_scan(op, grid_points=bad)
-
-
 def _random_product_state(rng):
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -113,11 +109,70 @@ def test_det_scan_is_exact_at_the_triple_root_of_product_states():
         assert abs(lambda_min_det_scan(op) - lambda_min_d(op)) < 1e-14
 
 
-def test_det_scan_raises_without_a_sign_change():
-    # f_hat of I/4 is I/4: a 4-fold root, so the determinant never changes sign
+def test_det_scan_finds_the_4_fold_root_of_the_maximally_mixed_state():
+    # f_hat of I/4 is I/4: det(F - kappa I) keeps its sign at the 4-fold root, the count of eigenvalues below kappa jumps by 4
     op = f_hat(ideal_probabilities(DensityMatrix(np.eye(4, dtype=complex) / 4.0)))
-    with pytest.raises(NumericError, match="no determinant sign change"):
-        lambda_min_det_scan(op)
+    assert abs(lambda_min_det_scan(op) - 0.25) < 1e-14
+
+
+def test_det_scan_finds_the_double_root_below_a_simple_one():
+    # f_hat = diag(0.6, 0.4, 0, 0)/9 + (2/9) I has the double root 2/9 below 0.2444 and 0.2889
+    op = f_hat(ideal_probabilities(DensityMatrix(np.diag([0.6, 0.4, 0.0, 0.0]).astype(complex))))
+    assert abs(lambda_min_det_scan(op) - 2.0 / 9.0) < 1e-14
+
+
+def test_det_scan_agrees_with_eigensolver_at_a_doubled_minimum():
+    # rho = PT(sigma) for sigma with spectrum (0.2, 0.2, 0.28, 0.32) in a Haar basis: PT(rho) = sigma,
+    # and rho is a state since ||PT(sigma - I/4)|| <= ||sigma - I/4||_F = 0.104 < 1/4
+    rng = np.random.default_rng(59)
+    u = haar_unitary(rng, 4)
+    sigma = (u * np.array([0.2, 0.2, 0.28, 0.32])) @ u.conj().T
+    rho = DensityMatrix(partial_transpose((sigma + sigma.conj().T) / 2.0))
+    op = f_hat(ideal_probabilities(rho))
+    assert abs(lambda_min_d(op) - (0.2 + 2.0) / 9.0) < 1e-14
+    assert abs(lambda_min_det_scan(op) - lambda_min_d(op)) < 1e-14
+
+
+@st.composite
+def spectra_with_a_repeated_minimum(draw):
+    """Four eigenvalues whose minimum occurs 1 to 4 times, scaled so that max |lambda| lies in [1e-3, 1e3]."""
+    times = draw(st.integers(1, 4))
+    lowest = draw(st.floats(-1.0, 1.0))
+    gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=4 - times, max_size=4 - times))
+    lam = np.array([lowest] * times + [lowest + gap for gap in gaps])
+    top = float(np.max(np.abs(lam)))
+    return lam / top * draw(st.floats(1e-3, 1e3)) if top > 0.0 else lam
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(spectra_with_a_repeated_minimum(), st.integers(0, 2**32 - 1))
+def test_det_scan_agrees_with_eigensolver_at_every_multiplicity(lam, seed):
+    u = haar_unitary(np.random.default_rng(seed), 4)
+    m = (u * lam) @ u.conj().T
+    op = FHatOperator((m + m.conj().T) / 2.0)
+    assert abs(lambda_min_det_scan(op) - lambda_min_d(op)) <= 1e-13 * float(np.max(np.abs(lam)))
+
+
+def test_det_scan_of_the_zero_operator_stops_within_60_steps(monkeypatch):
+    # each step subtracts kappa from the first diagonal entry once, and the
+    # Gershgorin bound once more; without the floor on the bracket width the
+    # zero operator would be halved about 1,000 times into the subnormals
+    subtractions = []
+
+    class Counted(float):
+        def __sub__(self, other):
+            subtractions.append(other)
+            return float(self) - other
+
+    reduce = detection._tridiagonal
+
+    def counted_reduce(m):
+        diag, off_sq = reduce(m)
+        return [Counted(diag[0])] + diag[1:], off_sq
+
+    monkeypatch.setattr(detection, "_tridiagonal", counted_reduce)
+    assert lambda_min_det_scan(FHatOperator(np.zeros((4, 4)))) == 0.0
+    assert 1 < len(subtractions) <= 61
 
 
 def _counting(name, calls):
@@ -236,8 +291,6 @@ def test_witness_expectations_on_bell_states():
 
 def test_witness_on_maximally_mixed_state():
     q = bell_vector("phi+").projector()
-    from spapt.linalg import partial_transpose
-
     expected = float(np.real(np.trace(partial_transpose(q)))) / 4.0
     value = witness_expectation(DensityMatrix(np.eye(4, dtype=complex) / 4.0), q)
     assert value == pytest.approx(expected, abs=1e-12)

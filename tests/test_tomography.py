@@ -4,6 +4,7 @@ simulation of the channel realization, and linear-inversion tomography."""
 import numpy as np
 import pytest
 
+from spapt import tomography
 from spapt.linalg import PAULIS, ValidationError, herm_eig
 from spapt.states import BELL_KINDS, DensityMatrix, bell, fidelity, random_density_matrix, werner
 from spapt.channels import apply, spa_pt, tetrahedral_povm, tetrahedral_states
@@ -231,6 +232,15 @@ def test_stacked_born_tables_equal_the_per_effect_products_bit_for_bit():
         assert np.array_equal(table.p, np.clip(_per_effect_born(rho, projectors, effects), 0.0, 1.0))
         assert np.array_equal(table.q, qr[:, 0]) and np.array_equal(table.r, qr[:, 1])
         assert np.array_equal(pauli_expectations(rho), _per_effect_born(rho, PAULIS, PAULIS))
+
+
+def test_both_tables_from_one_born_evaluation_equal_the_public_ones_bit_for_bit():
+    states = random_density_matrix(np.random.default_rng(61), count=5)
+    cfg = ShotConfig(shots_per_setting=1000, seed=9)
+    ideal, sampled = tomography._ideal_and_sampled_tables(states, cfg)
+    for got, want in ((ideal, ideal_probabilities(states)), (sampled, sample_table(states, cfg))):
+        assert got.shots_per_setting == want.shots_per_setting
+        assert all(np.array_equal(getattr(got, name), getattr(want, name)) for name in "pqr")
 
 
 def test_sampled_tomography_reaches_high_fidelity():
