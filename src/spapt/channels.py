@@ -279,17 +279,26 @@ class Branch:
         return _read_only(self.weigh(reduce(_tensor, local)[0]))
 
 
+def require_instrument(instrument: Sequence[Branch]) -> tuple[Branch, ...]:
+    """``instrument`` as a tuple of branches that act on subsystems of equal
+    dimensions and whose weights sum to 1; ``ValidationError`` otherwise."""
+    branches = tuple(instrument)
+    if not branches:
+        raise ValidationError("an instrument needs at least one branch")
+    if not all(isinstance(b, Branch) for b in branches):
+        raise ValidationError("an instrument holds Branch entries only")
+    if len({tuple(s.dim for s in b.sides) for b in branches}) != 1:
+        raise ValidationError("all branches must act on subsystems of the same dimensions")
+    if abs(sum(float(b.weight) for b in branches) - 1.0) > ROUND_TOL:
+        raise ValidationError("branch weights must sum to 1")
+    return branches
+
+
 def instrument_channel(instrument: Sequence[Branch]) -> Channel:
     """The exact channel of a local instrument: the sum of its branches'
     superoperators.  The branches must act on subsystems of equal
     dimensions, and their weights must sum to 1."""
-    branches = tuple(instrument)
-    if not branches:
-        raise ValidationError("an instrument needs at least one branch")
-    if len({tuple(s.dim for s in b.sides) for b in branches}) != 1:
-        raise ValidationError("all branches must act on subsystems of the same dimensions")
-    if abs(float(sum(b.weight for b in branches)) - 1.0) > ROUND_TOL:
-        raise ValidationError("branch weights must sum to 1")
+    branches = require_instrument(instrument)
     dim = branches[0].dim
     return Channel(sum(b.superoperator for b in branches), (dim, dim), branches)
 

@@ -12,8 +12,13 @@ product ``tr(rho @ stack)``, equal bit for bit to the per-effect
 validation take one state or a stack of them, through the same code.
 
 Randomness is fully reproducible: every measurement setting draws from its
-own substream derived from ``(seed, tag, indices)``, so settings are
-order-independent and results merge deterministically.
+own substream, ``np.random.default_rng([seed, tag, *indices])``, so settings
+are order-independent and results merge deterministically.  The tags are 0
+for the four joint settings of a table (index i = 0..3), 1 for its q/r
+setting (no index), 2 for trajectories (no index) and 3 for the nine Pauli
+settings (indices i, j = 1..3).  The generator is built from the uint32
+words that ``default_rng`` derives from those integers, so the streams are
+the same and numpy's per-integer conversion is skipped.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .linalg import (
     require_integer,
 )
 from .states import DensityMatrix, PureState, require_single
-from .channels import SPA_PT_INSTRUMENT, Branch, tetrahedral_povm, vec
+from .channels import SPA_PT_INSTRUMENT, Branch, require_instrument, tetrahedral_povm, vec
 
 __all__ = [
     "ShotConfig",
@@ -63,7 +68,10 @@ _TAG_PAULI = 3
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), *map(int, path)])
+    """``np.random.default_rng([seed, *path])``, seeded from the same uint32
+    words: the seed's, lowest first, then one per path index."""
+    words = [seed & 0xFFFFFFFF, *((seed >> 32,) if seed >> 32 else ()), *path]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 @dataclass(frozen=True)
@@ -271,10 +279,12 @@ def trajectory(rho: DensityMatrix, instrument: Sequence[Branch], cfg: ShotConfig
     require_single("trajectory", rho)
     if not instrument:
         raise ValidationError("the channel has no local instrument to run")
-    if instrument[0].dim != rho.dim:
-        raise ValidationError(f"the instrument acts on dim {instrument[0].dim}, the state has dim {rho.dim}")
-    counts, outputs = _trajectory_counts(rho, instrument, cfg)
-    acc = np.tensordot(counts / float(cfg.shots_per_setting), outputs, axes=1)
+    branches = require_instrument(instrument)
+    if branches[0].dim != rho.dim:
+        raise ValidationError(f"the instrument acts on dim {branches[0].dim}, the state has dim {rho.dim}")
+    counts, outputs = _trajectory_counts(rho, branches, cfg)
+    # the one dot of np.tensordot(weights, outputs, axes=1), on its reshaped operands
+    acc = np.dot((counts / float(cfg.shots_per_setting)).reshape(1, -1), outputs.reshape(len(counts), -1)).reshape(rho.dim, rho.dim)
     return DensityMatrix((acc + acc.conj().T) / 2.0)
 
 
@@ -331,10 +341,12 @@ def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray
     require_single("sample_pauli_expectations", rho)
     _require_two_qubits(rho)
     shots = cfg.shots_per_setting
-    born = _born_weights(rho.mat, _PAULI_SETTINGS)
+    probs = _normalized_probs(_born_weights(rho.mat, _PAULI_SETTINGS))
+    counts = np.empty((3, 3, 4), dtype=np.int64)
+    for i, j in np.ndindex(3, 3):
+        counts[i, j] = _rng(cfg.seed, _TAG_PAULI, i + 1, j + 1).multinomial(shots, probs[i, j])
     # freq[i, j, a, b]: setting (i, j), eigenvalue sign a on A and b on B
-    freq = np.array([[_rng(cfg.seed, _TAG_PAULI, i, j).multinomial(shots, _normalized_probs(born[i - 1, j - 1])) for j in (1, 2, 3)] for i in (1, 2, 3)])
-    freq = freq.reshape(3, 3, 2, 2) / shots
+    freq = counts.reshape(3, 3, 2, 2) / shots
     signs = np.array([1.0, -1.0])
     e = np.ones((4, 4))
     e[1:, 1:] = (freq @ signs) @ signs
@@ -363,7 +375,8 @@ def qst_linear_inversion(source: DensityMatrix | np.ndarray) -> np.ndarray:
             raise ValidationError("Pauli expectations must be finite: the array holds NaN or inf")
         if abs(expectations[0, 0] - 1.0) > TRACE_TOL:
             raise ValidationError(f"<I (x) I> is the trace and must be 1, got {expectations[0, 0]:.6g}")
-    return np.tensordot(expectations, _PAULI_PRODUCTS, axes=2) / 4.0
+    # the one dot of np.tensordot(expectations, _PAULI_PRODUCTS, axes=2), on its reshaped operands
+    return np.dot(expectations.reshape(1, 16), _PAULI_PRODUCTS.reshape(16, 16)).reshape(4, 4) / 4.0
 
 
 def project_to_physical(raw: np.ndarray) -> DensityMatrix:

@@ -1,13 +1,20 @@
 """Measurement modeling: ideal tables, finite-shot sampling, trajectory
 simulation of the channel realization, and linear-inversion tomography."""
 
+import hashlib
+import json
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spapt import tomography
+from spapt.cli import CHANNEL_FACTORIES
 from spapt.linalg import PAULIS, ValidationError, herm_eig
-from spapt.states import BELL_KINDS, DensityMatrix, bell, fidelity, random_density_matrix, werner
-from spapt.channels import apply, spa_pt, tetrahedral_povm, tetrahedral_states
+from spapt.states import BELL_KINDS, DensityMatrix, bell, fidelity, mems, random_density_matrix, rho_family, werner
+from spapt.channels import IDENTITY_SIDE, SPA_PT_INSTRUMENT, Branch, apply, instrument_channel, spa_pt, tetrahedral_povm, tetrahedral_states
 from spapt.tomography import (
     ProbabilityTable,
     ShotConfig,
@@ -18,6 +25,7 @@ from spapt.tomography import (
     sample_pauli_expectations,
     sample_table,
     tomo_basis,
+    trajectory,
     trajectory_branch_counts,
     trajectory_spa_pt,
 )
@@ -168,6 +176,103 @@ def test_trajectory_branch_frequencies():
         n1, n2 = trajectory_branch_counts(bell("phi+"), ShotConfig(shots_per_setting=n, seed=seed))
         assert n1 + n2 == n
         assert abs(n1 / n - 1.0 / 3.0) <= 3.0 * sigma
+
+
+_TRANSPOSE_BRANCH, _INVERSION_BRANCH = SPA_PT_INSTRUMENT
+_CFG = ShotConfig(shots_per_setting=1000, seed=1)
+
+
+def test_trajectory_rejects_branch_weights_that_do_not_sum_to_one():
+    thirds = (_TRANSPOSE_BRANCH, Branch(Fraction(1, 3), _INVERSION_BRANCH.sides))
+    for run in (lambda: trajectory(werner(0.6), thirds, _CFG), lambda: instrument_channel(thirds)):
+        with pytest.raises(ValidationError, match="branch weights must sum to 1"):
+            run()
+
+
+def test_trajectory_rejects_branches_on_other_subsystem_dimensions():
+    mixed = (Branch(Fraction(1, 2), _TRANSPOSE_BRANCH.sides), Branch(Fraction(1, 2), (IDENTITY_SIDE,)))
+    for run in (lambda: trajectory(werner(0.6), mixed, _CFG), lambda: instrument_channel(mixed)):
+        with pytest.raises(ValidationError, match="all branches must act on subsystems of the same dimensions"):
+            run()
+
+
+def test_trajectory_rejects_an_entry_that_is_not_a_branch():
+    foreign = (_TRANSPOSE_BRANCH, np.eye(4))
+    for run in (lambda: trajectory(werner(0.6), foreign, _CFG), lambda: instrument_channel(foreign)):
+        with pytest.raises(ValidationError, match="an instrument holds Branch entries only"):
+            run()
+
+
+def test_trajectory_keeps_its_own_instrument_messages():
+    with pytest.raises(ValidationError, match="the channel has no local instrument to run"):
+        trajectory(werner(0.6), (), _CFG)
+    with pytest.raises(ValidationError, match="the instrument acts on dim 2, the state has dim 4"):
+        trajectory(werner(0.6), (Branch(1, (IDENTITY_SIDE,)),), _CFG)
+
+
+#: sha256 prefix of the 9-decimal-rounded trajectory average, as the seed
+#: contract hashes spa_pt's, keyed "channel|state|seed|shots"
+TRAJECTORY_DIGESTS = json.loads((Path(__file__).with_name("trajectory_digests.json")).read_text())
+DIGEST_STATES = {"werner(0.65)": (werner, 0.65), "rho_family(0.25,0.71)": (rho_family, 0.25, 0.71), "mems(0.6)": (mems, 0.6)}
+
+
+def test_trajectory_digests_cover_the_other_six_channels():
+    names = {key.split("|")[0] for key in TRAJECTORY_DIGESTS}
+    assert names == set(CHANNEL_FACTORIES) - {"spa_pt"}
+    assert len(TRAJECTORY_DIGESTS) == 6 * 3 * 2 * 2
+
+
+@pytest.mark.parametrize("key", sorted(TRAJECTORY_DIGESTS))
+def test_trajectory_of_every_channel_matches_its_recorded_digest(key):
+    name, label, seed, shots = key.split("|")
+    build, *args = DIGEST_STATES[label]
+    cfg = ShotConfig(shots_per_setting=int(shots), seed=int(seed))
+    out = trajectory(build(*args), CHANNEL_FACTORIES[name]().instrument, cfg).mat
+    out = np.round(np.stack([out.real, out.imag]), 9) + 0.0
+    assert hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()[:16] == TRAJECTORY_DIGESTS[key]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_substreams_are_default_rng_of_seed_tag_and_indices(seed):
+    for path in ((tomography._TAG_TABLE, 3), (tomography._TAG_QR,), (tomography._TAG_TRAJ,), (tomography._TAG_PAULI, 1, 3)):
+        assert tomography._rng(seed, *path).bit_generator.state == np.random.default_rng([seed, *path]).bit_generator.state
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 3), st.lists(st.integers(0, 2**32 - 1), max_size=3))
+def test_substreams_match_default_rng_for_any_seed_and_path(seed, tag, indices):
+    assert tomography._rng(seed, tag, *indices).bit_generator.state == np.random.default_rng([seed, tag, *indices]).bit_generator.state
+
+
+def test_pauli_expectations_are_the_per_setting_default_rng_draws():
+    # reference: the per-setting loop, each setting normalized on its own and
+    # drawn from default_rng([seed, 3, i, j]) as the README documents
+    rho = random_density_matrix(np.random.default_rng(12))
+    born = tomography._born_weights(rho.mat, tomography._PAULI_SETTINGS)
+    signs = np.array([1.0, -1.0])
+    for seed, shots in ((42, 1000), (2**64 - 1, 10**6)):
+        counts = [[np.random.default_rng([seed, 3, i, j]).multinomial(shots, tomography._normalized_probs(born[i - 1, j - 1])) for j in (1, 2, 3)] for i in (1, 2, 3)]
+        freq = np.array(counts).reshape(3, 3, 2, 2) / shots
+        expected = np.ones((4, 4))
+        expected[1:, 1:] = (freq @ signs) @ signs
+        expected[1:, 0] = (freq.sum(axis=3) @ signs).mean(axis=1)
+        expected[0, 1:] = (freq.sum(axis=2) @ signs).mean(axis=0)
+        assert np.array_equal(sample_pauli_expectations(rho, ShotConfig(shots, seed)), expected)
+
+
+def test_contractions_equal_tensordot_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        e = rng.normal(size=(4, 4))
+        e[0, 0] = 1.0
+        assert np.array_equal(qst_linear_inversion(e), np.tensordot(e, tomography._PAULI_PRODUCTS, axes=2) / 4.0)
+    rho = random_density_matrix(rng)
+    cfg = ShotConfig(shots_per_setting=10**4, seed=8)
+    for factory in CHANNEL_FACTORIES.values():
+        instrument = factory().instrument
+        counts, outputs = tomography._trajectory_counts(rho, instrument, cfg)
+        acc = np.tensordot(counts / float(cfg.shots_per_setting), outputs, axes=1)
+        assert np.array_equal(trajectory(rho, instrument, cfg).mat, DensityMatrix((acc + acc.conj().T) / 2.0).mat)
 
 
 def test_trajectory_is_deterministic():
