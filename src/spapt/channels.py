@@ -9,9 +9,9 @@ per outcome, or only corrected by a unitary drawn uniformly from a set.
 declaration, and the trajectory sampler in :mod:`spapt.tomography` derives
 the single-copy runs from the same one.  :data:`SPA_PT_INSTRUMENT`
 realizes the physical approximation of the two-qubit partial transpose;
-the exact channel, the trajectory sampler and f_hat all read it.  The ideal
-(non-physical) partial transpose is kept as an oracle, and Choi matrices
-certify complete positivity and trace preservation.
+the exact channel, the trajectory sampler and f_hat all read it.  The
+non-physical partial transpose is a channel too, and Choi matrices certify
+complete positivity and trace preservation.
 
 Superoperators act on column-vectorized matrices: ``vec`` stacks columns,
 so the map ``x -> a x b`` has superoperator ``kron(b.T, a)``.
@@ -58,14 +58,12 @@ __all__ = [
     "unvec",
     "instrument_channel",
     "local_channel",
-    "identity_channel",
     "tetrahedral_states",
     "tetrahedral_povm",
     "spa_transpose",
     "spa_inversion",
     "depolarize",
     "spa_pt",
-    "ideal_pt",
     "partial_transpose_channel",
     "replace_channel",
     "apply",
@@ -308,10 +306,6 @@ def local_channel(*sides: Side) -> Channel:
     return instrument_channel((Branch(1, sides),))
 
 
-def identity_channel(dim: int) -> Channel:
-    return local_channel(Side(corrections=(np.eye(dim),)))
-
-
 def tetrahedral_states() -> tuple[PureState, PureState, PureState, PureState]:
     """Four preparation states forming a regular tetrahedron on the Bloch sphere.
 
@@ -388,15 +382,6 @@ def spa_pt() -> Channel:
     return instrument_channel(SPA_PT_INSTRUMENT)
 
 
-def ideal_pt(rho: DensityMatrix) -> np.ndarray:
-    """Exact partial transpose of a two-qubit state, or of each state of a
-    stack, returned as a raw matrix because the result is generally not
-    positive semidefinite."""
-    if rho.dim != 4:
-        raise ValidationError("the partial transpose oracle needs a two-qubit state")
-    return partial_transpose(rho.mat)
-
-
 def partial_transpose_channel() -> Channel:
     """The non-physical map ``identity (x) transpose`` on two qubits, a
     fixed permutation of the vectorized entries: the partial transpose of
@@ -414,8 +399,6 @@ def replace_channel(dim: int) -> Channel:
 def apply(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
     """Apply a physical channel to a state, or to each state of a stack;
     the output is validated."""
-    if channel.dim_in != rho.dim:
-        raise ValidationError(f"channel input dim {channel.dim_in} does not match state dim {rho.dim}")
     out = channel.apply_matrix(rho.mat)
     return DensityMatrix((out + dag(out)) / 2.0)
 
@@ -427,7 +410,6 @@ class ChoiMatrix:
     Trace equals 1 for trace-preserving maps."""
 
     mat: np.ndarray
-    dims: tuple[int, int]  # (dim_in, dim_out)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mat", require_hermitian(self.mat, "Choi matrix"))
@@ -441,7 +423,7 @@ def choi(channel: Channel) -> ChoiMatrix:
     """
     din, dout = channel.dims
     shuffled = channel.mat.reshape(dout, dout, din, din).transpose(1, 3, 0, 2)
-    return ChoiMatrix(shuffled.reshape(dout * din, dout * din) / din, channel.dims)
+    return ChoiMatrix(shuffled.reshape(dout * din, dout * din) / din)
 
 
 def is_cp(channel: Channel) -> bool:

@@ -203,8 +203,6 @@ def _spectrum_row(rho: DensityMatrix) -> dict[str, float]:
 def _cmd_apply(args: argparse.Namespace, cfg: ShotConfig) -> int:
     rho, _ = load_state(args.state)
     channel = CHANNEL_FACTORIES[args.channel]()
-    if channel.dim_in != rho.dim:
-        raise ValidationError(f"channel {args.channel} expects dim {channel.dim_in}, state has dim {rho.dim}")
     exact_out = apply(channel, rho)
     if args.mode == "trajectory":
         out_state = trajectory(rho, channel.instrument, cfg)

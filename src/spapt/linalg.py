@@ -3,9 +3,9 @@
 All operations act on plain ``numpy`` arrays of complex dtype and are pure
 functions: nothing here mutates its inputs, so everything is safe to call
 concurrently.  The gate, the eigensolve, the square root and the partial
-transpose and trace take one matrix or a stack of them along leading axes,
-and a single matrix runs the same code as a stack; a failure in a stack
-names the index of its first offending entry.  Eigensolves are one LAPACK
+transpose take one matrix or a stack of them along leading axes, and a
+single matrix runs the same code as a stack; a failure in a stack names
+the index of its first offending entry.  Eigensolves are one LAPACK
 call (``numpy.linalg.eigh``) behind :func:`require_hermitian`, the
 finite/Hermitian gate that every Hermitian input of the package passes; a
 matrix that has passed it is solved by :func:`gated_eig` without a second
@@ -38,9 +38,7 @@ __all__ = [
     "require_hermitian",
     "herm_eig",
     "sqrt_spectrum",
-    "psd_sqrt",
     "partial_transpose",
-    "partial_trace",
 ]
 
 
@@ -176,18 +174,10 @@ def sqrt_spectrum(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(w > ROUND_TOL, w, 0.0))
 
 
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues in [-1e-9, 1e-12] are taken as zero before the square
-    root; anything below -1e-9 is rejected as genuinely non-PSD.
-    """
-    return psd_sqrt_from(herm_eig(m))
-
-
 def psd_sqrt_from(spectrum: Spectrum) -> np.ndarray:
-    """:func:`psd_sqrt` of the matrix, or of each matrix of the stack, whose
-    eigendecomposition is ``spectrum``."""
+    """Hermitian square root of the PSD matrix, or of each matrix of the
+    stack, whose eigendecomposition is ``spectrum``: eigenvalues in
+    [-1e-9, 1e-12] are taken as zero, anything below -1e-9 is rejected."""
     w, v = spectrum
     lam_min = w[..., 0]
     require_each(lam_min >= -PSD_TOL, lambda i: f"matrix is not PSD: min eigenvalue = {lam_min[i]:.3e}")
@@ -210,16 +200,3 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     lead = a.shape[:-2]
     return a.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(lead + (4, 4))
 
-
-def partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
-    """Reduce a two-qubit operator, or each one of a stack, to the kept
-    subsystem ("A" or "B")."""
-    a = _as_square(m)
-    if a.shape[-1] != 4:
-        raise ValidationError(f"partial trace is defined for dim 4, got {a.shape[-1]}")
-    t = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
-    if keep == "A":
-        return np.einsum("...abcb->...ac", t)
-    if keep == "B":
-        return np.einsum("...abac->...bc", t)
-    raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")

@@ -81,9 +81,6 @@ class PureState:
         """Rank-1 projector |psi><psi| as a raw matrix."""
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
-    def density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(self.projector())
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -147,6 +144,12 @@ def require_single(what: str, *states: DensityMatrix) -> None:
             raise ValidationError(f"{what} takes a single state, not a stack of {len(rho)}")
 
 
+def require_two_qubits(what: str, rho: DensityMatrix) -> None:
+    """Raise ``ValidationError`` unless ``rho`` holds two-qubit states: ``what`` needs dimension 4."""
+    if rho.dim != 4:
+        raise ValidationError(f"{what} needs a two-qubit state, got dim {rho.dim}")
+
+
 def _per_entry(values: np.ndarray) -> float | np.ndarray:
     """A float for a single state, the array of values for a stack."""
     return float(values) if np.ndim(values) == 0 else values
@@ -187,7 +190,7 @@ def bell_vector(kind: str) -> PureState:
 
 def bell(kind: str) -> DensityMatrix:
     """Rank-1 projector onto the named Bell vector."""
-    return bell_vector(kind).density_matrix()
+    return DensityMatrix(bell_vector(kind).projector())
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -280,16 +283,14 @@ def tangle(rho: DensityMatrix) -> float | np.ndarray:
     square roots of the eigenvalues of rho * spin_flip(rho); those equal
     the eigenvalues of the Hermitian sqrt(rho) spin_flip(rho) sqrt(rho).
     """
-    if rho.dim != 4:
-        raise ValidationError("tangle is defined for two-qubit states")
+    require_two_qubits("tangle", rho)
     return _per_entry(_tangles(rho.mat, rho.spectrum))
 
 
 def linear_entropy(rho: DensityMatrix) -> float | np.ndarray:
     """Normalized mixedness (4/3)(1 - tr rho^2), 0 for pure and 1 for I/4,
     of a two-qubit state or of each state of a stack."""
-    if rho.dim != 4:
-        raise ValidationError("linear entropy is defined for two-qubit states")
+    require_two_qubits("linear_entropy", rho)
     return _per_entry((4.0 / 3.0) * (1.0 - (rho.mat @ rho.mat).trace(axis1=-2, axis2=-1).real))
 
 
@@ -317,6 +318,7 @@ def random_density_matrix(rng: np.random.Generator, n_components: int = 4, count
     Mixture of ``n_components`` Haar-random pure states with uniform
     simplex (Dirichlet) weights; cheap and spans full-rank states.
     """
+    n_components = require_integer(n_components, 1, float("inf"), f"n_components must be a positive integer, got {n_components!r}")
     if count is None:
         return DensityMatrix(_random_state_matrix(rng, n_components))
     count = require_integer(count, 0, float("inf"), f"count must be a nonnegative integer or None, got {count!r}")

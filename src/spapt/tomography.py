@@ -41,7 +41,7 @@ from .linalg import (
     require_hermitian,
     require_integer,
 )
-from .states import DensityMatrix, PureState, require_single
+from .states import DensityMatrix, PureState, require_single, require_two_qubits
 from .channels import SPA_PT_INSTRUMENT, Branch, require_instrument, tetrahedral_povm, vec
 
 __all__ = [
@@ -172,11 +172,6 @@ def _born_weights(mats: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.trace(per_state @ stack, axis1=-2, axis2=-1).real
 
 
-def _require_two_qubits(rho: DensityMatrix) -> None:
-    if rho.dim != 4:
-        raise ValidationError("a two-qubit state is required")
-
-
 def _ideal_table(born: np.ndarray) -> ProbabilityTable:
     """The exact table of the detection-setting Born weights of one state or of a stack."""
     born = np.clip(born, 0.0, 1.0)
@@ -186,7 +181,7 @@ def _ideal_table(born: np.ndarray) -> ProbabilityTable:
 def ideal_probabilities(rho: DensityMatrix) -> ProbabilityTable:
     """Exact Born-rule table for the detection measurement settings, of one
     state or stacked for a stack: one product for every state and setting."""
-    _require_two_qubits(rho)
+    require_two_qubits("ideal_probabilities", rho)
     return _ideal_table(_born_weights(rho.mat, _TABLE_SETTINGS))
 
 
@@ -224,14 +219,14 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     so its table equals the one sampled for it alone: each substream is
     seeded once and rewound to its start state for every later state.
     """
-    _require_two_qubits(rho)
+    require_two_qubits("sample_table", rho)
     return _sampled_table(_born_weights(rho.mat, _TABLE_SETTINGS), cfg)
 
 
 def _ideal_and_sampled_tables(rho: DensityMatrix, cfg: ShotConfig) -> tuple[ProbabilityTable, ProbabilityTable]:
     """``ideal_probabilities(rho)`` and ``sample_table(rho, cfg)``, bit for
     bit, from one evaluation of the Born weights."""
-    _require_two_qubits(rho)
+    require_two_qubits("sample_table", rho)
     born = _born_weights(rho.mat, _TABLE_SETTINGS)
     return _ideal_table(born), _sampled_table(born, cfg)
 
@@ -292,7 +287,7 @@ def trajectory_branch_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[int, 
     """How many single-copy runs took the transpose branch vs the
     inversion branch (expected fractions 1/3 and 2/3)."""
     require_single("trajectory_branch_counts", rho)
-    _require_two_qubits(rho)
+    require_two_qubits("trajectory_branch_counts", rho)
     counts, _ = _trajectory_counts(rho, SPA_PT_INSTRUMENT, cfg)
     split = len(SPA_PT_INSTRUMENT[0].maps)
     return int(counts[:split].sum()), int(counts[split:].sum())
@@ -306,7 +301,7 @@ def trajectory_spa_pt(rho: DensityMatrix, cfg: ShotConfig) -> DensityMatrix:
     inversion branch with probability 2/3 (measure A, prepare the
     sigma_y-rotated state there, apply a uniformly random Pauli to B).
     """
-    _require_two_qubits(rho)
+    require_two_qubits("trajectory_spa_pt", rho)
     return trajectory(rho, SPA_PT_INSTRUMENT, cfg)
 
 
@@ -327,7 +322,7 @@ for _ops in (_TABLE_SETTINGS, _PAULI_SETTINGS, _PAULI_PRODUCTS):
 def pauli_expectations(rho: DensityMatrix) -> np.ndarray:
     """Exact 4x4 array of <sigma_i (x) sigma_j> (index 0 is the identity),
     or one per state of a stack."""
-    _require_two_qubits(rho)
+    require_two_qubits("pauli_expectations", rho)
     return _born_weights(rho.mat, _PAULI_PRODUCTS)
 
 
@@ -339,7 +334,7 @@ def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray
     three settings that contain the given Pauli, and <I (x) I> is 1.
     """
     require_single("sample_pauli_expectations", rho)
-    _require_two_qubits(rho)
+    require_two_qubits("sample_pauli_expectations", rho)
     shots = cfg.shots_per_setting
     probs = _normalized_probs(_born_weights(rho.mat, _PAULI_SETTINGS))
     counts = np.empty((3, 3, 4), dtype=np.int64)
@@ -355,26 +350,24 @@ def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray
     return e
 
 
-def qst_linear_inversion(source: DensityMatrix | np.ndarray) -> np.ndarray:
+def qst_linear_inversion(expectations: np.ndarray) -> np.ndarray:
     """Reconstruct a two-qubit operator from Pauli-product expectations.
 
-    ``source`` is either a state (exact expectations are computed, and the
-    reconstruction round-trips the input) or a finite 4x4 real array of
-    sampled expectations whose ``source[0, 0]``, the trace, is 1 within
-    1e-9.  Returns a raw matrix: from noisy data it is generally not PSD,
-    see :func:`project_to_physical`.
+    ``expectations`` is a finite 4x4 real array, exact (from
+    :func:`pauli_expectations`, and the reconstruction round-trips the
+    state) or sampled, whose ``[0, 0]`` entry, the trace, is 1 within 1e-9.
+    Returns a raw matrix: from noisy data it is generally not PSD, see
+    :func:`project_to_physical`.
     """
-    if isinstance(source, DensityMatrix):
-        require_single("qst_linear_inversion", source)
-        expectations = pauli_expectations(source)
-    else:
-        expectations = np.asarray(source, dtype=float)
-        if expectations.shape != (4, 4):
-            raise ValidationError(f"expected all 16 Pauli expectations as a 4x4 array, got shape {expectations.shape}")
-        if not np.isfinite(expectations).all():
-            raise ValidationError("Pauli expectations must be finite: the array holds NaN or inf")
-        if abs(expectations[0, 0] - 1.0) > TRACE_TOL:
-            raise ValidationError(f"<I (x) I> is the trace and must be 1, got {expectations[0, 0]:.6g}")
+    expectations = np.asarray(expectations)
+    if expectations.shape != (4, 4):
+        raise ValidationError(f"expected all 16 Pauli expectations as a 4x4 array, got shape {expectations.shape}")
+    if expectations.dtype.kind not in "iuf":
+        raise ValidationError(f"Pauli expectations must be real numbers, got dtype {expectations.dtype}")
+    if not np.isfinite(expectations).all():
+        raise ValidationError("Pauli expectations must be finite: the array holds NaN or inf")
+    if abs(expectations[0, 0] - 1.0) > TRACE_TOL:
+        raise ValidationError(f"<I (x) I> is the trace and must be 1, got {expectations[0, 0]:.6g}")
     # the one dot of np.tensordot(expectations, _PAULI_PRODUCTS, axes=2), on its reshaped operands
     return np.dot(expectations.reshape(1, 16), _PAULI_PRODUCTS.reshape(16, 16)).reshape(4, 4) / 4.0
 

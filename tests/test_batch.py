@@ -18,11 +18,11 @@ import pytest
 
 import spapt
 import spapt.io
-from spapt.channels import SPA_PT_INSTRUMENT, apply, ideal_pt, spa_pt
+from spapt.channels import SPA_PT_INSTRUMENT, apply, spa_pt
 from spapt.cli import main
 from spapt.detection import DetectionVerdict, FHatOperator, detect, f_hat, lambda_min_d, witness_expectation
 from spapt.io import round12, save_state, state_payload
-from spapt.linalg import ValidationError, herm_eig, partial_transpose, psd_sqrt, require_hermitian
+from spapt.linalg import ValidationError, herm_eig, partial_transpose, psd_sqrt_from, require_hermitian
 from spapt.states import (
     NINE_STATE_PARAMS,
     DensityMatrix,
@@ -46,7 +46,6 @@ from spapt.tomography import (
     ShotConfig,
     ideal_probabilities,
     pauli_expectations,
-    qst_linear_inversion,
     sample_pauli_expectations,
     sample_table,
     trajectory,
@@ -120,6 +119,9 @@ def test_random_batch_count_must_be_a_nonnegative_integer():
     for bad in (-1, 2.5, "3", True):
         with pytest.raises(ValidationError, match="count"):
             random_density_matrix(np.random.default_rng(8), count=bad)
+    for bad in (0, -1, 1.5, "3", True):
+        with pytest.raises(ValidationError, match="n_components must be a positive integer"):
+            random_density_matrix(np.random.default_rng(8), n_components=bad)
 
 
 def test_fig3_samples_each_table_as_sample_table_does():
@@ -169,31 +171,30 @@ CFG = ShotConfig(shots_per_setting=1000, seed=4)
 PHI_PLUS = bell_vector("phi+").projector()
 
 #: every public function that takes a DensityMatrix, as (function, call on
-#: the state, whether it has a per-entry meaning); functions without one
-#: must refuse a stack
+#: the state, whether it has a per-entry meaning, whether it needs two
+#: qubits); functions without a per-entry meaning must refuse a stack
 STATE_CALLS = [
-    (tangle, tangle, True),
-    (linear_entropy, linear_entropy, True),
-    (fidelity, lambda rho: fidelity(rho, bell("phi+")), False),
-    (fidelity, lambda rho: fidelity(bell("phi+"), rho), False),
-    (min_eigenvalue, min_eigenvalue, False),
-    (ideal_pt, ideal_pt, True),
-    (apply, lambda rho: apply(spa_pt(), rho), True),
-    (ideal_probabilities, ideal_probabilities, True),
-    (sample_table, lambda rho: sample_table(rho, CFG), True),
-    (trajectory, lambda rho: trajectory(rho, SPA_PT_INSTRUMENT, CFG), False),
-    (trajectory_spa_pt, lambda rho: trajectory_spa_pt(rho, CFG), False),
-    (trajectory_branch_counts, lambda rho: trajectory_branch_counts(rho, CFG), False),
-    (pauli_expectations, pauli_expectations, True),
-    (sample_pauli_expectations, lambda rho: sample_pauli_expectations(rho, CFG), False),
-    (qst_linear_inversion, qst_linear_inversion, False),
-    (detect, lambda rho: detect(rho, "ppt"), True),
-    (detect, lambda rho: detect(rho, "spa_spectrum"), True),
-    (detect, lambda rho: detect(rho, "f_hat"), True),
-    (witness_expectation, lambda rho: witness_expectation(rho, PHI_PLUS), False),
-    (state_payload, lambda rho: state_payload(rho, {}), False),
-    (save_state, lambda rho: save_state(rho, {}, None), False),
+    (tangle, tangle, True, True),
+    (linear_entropy, linear_entropy, True, True),
+    (fidelity, lambda rho: fidelity(rho, bell("phi+")), False, False),
+    (fidelity, lambda rho: fidelity(bell("phi+"), rho), False, False),
+    (min_eigenvalue, min_eigenvalue, False, False),
+    (apply, lambda rho: apply(spa_pt(), rho), True, False),
+    (ideal_probabilities, ideal_probabilities, True, True),
+    (sample_table, lambda rho: sample_table(rho, CFG), True, True),
+    (trajectory, lambda rho: trajectory(rho, SPA_PT_INSTRUMENT, CFG), False, False),
+    (trajectory_spa_pt, lambda rho: trajectory_spa_pt(rho, CFG), False, True),
+    (trajectory_branch_counts, lambda rho: trajectory_branch_counts(rho, CFG), False, True),
+    (pauli_expectations, pauli_expectations, True, True),
+    (sample_pauli_expectations, lambda rho: sample_pauli_expectations(rho, CFG), False, True),
+    (detect, lambda rho: detect(rho, "ppt"), True, True),
+    (detect, lambda rho: detect(rho, "spa_spectrum"), True, True),
+    (detect, lambda rho: detect(rho, "f_hat"), True, True),
+    (witness_expectation, lambda rho: witness_expectation(rho, PHI_PLUS), False, True),
+    (state_payload, lambda rho: state_payload(rho, {}), False, False),
+    (save_state, lambda rho: save_state(rho, {}, None), False, False),
 ]
+TWO_QUBIT_CALLS = [(fn, call) for fn, call, _, two_qubits in STATE_CALLS if two_qubits]
 
 
 def _entry(result, k):
@@ -221,8 +222,8 @@ def _same(a, b):
     return np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("function, call, per_entry", STATE_CALLS, ids=[f"{fn.__name__}-{k}" for k, (fn, *_) in enumerate(STATE_CALLS)])
-def test_each_function_of_a_state_serves_a_stack_entry_by_entry_or_refuses_it(function, call, per_entry):
+@pytest.mark.parametrize("function, call, per_entry, two_qubits", STATE_CALLS, ids=[f"{fn.__name__}-{k}" for k, (fn, *_) in enumerate(STATE_CALLS)])
+def test_each_function_of_a_state_serves_a_stack_entry_by_entry_or_refuses_it(function, call, per_entry, two_qubits):
     stack = DensityMatrix([bell_vector("psi-").projector(), werner_matrix(0.5), rho_family_matrix(0.12, 0.71)])
     if not per_entry:
         with pytest.raises(ValidationError, match="takes a single state, not a stack of 3"):
@@ -232,6 +233,12 @@ def test_each_function_of_a_state_serves_a_stack_entry_by_entry_or_refuses_it(fu
     assert len(result.p if isinstance(result, ProbabilityTable) else result) == 3
     for k in range(3):
         assert _same(_entry(result, k), _whole(call(stack[k])))
+
+
+@pytest.mark.parametrize("function, call", TWO_QUBIT_CALLS, ids=[f"{fn.__name__}-{k}" for k, (fn, _) in enumerate(TWO_QUBIT_CALLS)])
+def test_each_function_that_needs_two_qubits_refuses_a_qubit_state(function, call):
+    with pytest.raises(ValidationError, match=rf"^{function.__name__} needs a two-qubit state, got dim 2$"):
+        call(DensityMatrix(np.eye(2) / 2.0))
 
 
 def test_every_function_of_a_state_is_checked_on_a_stack():
@@ -274,7 +281,7 @@ def test_the_gate_and_the_solve_name_the_bad_entry_of_a_stack():
     with pytest.raises(ValidationError, match=r"^stack entry \(1, 1\): operator entries must be finite"):
         require_hermitian(_bad_stack(3, NOT_FINITE).reshape(3, 2, 4, 4), "operator")
     with pytest.raises(ValidationError, match=r"^stack entry 2: matrix is not PSD"):
-        psd_sqrt(_bad_stack(2, np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex)))
+        psd_sqrt_from(herm_eig(_bad_stack(2, np.diag([0.5, 0.5, 0.5, -0.5]).astype(complex))))
 
 
 def test_a_bad_table_of_a_stack_is_named_by_its_index():

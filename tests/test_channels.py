@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spapt.cli import CHANNEL_FACTORIES
-from spapt.linalg import PAULI_X, PAULI_Y, PAULI_Z, ValidationError, herm_eig
+from spapt.linalg import PAULI_X, PAULI_Y, PAULI_Z, ValidationError, herm_eig, partial_transpose
 from spapt.states import BELL_KINDS, DensityMatrix, bell, random_density_matrix, werner
 from spapt.channels import (
     IDENTITY_SIDE,
@@ -16,8 +16,6 @@ from spapt.channels import (
     apply,
     choi,
     depolarize,
-    ideal_pt,
-    identity_channel,
     instrument_channel,
     is_cp,
     is_tp,
@@ -150,17 +148,17 @@ def test_ideal_pt_examples():
             v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
             mat += 0.25 * np.outer(v, v.conj())
         rho = DensityMatrix(mat / np.real(np.trace(mat)))
-        assert herm_eig(ideal_pt(rho)).values[0] >= -1e-9
-    assert abs(herm_eig(ideal_pt(bell("psi-"))).values[0] + 0.5) < 1e-12
+        assert herm_eig(partial_transpose(rho.mat)).values[0] >= -1e-9
+    assert abs(herm_eig(partial_transpose(bell("psi-").mat)).values[0] + 0.5) < 1e-12
     for _ in range(10):
         rho = random_density_matrix(rng)
-        assert abs(np.trace(ideal_pt(rho)) - 1.0) < 1e-12
+        assert abs(np.trace(partial_transpose(rho.mat)) - 1.0) < 1e-12
 
 
 def test_apply_identity_channel():
     rng = np.random.default_rng(33)
     rho = random_density_matrix(rng)
-    assert np.max(np.abs(apply(identity_channel(4), rho).mat - rho.mat)) < 1e-12
+    assert np.max(np.abs(apply(CHANNEL_FACTORIES["identity"](), rho).mat - rho.mat)) < 1e-12
 
 
 def test_apply_spa_pt_to_werner_grid():
@@ -175,7 +173,7 @@ def test_spa_pt_spectrum_is_affine_in_pt_spectrum():
     channel = spa_pt()
     for _ in range(50):
         rho = random_density_matrix(rng)
-        spec_pt = herm_eig(ideal_pt(rho)).values
+        spec_pt = herm_eig(partial_transpose(rho.mat)).values
         spec_spa = herm_eig(apply(channel, rho).mat).values
         assert np.max(np.abs(spec_spa - (spec_pt / 9.0 + 2.0 / 9.0))) < 1e-10
 

@@ -200,6 +200,28 @@ def test_nan_state_file_is_a_validation_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("apply", "--channel", "spa_pt", "--mode", "exact"), "operator shape (2, 2) does not match channel input dim 4"),
+        (("apply", "--channel", "identity", "--mode", "trajectory"), "operator shape (2, 2) does not match channel input dim 4"),
+        (("detect", "--method", "ppt"), "detect needs a two-qubit state, got dim 2"),
+        (("detect", "--method", "spa_spectrum"), "detect needs a two-qubit state, got dim 2"),
+        (("detect", "--method", "f_hat_ideal"), "detect needs a two-qubit state, got dim 2"),
+        (("detect", "--method", "f_hat_sampled"), "sample_table needs a two-qubit state, got dim 2"),
+    ],
+    ids=["apply-exact", "apply-trajectory", "ppt", "spa_spectrum", "f_hat_ideal", "f_hat_sampled"],
+)
+def test_a_valid_qubit_state_file_is_a_validation_error(tmp_path, capsys, argv, message):
+    qubit = tmp_path / "qubit.json"
+    qubit.write_text(json.dumps({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0] * 2] * 2, "metadata": {}}))
+    assert load_state(str(qubit))[0].dim == 2
+    assert run_cli(argv[0], "--state", str(qubit), *argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"spapt: validation error: {message}\n"
+
+
 def test_lapack_failure_is_a_numeric_failure(bell_file, capsys, monkeypatch):
     def no_convergence(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -1,12 +1,13 @@
-"""The package surface: every exported name resolves, every demo and the
-README's example run against the current API, and importing the package
-does no CLI work."""
+"""The package surface: every exported name resolves, every demo, the
+README's example and its command lines run against the current API, and
+importing the package does no CLI work."""
 
 import contextlib
 import io
 import os
 import re
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import spapt
+from spapt.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -31,6 +33,18 @@ def test_the_readme_python_block_runs():
     # padded so that a traceback names the README's own line numbers
     code = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_the_readme_command_lines_run(tmp_path, monkeypatch):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.finditer(r"^## Command line\n\n```sh\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
+    lines = [shlex.split(line, comments=True) for line in block.group(1).splitlines() if line.strip()]
+    assert lines and all(argv[0] == "spapt" for argv in lines)
+    # in order, in one directory: later lines read the state files that earlier ones write
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv[1:]) == 0, shlex.join(argv)
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])

@@ -17,7 +17,7 @@ import pytest
 from spapt.channels import apply, spa_pt
 from spapt.cli import main
 from spapt.detection import detect
-from spapt.linalg import PAULI_Y, herm_eig, partial_transpose, psd_sqrt, sqrt_spectrum
+from spapt.linalg import PAULI_Y, herm_eig, partial_transpose, psd_sqrt_from, sqrt_spectrum
 from spapt.states import (
     BELL_KINDS,
     NINE_STATE_PARAMS,
@@ -47,7 +47,7 @@ STATES = _states()
 
 
 def tangle_via_psd_sqrt(mat):
-    s = psd_sqrt(mat)
+    s = psd_sqrt_from(herm_eig(mat))
     yy = np.kron(PAULI_Y, PAULI_Y)
     lam = sqrt_spectrum(herm_eig(s @ (yy @ mat.conj() @ yy) @ s).values)[::-1]
     c = max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
@@ -55,7 +55,7 @@ def tangle_via_psd_sqrt(mat):
 
 
 def fidelity_via_psd_sqrt(mat, other):
-    s = psd_sqrt(mat)
+    s = psd_sqrt_from(herm_eig(mat))
     val = float(np.sum(sqrt_spectrum(herm_eig(s @ other @ s).values)) ** 2)
     return min(max(val, 0.0), 1.0)
 

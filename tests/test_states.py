@@ -6,7 +6,7 @@ eigensolver acts as the independent oracle for the tangle."""
 import numpy as np
 import pytest
 
-from spapt.linalg import ValidationError, herm_eig, partial_trace, partial_transpose
+from spapt.linalg import ValidationError, herm_eig, partial_transpose
 from spapt.states import (
     BELL_KINDS,
     NINE_STATE_PARAMS,
@@ -23,6 +23,7 @@ from spapt.states import (
     tangle,
     werner,
 )
+from test_linalg import partial_trace
 
 
 def wootters_tangle_oracle(mat):
@@ -148,7 +149,7 @@ def test_fidelity_pure_state_overlap():
         b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
-        fid = fidelity(PureState(a).density_matrix(), PureState(b).density_matrix())
+        fid = fidelity(DensityMatrix(PureState(a).projector()), DensityMatrix(PureState(b).projector()))
         # sqrt of clipped near-zero eigenvalues limits accuracy to ~sqrt(eps)
         assert abs(fid - abs(np.vdot(a, b)) ** 2) < 1e-7
 

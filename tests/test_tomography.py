@@ -295,13 +295,21 @@ def test_linear_inversion_round_trips_exact_expectations():
     rng = np.random.default_rng(42)
     states = [bell("psi+"), werner(0.3)] + [random_density_matrix(rng) for _ in range(5)]
     for rho in states:
-        assert np.max(np.abs(qst_linear_inversion(rho) - rho.mat)) < 1e-10
         assert np.max(np.abs(qst_linear_inversion(pauli_expectations(rho)) - rho.mat)) < 1e-10
 
 
 def test_linear_inversion_rejects_incomplete_expectations():
-    with pytest.raises(ValidationError):
-        qst_linear_inversion(np.ones((3, 3)))
+    # a state converts to an array of shape ()
+    for bad in (np.ones((3, 3)), "abc", [[1, "a"]], werner(0.3)):
+        with pytest.raises(ValidationError, match="4x4 array"):
+            qst_linear_inversion(bad)
+
+
+def test_linear_inversion_rejects_expectations_that_are_not_real_numbers():
+    e = pauli_expectations(werner(0.3))
+    for bad in (e + 0j, e.astype(str), e.astype(object), e > 0):
+        with pytest.raises(ValidationError, match="real numbers"):
+            qst_linear_inversion(bad)
 
 
 def test_linear_inversion_rejects_non_finite_expectations():
