@@ -20,7 +20,7 @@ so the map ``x -> a x b`` has superoperator ``kron(b.T, a)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Sequence
@@ -41,6 +41,7 @@ from .linalg import (
     herm_eig,
     partial_transpose,
     require_hermitian,
+    require_integer,
 )
 from .states import DensityMatrix, PureState
 
@@ -73,13 +74,15 @@ __all__ = [
 ]
 
 def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(m, dtype=complex).reshape(-1, order="F")
+    """Column-stacking vectorization of a matrix, or of each matrix of a stack."""
+    a = np.asarray(m, dtype=complex)
+    return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (-1,))
 
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(v, dtype=complex).reshape(dim, dim, order="F")
+    """Inverse of :func:`vec`, for one vector or a stack of them."""
+    a = np.asarray(v, dtype=complex)
+    return a.reshape(a.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -89,35 +92,29 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Channel:
-    """A linear map on operators: its superoperator ``mat`` of shape
-    (dim_out^2, dim_in^2), plus the local instrument it was derived from,
-    if any.  No CP/TP condition is enforced, so the raw partial transpose is
-    a channel too.  Channels are immutable and application is pure, so
-    instances may be shared across concurrent workers.
-    """
+    """A linear map on the operators of one system, held as its (dim^2,
+    dim^2) superoperator ``mat``, plus the local instrument it was derived
+    from, if any.  No CP/TP condition is enforced, so the raw partial
+    transpose is a channel too.  Channels are immutable and application is
+    pure, so instances may be shared across concurrent workers."""
 
     mat: np.ndarray
-    dims: tuple[int, int]  # (dim_in, dim_out)
-    instrument: tuple[Branch, ...] = ()
+    instrument: tuple[Branch, ...] = field(default=(), kw_only=True)
 
     def __post_init__(self) -> None:
         m = np.array(self.mat, dtype=complex)
-        din, dout = self.dims
-        if m.shape != (dout * dout, din * din):
-            raise ValidationError(f"superoperator shape {m.shape} does not match dims {self.dims}")
+        dim = math.isqrt(len(m)) if m.ndim == 2 else 0
+        if not dim or m.shape != (dim * dim, dim * dim):
+            raise ValidationError(f"a superoperator is a (dim^2, dim^2) matrix, got shape {m.shape}")
         object.__setattr__(self, "mat", _read_only(m))
         object.__setattr__(self, "instrument", tuple(self.instrument))
 
     @property
-    def dim_in(self) -> int:
-        return self.dims[0]
-
-    @property
-    def dim_out(self) -> int:
-        return self.dims[1]
+    def dim(self) -> int:
+        return math.isqrt(len(self.mat))
 
     def superoperator(self) -> np.ndarray:
-        """Matrix of size (dim_out^2, dim_in^2) acting on vectorized operators."""
+        """Matrix of size (dim^2, dim^2) acting on vectorized operators."""
         return self.mat
 
     def apply_matrix(self, operator: np.ndarray) -> np.ndarray:
@@ -125,11 +122,10 @@ class Channel:
         physicality validation).  Each matrix is one matrix-vector product
         with the superoperator."""
         a = np.asarray(operator, dtype=complex)
-        if a.shape[-2:] != (self.dim_in, self.dim_in):
-            raise ValidationError(f"operator shape {a.shape} does not match channel input dim {self.dim_in}")
-        lead = a.shape[:-2]
-        columns = a.swapaxes(-1, -2).reshape(lead + (self.dim_in**2, 1))  # vec of each matrix, as a column
-        return (self.mat @ columns).reshape(lead + (self.dim_out, self.dim_out)).swapaxes(-1, -2)
+        dim = self.dim
+        if a.shape[-2:] != (dim, dim):
+            raise ValidationError(f"operator shape {a.shape} does not match channel input dim {dim}")
+        return unvec((self.mat @ vec(a)[..., None])[..., 0], dim)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -293,12 +289,10 @@ def require_instrument(instrument: Sequence[Branch]) -> tuple[Branch, ...]:
 
 
 def instrument_channel(instrument: Sequence[Branch]) -> Channel:
-    """The exact channel of a local instrument: the sum of its branches'
-    superoperators.  The branches must act on subsystems of equal
-    dimensions, and their weights must sum to 1."""
+    """The exact channel of a local instrument, the sum of its branches'
+    superoperators; the instrument must pass :func:`require_instrument`."""
     branches = require_instrument(instrument)
-    dim = branches[0].dim
-    return Channel(sum(b.superoperator for b in branches), (dim, dim), branches)
+    return Channel(sum(b.superoperator for b in branches), instrument=branches)
 
 
 def local_channel(*sides: Side) -> Channel:
@@ -325,10 +319,7 @@ def tetrahedral_states() -> tuple[PureState, PureState, PureState, PureState]:
 def tetrahedral_povm() -> tuple[np.ndarray, ...]:
     """The four effects |v_k*><v_k*| / 2 of the conjugated tetrahedral states,
     a complete POVM on one qubit."""
-    effects = tuple(np.outer(v.amplitudes.conj(), v.amplitudes) / 2.0 for v in tetrahedral_states())
-    for effect in effects:
-        effect.setflags(write=False)
-    return effects
+    return tuple(_read_only(np.outer(v.amplitudes.conj(), v.amplitudes) / 2.0) for v in tetrahedral_states())
 
 
 #: The four local steps the channels of the package are built from: leave
@@ -387,13 +378,15 @@ def partial_transpose_channel() -> Channel:
     fixed permutation of the vectorized entries: the partial transpose of
     the matrix of vec positions says where each output entry comes from."""
     source = vec(partial_transpose(unvec(np.arange(16), 4))).real.astype(int)
-    return Channel(np.eye(16)[source], (4, 4))
+    return Channel(np.eye(16)[source])
 
 
 def replace_channel(dim: int) -> Channel:
-    """The map ``rho -> tr(rho) I/dim``, of rank one: vec(I/dim) vec(I)^T."""
+    """The map ``rho -> tr(rho) I/dim``, of rank one: vec(I/dim) vec(I)^T,
+    for an integer ``dim`` in [1, 4], the dims whose Choi matrix is_cp solves."""
+    dim = require_integer(dim, 1, 5, f"replace_channel takes an integer dim in [1, 4], got {dim!r}")
     eye = np.eye(dim)
-    return Channel(np.outer(vec(eye / dim), vec(eye)), (dim, dim))
+    return Channel(np.outer(vec(eye / dim), vec(eye)))
 
 
 def apply(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
@@ -418,12 +411,12 @@ class ChoiMatrix:
 def choi(channel: Channel) -> ChoiMatrix:
     """Choi matrix (Lambda (x) id)[|Omega><Omega|] with |Omega> normalized.
 
-    Entry [(i, k), (j, l)] is Lambda(|k><l|)[i, j] / dim_in, a reshuffle
-    of the superoperator.
+    Entry [(i, k), (j, l)] is Lambda(|k><l|)[i, j] / dim, a reshuffle of
+    the superoperator.
     """
-    din, dout = channel.dims
-    shuffled = channel.mat.reshape(dout, dout, din, din).transpose(1, 3, 0, 2)
-    return ChoiMatrix(shuffled.reshape(dout * din, dout * din) / din)
+    d = channel.dim
+    shuffled = channel.mat.reshape(d, d, d, d).transpose(1, 3, 0, 2)
+    return ChoiMatrix(shuffled.reshape(d * d, d * d) / d)
 
 
 def is_cp(channel: Channel) -> bool:
@@ -436,6 +429,5 @@ def is_cp(channel: Channel) -> bool:
 def is_tp(channel: Channel) -> bool:
     """Trace preservation: vec(I)^T S equals vec(I)^T within 1e-9, i.e. the
     unnormalized Choi matrix traced over the output is the identity."""
-    din, dout = channel.dims
-    row = vec(np.eye(dout)) @ channel.mat
-    return bool(float(np.max(np.abs(row - vec(np.eye(din))))) <= TRACE_TOL)
+    identity = vec(np.eye(channel.dim))
+    return bool(float(np.max(np.abs(identity @ channel.mat - identity))) <= TRACE_TOL)

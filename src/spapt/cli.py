@@ -119,8 +119,8 @@ DETECTORS = {
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shots", type=int, default=100000, help="shots per measurement setting (default 100000)")
-    parser.add_argument("--seed", type=int, default=42, help="root RNG seed (default 42)")
+    parser.add_argument("--shots", type=int, default=ShotConfig.shots_per_setting, help=f"shots per measurement setting (default {ShotConfig.shots_per_setting})")
+    parser.add_argument("--seed", type=int, default=ShotConfig.seed, help=f"root RNG seed (default {ShotConfig.seed})")
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format", help="report encoding")
     parser.add_argument("--out", default=None, help="report path (default: stdout)")
 
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig3.set_defaults(handler=_cmd_fig3)
 
     selftest = sub.add_parser("selftest", help="run the invariant suites end to end")
-    selftest.add_argument("--seed", type=int, default=42)
+    selftest.add_argument("--seed", type=int, default=ShotConfig.seed)
     # selftest has no --shots; the default completes the ShotConfig that checks its seed
     selftest.set_defaults(handler=_cmd_selftest, shots=ShotConfig.shots_per_setting)
     return parser

@@ -106,11 +106,17 @@ def require_integer(value: Any, low: int, high: float, message: str) -> int:
     return int(value)
 
 
-def _as_square(m: np.ndarray, copy: bool = False) -> np.ndarray:
+def as_numeric(m: Any, dtype: Any, what: str, copy: bool = True) -> np.ndarray:
+    """``m`` as an array of ``dtype`` (None: numpy's choice), a copy unless ``copy``
+    is False; ``ValidationError`` naming ``what`` for a ragged or non-numeric input."""
     try:
-        a = np.array(m, dtype=complex) if copy else np.asarray(m, dtype=complex)
+        return np.array(m, dtype=dtype) if copy else np.asarray(m, dtype=dtype)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"expected a numeric matrix, got an input numpy cannot convert: {exc}") from exc
+        raise ValidationError(f"expected a numeric {what}, got an input numpy cannot convert: {exc}") from exc
+
+
+def _as_square(m: np.ndarray, copy: bool = False) -> np.ndarray:
+    a = as_numeric(m, complex, "matrix", copy)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     return a

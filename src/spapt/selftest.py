@@ -198,7 +198,7 @@ SUITES: tuple[tuple[str, Callable[[int], None]], ...] = (
 )
 
 
-def run_all(seed: int = 42) -> bool:
+def run_all(seed: int = ShotConfig.seed) -> bool:
     """Run every suite; print one line each plus a summary, return overall pass."""
     failures = 0
     total_start = time.perf_counter()

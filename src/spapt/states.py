@@ -27,6 +27,7 @@ from .linalg import (
     TRACE_TOL,
     Spectrum,
     ValidationError,
+    as_numeric,
     gated_eig,
     herm_eig,
     psd_sqrt_from,
@@ -64,11 +65,11 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amp = np.array(self.amplitudes, dtype=complex)
+        amp = as_numeric(self.amplitudes, complex, "state vector")
         if amp.ndim != 1 or amp.shape[0] not in (2, 4):
             raise ValidationError(f"expected a vector of length 2 or 4, got shape {amp.shape}")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > ROUND_TOL:
+        if not abs(norm - 1.0) <= ROUND_TOL:  # NaN amplitudes fail too
             raise ValidationError(f"state vector is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)

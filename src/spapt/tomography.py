@@ -36,13 +36,14 @@ from .linalg import (
     ZERO_WEIGHT_TOL,
     NumericError,
     ValidationError,
+    as_numeric,
     gated_eig,
     require_each,
     require_hermitian,
     require_integer,
 )
 from .states import DensityMatrix, PureState, require_single, require_two_qubits
-from .channels import SPA_PT_INSTRUMENT, Branch, require_instrument, tetrahedral_povm, vec
+from .channels import SPA_PT_INSTRUMENT, Branch, require_instrument, unvec, vec
 
 __all__ = [
     "ShotConfig",
@@ -106,11 +107,12 @@ class ProbabilityTable:
     """Measured statistics feeding detection, of one state or of each state
     of a stack.
 
-    ``p[i, j]`` is the joint probability of projector ``i`` on A and
-    tetrahedral effect ``j`` on B; ``q[k]``/``r[k]`` pair effect ``k`` on A
-    with |0><0| / |1><1| on B.  A stack of N tables holds (N, 4, 4), (N, 4)
-    and (N, 4) arrays and one shot count; a bad table of it is named by its
-    index.  ``shots_per_setting == 0`` marks an ideal (analytic) table.
+    ``p[i, j]`` is the joint probability of projector ``i`` on A and effect
+    ``j`` on B, ``q[k]``/``r[k]`` pair effect ``k`` on A with |0><0| / |1><1|
+    on B, with the effects of the measured sides of :data:`SPA_PT_INSTRUMENT`.
+    A stack of N tables holds (N, 4, 4), (N, 4) and (N, 4) arrays and one
+    shot count; a bad table of it is named by its index.
+    ``shots_per_setting == 0`` marks an ideal (analytic) table.
     """
 
     p: np.ndarray
@@ -119,9 +121,7 @@ class ProbabilityTable:
     shots_per_setting: int = 0
 
     def __post_init__(self) -> None:
-        p = np.array(self.p, dtype=float)
-        q = np.array(self.q, dtype=float)
-        r = np.array(self.r, dtype=float)
+        p, q, r = (as_numeric(a, float, "probability table") for a in (self.p, self.q, self.r))
         lead = p.shape[:1] if p.ndim == 3 else ()
         if p.shape != lead + (4, 4) or q.shape != lead + (4,) or r.shape != lead + (4,):
             raise ValidationError(f"expected p (4,4), q (4,), r (4,), got {p.shape}, {q.shape}, {r.shape}")
@@ -153,13 +153,13 @@ def tomo_basis() -> tuple[PureState, PureState, PureState, PureState]:
     )
 
 
-_EFFECTS = tetrahedral_povm()
-#: detection settings, one row of eight outcomes each: rows 0..3 are
-#: {P_i (x) M_j} then {(I - P_i) (x) M_j}; row 4, for q and r, is
-#: {M_k (x) |0><0|} then {M_k (x) |1><1|}
+#: detection settings, one row of eight outcomes each, from the effects of
+#: SPA_PT_INSTRUMENT's measured sides, M_j on B of the transpose branch and M_k
+#: on A of the inversion branch: rows 0..3 are {P_i (x) M_j} then {(I - P_i) (x) M_j};
+#: row 4, for q and r, is {M_k (x) |0><0|} then {M_k (x) |1><1|}
 _TABLE_SETTINGS = np.array(
-    [[np.kron(a, eff) for a in (proj, np.eye(2) - proj) for eff in _EFFECTS] for proj in (t.projector() for t in tomo_basis())]
-    + [[np.kron(eff, ket) for ket in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) for eff in _EFFECTS]]
+    [[np.kron(a, eff) for a in (proj, np.eye(2) - proj) for eff in SPA_PT_INSTRUMENT[0].sides[1].povm] for proj in (t.projector() for t in tomo_basis())]
+    + [[np.kron(eff, ket) for ket in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) for eff in SPA_PT_INSTRUMENT[1].sides[0].povm]]
 )
 
 
@@ -249,7 +249,7 @@ def _trajectory_components(rho: DensityMatrix, instrument: Sequence[Branch]) -> 
         live = w > ZERO_WEIGHT_TOL
         probs.append(np.where(live, branch.weigh(w) / branch.draws, 0.0))
         emitted = (branch.maps @ v) / np.where(live, w, 1.0)[:, None]
-        outputs.append(emitted.reshape(-1, rho.dim, rho.dim).transpose(0, 2, 1))
+        outputs.append(unvec(emitted, rho.dim))
     return _normalized_probs(np.concatenate(probs)), np.concatenate(outputs)
 
 
@@ -359,7 +359,7 @@ def qst_linear_inversion(expectations: np.ndarray) -> np.ndarray:
     Returns a raw matrix: from noisy data it is generally not PSD, see
     :func:`project_to_physical`.
     """
-    expectations = np.asarray(expectations)
+    expectations = as_numeric(expectations, None, "array of Pauli expectations", copy=False)
     if expectations.shape != (4, 4):
         raise ValidationError(f"expected all 16 Pauli expectations as a 4x4 array, got shape {expectations.shape}")
     if expectations.dtype.kind not in "iuf":

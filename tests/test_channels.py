@@ -1,6 +1,8 @@
 """Channel construction, closed forms, Choi certification and the exact
 decomposition identity of the approximated partial transpose."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ from spapt.channels import (
     spa_transpose,
     tetrahedral_povm,
     tetrahedral_states,
+    unvec,
+    vec,
 )
 from spapt.tomography import _trajectory_components
 
@@ -79,7 +83,7 @@ def test_spa_transpose_closed_form():
 
 def test_spa_transpose_is_physical_but_raw_transpose_is_not():
     assert herm_eig(choi(spa_transpose()).mat).values[0] >= -1e-10
-    raw_transpose = Channel(np.eye(4)[[0, 2, 1, 3]], (2, 2))  # vec(x.T) permutes vec(x)
+    raw_transpose = Channel(np.eye(4)[[0, 2, 1, 3]])  # vec(x.T) permutes vec(x)
     lam = herm_eig(choi(raw_transpose).mat).values[0]
     assert abs(lam + 0.5) < 1e-10
 
@@ -221,7 +225,7 @@ def test_choi_trace_is_one_for_tp_maps():
 
 def test_superoperator_maps_identity_to_unit_trace_state():
     for ch in (spa_pt(), depolarize()):
-        d = ch.dim_in
+        d = ch.dim
         vec_in = (np.eye(d, dtype=complex) / d).reshape(-1, order="F")
         out = (ch.superoperator() @ vec_in).reshape(d, d, order="F")
         assert abs(np.trace(out) - 1.0) < 1e-12
@@ -238,6 +242,35 @@ def test_instrument_validation():
         Side(corrections=(np.eye(2, dtype=complex) * 2.0,))
     with pytest.raises(ValidationError, match="not both or neither"):
         Side(povm=tetrahedral_povm(), prepared=tetrahedral_states(), corrections=(EYE2,))
+
+
+def test_a_channel_is_square_and_sized_by_its_superoperator():
+    assert [f.name for f in dataclasses.fields(Channel)] == ["mat", "instrument"]
+    assert Channel(np.eye(9)).dim == 3
+    with pytest.raises(TypeError):
+        Channel(np.eye(16), (4, 4))  # the instrument is keyword-only
+    for shape in [(4, 16), (16, 4), (8, 8), (0, 0), (4,)]:
+        with pytest.raises(ValidationError, match=r"\(dim\^2, dim\^2\) matrix"):
+            Channel(np.zeros(shape))
+
+
+def test_vec_stacks_columns_of_each_matrix_of_a_stack():
+    stack = np.arange(2 * 9).reshape(2, 3, 3) + 1j
+    columns = vec(stack)
+    assert columns.shape == (2, 9)
+    for k in range(2):
+        assert np.array_equal(columns[k], stack[k].reshape(-1, order="F"))
+        assert np.array_equal(vec(stack[k]), columns[k])
+    assert np.array_equal(unvec(columns, 3), stack)
+    assert np.array_equal(unvec(columns[0], 3), stack[0])
+
+
+def test_replace_channel_takes_an_integer_dim_from_one_to_four():
+    for dim in range(1, 5):
+        assert np.array_equal(replace_channel(dim).apply_matrix(np.eye(dim)), np.eye(dim))
+    for bad in (0, 5, -1, 2.0, True, "2"):
+        with pytest.raises(ValidationError, match=r"integer dim in \[1, 4\]"):
+            replace_channel(bad)
 
 
 def test_apply_rejects_dimension_mismatch():
@@ -303,7 +336,7 @@ REPRESENTATION_CASES = {**CHANNEL_FACTORIES, "spa_transpose": spa_transpose, "sp
 def test_superoperator_agrees_with_block_oracle_and_choi_partial_trace(name):
     ch = REPRESENTATION_CASES[name]()
     d = 2 if name in ("spa_transpose", "spa_inversion", "depolarize") else 4
-    assert ch.dims == (d, d)
+    assert ch.dim == d
     assert is_cp(ch) and is_tp(ch)
     rng = np.random.default_rng(36)
     for _ in range(20):

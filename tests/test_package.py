@@ -2,6 +2,7 @@
 README's example and its command lines run against the current API, and
 importing the package does no CLI work."""
 
+import ast
 import contextlib
 import io
 import os
@@ -45,6 +46,24 @@ def test_the_readme_command_lines_run(tmp_path, monkeypatch):
     for argv in lines:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv[1:]) == 0, shlex.join(argv)
+
+
+MODULES = sorted(path for path in (ROOT / "src" / "spapt").glob("*.py") if path.name != "__init__.py")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_module_level_import_is_used(path):
+    # no linter is installed, so the check is ast only: a name bound by an
+    # import at module level must be read somewhere else in the module
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])

@@ -261,6 +261,18 @@ def test_pure_state_requires_unit_norm():
         PureState(np.array([1.0, 1.0], dtype=complex))
 
 
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [1.0, np.nan], [np.nan, 0.0, 0.0, 0.0]])
+def test_pure_state_rejects_nan_amplitudes(bad):
+    with pytest.raises(ValidationError, match="not normalized"):
+        PureState(bad)
+
+
+@pytest.mark.parametrize("bad", ["ab", [1.0, "a"], [[1.0, 0.0], [0.0]]])
+def test_pure_state_rejects_input_numpy_cannot_convert(bad):
+    with pytest.raises(ValidationError, match="expected a numeric state vector"):
+        PureState(bad)
+
+
 def test_constructors_emit_validated_states():
     rng = np.random.default_rng(26)
     for _ in range(20):

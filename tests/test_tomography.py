@@ -305,6 +305,11 @@ def test_linear_inversion_rejects_incomplete_expectations():
             qst_linear_inversion(bad)
 
 
+def test_linear_inversion_rejects_a_ragged_array():
+    with pytest.raises(ValidationError, match="expected a numeric array of Pauli expectations"):
+        qst_linear_inversion([[1, 2], [3]])
+
+
 def test_linear_inversion_rejects_expectations_that_are_not_real_numbers():
     e = pauli_expectations(werner(0.3))
     for bad in (e + 0j, e.astype(str), e.astype(object), e > 0):
@@ -429,6 +434,15 @@ def test_probability_table_validation():
         ProbabilityTable(np.zeros((2, 2)), good.q, good.r, 0)
     # the all-zero table stays constructible (linearity fixture)
     ProbabilityTable(np.zeros((4, 4)), np.zeros(4), np.zeros(4), 0)
+
+
+@pytest.mark.parametrize("field", ["p", "q", "r"])
+@pytest.mark.parametrize("bad", [[[1, 2], [3]], "a"])
+def test_probability_table_rejects_input_numpy_cannot_convert(field, bad):
+    good = ideal_probabilities(bell("phi+"))
+    arrays = {"p": good.p, "q": good.q, "r": good.r, field: bad}
+    with pytest.raises(ValidationError, match="expected a numeric probability table"):
+        ProbabilityTable(arrays["p"], arrays["q"], arrays["r"], 0)
 
 
 def test_probability_table_rejects_non_finite_entries():
