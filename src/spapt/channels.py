@@ -36,6 +36,7 @@ from .linalg import (
     ROUND_TOL,
     TRACE_TOL,
     ValidationError,
+    as_numeric,
     dag,
     gated_eig,
     herm_eig,
@@ -102,7 +103,7 @@ class Channel:
     instrument: tuple[Branch, ...] = field(default=(), kw_only=True)
 
     def __post_init__(self) -> None:
-        m = np.array(self.mat, dtype=complex)
+        m = as_numeric(self.mat, complex, "superoperator")
         dim = math.isqrt(len(m)) if m.ndim == 2 else 0
         if not dim or m.shape != (dim * dim, dim * dim):
             raise ValidationError(f"a superoperator is a (dim^2, dim^2) matrix, got shape {m.shape}")
@@ -162,9 +163,9 @@ class Side:
     corrections: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
-        povm = tuple(_read_only(np.array(m, dtype=complex)) for m in self.povm)
+        povm = tuple(_read_only(as_numeric(m, complex, "POVM effect")) for m in self.povm)
         prepared = tuple(self.prepared)
-        corrections = tuple(_read_only(np.array(u, dtype=complex)) for u in self.corrections)
+        corrections = tuple(_read_only(as_numeric(u, complex, "correction")) for u in self.corrections)
         if bool(povm or prepared) == bool(corrections):
             raise ValidationError("a side is either measured (povm and prepared states) or corrected (unitaries), not both or neither")
         ops = povm or corrections
@@ -173,8 +174,8 @@ class Side:
             raise ValidationError("the effects or corrections of a side must be square matrices of one dimension")
         eye = np.eye(shape[0])
         if povm:
-            if len(prepared) != len(povm) or any(v.dim != shape[0] for v in prepared):
-                raise ValidationError("a measured side needs one prepared state per effect, of the effects' dimension")
+            if len(prepared) != len(povm) or any(not isinstance(v, PureState) or v.dim != shape[0] for v in prepared):
+                raise ValidationError("a measured side needs one prepared PureState per effect, of the effects' dimension")
             low = min(herm_eig(effect).values[0] for effect in povm)
             if low < -POVM_TOL:
                 raise ValidationError(f"effect is not PSD: min eigenvalue = {low:.3e}")
@@ -231,12 +232,15 @@ class Branch:
     sides: tuple[Side, ...]
 
     def __post_init__(self) -> None:
-        weight = Fraction(self.weight)
-        sides = tuple(self.sides)
+        try:
+            weight = Fraction(self.weight)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"branch weight must be a finite number, got {self.weight!r}") from exc
+        sides = tuple(self.sides) if isinstance(self.sides, (tuple, list)) else ()
         if not 0 <= weight <= 1:
             raise ValidationError(f"branch weight must lie in [0, 1], got {float(weight)}")
         if not sides or not all(isinstance(s, Side) for s in sides):
-            raise ValidationError("a branch needs one Side per subsystem")
+            raise ValidationError("a branch needs a tuple or list of sides, one Side per subsystem")
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "sides", sides)
 
@@ -278,7 +282,7 @@ def require_instrument(instrument: Sequence[Branch]) -> tuple[Branch, ...]:
     dimensions and whose weights sum to 1; ``ValidationError`` otherwise."""
     branches = tuple(instrument)
     if not branches:
-        raise ValidationError("an instrument needs at least one branch")
+        raise ValidationError("the channel has no local instrument to run: an instrument needs at least one branch")
     if not all(isinstance(b, Branch) for b in branches):
         raise ValidationError("an instrument holds Branch entries only")
     if len({tuple(s.dim for s in b.sides) for b in branches}) != 1:

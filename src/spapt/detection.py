@@ -36,7 +36,7 @@ from .linalg import (
     partial_transpose,
     require_hermitian,
 )
-from .states import DensityMatrix, require_single, require_two_qubits
+from .states import DensityMatrix, require_single
 from .channels import SPA_PT_INSTRUMENT
 from .tomography import ProbabilityTable, ideal_probabilities, tomo_basis
 
@@ -255,7 +255,6 @@ def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVe
     elif not isinstance(target, DensityMatrix):
         raise ValidationError("f_hat needs a DensityMatrix or a ProbabilityTable" if method == "f_hat" else f"method {method!r} needs a DensityMatrix")
     else:
-        require_two_qubits("detect", target)
         if method == "f_hat":
             return detect(ideal_probabilities(target), method)
         # the partial transpose of a validated state is Hermitian: solved without a second gate
@@ -274,7 +273,6 @@ def witness_expectation(rho: DensityMatrix, q_projector: np.ndarray) -> float:
     verdict depends on how Q is aligned with the state's local basis.
     """
     require_single("witness_expectation", rho)
-    require_two_qubits("witness_expectation", rho)
     q = require_hermitian(q_projector, "Q")
     if q.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 projector, got {q.shape}")

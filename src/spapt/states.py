@@ -6,11 +6,11 @@ arrays are frozen, so instances can be shared freely across workers.  They
 compare and hash by identity, since the arrays they wrap have no single
 truth value.
 
-A :class:`DensityMatrix` holds one state or an ``(N, d, d)`` stack of
-them, validated by the same code: one gate, one trace check and one
-eigensolve.  :func:`tangle` and :func:`linear_entropy` return one value per
-entry of a stack; the functionals that compare or read one state raise
-``ValidationError`` for a stack.
+A :class:`DensityMatrix` holds one two-qubit state or an ``(N, 4, 4)``
+stack of them, validated by the same code: one gate, one trace check and
+one eigensolve.  :func:`tangle` and :func:`linear_entropy` return one
+value per entry of a stack; the functionals that compare or read one
+state raise ``ValidationError`` for a stack.
 """
 
 from __future__ import annotations
@@ -85,18 +85,18 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated density matrix of dimension 2 or 4, or an ``(N, d, d)``
-    stack of them.
+    """Validated two-qubit density matrix, or an ``(N, 4, 4)`` stack of them.
 
     Construction rejects anything that has a NaN or inf entry, is not
-    Hermitian within 1e-9, unit-trace within 1e-9 or has an eigenvalue
-    below -1e-9, naming the violated invariant in the error message, after
-    "stack entry k: " for entry k of a stack.  A stack passes one gate, one
-    trace check and one eigensolve.  The eigendecomposition that checks
-    positivity is kept, read-only, as ``spectrum``: it equals
-    ``herm_eig(mat)`` bit for bit.  ``len(states)`` and ``states[k]`` give
-    the size of a stack and its entry k, a single state that holds its
-    slice of the stack and of the spectrum and is not validated again.
+    Hermitian within 1e-9, is not of dimension 4, unit-trace within 1e-9 or
+    has an eigenvalue below -1e-9, naming the violated invariant in the
+    error message, after "stack entry k: " for entry k of a stack.  A
+    stack passes one gate, one trace check and one eigensolve.  The
+    eigendecomposition that checks positivity is kept, read-only, as
+    ``spectrum``: it equals ``herm_eig(mat)`` bit for bit.  ``len(states)``
+    and ``states[k]`` give the size of a stack and its entry k, a single
+    state that holds its slice of the stack and of the spectrum and is not
+    validated again.
     """
 
     mat: np.ndarray
@@ -105,9 +105,9 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         m = require_hermitian(self.mat, "state")
         if m.ndim > 3:
-            raise ValidationError(f"expected a square matrix or an (N, d, d) stack, got shape {m.shape}")
-        if m.shape[-1] not in (2, 4):
-            raise ValidationError(f"supported dimensions are 2 and 4, got {m.shape[-1]}")
+            raise ValidationError(f"expected a square matrix or an (N, 4, 4) stack, got shape {m.shape}")
+        if m.shape[-1] != 4:
+            raise ValidationError(f"a state is a two-qubit state of dimension 4, got dimension {m.shape[-1]}")
         off = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
         require_each(off <= TRACE_TOL, lambda i: f"trace is not 1: |tr - 1| = {off[i]:.3e}")
         spectrum = gated_eig(m)
@@ -143,12 +143,6 @@ def require_single(what: str, *states: DensityMatrix) -> None:
     for rho in states:
         if rho.mat.ndim != 2:
             raise ValidationError(f"{what} takes a single state, not a stack of {len(rho)}")
-
-
-def require_two_qubits(what: str, rho: DensityMatrix) -> None:
-    """Raise ``ValidationError`` unless ``rho`` holds two-qubit states: ``what`` needs dimension 4."""
-    if rho.dim != 4:
-        raise ValidationError(f"{what} needs a two-qubit state, got dim {rho.dim}")
 
 
 def _per_entry(values: np.ndarray) -> float | np.ndarray:
@@ -256,8 +250,6 @@ def rho_family(p: float, alpha: float) -> DensityMatrix:
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 in [0, 1]."""
     require_single("fidelity", rho, sigma)
-    if rho.dim != sigma.dim:
-        raise ValidationError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
     s = psd_sqrt_from(rho.spectrum)
     w = herm_eig(s @ sigma.mat @ s).values
     val = float(np.sum(sqrt_spectrum(w)) ** 2)
@@ -284,14 +276,12 @@ def tangle(rho: DensityMatrix) -> float | np.ndarray:
     square roots of the eigenvalues of rho * spin_flip(rho); those equal
     the eigenvalues of the Hermitian sqrt(rho) spin_flip(rho) sqrt(rho).
     """
-    require_two_qubits("tangle", rho)
     return _per_entry(_tangles(rho.mat, rho.spectrum))
 
 
 def linear_entropy(rho: DensityMatrix) -> float | np.ndarray:
     """Normalized mixedness (4/3)(1 - tr rho^2), 0 for pure and 1 for I/4,
     of a two-qubit state or of each state of a stack."""
-    require_two_qubits("linear_entropy", rho)
     return _per_entry((4.0 / 3.0) * (1.0 - (rho.mat @ rho.mat).trace(axis1=-2, axis2=-1).real))
 
 

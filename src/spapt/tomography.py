@@ -42,7 +42,7 @@ from .linalg import (
     require_hermitian,
     require_integer,
 )
-from .states import DensityMatrix, PureState, require_single, require_two_qubits
+from .states import DensityMatrix, PureState, require_single
 from .channels import SPA_PT_INSTRUMENT, Branch, require_instrument, unvec, vec
 
 __all__ = [
@@ -181,7 +181,6 @@ def _ideal_table(born: np.ndarray) -> ProbabilityTable:
 def ideal_probabilities(rho: DensityMatrix) -> ProbabilityTable:
     """Exact Born-rule table for the detection measurement settings, of one
     state or stacked for a stack: one product for every state and setting."""
-    require_two_qubits("ideal_probabilities", rho)
     return _ideal_table(_born_weights(rho.mat, _TABLE_SETTINGS))
 
 
@@ -219,14 +218,12 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     so its table equals the one sampled for it alone: each substream is
     seeded once and rewound to its start state for every later state.
     """
-    require_two_qubits("sample_table", rho)
     return _sampled_table(_born_weights(rho.mat, _TABLE_SETTINGS), cfg)
 
 
 def _ideal_and_sampled_tables(rho: DensityMatrix, cfg: ShotConfig) -> tuple[ProbabilityTable, ProbabilityTable]:
     """``ideal_probabilities(rho)`` and ``sample_table(rho, cfg)``, bit for
     bit, from one evaluation of the Born weights."""
-    require_two_qubits("sample_table", rho)
     born = _born_weights(rho.mat, _TABLE_SETTINGS)
     return _ideal_table(born), _sampled_table(born, cfg)
 
@@ -272,8 +269,6 @@ def trajectory(rho: DensityMatrix, instrument: Sequence[Branch], cfg: ShotConfig
     output as the run count grows.
     """
     require_single("trajectory", rho)
-    if not instrument:
-        raise ValidationError("the channel has no local instrument to run")
     branches = require_instrument(instrument)
     if branches[0].dim != rho.dim:
         raise ValidationError(f"the instrument acts on dim {branches[0].dim}, the state has dim {rho.dim}")
@@ -287,7 +282,6 @@ def trajectory_branch_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[int, 
     """How many single-copy runs took the transpose branch vs the
     inversion branch (expected fractions 1/3 and 2/3)."""
     require_single("trajectory_branch_counts", rho)
-    require_two_qubits("trajectory_branch_counts", rho)
     counts, _ = _trajectory_counts(rho, SPA_PT_INSTRUMENT, cfg)
     split = len(SPA_PT_INSTRUMENT[0].maps)
     return int(counts[:split].sum()), int(counts[split:].sum())
@@ -301,7 +295,6 @@ def trajectory_spa_pt(rho: DensityMatrix, cfg: ShotConfig) -> DensityMatrix:
     inversion branch with probability 2/3 (measure A, prepare the
     sigma_y-rotated state there, apply a uniformly random Pauli to B).
     """
-    require_two_qubits("trajectory_spa_pt", rho)
     return trajectory(rho, SPA_PT_INSTRUMENT, cfg)
 
 
@@ -322,7 +315,6 @@ for _ops in (_TABLE_SETTINGS, _PAULI_SETTINGS, _PAULI_PRODUCTS):
 def pauli_expectations(rho: DensityMatrix) -> np.ndarray:
     """Exact 4x4 array of <sigma_i (x) sigma_j> (index 0 is the identity),
     or one per state of a stack."""
-    require_two_qubits("pauli_expectations", rho)
     return _born_weights(rho.mat, _PAULI_PRODUCTS)
 
 
@@ -334,7 +326,6 @@ def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray
     three settings that contain the given Pauli, and <I (x) I> is 1.
     """
     require_single("sample_pauli_expectations", rho)
-    require_two_qubits("sample_pauli_expectations", rho)
     shots = cfg.shots_per_setting
     probs = _normalized_probs(_born_weights(rho.mat, _PAULI_SETTINGS))
     counts = np.empty((3, 3, 4), dtype=np.int64)

@@ -171,32 +171,31 @@ CFG = ShotConfig(shots_per_setting=1000, seed=4)
 PHI_PLUS = bell_vector("phi+").projector()
 
 #: every public function that takes a DensityMatrix, as (function, call on
-#: the state, whether it has a per-entry meaning, whether it needs two
-#: qubits); functions without a per-entry meaning must refuse a stack
-# case id -> (function, call, per_entry, two_qubits); an id is the function's
-# name, plus the argument that tells apart two calls of one function
+#: the state, whether it has a per-entry meaning); functions without a
+#: per-entry meaning must refuse a stack
+# case id -> (function, call, per_entry); an id is the function's name,
+# plus the argument that tells apart two calls of one function
 STATE_CALLS = {
-    "tangle": (tangle, tangle, True, True),
-    "linear_entropy": (linear_entropy, linear_entropy, True, True),
-    "fidelity-state_first": (fidelity, lambda rho: fidelity(rho, bell("phi+")), False, False),
-    "fidelity-state_second": (fidelity, lambda rho: fidelity(bell("phi+"), rho), False, False),
-    "min_eigenvalue": (min_eigenvalue, min_eigenvalue, False, False),
-    "apply": (apply, lambda rho: apply(spa_pt(), rho), True, False),
-    "ideal_probabilities": (ideal_probabilities, ideal_probabilities, True, True),
-    "sample_table": (sample_table, lambda rho: sample_table(rho, CFG), True, True),
-    "trajectory": (trajectory, lambda rho: trajectory(rho, SPA_PT_INSTRUMENT, CFG), False, False),
-    "trajectory_spa_pt": (trajectory_spa_pt, lambda rho: trajectory_spa_pt(rho, CFG), False, True),
-    "trajectory_branch_counts": (trajectory_branch_counts, lambda rho: trajectory_branch_counts(rho, CFG), False, True),
-    "pauli_expectations": (pauli_expectations, pauli_expectations, True, True),
-    "sample_pauli_expectations": (sample_pauli_expectations, lambda rho: sample_pauli_expectations(rho, CFG), False, True),
-    "detect-ppt": (detect, lambda rho: detect(rho, "ppt"), True, True),
-    "detect-spa_spectrum": (detect, lambda rho: detect(rho, "spa_spectrum"), True, True),
-    "detect-f_hat": (detect, lambda rho: detect(rho, "f_hat"), True, True),
-    "witness_expectation": (witness_expectation, lambda rho: witness_expectation(rho, PHI_PLUS), False, True),
-    "state_payload": (state_payload, lambda rho: state_payload(rho, {}), False, False),
-    "save_state": (save_state, lambda rho: save_state(rho, {}, None), False, False),
+    "tangle": (tangle, tangle, True),
+    "linear_entropy": (linear_entropy, linear_entropy, True),
+    "fidelity-state_first": (fidelity, lambda rho: fidelity(rho, bell("phi+")), False),
+    "fidelity-state_second": (fidelity, lambda rho: fidelity(bell("phi+"), rho), False),
+    "min_eigenvalue": (min_eigenvalue, min_eigenvalue, False),
+    "apply": (apply, lambda rho: apply(spa_pt(), rho), True),
+    "ideal_probabilities": (ideal_probabilities, ideal_probabilities, True),
+    "sample_table": (sample_table, lambda rho: sample_table(rho, CFG), True),
+    "trajectory": (trajectory, lambda rho: trajectory(rho, SPA_PT_INSTRUMENT, CFG), False),
+    "trajectory_spa_pt": (trajectory_spa_pt, lambda rho: trajectory_spa_pt(rho, CFG), False),
+    "trajectory_branch_counts": (trajectory_branch_counts, lambda rho: trajectory_branch_counts(rho, CFG), False),
+    "pauli_expectations": (pauli_expectations, pauli_expectations, True),
+    "sample_pauli_expectations": (sample_pauli_expectations, lambda rho: sample_pauli_expectations(rho, CFG), False),
+    "detect-ppt": (detect, lambda rho: detect(rho, "ppt"), True),
+    "detect-spa_spectrum": (detect, lambda rho: detect(rho, "spa_spectrum"), True),
+    "detect-f_hat": (detect, lambda rho: detect(rho, "f_hat"), True),
+    "witness_expectation": (witness_expectation, lambda rho: witness_expectation(rho, PHI_PLUS), False),
+    "state_payload": (state_payload, lambda rho: state_payload(rho, {}), False),
+    "save_state": (save_state, lambda rho: save_state(rho, {}, None), False),
 }
-TWO_QUBIT_CALLS = {case: (fn, call) for case, (fn, call, _, two_qubits) in STATE_CALLS.items() if two_qubits}
 
 
 def _entry(result, k):
@@ -224,8 +223,8 @@ def _same(a, b):
     return np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("function, call, per_entry, two_qubits", STATE_CALLS.values(), ids=STATE_CALLS)
-def test_each_function_of_a_state_serves_a_stack_entry_by_entry_or_refuses_it(function, call, per_entry, two_qubits):
+@pytest.mark.parametrize("function, call, per_entry", STATE_CALLS.values(), ids=STATE_CALLS)
+def test_each_function_of_a_state_serves_a_stack_entry_by_entry_or_refuses_it(function, call, per_entry):
     stack = DensityMatrix([bell_vector("psi-").projector(), werner_matrix(0.5), rho_family_matrix(0.12, 0.71)])
     if not per_entry:
         with pytest.raises(ValidationError, match="takes a single state, not a stack of 3"):
@@ -237,10 +236,11 @@ def test_each_function_of_a_state_serves_a_stack_entry_by_entry_or_refuses_it(fu
         assert _same(_entry(result, k), _whole(call(stack[k])))
 
 
-@pytest.mark.parametrize("function, call", TWO_QUBIT_CALLS.values(), ids=TWO_QUBIT_CALLS)
-def test_each_function_that_needs_two_qubits_refuses_a_qubit_state(function, call):
-    with pytest.raises(ValidationError, match=rf"^{function.__name__} needs a two-qubit state, got dim 2$"):
-        call(DensityMatrix(np.eye(2) / 2.0))
+def test_a_state_or_a_stack_of_qubit_states_is_refused_for_its_dimension():
+    for qubits in (np.eye(2) / 2.0, np.array([np.eye(2) / 2.0] * 3)):
+        with pytest.raises(ValidationError) as err:
+            DensityMatrix(qubits)
+        assert str(err.value) == "a state is a two-qubit state of dimension 4, got dimension 2"
 
 
 def test_every_function_of_a_state_is_checked_on_a_stack():
@@ -342,8 +342,6 @@ def test_detect_batch_accepts_an_empty_batch_and_rejects_mixed_targets():
         detect([bell("phi+"), ideal_probabilities(bell("phi+"))], "f_hat")
     with pytest.raises(ValidationError, match="needs a DensityMatrix"):
         detect([bell("phi+")], "ppt")
-    with pytest.raises(ValidationError, match="two-qubit"):
-        detect(DensityMatrix([np.eye(2) / 2.0, np.eye(2) / 2.0]), "ppt")
 
 
 def test_stacked_partial_transpose_transposes_each_entry():

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from spapt import tomography
 from spapt.cli import CHANNEL_FACTORIES, build_parser, main
 from spapt.io import load_state, round12
+from spapt.linalg import ValidationError
 from spapt.selftest import _suite_sampled_detection_stability
 from spapt.states import NINE_STATE_PARAMS
 
@@ -188,7 +189,7 @@ def test_detect_unreadable_state_file(tmp_path, capsys):
 
 def test_corrupted_state_file_names_the_invariant(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"dim": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0] * 2] * 2, "metadata": {}}))
+    bad.write_text(json.dumps({"dim": 4, "re": (np.eye(4) / 2.0).tolist(), "im": [[0.0] * 4] * 4, "metadata": {}}))
     assert run_cli("detect", "--state", str(bad), "--method", "ppt") == 2
     assert "trace" in capsys.readouterr().err
 
@@ -201,22 +202,26 @@ def test_nan_state_file_is_a_validation_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv",
     [
-        (("apply", "--channel", "spa_pt", "--mode", "exact"), "operator shape (2, 2) does not match channel input dim 4"),
-        (("apply", "--channel", "identity", "--mode", "trajectory"), "operator shape (2, 2) does not match channel input dim 4"),
-        (("detect", "--method", "ppt"), "detect needs a two-qubit state, got dim 2"),
-        (("detect", "--method", "spa_spectrum"), "detect needs a two-qubit state, got dim 2"),
-        (("detect", "--method", "f_hat_ideal"), "detect needs a two-qubit state, got dim 2"),
-        (("detect", "--method", "f_hat_sampled"), "sample_table needs a two-qubit state, got dim 2"),
+        ("apply", "--channel", "spa_pt", "--mode", "exact", "--state"),
+        ("apply", "--channel", "identity", "--mode", "trajectory", "--state"),
+        ("detect", "--method", "ppt", "--state"),
+        ("detect", "--method", "spa_spectrum", "--state"),
+        ("detect", "--method", "f_hat_ideal", "--state"),
+        ("detect", "--method", "f_hat_sampled", "--state"),
+        ("prepare", "file", "--path"),
     ],
-    ids=["apply-exact", "apply-trajectory", "ppt", "spa_spectrum", "f_hat_ideal", "f_hat_sampled"],
+    ids=["apply-exact", "apply-trajectory", "ppt", "spa_spectrum", "f_hat_ideal", "f_hat_sampled", "prepare-file"],
 )
-def test_a_valid_qubit_state_file_is_a_validation_error(tmp_path, capsys, argv, message):
+def test_a_valid_qubit_state_file_is_a_validation_error(tmp_path, capsys, argv):
     qubit = tmp_path / "qubit.json"
     qubit.write_text(json.dumps({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0] * 2] * 2, "metadata": {}}))
-    assert load_state(str(qubit))[0].dim == 2
-    assert run_cli(argv[0], "--state", str(qubit), *argv[1:]) == 2
+    message = f"state file {qubit} failed validation: a state is a two-qubit state of dimension 4, got dimension 2"
+    with pytest.raises(ValidationError) as err:
+        load_state(str(qubit))
+    assert str(err.value) == message
+    assert run_cli(*argv, str(qubit)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"spapt: validation error: {message}\n"

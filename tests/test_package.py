@@ -49,9 +49,10 @@ def test_the_readme_command_lines_run(tmp_path, monkeypatch):
 
 
 MODULES = sorted(path for path in (ROOT / "src" / "spapt").glob("*.py") if path.name != "__init__.py")
+SOURCES = MODULES + sorted((ROOT / "tests").glob("*.py")) + DEMOS
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_every_module_level_import_is_used(path):
     # no linter is installed, so the check is ast only: a name bound by an
     # import at module level must be read somewhere else in the module

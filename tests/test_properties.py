@@ -1,8 +1,9 @@
 """Property tests on random PSD two-qubit states: the affine spectrum law,
-the output range of the approximated partial transpose, and agreement of
-the three detection routes away from the separable boundary.  On random
-valid probability tables, f_hat is Hermitian and linear in the table, and
-on ideal tables it is the channel output PT(rho)/9 + (2/9) I.
+the output range of the approximated partial transpose, agreement of the
+three detection routes away from the separable boundary, and their
+blindness to the local basis, which a fixed entanglement witness lacks.  On
+random valid probability tables, f_hat is Hermitian and linear in the
+table, and on ideal tables it is the channel output PT(rho)/9 + (2/9) I.
 
 Examples are derandomized, so every run checks the same states."""
 
@@ -11,10 +12,11 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from spapt.linalg import herm_eig, partial_transpose
-from spapt.states import DensityMatrix
+from spapt.states import DensityMatrix, bell, bell_vector
 from spapt.channels import apply, spa_pt
 from spapt.tomography import ProbabilityTable, ideal_probabilities
-from spapt.detection import SPA_THRESHOLD, detect, f_hat
+from spapt.detection import SPA_THRESHOLD, detect, f_hat, witness_expectation
+from test_states import haar_unitary
 
 SPA_PT = spa_pt()
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
@@ -53,6 +55,31 @@ def test_three_routes_agree_off_the_boundary(rho):
     assume(abs(ppt.lambda_min) > 1e-9)
     assert detect(rho, "spa_spectrum").verdict == ppt.verdict
     assert detect(rho, "f_hat").verdict == ppt.verdict
+
+
+def _in_local_frame(rho, rng):
+    """``rho`` under a Haar-random local unitary U_A (x) U_B."""
+    u = np.kron(haar_unitary(rng), haar_unitary(rng))
+    return DensityMatrix(u @ rho.mat @ u.conj().T)
+
+
+@PROPERTY_SETTINGS
+@given(density_matrices(), st.integers(0, 2**32 - 1))
+def test_every_detection_route_is_blind_to_the_local_basis(rho, seed):
+    rotated = _in_local_frame(rho, np.random.default_rng(seed))
+    for method in ("ppt", "spa_spectrum", "f_hat"):
+        before, after = detect(rho, method), detect(rotated, method)
+        assert abs(after.lambda_min - before.lambda_min) < 1e-12
+        assert after.verdict == before.verdict
+
+
+def test_a_fixed_witness_depends_on_the_local_basis_where_spa_does_not():
+    rng = np.random.default_rng(2011)
+    q = bell_vector("phi+").projector()
+    frames = [_in_local_frame(bell("phi+"), rng) for _ in range(20)]
+    witness = [witness_expectation(rho, q) for rho in frames]
+    assert min(witness) < 0.0 < max(witness)
+    assert all(abs(detect(rho, "spa_spectrum").lambda_min - 1.0 / 6.0) < 1e-12 for rho in frames)
 
 
 @st.composite
