@@ -43,6 +43,7 @@ from .linalg import (
     partial_transpose,
     require_hermitian,
     require_integer,
+    side_by_side,
 )
 from .states import DensityMatrix, PureState
 
@@ -91,13 +92,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _as_tuple(entries, field: str) -> tuple:
+    """A field's entries as a tuple, or ``ValidationError`` naming the field."""
+    try:
+        return tuple(entries)
+    except TypeError as exc:
+        raise ValidationError(f"{field} must be a tuple or list of entries, got {type(entries).__name__}") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class Channel:
     """A linear map on the operators of one system, held as its (dim^2,
     dim^2) superoperator ``mat``, plus the local instrument it was derived
-    from, if any.  No CP/TP condition is enforced, so the raw partial
-    transpose is a channel too.  Channels are immutable and application is
-    pure, so instances may be shared across concurrent workers."""
+    from, if any, which must pass :func:`require_instrument` and act on
+    ``dim``.  No CP/TP condition is enforced, so the raw partial transpose
+    is a channel too.  Channels are immutable and application is pure, so
+    instances may be shared across concurrent workers."""
 
     mat: np.ndarray
     instrument: tuple[Branch, ...] = field(default=(), kw_only=True)
@@ -107,8 +117,11 @@ class Channel:
         dim = math.isqrt(len(m)) if m.ndim == 2 else 0
         if not dim or m.shape != (dim * dim, dim * dim):
             raise ValidationError(f"a superoperator is a (dim^2, dim^2) matrix, got shape {m.shape}")
+        instrument = _as_tuple(self.instrument, "instrument")
+        if instrument and require_instrument(instrument)[0].dim != dim:
+            raise ValidationError(f"the instrument acts on dim {instrument[0].dim}, the superoperator on dim {dim}")
         object.__setattr__(self, "mat", _read_only(m))
-        object.__setattr__(self, "instrument", tuple(self.instrument))
+        object.__setattr__(self, "instrument", instrument)
 
     @property
     def dim(self) -> int:
@@ -163,9 +176,9 @@ class Side:
     corrections: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self) -> None:
-        povm = tuple(_read_only(as_numeric(m, complex, "POVM effect")) for m in self.povm)
-        prepared = tuple(self.prepared)
-        corrections = tuple(_read_only(as_numeric(u, complex, "correction")) for u in self.corrections)
+        povm = tuple(_read_only(as_numeric(m, complex, "POVM effect")) for m in _as_tuple(self.povm, "povm"))
+        prepared = _as_tuple(self.prepared, "prepared")
+        corrections = tuple(_read_only(as_numeric(u, complex, "correction")) for u in _as_tuple(self.corrections, "corrections"))
         if bool(povm or prepared) == bool(corrections):
             raise ValidationError("a side is either measured (povm and prepared states) or corrected (unitaries), not both or neither")
         ops = povm or corrections
@@ -260,9 +273,10 @@ class Branch:
 
     @cached_property
     def effects(self) -> np.ndarray:
-        """Born effect per category: a run ends in category c with
-        probability ``weigh(tr(rho effects[c])) / draws``."""
-        return _read_only(reduce(_kron, (s.effects for s in self.sides)))
+        """Born effect per category, laid :func:`~spapt.linalg.side_by_side`:
+        a run ends in category c with probability
+        ``weigh(tr(rho effects[:, c, :])) / draws``."""
+        return side_by_side(reduce(_kron, (s.effects for s in self.sides)))
 
     @cached_property
     def maps(self) -> np.ndarray:
@@ -294,9 +308,15 @@ def require_instrument(instrument: Sequence[Branch]) -> tuple[Branch, ...]:
 
 def instrument_channel(instrument: Sequence[Branch]) -> Channel:
     """The exact channel of a local instrument, the sum of its branches'
-    superoperators; the instrument must pass :func:`require_instrument`."""
-    branches = require_instrument(instrument)
-    return Channel(sum(b.superoperator for b in branches), instrument=branches)
+    superoperators; :class:`Channel` checks the instrument."""
+    branches = tuple(instrument)
+    try:
+        mat = sum(b.superoperator for b in branches) if branches else None
+    except (AttributeError, ValueError):  # an entry that is no branch, or branches of other dimensions
+        mat = None
+    if mat is None:
+        require_instrument(branches)  # names the defect
+    return Channel(mat, instrument=branches)
 
 
 def local_channel(*sides: Side) -> Channel:

@@ -82,6 +82,14 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
+def side_by_side(stack: np.ndarray) -> np.ndarray:
+    """A stack of d x d matrices E_k, of any leading shape, as one read-only
+    ``(d, *lead, d)`` array whose ``(d, K d)`` reshape is ``[E_0 | E_1 | ...]``."""
+    wide = np.ascontiguousarray(np.moveaxis(stack, -2, 0))
+    wide.setflags(write=False)
+    return wide
+
+
 def require_each(ok: np.ndarray, message: Callable[[tuple[int, ...]], str]) -> None:
     """Raise ``ValidationError`` unless every per-entry flag in ``ok`` is set.
 

@@ -3,13 +3,15 @@ single-copy trajectory simulation of any local instrument, the locally
 realized partial-transpose approximation among them, and linear-inversion
 state tomography.
 
-Each measurement route holds its product operators as one read-only stack
-built once with ``np.kron``: 40 detection-setting effects, 36 Pauli-setting
-projectors and 16 Pauli products at import, and the joint effects of each
-instrument branch, cached on the branch.  A Born table is one stacked
-product ``tr(rho @ stack)``, equal bit for bit to the per-effect
-``tr(rho @ np.kron(a, b))``.  Born tables, sampled tables and their
-validation take one state or a stack of them, through the same code.
+Each measurement route holds its ``np.kron`` products, built once, side by
+side as one read-only matrix ``[E_0 | E_1 | ...]``: 40 detection-setting
+effects and 36 Pauli-setting projectors at import, and the joint effects of
+each instrument branch, cached on the branch.  A Born table is one BLAS
+product of the state's rows, or a whole stack's, with that matrix, which
+computes each 4x4 block as ``rho @ E_k`` does, then each block's real
+diagonal summed in the order of numpy's trace: bit for bit the per-effect
+``np.trace(rho @ np.kron(a, b)).real``.  Born tables, sampled tables and
+their validation take one state or a stack of them, through the same code.
 
 Randomness is fully reproducible: every measurement setting draws from its
 own substream, ``np.random.default_rng([seed, tag, *indices])``, so settings
@@ -34,13 +36,13 @@ from .linalg import (
     ROUND_TOL,
     TRACE_TOL,
     ZERO_WEIGHT_TOL,
-    NumericError,
     ValidationError,
     as_numeric,
     gated_eig,
     require_each,
     require_hermitian,
     require_integer,
+    side_by_side,
 )
 from .states import DensityMatrix, PureState, require_single
 from .channels import SPA_PT_INSTRUMENT, Branch, require_instrument, unvec, vec
@@ -156,25 +158,33 @@ def tomo_basis() -> tuple[PureState, PureState, PureState, PureState]:
 #: detection settings, one row of eight outcomes each, from the effects of
 #: SPA_PT_INSTRUMENT's measured sides, M_j on B of the transpose branch and M_k
 #: on A of the inversion branch: rows 0..3 are {P_i (x) M_j} then {(I - P_i) (x) M_j};
-#: row 4, for q and r, is {M_k (x) |0><0|} then {M_k (x) |1><1|}
-_TABLE_SETTINGS = np.array(
+#: row 4, for q and r, is {M_k (x) |0><0|} then {M_k (x) |1><1|}; laid side
+#: by side, ``_TABLE_SETTINGS[:, i, j, :]`` is outcome j of setting i
+_TABLE_SETTINGS = side_by_side(np.array(
     [[np.kron(a, eff) for a in (proj, np.eye(2) - proj) for eff in SPA_PT_INSTRUMENT[0].sides[1].povm] for proj in (t.projector() for t in tomo_basis())]
     + [[np.kron(eff, ket) for ket in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) for eff in SPA_PT_INSTRUMENT[1].sides[0].povm]]
-)
+))
 
 
-def _born_weights(mats: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """tr(rho E) for every state matrix rho, one or a stack of them, and
-    every effect E of ``stack``: shape ``mats.shape[:-2] + stack.shape[:-2]``.
-    A stacked matmul then a trace is the per-effect arithmetic exactly, as
-    the seed contract needs; an ``einsum`` or a matvec sums in another order."""
-    per_state = mats.reshape(mats.shape[:-2] + (1,) * (stack.ndim - 2) + mats.shape[-2:])
-    return np.trace(per_state @ stack, axis1=-2, axis2=-1).real
+def _born_weights(mats: np.ndarray, wide: np.ndarray) -> np.ndarray:
+    """tr(rho E) for every state matrix rho, one or a stack of them, and every
+    effect E laid :func:`~spapt.linalg.side_by_side` in ``wide``: shape
+    ``mats.shape[:-2] + wide.shape[1:-1]``.  The one BLAS product of the 4N
+    state rows with ``[E_0 | E_1 | ...]`` computes each block as the 4x4
+    product rho @ E did, and (d0 + d1) + (d2 + d3) is the order numpy sums a
+    trace of four complex entries in, so the weights are the per-effect
+    ``np.trace(rho @ E).real`` bit for bit, as the seed contract needs; an
+    ``einsum`` or a matvec sums in another order."""
+    lead = mats.shape[:-2]
+    prod = (mats.reshape(-1, 4) @ wide.reshape(4, -1)).real
+    blocks = prod.reshape(lead + (4, prod.shape[-1] // 4, 4))
+    traces = (blocks[..., 0, :, 0] + blocks[..., 1, :, 1]) + (blocks[..., 2, :, 2] + blocks[..., 3, :, 3])
+    return traces.reshape(lead + wide.shape[1:-1])
 
 
 def _ideal_table(born: np.ndarray) -> ProbabilityTable:
     """The exact table of the detection-setting Born weights of one state or of a stack."""
-    born = np.clip(born, 0.0, 1.0)
+    born = np.minimum(np.maximum(0.0, born), 1.0)  # np.clip(born, 0.0, 1.0), bit for bit
     return ProbabilityTable(born[..., :4, :4], born[..., 4, :4], born[..., 4, 4:], 0)
 
 
@@ -185,7 +195,7 @@ def ideal_probabilities(rho: DensityMatrix) -> ProbabilityTable:
 
 
 def _normalized_probs(values: np.ndarray) -> np.ndarray:
-    pr = np.clip(values, 0.0, None)
+    pr = np.maximum(values, 0.0)  # np.clip(values, 0.0, None), bit for bit
     return pr / pr.sum(axis=-1, keepdims=True)
 
 
@@ -304,18 +314,18 @@ _PAULI_EIGENPROJECTORS = [
     for basis in (np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0), np.array([[1, 1], [1j, -1j]]) / np.sqrt(2.0), np.eye(2, dtype=complex))
 ]
 #: setting (i, j) measures sigma_i (x) sigma_j, i, j in x, y, z; outcome 2a + b
-#: is eigenprojector a on A with eigenprojector b on B
-_PAULI_SETTINGS = np.array([[[np.kron(pa, pb) for pa in on_a for pb in on_b] for on_b in _PAULI_EIGENPROJECTORS] for on_a in _PAULI_EIGENPROJECTORS])
-#: sigma_i (x) sigma_j, index 0 the identity
+#: is eigenprojector a on A with eigenprojector b on B; laid side by side,
+#: ``_PAULI_SETTINGS[:, i, j, k, :]`` is outcome k of setting (i, j)
+_PAULI_SETTINGS = side_by_side(np.array([[[np.kron(pa, pb) for pa in on_a for pb in on_b] for on_b in _PAULI_EIGENPROJECTORS] for on_a in _PAULI_EIGENPROJECTORS]))
+#: sigma_i (x) sigma_j, index 0 the identity, stacked as qst_linear_inversion reads it
 _PAULI_PRODUCTS = np.array([[np.kron(si, sj) for sj in PAULIS] for si in PAULIS])
-for _ops in (_TABLE_SETTINGS, _PAULI_SETTINGS, _PAULI_PRODUCTS):
-    _ops.setflags(write=False)
+_PAULI_PRODUCTS.setflags(write=False)
 
 
 def pauli_expectations(rho: DensityMatrix) -> np.ndarray:
     """Exact 4x4 array of <sigma_i (x) sigma_j> (index 0 is the identity),
     or one per state of a stack."""
-    return _born_weights(rho.mat, _PAULI_PRODUCTS)
+    return _born_weights(rho.mat, side_by_side(_PAULI_PRODUCTS))
 
 
 def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray:
@@ -389,7 +399,5 @@ def project_to_physical(raw: np.ndarray) -> DensityMatrix:
         x[negative] = 0.0
         positive = x > 0.0
         x[positive] += deficit / int(positive.sum())
-    else:
-        raise NumericError("eigenvalue clipping did not settle")
     mat = (v * np.clip(x, 0.0, None)) @ v.conj().T
     return DensityMatrix((mat + mat.conj().T) / 2.0)

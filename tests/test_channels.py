@@ -7,12 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spapt import channels
 from spapt.cli import CHANNEL_FACTORIES
 from spapt.linalg import PAULI_X, PAULI_Y, ValidationError, herm_eig, partial_transpose
 from spapt.states import BELL_KINDS, DensityMatrix, bell, random_density_matrix, werner
 from spapt.channels import (
     IDENTITY_SIDE,
     SPA_PT_INSTRUMENT,
+    TRANSPOSE_SIDE,
     Branch,
     Channel,
     Side,
@@ -258,8 +260,15 @@ def test_instrument_validation():
         (lambda: Branch(float("inf"), (IDENTITY_SIDE,)), "branch weight"),
         (lambda: Branch(float("nan"), (IDENTITY_SIDE,)), "branch weight"),
         (lambda: Branch(0.5, IDENTITY_SIDE), "tuple or list of sides"),
+        (lambda: Side(povm=5), "povm must be a tuple or list"),
+        (lambda: Side(corrections=None), "corrections must be a tuple or list"),
+        (lambda: Side(povm=tetrahedral_povm(), prepared=5), "prepared must be a tuple or list"),
+        (lambda: Channel(np.eye(16), instrument=5), "instrument must be a tuple or list"),
     ],
-    ids=["channel-string", "channel-ragged", "side-povm", "side-corrections", "side-prepared", "branch-string", "branch-none", "branch-inf", "branch-nan", "branch-one-side"],
+    ids=[
+        "channel-string", "channel-ragged", "side-povm", "side-corrections", "side-prepared", "branch-string", "branch-none", "branch-inf", "branch-nan", "branch-one-side",
+        "side-povm-not-a-sequence", "side-corrections-none", "side-prepared-not-a-sequence", "channel-instrument-not-a-sequence",
+    ],
 )
 def test_channel_layer_input_is_a_validation_error_naming_the_field(build, field):
     with pytest.raises(ValidationError, match=field):
@@ -279,6 +288,26 @@ def test_a_channel_is_square_and_sized_by_its_superoperator():
     for shape in [(4, 16), (16, 4), (8, 8), (0, 0), (4,)]:
         with pytest.raises(ValidationError, match=r"\(dim\^2, dim\^2\) matrix"):
             Channel(np.zeros(shape))
+
+
+def test_a_channel_checks_its_instrument_when_built():
+    with pytest.raises(ValidationError, match="an instrument holds Branch entries only"):
+        Channel(np.eye(16), instrument=(5,))
+    with pytest.raises(ValidationError, match="the instrument acts on dim 2, the superoperator on dim 4"):
+        Channel(np.eye(16), instrument=(Branch(1, (TRANSPOSE_SIDE,)),))
+    with pytest.raises(ValidationError, match="branch weights must sum to 1"):
+        Channel(spa_pt().mat, instrument=SPA_PT_INSTRUMENT[:1])
+    with pytest.raises(ValidationError, match="the channel has no local instrument to run"):
+        instrument_channel(())
+    assert Channel(spa_pt().mat, instrument=list(SPA_PT_INSTRUMENT)).instrument == SPA_PT_INSTRUMENT
+
+
+def test_a_channel_build_checks_its_instrument_once(monkeypatch):
+    check, calls = channels.require_instrument, []
+    monkeypatch.setattr(channels, "require_instrument", lambda instrument: calls.append(instrument) or check(instrument))
+    for factory in CHANNEL_FACTORIES.values():
+        factory()
+    assert len(calls) == len(CHANNEL_FACTORIES)
 
 
 def test_vec_stacks_columns_of_each_matrix_of_a_stack():

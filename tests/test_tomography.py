@@ -338,6 +338,10 @@ def _per_effect_born(rho, left, right):
     return np.array([[np.real(np.trace(rho.mat @ np.kron(a, b))) for b in right] for a in left])
 
 
+def _same_bytes(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_stacked_born_tables_equal_the_per_effect_products_bit_for_bit():
     rng = np.random.default_rng(2024)
     projectors = [t.projector() for t in tomo_basis()]
@@ -350,6 +354,25 @@ def test_stacked_born_tables_equal_the_per_effect_products_bit_for_bit():
         assert np.array_equal(table.p, np.clip(_per_effect_born(rho, projectors, effects), 0.0, 1.0))
         assert np.array_equal(table.q, qr[:, 0]) and np.array_equal(table.r, qr[:, 1])
         assert np.array_equal(pauli_expectations(rho), _per_effect_born(rho, PAULIS, PAULIS))
+    # stacks of states, and every branch of SPA-PT and of the seven CLI channels,
+    # each branch effect as np.kron of its sides' effects, byte for byte
+    branches = [b for factory in CHANNEL_FACTORIES.values() for b in factory().instrument]
+    assert len(branches) == 8 and set(SPA_PT_INSTRUMENT) <= set(branches) and all(len(b.sides) == 2 for b in branches)
+    kron_effects = [[np.kron(a, b) for a in branch.sides[0].effects for b in branch.sides[1].effects] for branch in branches]
+    for count in (0, 1, 51):
+        states = random_density_matrix(rng, 1 + count % 4, count=count)
+        table, expectations = ideal_probabilities(states), pauli_expectations(states)
+        assert table.p.shape == (count, 4, 4) and expectations.shape == (count, 4, 4)
+        for k in range(count):
+            single = states[k]
+            want_p = np.clip(_per_effect_born(single, projectors, effects), 0.0, 1.0)
+            assert _same_bytes(table.p[k], want_p) and _same_bytes(ideal_probabilities(single).p, want_p)
+            assert _same_bytes(expectations[k], _per_effect_born(single, PAULIS, PAULIS))
+        for branch, branch_effects in zip(branches, kron_effects):
+            want = np.array([[np.real(np.trace(m @ e)) for e in branch_effects] for m in states.mat]).reshape(count, len(branch_effects))
+            assert _same_bytes(tomography._born_weights(states.mat, branch.effects), want)
+            for k in range(count):
+                assert _same_bytes(tomography._born_weights(states.mat[k], branch.effects), want[k])
 
 
 def test_both_tables_from_one_born_evaluation_equal_the_public_ones_bit_for_bit():
