@@ -5,13 +5,13 @@ Every physical channel of the package is a weighted choice between
 branches of local steps.  In a :class:`Branch` each subsystem takes the
 step of its :class:`Side`: it is measured and re-prepared in a fixed state
 per outcome, or only corrected by a unitary drawn uniformly from a set.
-:func:`instrument_channel` derives the exact superoperator from such a
-declaration, and the trajectory sampler in :mod:`spapt.tomography` derives
-the single-copy runs from the same one.  :data:`SPA_PT_INSTRUMENT`
-realizes the physical approximation of the two-qubit partial transpose;
-the exact channel, the trajectory sampler and f_hat all read it.  The
-non-physical partial transpose is a channel too, and Choi matrices certify
-complete positivity and trace preservation.
+:class:`Instrument` holds such a declaration, checked once when built, and
+derives the exact channel from it; the trajectory sampler in
+:mod:`spapt.tomography` derives the single-copy runs from the same one.
+:data:`SPA_PT_INSTRUMENT` realizes the physical approximation of the
+two-qubit partial transpose; the exact channel, the sampler and f_hat all
+read it.  The non-physical partial transpose is a channel too, and Choi
+matrices certify complete positivity and trace preservation.
 
 Superoperators act on column-vectorized matrices: ``vec`` stacks columns,
 so the map ``x -> a x b`` has superoperator ``kron(b.T, a)``.
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Sequence
 
 import numpy as np
 
@@ -52,6 +51,7 @@ __all__ = [
     "ChoiMatrix",
     "Side",
     "Branch",
+    "Instrument",
     "IDENTITY_SIDE",
     "DEPOLARIZE_SIDE",
     "TRANSPOSE_SIDE",
@@ -59,7 +59,6 @@ __all__ = [
     "SPA_PT_INSTRUMENT",
     "vec",
     "unvec",
-    "instrument_channel",
     "local_channel",
     "tetrahedral_states",
     "tetrahedral_povm",
@@ -104,24 +103,20 @@ def _as_tuple(entries, field: str) -> tuple:
 class Channel:
     """A linear map on the operators of one system, held as its (dim^2,
     dim^2) superoperator ``mat``, plus the local instrument it was derived
-    from, if any, which must pass :func:`require_instrument` and act on
-    ``dim``.  No CP/TP condition is enforced, so the raw partial transpose
+    from, if any: only :meth:`Instrument.channel` sets it, so the two always
+    agree.  No CP/TP condition is enforced, so the raw partial transpose
     is a channel too.  Channels are immutable and application is pure, so
     instances may be shared across concurrent workers."""
 
     mat: np.ndarray
-    instrument: tuple[Branch, ...] = field(default=(), kw_only=True)
+    instrument: Instrument | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         m = as_numeric(self.mat, complex, "superoperator")
         dim = math.isqrt(len(m)) if m.ndim == 2 else 0
         if not dim or m.shape != (dim * dim, dim * dim):
             raise ValidationError(f"a superoperator is a (dim^2, dim^2) matrix, got shape {m.shape}")
-        instrument = _as_tuple(self.instrument, "instrument")
-        if instrument and require_instrument(instrument)[0].dim != dim:
-            raise ValidationError(f"the instrument acts on dim {instrument[0].dim}, the superoperator on dim {dim}")
         object.__setattr__(self, "mat", _read_only(m))
-        object.__setattr__(self, "instrument", instrument)
 
     @property
     def dim(self) -> int:
@@ -291,37 +286,40 @@ class Branch:
         return _read_only(self.weigh(reduce(_tensor, local)[0]))
 
 
-def require_instrument(instrument: Sequence[Branch]) -> tuple[Branch, ...]:
-    """``instrument`` as a tuple of branches that act on subsystems of equal
-    dimensions and whose weights sum to 1; ``ValidationError`` otherwise."""
-    branches = tuple(instrument)
-    if not branches:
-        raise ValidationError("the channel has no local instrument to run: an instrument needs at least one branch")
-    if not all(isinstance(b, Branch) for b in branches):
-        raise ValidationError("an instrument holds Branch entries only")
-    if len({tuple(s.dim for s in b.sides) for b in branches}) != 1:
-        raise ValidationError("all branches must act on subsystems of the same dimensions")
-    if abs(sum(float(b.weight) for b in branches) - 1.0) > ROUND_TOL:
-        raise ValidationError("branch weights must sum to 1")
-    return branches
+@dataclass(frozen=True, eq=False)
+class Instrument:
+    """A local instrument: a weighted choice between one or more ``branches``
+    (a tuple or list of :class:`Branch`) that act on subsystems of the same
+    dimensions, with weights summing to 1 within 1e-12; checked once, here."""
 
+    branches: tuple[Branch, ...]
 
-def instrument_channel(instrument: Sequence[Branch]) -> Channel:
-    """The exact channel of a local instrument, the sum of its branches'
-    superoperators; :class:`Channel` checks the instrument."""
-    branches = tuple(instrument)
-    try:
-        mat = sum(b.superoperator for b in branches) if branches else None
-    except (AttributeError, ValueError):  # an entry that is no branch, or branches of other dimensions
-        mat = None
-    if mat is None:
-        require_instrument(branches)  # names the defect
-    return Channel(mat, instrument=branches)
+    def __post_init__(self) -> None:
+        branches = _as_tuple(self.branches, "branches")
+        if not branches:
+            raise ValidationError("an instrument needs at least one branch")
+        if not all(isinstance(b, Branch) for b in branches):
+            raise ValidationError("an instrument holds Branch entries only")
+        if len({tuple(s.dim for s in b.sides) for b in branches}) != 1:
+            raise ValidationError("all branches must act on subsystems of the same dimensions")
+        if abs(sum(float(b.weight) for b in branches) - 1.0) > ROUND_TOL:
+            raise ValidationError("branch weights must sum to 1")
+        object.__setattr__(self, "branches", branches)
+
+    @property
+    def dim(self) -> int:
+        return self.branches[0].dim
+
+    def channel(self) -> Channel:
+        """The exact channel, the sum of the branches' superoperators, carrying this instrument."""
+        channel = Channel(sum(b.superoperator for b in self.branches))
+        object.__setattr__(channel, "instrument", self)
+        return channel
 
 
 def local_channel(*sides: Side) -> Channel:
     """The channel of one branch in which each subsystem takes its side, A first."""
-    return instrument_channel((Branch(1, sides),))
+    return Instrument((Branch(1, sides),)).channel()
 
 
 def tetrahedral_states() -> tuple[PureState, PureState, PureState, PureState]:
@@ -358,10 +356,10 @@ INVERSION_SIDE = Side(povm=tetrahedral_povm(), prepared=tuple(PureState(PAULI_Y 
 #: SPA-PT as a local instrument: transpose branch on B, A untouched; inversion
 #: branch on A, sigma_y-rotated states, a random Pauli on B.  The inversion
 #: weight is the double nearest 2/3, which the mixture has always used.
-SPA_PT_INSTRUMENT = (
+SPA_PT_INSTRUMENT = Instrument((
     Branch(Fraction(1, 3), (IDENTITY_SIDE, TRANSPOSE_SIDE)),
     Branch(Fraction(2.0 / 3.0), (INVERSION_SIDE, DEPOLARIZE_SIDE)),
-)
+))
 
 
 def spa_transpose() -> Channel:
@@ -394,7 +392,7 @@ def spa_pt() -> Channel:
     so output spectra are the partial-transpose spectra compressed into
     [1/6, 1/3].
     """
-    return instrument_channel(SPA_PT_INSTRUMENT)
+    return SPA_PT_INSTRUMENT.channel()
 
 
 def partial_transpose_channel() -> Channel:

@@ -38,8 +38,8 @@ from .channels import (
     TRANSPOSE_SIDE,
     Branch,
     Channel,
+    Instrument,
     apply,
-    instrument_channel,
     spa_pt,
 )
 from .tomography import (
@@ -71,21 +71,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _local(side_a, side_b) -> Callable[[], Channel]:
-    # one instrument per factory, so its effect and superoperator stacks are built once
-    instrument = (Branch(1, (side_a, side_b)),)
-    return lambda: instrument_channel(instrument)
-
-
-# every channel is a local instrument, so both modes of apply serve each one
+# every channel is a local instrument, so both modes of apply serve each one; one
+# instrument per factory, so its effect and superoperator stacks are built once
 CHANNEL_FACTORIES: dict[str, Callable[[], Channel]] = {
     "spa_pt": spa_pt,
-    "id_spa_transpose": _local(IDENTITY_SIDE, TRANSPOSE_SIDE),
-    "spa_transpose_id": _local(TRANSPOSE_SIDE, IDENTITY_SIDE),
-    "spa_inversion_depolarize": _local(INVERSION_SIDE, DEPOLARIZE_SIDE),
-    "id_depolarize": _local(IDENTITY_SIDE, DEPOLARIZE_SIDE),
-    "depolarize_id": _local(DEPOLARIZE_SIDE, IDENTITY_SIDE),
-    "identity": _local(IDENTITY_SIDE, IDENTITY_SIDE),
+    "id_spa_transpose": Instrument((Branch(1, (IDENTITY_SIDE, TRANSPOSE_SIDE)),)).channel,
+    "spa_transpose_id": Instrument((Branch(1, (TRANSPOSE_SIDE, IDENTITY_SIDE)),)).channel,
+    "spa_inversion_depolarize": Instrument((Branch(1, (INVERSION_SIDE, DEPOLARIZE_SIDE)),)).channel,
+    "id_depolarize": Instrument((Branch(1, (IDENTITY_SIDE, DEPOLARIZE_SIDE)),)).channel,
+    "depolarize_id": Instrument((Branch(1, (DEPOLARIZE_SIDE, IDENTITY_SIDE)),)).channel,
+    "identity": Instrument((Branch(1, (IDENTITY_SIDE, IDENTITY_SIDE)),)).channel,
 }
 
 

@@ -96,7 +96,7 @@ def _f_hat_map() -> np.ndarray:
     projectors = np.array([t.projector() for t in tomo_basis()])
     gram = np.einsum("aij,bji->ab", projectors, projectors).real
     dual = np.einsum("il,ijk->ljk", np.linalg.inv(gram), projectors)
-    transpose, inversion = SPA_PT_INSTRUMENT
+    transpose, inversion = SPA_PT_INSTRUMENT.branches
     rows = [transpose.weigh(np.kron(d, s)) for d in dual for s in transpose.sides[1].projectors]
     rows += [inversion.weigh(np.kron(s, np.eye(2) / 2.0)) for s in inversion.sides[0].projectors]
     f_map = np.array(rows).reshape(20, 16)

@@ -1,6 +1,6 @@
 """End-to-end invariant suites behind the ``selftest`` subcommand.
 
-Each suite asserts one documented invariant of the library with fixed
+Each suite checks one documented invariant of the library with fixed
 seeds; the runner times them and prints one PASS/FAIL line per suite.
 """
 
@@ -47,11 +47,17 @@ from .detection import SPA_THRESHOLD, detect, f_hat, lambda_min_d, witness_expec
 __all__ = ["SUITES", "run_all"]
 
 
+def _check(ok: bool, message: str) -> None:
+    """Fail the running suite with ``message`` unless ``ok``, under ``python -O`` too."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def _suite_superoperator_decomposition_identity(seed: int) -> None:
     actual = spa_pt().superoperator()
     expected = partial_transpose_channel().mat / 9.0 + (8.0 / 9.0) * replace_channel(4).mat
     dev = float(np.max(np.abs(actual - expected)))
-    assert dev < EXACT_BOUND, f"decomposition identity deviates by {dev:.3e}"
+    _check(dev < EXACT_BOUND, f"decomposition identity deviates by {dev:.3e}")
 
 
 def _suite_channel_physicality(seed: int) -> None:
@@ -61,18 +67,18 @@ def _suite_channel_physicality(seed: int) -> None:
         ("spa_inversion", spa_inversion()),
         ("depolarize", depolarize()),
     ):
-        assert is_cp(ch), f"{name} is not completely positive"
-        assert is_tp(ch), f"{name} is not trace preserving"
+        _check(is_cp(ch), f"{name} is not completely positive")
+        _check(is_tp(ch), f"{name} is not trace preserving")
     lam = herm_eig(choi(partial_transpose_channel()).mat).values[0]
-    assert abs(lam + 0.5) <= CHOI_EIG_BOUND, f"raw partial transpose Choi min eigenvalue {lam} != -1/2"
+    _check(abs(lam + 0.5) <= CHOI_EIG_BOUND, f"raw partial transpose Choi min eigenvalue {lam} != -1/2")
 
 
 def _suite_povm_completeness(seed: int) -> None:
-    for branch in SPA_PT_INSTRUMENT:
+    for branch in SPA_PT_INSTRUMENT.branches:
         for name, side in zip("AB", branch.sides):
             if side.povm:
                 dev = float(np.max(np.abs(sum(side.povm) - np.eye(2))))
-                assert dev < EXACT_BOUND, f"{name}-side branch effects sum deviates from identity by {dev:.3e}"
+                _check(dev < EXACT_BOUND, f"{name}-side branch effects sum deviates from identity by {dev:.3e}")
 
 
 def _suite_measure_prepare_closed_form(seed: int) -> None:
@@ -89,7 +95,7 @@ def _suite_measure_prepare_closed_form(seed: int) -> None:
         expect_inv = (2.0 / 3.0) * np.trace(rho) * eye - rho / 3.0
         worst = max(worst, float(np.max(np.abs(transpose_approx.apply_matrix(rho) - expect_t))))
         worst = max(worst, float(np.max(np.abs(inversion_approx.apply_matrix(rho) - expect_inv))))
-    assert worst < EXACT_BOUND, f"measure-and-prepare closed form deviates by {worst:.3e}"
+    _check(worst < EXACT_BOUND, f"measure-and-prepare closed form deviates by {worst:.3e}")
 
 
 def _channel_spectra(states) -> np.ndarray:
@@ -102,13 +108,13 @@ def _suite_verdict_equivalence(seed: int) -> None:
     states = random_density_matrix(np.random.default_rng([seed, 11]), count=1000)
     ppt = detect(states, "ppt")
     spa = detect(states, "spa_spectrum")
-    assert all(a.verdict == b.verdict for a, b in zip(ppt, spa)), "ppt and spa_spectrum verdicts disagree"
+    _check(all(a.verdict == b.verdict for a, b in zip(ppt, spa)), "ppt and spa_spectrum verdicts disagree")
     spec_pt = herm_eig(partial_transpose(states.mat)).values
     spec_spa = _channel_spectra(states)
     dev = float(np.max(np.abs(spec_spa - (spec_pt / 9.0 + 2.0 / 9.0))))
-    assert dev < EXACT_BOUND, f"affine spectrum law deviates by {dev:.3e}"
+    _check(dev < EXACT_BOUND, f"affine spectrum law deviates by {dev:.3e}")
     dev = float(np.max(np.abs(np.array([v.lambda_min for v in spa]) - spec_spa[:, 0])))
-    assert dev < EXACT_BOUND, f"spa_spectrum deviates from the channel output by {dev:.3e}"
+    _check(dev < EXACT_BOUND, f"spa_spectrum deviates from the channel output by {dev:.3e}")
 
 
 def _suite_spa_range_law(seed: int) -> None:
@@ -128,20 +134,20 @@ def _suite_spa_range_law(seed: int) -> None:
         (DensityMatrix(products), SPA_THRESHOLD - EXACT_BOUND, SPA_THRESHOLD + EXACT_BOUND, "pure product input does not attain 2/9"),
     ):
         lam = np.array([v.lambda_min for v in detect(states, "spa_spectrum")])
-        bad = np.flatnonzero((lam < low) | (lam > high))
-        assert not bad.size, f"{failure}: output min eigenvalue {lam[bad[0]]}"
+        outside = lam[(lam < low) | (lam > high)]
+        _check(not outside.size, f"{failure}: output min eigenvalues {outside[:3]}")
         dev = float(np.max(np.abs(lam - _channel_spectra(states)[:, 0])))
-        assert dev < EXACT_BOUND, f"spa_spectrum deviates from the channel output by {dev:.3e}"
+        _check(dev < EXACT_BOUND, f"spa_spectrum deviates from the channel output by {dev:.3e}")
 
 
 def _suite_bell_basis_independence(seed: int) -> None:
     lams_th = [detect(bell(k), "spa_spectrum").lambda_min for k in BELL_KINDS]
     lams_d = [lambda_min_d(f_hat(ideal_probabilities(bell(k)))) for k in BELL_KINDS]
-    assert max(lams_th) - min(lams_th) <= EXACT_BOUND, "spa_spectrum differs across Bell states"
-    assert max(lams_d) - min(lams_d) <= EXACT_BOUND, "f_hat differs across Bell states"
+    _check(max(lams_th) - min(lams_th) <= EXACT_BOUND, "spa_spectrum differs across Bell states")
+    _check(max(lams_d) - min(lams_d) <= EXACT_BOUND, "f_hat differs across Bell states")
     q = bell_vector("phi+").projector()
     expectations = [witness_expectation(bell(k), q) for k in BELL_KINDS]
-    assert min(expectations) < 0 < max(expectations), "fixed witness does not change sign across Bell states"
+    _check(min(expectations) < 0 < max(expectations), "fixed witness does not change sign across Bell states")
 
 
 def _suite_tomography_roundtrip(seed: int) -> None:
@@ -149,7 +155,7 @@ def _suite_tomography_roundtrip(seed: int) -> None:
     states = [bell(k) for k in BELL_KINDS] + [werner(0.3)] + [random_density_matrix(rng) for _ in range(5)]
     for rho in states:
         dev = float(np.max(np.abs(qst_linear_inversion(pauli_expectations(rho)) - rho.mat)))
-        assert dev < EXACT_BOUND, f"linear inversion round trip deviates by {dev:.3e}"
+        _check(dev < EXACT_BOUND, f"linear inversion round trip deviates by {dev:.3e}")
 
 
 def _suite_trajectory_convergence(seed: int) -> None:
@@ -158,7 +164,7 @@ def _suite_trajectory_convergence(seed: int) -> None:
     for kind in BELL_KINDS:
         rho = bell(kind)
         fid = fidelity(trajectory_spa_pt(rho, cfg), apply(channel, rho))
-        assert fid >= MIN_TRAJECTORY_FIDELITY, f"trajectory fidelity {fid:.6f} below {MIN_TRAJECTORY_FIDELITY} for {kind}"
+        _check(fid >= MIN_TRAJECTORY_FIDELITY, f"trajectory fidelity {fid:.6f} below {MIN_TRAJECTORY_FIDELITY} for {kind}")
 
 
 def _suite_sampled_detection_stability(seed: int) -> None:
@@ -169,7 +175,7 @@ def _suite_sampled_detection_stability(seed: int) -> None:
             for k in range(50)
         ]
         dev = abs(float(np.mean(sampled)) - ideal)
-        assert dev < SAMPLED_MEAN_BOUND, f"sampled detection mean deviates from ideal by {dev:.4f}"
+        _check(dev < SAMPLED_MEAN_BOUND, f"sampled detection mean deviates from ideal by {dev:.4f}")
 
 
 # Assertion bounds of the suites.

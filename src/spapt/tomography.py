@@ -26,7 +26,6 @@ the same and numpy's per-integer conversion is skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from .linalg import (
     side_by_side,
 )
 from .states import DensityMatrix, PureState, require_single
-from .channels import SPA_PT_INSTRUMENT, Branch, require_instrument, unvec, vec
+from .channels import SPA_PT_INSTRUMENT, Instrument, unvec, vec
 
 __all__ = [
     "ShotConfig",
@@ -161,8 +160,8 @@ def tomo_basis() -> tuple[PureState, PureState, PureState, PureState]:
 #: row 4, for q and r, is {M_k (x) |0><0|} then {M_k (x) |1><1|}; laid side
 #: by side, ``_TABLE_SETTINGS[:, i, j, :]`` is outcome j of setting i
 _TABLE_SETTINGS = side_by_side(np.array(
-    [[np.kron(a, eff) for a in (proj, np.eye(2) - proj) for eff in SPA_PT_INSTRUMENT[0].sides[1].povm] for proj in (t.projector() for t in tomo_basis())]
-    + [[np.kron(eff, ket) for ket in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) for eff in SPA_PT_INSTRUMENT[1].sides[0].povm]]
+    [[np.kron(a, eff) for a in (proj, np.eye(2) - proj) for eff in SPA_PT_INSTRUMENT.branches[0].sides[1].povm] for proj in (t.projector() for t in tomo_basis())]
+    + [[np.kron(eff, ket) for ket in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) for eff in SPA_PT_INSTRUMENT.branches[1].sides[0].povm]]
 ))
 
 
@@ -238,7 +237,7 @@ def _ideal_and_sampled_tables(rho: DensityMatrix, cfg: ShotConfig) -> tuple[Prob
     return _ideal_table(born), _sampled_table(born, cfg)
 
 
-def _trajectory_components(rho: DensityMatrix, instrument: Sequence[Branch]) -> tuple[np.ndarray, np.ndarray]:
+def _trajectory_components(rho: DensityMatrix, instrument: Instrument) -> tuple[np.ndarray, np.ndarray]:
     """Outcome probabilities and emitted states of one single-copy run of a
     local instrument, one per category.
 
@@ -251,7 +250,7 @@ def _trajectory_components(rho: DensityMatrix, instrument: Sequence[Branch]) -> 
     """
     probs, outputs = [], []
     v = vec(rho.mat)
-    for branch in instrument:
+    for branch in instrument.branches:
         w = _born_weights(rho.mat, branch.effects)
         live = w > ZERO_WEIGHT_TOL
         probs.append(np.where(live, branch.weigh(w) / branch.draws, 0.0))
@@ -260,7 +259,7 @@ def _trajectory_components(rho: DensityMatrix, instrument: Sequence[Branch]) -> 
     return _normalized_probs(np.concatenate(probs)), np.concatenate(outputs)
 
 
-def _trajectory_counts(rho: DensityMatrix, instrument: Sequence[Branch], cfg: ShotConfig) -> tuple[np.ndarray, np.ndarray]:
+def _trajectory_counts(rho: DensityMatrix, instrument: Instrument, cfg: ShotConfig) -> tuple[np.ndarray, np.ndarray]:
     """Run counts and output states per category; only categories of nonzero probability are drawn."""
     probs, outputs = _trajectory_components(rho, instrument)
     drawn = probs > 0.0
@@ -269,7 +268,7 @@ def _trajectory_counts(rho: DensityMatrix, instrument: Sequence[Branch], cfg: Sh
     return counts, outputs
 
 
-def trajectory(rho: DensityMatrix, instrument: Sequence[Branch], cfg: ShotConfig) -> DensityMatrix:
+def trajectory(rho: DensityMatrix, instrument: Instrument, cfg: ShotConfig) -> DensityMatrix:
     """Ensemble average of finite single-copy runs of a local instrument,
     such as the ``instrument`` of a channel.
 
@@ -279,10 +278,11 @@ def trajectory(rho: DensityMatrix, instrument: Sequence[Branch], cfg: ShotConfig
     output as the run count grows.
     """
     require_single("trajectory", rho)
-    branches = require_instrument(instrument)
-    if branches[0].dim != rho.dim:
-        raise ValidationError(f"the instrument acts on dim {branches[0].dim}, the state has dim {rho.dim}")
-    counts, outputs = _trajectory_counts(rho, branches, cfg)
+    if not isinstance(instrument, Instrument):
+        raise ValidationError(f"the channel has no local instrument to run: expected an Instrument, got {type(instrument).__name__}")
+    if instrument.dim != rho.dim:
+        raise ValidationError(f"the instrument acts on dim {instrument.dim}, the state has dim {rho.dim}")
+    counts, outputs = _trajectory_counts(rho, instrument, cfg)
     # the one dot of np.tensordot(weights, outputs, axes=1), on its reshaped operands
     acc = np.dot((counts / float(cfg.shots_per_setting)).reshape(1, -1), outputs.reshape(len(counts), -1)).reshape(rho.dim, rho.dim)
     return DensityMatrix((acc + acc.conj().T) / 2.0)
@@ -293,7 +293,7 @@ def trajectory_branch_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[int, 
     inversion branch (expected fractions 1/3 and 2/3)."""
     require_single("trajectory_branch_counts", rho)
     counts, _ = _trajectory_counts(rho, SPA_PT_INSTRUMENT, cfg)
-    split = len(SPA_PT_INSTRUMENT[0].maps)
+    split = len(SPA_PT_INSTRUMENT.branches[0].maps)
     return int(counts[:split].sum()), int(counts[split:].sum())
 
 

@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spapt import channels
 from spapt.cli import CHANNEL_FACTORIES
 from spapt.linalg import PAULI_X, PAULI_Y, ValidationError, herm_eig, partial_transpose
 from spapt.states import BELL_KINDS, DensityMatrix, bell, random_density_matrix, werner
@@ -17,11 +16,11 @@ from spapt.channels import (
     TRANSPOSE_SIDE,
     Branch,
     Channel,
+    Instrument,
     Side,
     apply,
     choi,
     depolarize,
-    instrument_channel,
     is_cp,
     is_tp,
     partial_transpose_channel,
@@ -34,7 +33,7 @@ from spapt.channels import (
     unvec,
     vec,
 )
-from spapt.tomography import _trajectory_components
+from spapt.tomography import ShotConfig, _trajectory_components, trajectory
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -62,7 +61,7 @@ def test_tetrahedral_overlaps_are_symmetric():
 
 
 def test_tetrahedral_povm_is_complete():
-    measured = [side for branch in SPA_PT_INSTRUMENT for side in branch.sides if side.povm]
+    measured = [side for branch in SPA_PT_INSTRUMENT.branches for side in branch.sides if side.povm]
     assert len(measured) == 2
     for side in measured:
         assert np.max(np.abs(sum(side.povm) - EYE2)) < 1e-10
@@ -235,14 +234,21 @@ def test_superoperator_maps_identity_to_unit_trace_state():
 
 
 def test_instrument_validation():
-    with pytest.raises(ValidationError, match="sum to 1"):
-        instrument_channel((Branch(0.5, (IDENTITY_SIDE,)), Branch(0.6, (IDENTITY_SIDE,))))
+    # weights off by 1e-9 (bound 1e-12) and a correction off unitarity by 1e-6
+    # (bound 1e-9) are refused; weights off by 1e-13 are not
+    for weight in (0.6, 0.5 + 1e-9):
+        with pytest.raises(ValidationError, match="sum to 1"):
+            Instrument((Branch(0.5, (IDENTITY_SIDE,)), Branch(weight, (IDENTITY_SIDE,))))
+    assert Instrument((Branch(0.5, (IDENTITY_SIDE,)), Branch(0.5 + 1e-13, (IDENTITY_SIDE,)))).dim == 2
     with pytest.raises(ValidationError, match="same dimensions"):
-        instrument_channel((Branch(0.5, (IDENTITY_SIDE,)), Branch(0.5, (IDENTITY_SIDE, IDENTITY_SIDE))))
+        Instrument((Branch(0.5, (IDENTITY_SIDE,)), Branch(0.5, (IDENTITY_SIDE, IDENTITY_SIDE))))
     with pytest.raises(ValidationError, match="sum to identity"):
         Side(povm=tetrahedral_povm()[:3], prepared=tetrahedral_states()[:3])
-    with pytest.raises(ValidationError, match="not unitary"):
-        Side(corrections=(np.eye(2, dtype=complex) * 2.0,))
+    almost_unitary = np.diag([1.0, np.sqrt(1.0 + 1e-6)])
+    assert np.max(np.abs(almost_unitary.T @ almost_unitary - EYE2)) == pytest.approx(1e-6)
+    for correction in (EYE2 * 2.0, almost_unitary):
+        with pytest.raises(ValidationError, match="not unitary"):
+            Side(corrections=(correction,))
     with pytest.raises(ValidationError, match="not both or neither"):
         Side(povm=tetrahedral_povm(), prepared=tetrahedral_states(), corrections=(EYE2,))
 
@@ -263,11 +269,11 @@ def test_instrument_validation():
         (lambda: Side(povm=5), "povm must be a tuple or list"),
         (lambda: Side(corrections=None), "corrections must be a tuple or list"),
         (lambda: Side(povm=tetrahedral_povm(), prepared=5), "prepared must be a tuple or list"),
-        (lambda: Channel(np.eye(16), instrument=5), "instrument must be a tuple or list"),
+        (lambda: Instrument(5), "branches must be a tuple or list"),
     ],
     ids=[
         "channel-string", "channel-ragged", "side-povm", "side-corrections", "side-prepared", "branch-string", "branch-none", "branch-inf", "branch-nan", "branch-one-side",
-        "side-povm-not-a-sequence", "side-corrections-none", "side-prepared-not-a-sequence", "channel-instrument-not-a-sequence",
+        "side-povm-not-a-sequence", "side-corrections-none", "side-prepared-not-a-sequence", "instrument-branches-not-a-sequence",
     ],
 )
 def test_channel_layer_input_is_a_validation_error_naming_the_field(build, field):
@@ -284,30 +290,41 @@ def test_a_channel_is_square_and_sized_by_its_superoperator():
     assert [f.name for f in dataclasses.fields(Channel)] == ["mat", "instrument"]
     assert Channel(np.eye(9)).dim == 3
     with pytest.raises(TypeError):
-        Channel(np.eye(16), (4, 4))  # the instrument is keyword-only
+        Channel(np.eye(16), (4, 4))  # the instrument is not an argument of Channel
     for shape in [(4, 16), (16, 4), (8, 8), (0, 0), (4,)]:
         with pytest.raises(ValidationError, match=r"\(dim\^2, dim\^2\) matrix"):
             Channel(np.zeros(shape))
 
 
-def test_a_channel_checks_its_instrument_when_built():
+def test_an_instrument_is_checked_when_built_and_paired_with_its_channel():
     with pytest.raises(ValidationError, match="an instrument holds Branch entries only"):
-        Channel(np.eye(16), instrument=(5,))
-    with pytest.raises(ValidationError, match="the instrument acts on dim 2, the superoperator on dim 4"):
-        Channel(np.eye(16), instrument=(Branch(1, (TRANSPOSE_SIDE,)),))
+        Instrument((5,))
     with pytest.raises(ValidationError, match="branch weights must sum to 1"):
-        Channel(spa_pt().mat, instrument=SPA_PT_INSTRUMENT[:1])
-    with pytest.raises(ValidationError, match="the channel has no local instrument to run"):
-        instrument_channel(())
-    assert Channel(spa_pt().mat, instrument=list(SPA_PT_INSTRUMENT)).instrument == SPA_PT_INSTRUMENT
+        Instrument(SPA_PT_INSTRUMENT.branches[:1])
+    with pytest.raises(ValidationError, match="an instrument needs at least one branch"):
+        Instrument(())
+    # only Instrument.channel pairs a superoperator with an instrument, so the two cannot disagree
+    with pytest.raises(TypeError):
+        Channel(np.eye(16), instrument=SPA_PT_INSTRUMENT)
+    instrument = Instrument(list(SPA_PT_INSTRUMENT.branches))
+    assert instrument.branches == SPA_PT_INSTRUMENT.branches and instrument.dim == 4
+    channel = instrument.channel()
+    assert channel.instrument is instrument and np.array_equal(channel.mat, spa_pt().mat)
+    assert Instrument((Branch(1, (TRANSPOSE_SIDE,)),)).channel().dim == 2
+    assert Channel(np.eye(16)).instrument is None
 
 
-def test_a_channel_build_checks_its_instrument_once(monkeypatch):
-    check, calls = channels.require_instrument, []
-    monkeypatch.setattr(channels, "require_instrument", lambda instrument: calls.append(instrument) or check(instrument))
+def test_cli_channels_and_their_trajectories_build_no_instrument(monkeypatch):
+    check, built = Instrument.__post_init__, []
+    monkeypatch.setattr(Instrument, "__post_init__", lambda self: built.append(self) or check(self))
+    cfg = ShotConfig(shots_per_setting=100, seed=3)
     for factory in CHANNEL_FACTORIES.values():
-        factory()
-    assert len(calls) == len(CHANNEL_FACTORIES)
+        channel = factory()
+        assert channel.instrument is factory().instrument
+        trajectory(werner(0.6), channel.instrument, cfg)
+    assert built == []
+    Instrument(SPA_PT_INSTRUMENT.branches)
+    assert len(built) == 1
 
 
 def test_vec_stacks_columns_of_each_matrix_of_a_stack():

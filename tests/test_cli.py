@@ -488,6 +488,14 @@ def test_selftest_command():
     assert run_cli("selftest", "--seed", "42") == 0
 
 
+def test_selftest_fails_a_broken_bound_under_python_optimize():
+    # -O strips assert statements; the suites must still fail
+    script = "import sys; from spapt import cli, selftest; selftest.EXACT_BOUND = -1.0; sys.exit(cli.main(['selftest']))"
+    result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert result.returncode == 3, result.stderr
+    assert "3/10 suites passed" in result.stdout
+
+
 def test_sampled_detection_suite_runs_at_the_largest_seed():
     # its 50 seeds seed + k wrap modulo 2**64 instead of leaving the seed range
     _suite_sampled_detection_stability(2**64 - 1)

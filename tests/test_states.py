@@ -208,6 +208,17 @@ def test_linear_entropy_limits():
     assert abs(linear_entropy(DensityMatrix(np.eye(4, dtype=complex) / 4.0)) - 1.0) < 1e-12
 
 
+def test_linear_entropy_of_complex_states_matches_their_eigenvalues():
+    # oracle: (4/3)(1 - sum of squared eigenvalues), on states with complex entries
+    rng = np.random.default_rng(41)
+    states = random_density_matrix(rng, count=20)
+    assert np.abs(states.mat.imag).max() > 0.1
+    expected = (4.0 / 3.0) * (1.0 - (np.linalg.eigvalsh(states.mat) ** 2).sum(axis=-1))
+    assert np.max(np.abs(linear_entropy(states) - expected)) < 1e-12
+    for rho, value in zip(states, expected):
+        assert abs(linear_entropy(rho) - value) < 1e-12
+
+
 def test_linear_entropy_of_werner_half():
     rho = werner(0.5)
     # oracle: direct tr rho^2 evaluation

@@ -14,7 +14,7 @@ from spapt import tomography
 from spapt.cli import CHANNEL_FACTORIES
 from spapt.linalg import PAULIS, ValidationError, herm_eig
 from spapt.states import BELL_KINDS, DensityMatrix, bell, fidelity, mems, random_density_matrix, rho_family, werner
-from spapt.channels import IDENTITY_SIDE, SPA_PT_INSTRUMENT, Branch, apply, instrument_channel, spa_pt, tetrahedral_povm, tetrahedral_states
+from spapt.channels import IDENTITY_SIDE, SPA_PT_INSTRUMENT, Branch, Instrument, apply, partial_transpose_channel, spa_pt, tetrahedral_povm, tetrahedral_states
 from spapt.tomography import (
     ProbabilityTable,
     ShotConfig,
@@ -178,36 +178,46 @@ def test_trajectory_branch_frequencies():
         assert abs(n1 / n - 1.0 / 3.0) <= 3.0 * sigma
 
 
-_TRANSPOSE_BRANCH, _INVERSION_BRANCH = SPA_PT_INSTRUMENT
+_TRANSPOSE_BRANCH, _INVERSION_BRANCH = SPA_PT_INSTRUMENT.branches
 _CFG = ShotConfig(shots_per_setting=1000, seed=1)
 
 
-def test_trajectory_rejects_branch_weights_that_do_not_sum_to_one():
-    thirds = (_TRANSPOSE_BRANCH, Branch(Fraction(1, 3), _INVERSION_BRANCH.sides))
-    for run in (lambda: trajectory(werner(0.6), thirds, _CFG), lambda: instrument_channel(thirds)):
-        with pytest.raises(ValidationError, match="branch weights must sum to 1"):
-            run()
-
-
-def test_trajectory_rejects_branches_on_other_subsystem_dimensions():
-    mixed = (Branch(Fraction(1, 2), _TRANSPOSE_BRANCH.sides), Branch(Fraction(1, 2), (IDENTITY_SIDE,)))
-    for run in (lambda: trajectory(werner(0.6), mixed, _CFG), lambda: instrument_channel(mixed)):
-        with pytest.raises(ValidationError, match="all branches must act on subsystems of the same dimensions"):
-            run()
-
-
-def test_trajectory_rejects_an_entry_that_is_not_a_branch():
-    foreign = (_TRANSPOSE_BRANCH, np.eye(4))
-    for run in (lambda: trajectory(werner(0.6), foreign, _CFG), lambda: instrument_channel(foreign)):
-        with pytest.raises(ValidationError, match="an instrument holds Branch entries only"):
-            run()
+@pytest.mark.parametrize(
+    "branches, message",
+    [
+        ((_TRANSPOSE_BRANCH, Branch(Fraction(1, 3), _INVERSION_BRANCH.sides)), "branch weights must sum to 1"),
+        ((Branch(Fraction(1, 2), _TRANSPOSE_BRANCH.sides), Branch(Fraction(1, 2), (IDENTITY_SIDE,))), "all branches must act on subsystems of the same dimensions"),
+        ((_TRANSPOSE_BRANCH, np.eye(4)), "an instrument holds Branch entries only"),
+    ],
+    ids=["weights-not-summing-to-one", "branches-on-other-dimensions", "entry-not-a-branch"],
+)
+def test_a_malformed_instrument_is_refused_when_built_and_its_branches_never_run(branches, message):
+    with pytest.raises(ValidationError, match=message):
+        Instrument(branches)
+    with pytest.raises(ValidationError, match="the channel has no local instrument to run"):
+        trajectory(werner(0.6), branches, _CFG)
 
 
 def test_trajectory_keeps_its_own_instrument_messages():
-    with pytest.raises(ValidationError, match="the channel has no local instrument to run"):
-        trajectory(werner(0.6), (), _CFG)
+    for non_instrument in ((), None, SPA_PT_INSTRUMENT.branches, partial_transpose_channel().instrument):
+        with pytest.raises(ValidationError, match="the channel has no local instrument to run"):
+            trajectory(werner(0.6), non_instrument, _CFG)
     with pytest.raises(ValidationError, match="the instrument acts on dim 2, the state has dim 4"):
-        trajectory(werner(0.6), (Branch(1, (IDENTITY_SIDE,)),), _CFG)
+        trajectory(werner(0.6), Instrument((Branch(1, (IDENTITY_SIDE,)),)), _CFG)
+
+
+def test_a_category_of_tiny_born_weight_keeps_its_probability():
+    # outcome 0 of the transpose branch's POVM on B has Born weight eps / 2,
+    # far above the 1e-14 below which a category is never drawn
+    eps = 2e-10
+    v = tetrahedral_states()[0].amplitudes.conj()
+    w = np.array([-v[1].conjugate(), v[0].conjugate()])  # orthogonal to v
+    rho_b = (1.0 - eps) * np.outer(w, w.conj()) + eps * np.outer(v, v.conj())
+    rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), rho_b))
+    weight = tomography._born_weights(rho.mat, _TRANSPOSE_BRANCH.effects)[0]
+    assert weight == pytest.approx(eps / 2.0, rel=1e-3)
+    probs, _ = tomography._trajectory_components(rho, SPA_PT_INSTRUMENT)
+    assert probs[0] == pytest.approx(weight / 3.0, rel=1e-9)
 
 
 #: sha256 prefix of the 9-decimal-rounded trajectory average, as the seed
@@ -356,8 +366,8 @@ def test_stacked_born_tables_equal_the_per_effect_products_bit_for_bit():
         assert np.array_equal(pauli_expectations(rho), _per_effect_born(rho, PAULIS, PAULIS))
     # stacks of states, and every branch of SPA-PT and of the seven CLI channels,
     # each branch effect as np.kron of its sides' effects, byte for byte
-    branches = [b for factory in CHANNEL_FACTORIES.values() for b in factory().instrument]
-    assert len(branches) == 8 and set(SPA_PT_INSTRUMENT) <= set(branches) and all(len(b.sides) == 2 for b in branches)
+    branches = [b for factory in CHANNEL_FACTORIES.values() for b in factory().instrument.branches]
+    assert len(branches) == 8 and set(SPA_PT_INSTRUMENT.branches) <= set(branches) and all(len(b.sides) == 2 for b in branches)
     kron_effects = [[np.kron(a, b) for a in branch.sides[0].effects for b in branch.sides[1].effects] for branch in branches]
     for count in (0, 1, 51):
         states = random_density_matrix(rng, 1 + count % 4, count=count)
