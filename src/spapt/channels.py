@@ -361,6 +361,9 @@ SPA_PT_INSTRUMENT = Instrument((
     Branch(Fraction(2.0 / 3.0), (INVERSION_SIDE, DEPOLARIZE_SIDE)),
 ))
 
+# the one-qubit channels' instruments, built and checked once
+_SPA_TRANSPOSE, _SPA_INVERSION, _DEPOLARIZE = (Instrument((Branch(1, (side,)),)) for side in (TRANSPOSE_SIDE, INVERSION_SIDE, DEPOLARIZE_SIDE))
+
 
 def spa_transpose() -> Channel:
     """Physical approximation to the single-qubit transpose.
@@ -368,18 +371,18 @@ def spa_transpose() -> Channel:
     Measures the tetrahedral POVM and prepares the matching tetrahedral
     state; the resulting action is (1/3) rho^T + (2/3) tr(rho) I/2.
     """
-    return local_channel(TRANSPOSE_SIDE)
+    return _SPA_TRANSPOSE.channel()
 
 
 def spa_inversion() -> Channel:
     """Physical approximation to the inversion, sigma_y-conjugate of
     :func:`spa_transpose`; acts as (2/3) tr(rho) I - (1/3) rho."""
-    return local_channel(INVERSION_SIDE)
+    return _SPA_INVERSION.channel()
 
 
 def depolarize() -> Channel:
     """Fully depolarizing qubit channel as uniform random Pauli application."""
-    return local_channel(DEPOLARIZE_SIDE)
+    return _DEPOLARIZE.channel()
 
 
 def spa_pt() -> Channel:

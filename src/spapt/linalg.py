@@ -5,8 +5,8 @@ functions: nothing here mutates its inputs, so everything is safe to call
 concurrently.  The gate, the eigensolve, the square root and the partial
 transpose take one matrix or a stack of them along leading axes, and a
 single matrix runs the same code as a stack; a failure in a stack names
-the index of its first offending entry.  Eigensolves are one LAPACK
-call (``numpy.linalg.eigh``) behind :func:`require_hermitian`, the
+the index of its first offending entry.  Eigensolves are one LAPACK call
+(numpy's ``eigh`` gufunc) behind :func:`require_hermitian`, the
 finite/Hermitian gate that every Hermitian input of the package passes; a
 matrix that has passed it is solved by :func:`gated_eig` without a second
 gate.  The tolerance table below holds every tolerance the package uses.
@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "ValidationError",
@@ -75,6 +76,10 @@ ROUND_TOL = 1e-12
 ZERO_WEIGHT_TOL = 1e-14
 
 _MAX_DIM = 16
+
+#: the gufunc ``numpy.linalg.eigh`` wraps: bit for bit its result on complex
+#: input, without its per-call conversions and ``errstate`` block
+_eigh = _umath_linalg.eigh_lo
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -159,7 +164,7 @@ def herm_eig(m: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix, or of each matrix of a
     stack, dimension at most 16.
 
-    One LAPACK call (``numpy.linalg.eigh``) on the Hermitian part of ``m``
+    One LAPACK call (numpy's ``eigh`` gufunc) on the Hermitian part of ``m``
     after :func:`require_hermitian`.  Raises ``ValidationError`` for
     non-square, non-finite, non-Hermitian (max |m - m^dag| entry above
     1e-9) or oversized input, and ``NumericError`` if LAPACK does not
@@ -170,15 +175,19 @@ def herm_eig(m: np.ndarray) -> Spectrum:
 
 def gated_eig(a: np.ndarray) -> Spectrum:
     """The solve step of :func:`herm_eig`, for a matrix that has already
-    passed :func:`require_hermitian`: one ``eigh`` on its Hermitian part.
-    A stack is one ``eigh`` call, bit-identical entry by entry to solving
-    each matrix alone."""
+    passed :func:`require_hermitian`: one ``eigh`` on its Hermitian part,
+    equal to ``numpy.linalg.eigh`` of it bit for bit.  A stack is one
+    ``eigh`` call, bit-identical entry by entry to solving each matrix
+    alone."""
     if a.shape[-1] > _MAX_DIM:
         raise ValidationError(f"dimension {a.shape[-1]} exceeds the supported maximum {_MAX_DIM}")
     try:
-        w, v = np.linalg.eigh((a + dag(a)) / 2.0)
-    except np.linalg.LinAlgError as exc:
+        w, v = _eigh((a + dag(a)) / 2.0, signature="D->dD")
+    except (RuntimeWarning, FloatingPointError) as exc:
+        # the invalid flag a failed solve sets, under -W error or np.seterr(invalid="raise")
         raise NumericError(f"eigh did not converge: {exc}") from exc
+    if np.count_nonzero(w != w):  # a failed solve leaves NaN eigenvalues
+        raise NumericError("eigh did not converge: LAPACK returned NaN eigenvalues")
     return Spectrum(w, v)
 
 

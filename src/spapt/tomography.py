@@ -18,14 +18,17 @@ own substream, ``np.random.default_rng([seed, tag, *indices])``, so settings
 are order-independent and results merge deterministically.  The tags are 0
 for the four joint settings of a table (index i = 0..3), 1 for its q/r
 setting (no index), 2 for trajectories (no index) and 3 for the nine Pauli
-settings (indices i, j = 1..3).  The generator is built from the uint32
-words that ``default_rng`` derives from those integers, so the streams are
-the same and numpy's per-integer conversion is skipped.
+settings (indices i, j = 1..3).  Each call builds the generators it needs
+in one step, bit for bit those of ``default_rng``: a ``SeedSequence`` pool
+from the uint32 words ``default_rng`` derives from the integers, then the
+8 output words of every pool in one vectorized pass of numpy's output hash,
+which seed ``PCG64``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -69,11 +72,44 @@ _TAG_TRAJ = 2
 _TAG_PAULI = 3
 
 
-def _rng(seed: int, *path: int) -> np.random.Generator:
-    """``np.random.default_rng([seed, *path])``, seeded from the same uint32
-    words: the seed's, lowest first, then one per path index."""
-    words = [seed & 0xFFFFFFFF, *((seed >> 32,) if seed >> 32 else ()), *path]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
+# numpy's SeedSequence output stage, generate_state(4, uint64): uint32 word k
+# is pool word k % 4 xored with hash constant k = INIT_B * MULT_B**k, times
+# hash constant k + 1, then xorshifted by 16; the constants depend only on k,
+# so the words of many pools are one vectorized xor, multiply and xorshift
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_HASH = np.array([_INIT_B * pow(_MULT_B, k, 2**32) % 2**32 for k in range(9)], dtype=np.uint32)
+_HASH_XOR, _HASH_MUL = _HASH[:8].reshape(2, 4), _HASH[1:].reshape(2, 4)
+
+
+@cache
+def _seed_words() -> type:
+    """An ``ISeedSequence`` that hands ``PCG64``, which asks for
+    ``generate_state(4, uint64)``, the four seed words its ``SeedSequence``
+    would generate.  Built on first use, so that a process that never
+    samples does not import ``numpy.random`` (15-19 ms on a 2-core Xeon)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+            return self.words
+
+    return SeedWords
+
+
+def _rngs(seed: int, *paths: tuple[int, ...]) -> list[np.random.Generator]:
+    """``np.random.default_rng([seed, *path])`` for each path, in order, from
+    the same uint32 words: the seed's, lowest first, then one per path index."""
+    head = [seed & 0xFFFFFFFF, *((seed >> 32,) if seed >> 32 else ())]
+    pools = np.array([np.random.SeedSequence(np.array(head + list(path), dtype=np.uint32)).pool for path in paths])
+    words = (pools[:, None, :] ^ _HASH_XOR) * _HASH_MUL  # word 4 h + k hashes pool word k
+    words ^= words >> 16
+    # as generate_state does: little-endian uint32 pairs read as native uint64
+    state = words.reshape(len(paths), 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    seed_words = _seed_words()
+    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in state]
 
 
 @dataclass(frozen=True)
@@ -202,7 +238,7 @@ def _sampled_table(born: np.ndarray, cfg: ShotConfig) -> ProbabilityTable:
     """The finite-shot table of the detection-setting Born weights of one state or of a stack."""
     born = _normalized_probs(born)
     shots = cfg.shots_per_setting
-    streams = [_rng(cfg.seed, _TAG_TABLE, i) for i in range(4)] + [_rng(cfg.seed, _TAG_QR)]
+    streams = _rngs(cfg.seed, *((_TAG_TABLE, i) for i in range(4)), (_TAG_QR,))
     # only a stack of two or more states rewinds the substreams, to these start states
     starts = [rng.bit_generator.state for rng in streams] if born.ndim > 2 and len(born) > 1 else []
     counts = np.empty(born.shape, dtype=np.int64)
@@ -264,7 +300,8 @@ def _trajectory_counts(rho: DensityMatrix, instrument: Instrument, cfg: ShotConf
     probs, outputs = _trajectory_components(rho, instrument)
     drawn = probs > 0.0
     counts = np.zeros(len(probs), dtype=np.int64)
-    counts[drawn] = _rng(cfg.seed, _TAG_TRAJ).multinomial(cfg.shots_per_setting, probs[drawn])
+    (rng,) = _rngs(cfg.seed, (_TAG_TRAJ,))
+    counts[drawn] = rng.multinomial(cfg.shots_per_setting, probs[drawn])
     return counts, outputs
 
 
@@ -339,8 +376,9 @@ def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray
     shots = cfg.shots_per_setting
     probs = _normalized_probs(_born_weights(rho.mat, _PAULI_SETTINGS))
     counts = np.empty((3, 3, 4), dtype=np.int64)
-    for i, j in np.ndindex(3, 3):
-        counts[i, j] = _rng(cfg.seed, _TAG_PAULI, i + 1, j + 1).multinomial(shots, probs[i, j])
+    streams = _rngs(cfg.seed, *((_TAG_PAULI, i + 1, j + 1) for i, j in np.ndindex(3, 3)))
+    for (i, j), rng in zip(np.ndindex(3, 3), streams):
+        counts[i, j] = rng.multinomial(shots, probs[i, j])
     # freq[i, j, a, b]: setting (i, j), eigenvalue sign a on A and b on B
     freq = counts.reshape(3, 3, 2, 2) / shots
     signs = np.array([1.0, -1.0])

@@ -236,6 +236,13 @@ def test_each_function_of_a_state_serves_a_stack_entry_by_entry_or_refuses_it(fu
         assert _same(_entry(result, k), _whole(call(stack[k])))
 
 
+def test_a_stack_of_stacks_is_not_a_state():
+    for shape in ((1, 1, 4, 4), (2, 3, 4, 4)):
+        with pytest.raises(ValidationError) as err:
+            DensityMatrix(np.broadcast_to(np.eye(4) / 4.0, shape))
+        assert str(err.value) == f"expected a square matrix or an (N, 4, 4) stack, got shape {shape}"
+
+
 def test_a_state_or_a_stack_of_qubit_states_is_refused_for_its_dimension():
     for qubits in (np.eye(2) / 2.0, np.array([np.eye(2) / 2.0] * 3)):
         with pytest.raises(ValidationError) as err:

@@ -327,6 +327,16 @@ def test_cli_channels_and_their_trajectories_build_no_instrument(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("factory", [spa_transpose, spa_inversion, depolarize], ids=["spa_transpose", "spa_inversion", "depolarize"])
+def test_one_qubit_channels_share_one_instrument(monkeypatch, factory):
+    check, built = Instrument.__post_init__, []
+    monkeypatch.setattr(Instrument, "__post_init__", lambda self: built.append(self) or check(self))
+    first, second = factory(), factory()
+    assert first is not second and first.instrument is second.instrument
+    assert np.array_equal(first.mat, second.mat)
+    assert built == []
+
+
 def test_vec_stacks_columns_of_each_matrix_of_a_stack():
     stack = np.arange(2 * 9).reshape(2, 3, 3) + 1j
     columns = vec(stack)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spapt import tomography
+from spapt import linalg, tomography
 from spapt.cli import CHANNEL_FACTORIES, build_parser, main
 from spapt.io import load_state, round12
 from spapt.linalg import ValidationError
@@ -228,12 +228,16 @@ def test_a_valid_qubit_state_file_is_a_validation_error(tmp_path, capsys, argv):
 
 
 def test_lapack_failure_is_a_numeric_failure(bell_file, capsys, monkeypatch):
-    def no_convergence(_):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    # a real failed solve: LAPACK given NaN sets the invalid flag and returns
+    # NaN eigenvalues; under pytest the flag's warning is an error, and with
+    # the flag ignored the NaN eigenvalues are caught
+    eigh = linalg._eigh
+    monkeypatch.setattr(linalg, "_eigh", lambda a, **kwargs: eigh(np.full_like(a, np.nan), **kwargs))
     assert run_cli("detect", "--state", bell_file, "--method", "ppt") == 3
-    assert "numeric failure" in capsys.readouterr().err
+    assert "numeric failure: eigh did not converge: invalid value" in capsys.readouterr().err
+    with np.errstate(invalid="ignore"):
+        assert run_cli("detect", "--state", bell_file, "--method", "ppt") == 3
+    assert "numeric failure: eigh did not converge: LAPACK returned NaN eigenvalues" in capsys.readouterr().err
 
 
 def test_oversized_shot_count_is_a_validation_error(bell_file, capsys):

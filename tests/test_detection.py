@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spapt import detection
+from spapt import detection, linalg
 from spapt.linalg import ValidationError, herm_eig, partial_transpose
 from spapt.states import BELL_KINDS, DensityMatrix, bell, bell_vector, mems, random_density_matrix, werner
 from spapt.channels import apply, spa_pt
@@ -175,8 +175,8 @@ def test_det_scan_of_the_zero_operator_stops_within_60_steps(monkeypatch):
     assert 1 < len(subtractions) <= 61
 
 
-def _counting(name, calls):
-    original = getattr(np.linalg, name)
+def _counting(module, name, calls):
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
@@ -189,7 +189,8 @@ def test_det_scan_calls_no_determinant_or_eigensolver(monkeypatch):
     op = f_hat(sample_table(werner(0.5), ShotConfig(shots_per_setting=10**5, seed=3)))
     calls = []
     for name in ("det", "eigh", "eigvalsh", "eig"):
-        monkeypatch.setattr(np.linalg, name, _counting(name, calls))
+        monkeypatch.setattr(np.linalg, name, _counting(np.linalg, name, calls))
+    monkeypatch.setattr(linalg, "_eigh", _counting(linalg, "_eigh", calls))
     lambda_min_det_scan(op)
     assert calls == []
 

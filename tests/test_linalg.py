@@ -2,7 +2,7 @@
 finite/Hermitian gate, PSD square root, partial transpose, and the
 partial-trace oracle that other test modules import.
 
-herm_eig wraps numpy.linalg.eigh, so comparing it with eigvalsh checks the
+herm_eig wraps numpy's eigh gufunc, so comparing it with eigvalsh checks the
 wrapper (gate, symmetrization, ordering), not LAPACK; analytic spectra and
 reconstruction identities are the independent oracles."""
 
@@ -14,12 +14,15 @@ from spapt.linalg import (
     PAULI_Z,
     ValidationError,
     dag,
+    gated_eig,
     herm_eig,
+    require_hermitian,
     partial_transpose,
     psd_sqrt_from,
 )
 from spapt.states import DensityMatrix, werner
-from spapt.channels import ChoiMatrix
+from spapt.channels import ChoiMatrix, choi
+from spapt.cli import CHANNEL_FACTORIES
 from spapt.tomography import project_to_physical
 from spapt.detection import FHatOperator, witness_expectation
 
@@ -172,6 +175,25 @@ def test_herm_eig_reconstructs_random_hermitian():
         w, v = herm_eig(m)
         assert np.max(np.abs((v * w) @ v.conj().T - m)) < 1e-9
         assert np.max(np.abs(v.conj().T @ v - np.eye(4))) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(50)],
+        lambda rng: [rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)) for n in (1, 2, 7, 51)],
+        lambda rng: [np.zeros((0, 4, 4), dtype=complex)],
+        lambda rng: [choi(factory()).mat for factory in CHANNEL_FACTORIES.values()] + [random_hermitian(rng, 16) for _ in range(10)],
+    ],
+    ids=["4x4", "stacks", "empty_stack", "choi_16x16"],
+)
+def test_gated_eig_is_numpy_eigh_bit_for_bit(build):
+    for m in build(np.random.default_rng(16)):
+        a = require_hermitian((m + dag(m)) / 2.0)
+        w, v = gated_eig(a)
+        want_w, want_v = np.linalg.eigh((a + dag(a)) / 2.0)
+        assert (w.dtype, v.dtype, w.shape, v.shape) == (want_w.dtype, want_v.dtype, want_w.shape, want_v.shape)
+        assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
 
 
 def test_herm_eig_agrees_with_lapack_oracle():

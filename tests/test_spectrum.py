@@ -14,6 +14,7 @@ import io
 import numpy as np
 import pytest
 
+from spapt import linalg
 from spapt.channels import apply, spa_pt
 from spapt.cli import main
 from spapt.detection import detect
@@ -98,13 +99,13 @@ def test_stored_spectrum_is_read_only():
 @pytest.fixture
 def eigh_calls(monkeypatch):
     calls = []
-    eigh = np.linalg.eigh
+    eigh = linalg._eigh
 
     def counting_eigh(a, *args, **kwargs):
         calls.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(linalg, "_eigh", counting_eigh)
     return calls
 
 

@@ -138,6 +138,14 @@ def test_fidelity_self_is_one():
         assert abs(fidelity(rho, rho) - 1.0) < 1e-10
 
 
+def test_fidelity_of_a_pure_state_with_itself_never_exceeds_one():
+    # unclamped, rounding puts about a quarter of these pairs above 1
+    rng = np.random.default_rng(27)
+    values = [fidelity(rho, rho) for rho in (random_density_matrix(rng, n_components=1) for _ in range(200))]
+    assert max(values) <= 1.0
+    assert min(values) > 1.0 - 1e-9
+
+
 def test_fidelity_orthogonal_bell_states():
     assert fidelity(bell("phi+"), bell("phi-")) < 1e-10
 
@@ -265,6 +273,10 @@ def test_density_matrix_rejects_non_finite_entries(bad):
 def test_pure_state_requires_unit_norm():
     with pytest.raises(ValidationError):
         PureState(np.array([1.0, 1.0], dtype=complex))
+    # the bound is rounding noise, 1e-12: a norm off by 1e-10 is refused
+    with pytest.raises(ValidationError, match="not normalized: \\|norm - 1\\| = 1.000e-10"):
+        PureState(np.array([1.0 + 1e-10, 0.0], dtype=complex))
+    assert PureState(np.array([1.0 + 1e-13, 0.0], dtype=complex)).dim == 2
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 0.0], [1.0, np.nan], [np.nan, 0.0, 0.0, 0.0]])

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_states import haar_unitary
 
 from spapt import tomography
 from spapt.cli import CHANNEL_FACTORIES
@@ -242,16 +243,55 @@ def test_trajectory_of_every_channel_matches_its_recorded_digest(key):
     assert hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()[:16] == TRAJECTORY_DIGESTS[key]
 
 
+#: every substream path the package draws from: the table's four joint
+#: settings and its q/r setting, trajectories, and the nine Pauli settings
+PATHS_IN_USE = (
+    [(tomography._TAG_TABLE, i) for i in range(4)]
+    + [(tomography._TAG_QR,), (tomography._TAG_TRAJ,)]
+    + [(tomography._TAG_PAULI, i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+)
+
+
+def _same_streams(generators, seed, paths):
+    return [g.bit_generator.state for g in generators] == [np.random.default_rng([seed, *path]).bit_generator.state for path in paths]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
 def test_substreams_are_default_rng_of_seed_tag_and_indices(seed):
-    for path in ((tomography._TAG_TABLE, 3), (tomography._TAG_QR,), (tomography._TAG_TRAJ,), (tomography._TAG_PAULI, 1, 3)):
-        assert tomography._rng(seed, *path).bit_generator.state == np.random.default_rng([seed, *path]).bit_generator.state
+    assert _same_streams(tomography._rngs(seed, *PATHS_IN_USE), seed, PATHS_IN_USE)
+    for path in PATHS_IN_USE:
+        (rng,) = tomography._rngs(seed, path)
+        assert rng.random(3).tolist() == np.random.default_rng([seed, *path]).random(3).tolist()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_every_substream_in_use_is_default_rng_for_any_seed(seed):
+    assert _same_streams(tomography._rngs(seed, *PATHS_IN_USE), seed, PATHS_IN_USE)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.integers(0, 2**64 - 1), st.integers(0, 3), st.lists(st.integers(0, 2**32 - 1), max_size=3))
-def test_substreams_match_default_rng_for_any_seed_and_path(seed, tag, indices):
-    assert tomography._rng(seed, tag, *indices).bit_generator.state == np.random.default_rng([seed, tag, *indices]).bit_generator.state
+@given(st.integers(0, 2**64 - 1), st.lists(st.tuples(st.integers(0, 3), st.lists(st.integers(0, 2**32 - 1), max_size=3)), min_size=1, max_size=4))
+def test_substreams_match_default_rng_for_any_seed_and_path(seed, tagged):
+    paths = [(tag, *indices) for tag, indices in tagged]
+    assert _same_streams(tomography._rngs(seed, *paths), seed, paths)
+
+
+@pytest.mark.parametrize(
+    "call, paths",
+    [
+        (lambda cfg: sample_table(werner(0.6), cfg), PATHS_IN_USE[:5]),
+        (lambda cfg: sample_table(DensityMatrix(np.stack([werner(0.6).mat, bell("phi+").mat])), cfg), PATHS_IN_USE[:5]),
+        (lambda cfg: trajectory_spa_pt(werner(0.6), cfg), PATHS_IN_USE[5:6]),
+        (lambda cfg: sample_pauli_expectations(werner(0.6), cfg), PATHS_IN_USE[6:]),
+    ],
+    ids=["sample_table", "sample_table_stack", "trajectory", "sample_pauli_expectations"],
+)
+def test_each_sampling_call_seeds_its_substreams_in_one_step(monkeypatch, call, paths):
+    rngs, requests = tomography._rngs, []
+    monkeypatch.setattr(tomography, "_rngs", lambda seed, *p: requests.append((seed, p)) or rngs(seed, *p))
+    call(ShotConfig(shots_per_setting=100, seed=9))
+    assert requests == [(9, tuple(paths))]
 
 
 def test_pauli_expectations_are_the_per_setting_default_rng_draws():
@@ -423,16 +463,28 @@ def test_project_to_physical_clips_and_redistributes():
     # oracle: hand-executed clip-and-redistribute; the deficit -0.3 splits
     # uniformly over the two remaining positive eigenvalues
     assert np.max(np.abs(projected.mat - np.diag([0.95, 0.05, 0.0, 0.0]))) < 1e-12
-    # independent oracle: Euclidean projection of the spectrum onto the
-    # probability simplex (nearest unit-trace PSD spectrum in 2-norm)
     lam = np.array([1.1, 0.2, -0.2, -0.1])
+    assert np.max(np.abs(np.diag(projected.mat).real - _simplex_projection(lam))) < 1e-12
+
+
+def _simplex_projection(lam):
+    """Independent oracle: the Euclidean projection of a spectrum onto the
+    probability simplex (nearest unit-trace PSD spectrum in 2-norm)."""
     u = np.sort(lam)[::-1]
     css = np.cumsum(u)
-    k = np.arange(1, 5)
+    k = np.arange(1, len(lam) + 1)
     rho_k = k[u - (css - 1.0) / k > 0].max()
     theta = (css[rho_k - 1] - 1.0) / rho_k
-    simplex = np.maximum(lam - theta, 0.0)
-    assert np.max(np.abs(np.diag(projected.mat).real - simplex)) < 1e-12
+    return np.maximum(lam - theta, 0.0)
+
+
+def test_project_to_physical_restores_a_trace_off_by_up_to_the_raw_slack():
+    # |tr - 1| = 1e-7 is inside RAW_TOL; the uniform shift spreads it over all
+    # four eigenvalues, so the output spectrum is the simplex projection
+    u = haar_unitary(np.random.default_rng(45), 4)
+    for lam in (np.array([0.6, 0.3, 0.15, -0.05 + 1e-7]), np.array([0.5, 0.25, 0.25, 1e-7])):
+        projected = project_to_physical(u @ np.diag(lam) @ u.conj().T)
+        assert np.max(np.abs(np.sort(herm_eig(projected.mat).values) - np.sort(_simplex_projection(lam)))) < 1e-12
 
 
 def test_project_to_physical_output_is_always_valid():
@@ -467,6 +519,20 @@ def test_probability_table_validation():
         ProbabilityTable(np.zeros((2, 2)), good.q, good.r, 0)
     # the all-zero table stays constructible (linearity fixture)
     ProbabilityTable(np.zeros((4, 4)), np.zeros(4), np.zeros(4), 0)
+
+
+@pytest.mark.parametrize("field", ["p", "q", "r"])
+def test_a_table_entry_below_zero_by_more_than_rounding_is_refused(field):
+    good = ideal_probabilities(werner(0.6))
+
+    def table(low):
+        arrays = {"p": good.p.copy(), "q": good.q.copy(), "r": good.r.copy()}
+        arrays[field].flat[0] = low
+        return ProbabilityTable(arrays["p"], arrays["q"], arrays["r"], 0)
+
+    table(-1e-13)  # rounding noise below 0 is accepted
+    with pytest.raises(ValidationError, match=f"{field} entries must lie in \\[0, 1\\]"):
+        table(-1e-11)
 
 
 @pytest.mark.parametrize("field", ["p", "q", "r"])
