@@ -38,16 +38,13 @@ for p, alpha in NINE_STATE_PARAMS:
 
 print("\nverdicts track the tangle exactly: entangled iff tangle > 0")
 
-print("\nnoise-mixed singlet curve (lambda = (p+2)/12, flips at p = 2/3):")
-for p in np.linspace(0.0, 1.0, 11):
-    rho = werner(p)
-    lam = detect(rho, "spa_spectrum").lambda_min
-    print(f"  p={p:.2f}  tangle={tangle(rho):.4f}  S_L={linear_entropy(rho):.4f}  lambda={lam:.6f}")
-
-print("\nmaximally entangled mixed states (tangle = p^2 at fixed mixedness):")
-for p in np.linspace(0.0, 1.0, 11):
-    rho = mems(p)
-    lam = detect(rho, "spa_spectrum").lambda_min
-    print(f"  p={p:.2f}  tangle={tangle(rho):.4f}  S_L={linear_entropy(rho):.4f}  lambda={lam:.6f}")
+# a family given an array of p is one stack: each column below is one call on it
+grid = np.linspace(0.0, 1.0, 11)
+curves = (("noise-mixed singlet curve (lambda = (p+2)/12, flips at p = 2/3)", werner), ("maximally entangled mixed states (tangle = p^2 at fixed mixedness)", mems))
+for title, family in curves:
+    print(f"\n{title}:")
+    states = family(grid)
+    for p, t, s_l, spa in zip(grid, tangle(states), linear_entropy(states), detect(states, "spa_spectrum")):
+        print(f"  p={p:.2f}  tangle={t:.4f}  S_L={s_l:.4f}  lambda={spa.lambda_min:.6f}")
 
 print("\nfor the CSV dataset run:  spapt fig3 --format csv --out sweep.csv")

@@ -59,7 +59,6 @@ __all__ = [
     "SPA_PT_INSTRUMENT",
     "vec",
     "unvec",
-    "local_channel",
     "tetrahedral_states",
     "tetrahedral_povm",
     "spa_transpose",
@@ -315,11 +314,6 @@ class Instrument:
         channel = Channel(sum(b.superoperator for b in self.branches))
         object.__setattr__(channel, "instrument", self)
         return channel
-
-
-def local_channel(*sides: Side) -> Channel:
-    """The channel of one branch in which each subsystem takes its side, A first."""
-    return Instrument((Branch(1, sides),)).channel()
 
 
 def tetrahedral_states() -> tuple[PureState, PureState, PureState, PureState]:

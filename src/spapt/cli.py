@@ -13,6 +13,8 @@ import functools
 import sys
 from typing import Any, Callable
 
+import numpy as np
+
 from . import __version__
 from .linalg import NumericError, ValidationError
 from .states import (
@@ -24,12 +26,9 @@ from .states import (
     fidelity,
     linear_entropy,
     mems,
-    mems_matrix,
     rho_family,
-    rho_family_matrix,
     tangle,
     werner,
-    werner_matrix,
 )
 from .channels import (
     DEPOLARIZE_SIDE,
@@ -44,13 +43,13 @@ from .channels import (
 )
 from .tomography import (
     ShotConfig,
+    ideal_probabilities,
     qst_linear_inversion,
     project_to_physical,
     sample_pauli_expectations,
     sample_table,
     trajectory,
     trajectory_spa_pt,
-    _ideal_and_sampled_tables,
 )
 from .detection import detect
 from .io import load_state, save_state, write_report
@@ -255,12 +254,10 @@ def _cmd_table1(args: argparse.Namespace, cfg: ShotConfig) -> int:
 def _cmd_fig3(args: argparse.Namespace, cfg: ShotConfig) -> int:
     # the sweep is one stack of states, and each column one call on it
     grid = [round(0.05 * k, 10) for k in range(21)]
-    sweep = [("rho_family", p, alpha, rho_family_matrix(p, alpha)) for p, alpha in NINE_STATE_PARAMS]
-    sweep += [("werner", p, None, werner_matrix(p)) for p in grid]
-    sweep += [("mems", p, None, mems_matrix(p)) for p in grid]
-    states = DensityMatrix([mat for *_, mat in sweep])
-    ideal, sampled = _ideal_and_sampled_tables(states, cfg)
-    columns = zip(tangle(states), linear_entropy(states), detect(states, "spa_spectrum"), detect(ideal, "f_hat"), detect(sampled, "f_hat"))
+    labels = [("rho_family", p, alpha) for p, alpha in NINE_STATE_PARAMS] + [(family, p, None) for family in ("werner", "mems") for p in grid]
+    p, alpha = np.array(NINE_STATE_PARAMS).T
+    states = DensityMatrix(np.concatenate([rho_family(p, alpha).mat, werner(grid).mat, mems(grid).mat]))
+    columns = zip(tangle(states), linear_entropy(states), detect(states, "spa_spectrum"), detect(ideal_probabilities(states), "f_hat"), detect(sample_table(states, cfg), "f_hat"))
     rows = [
         {
             "family": family,
@@ -274,7 +271,7 @@ def _cmd_fig3(args: argparse.Namespace, cfg: ShotConfig) -> int:
             "verdict": spa.verdict,
             "shots": cfg.shots_per_setting,
         }
-        for (family, p, alpha, _), (tangle, entropy, spa, ideal, sampled) in zip(sweep, columns)
+        for (family, p, alpha), (tangle, entropy, spa, ideal, sampled) in zip(labels, columns)
     ]
     return _report(args, cfg, rows)
 

@@ -109,7 +109,7 @@ _F_HAT_MAP = _f_hat_map()
 
 def _f_hat_matrices(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The Hermitian part of the f_hat matrix of one table, or of each table
-    of a stack, before the gate.  Each table vector is its own (1, 20) row
+    of a stack, exactly Hermitian.  Each table vector is its own (1, 20) row
     times the map, so a stack equals its tables one by one bit for bit; an
     (N, 20) matrix product would sum in another order."""
     lead = p.shape[:-2]
@@ -249,8 +249,8 @@ def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVe
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "f_hat" and isinstance(target, ProbabilityTable):
-        # the gate of FHatOperator, then the eigensolve
-        lams = _lambda_min(require_hermitian(_f_hat_matrices(target.p, target.q, target.r), "operator"))
+        # a validated table is finite and bounded, and its f_hat matrices exactly Hermitian: solved without a second gate
+        lams = _lambda_min(_f_hat_matrices(target.p, target.q, target.r))
         threshold, shots = SPA_THRESHOLD, target.shots_per_setting
     elif not isinstance(target, DensityMatrix):
         raise ValidationError("f_hat needs a DensityMatrix or a ProbabilityTable" if method == "f_hat" else f"method {method!r} needs a DensityMatrix")

@@ -106,15 +106,13 @@ def load_state(path: str) -> tuple[DensityMatrix, dict[str, Any]]:
 
 
 def _rounded(value: Any) -> Any:
-    if isinstance(value, (float, np.floating)):
-        return round12(value)
-    if isinstance(value, (int, np.integer, str)) or value is None:
-        return value
+    """A report with every float rounded to 12 significant digits; a report holds
+    dicts, lists, floats, ints, strings and None."""
     if isinstance(value, dict):
         return {k: _rounded(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return [_rounded(v) for v in value]
-    return str(value)
+    return round12(value) if isinstance(value, float) else value
 
 
 def render_report(report: dict[str, Any], output_format: str) -> str:
@@ -135,17 +133,8 @@ def render_report(report: dict[str, Any], output_format: str) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     header = list(rows[0].keys())
     writer.writerow(header)
-    for row in rows:
-        cells = []
-        for key in header:
-            value = row.get(key)
-            if value is None:
-                cells.append("")
-            elif isinstance(value, (float, np.floating)):
-                cells.append(fmt12(value))
-            else:
-                cells.append(str(value))
-        writer.writerow(cells)
+    # csv writes None as an empty cell
+    writer.writerows([fmt12(v) if isinstance(v, float) else v for v in map(row.get, header)] for row in rows)
     return buffer.getvalue()
 
 

@@ -8,7 +8,9 @@ truth value.
 
 A :class:`DensityMatrix` holds one two-qubit state or an ``(N, 4, 4)``
 stack of them, validated by the same code: one gate, one trace check and
-one eigensolve.  :func:`tangle` and :func:`linear_entropy` return one
+one eigensolve.  The state families :func:`werner`, :func:`mems` and
+:func:`rho_family` give one state for numbers and a stack for arrays of
+parameters.  :func:`tangle` and :func:`linear_entropy` return one
 value per entry of a stack; the functionals that compare or read one
 state raise ``ValidationError`` for a stack.
 """
@@ -44,11 +46,8 @@ __all__ = [
     "NINE_STATE_PARAMS",
     "bell_vector",
     "bell",
-    "werner_matrix",
     "werner",
-    "mems_matrix",
     "mems",
-    "rho_family_matrix",
     "rho_family",
     "fidelity",
     "tangle",
@@ -188,63 +187,55 @@ def bell(kind: str) -> DensityMatrix:
     return DensityMatrix(bell_vector(kind).projector())
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+def _unit_interval(name: str, value: float | np.ndarray) -> np.ndarray:
+    """``value``, a number or an array, as floats in [0, 1]; one check, naming the stack entry that fails."""
+    value = as_numeric(value, float, name)
+    require_each((0.0 <= value) & (value <= 1.0), lambda i: f"{name} must lie in [0, 1], got {value[i]}")  # NaN fails too
     return value
 
 
-def werner_matrix(p: float) -> np.ndarray:
-    """The raw matrix of :func:`werner`, to stack into one :class:`DensityMatrix`."""
-    p = _check_unit_interval("p", p)
-    return p * np.eye(4, dtype=complex) / 4.0 + (1.0 - p) * bell_vector("psi-").projector()
+_PSI_MINUS = bell_vector("psi-").projector()
+_PSI_MINUS.setflags(write=False)
 
 
-def werner(p: float) -> DensityMatrix:
-    """Singlet mixed with white noise: p*I/4 + (1-p)|psi-><psi-|."""
-    return DensityMatrix(werner_matrix(p))
+def werner(p: float | np.ndarray) -> DensityMatrix:
+    """Singlet mixed with white noise: p*I/4 + (1-p)|psi-><psi-|, one state
+    for a number p and a stack for an array of them."""
+    p = _unit_interval("p", p)[..., None, None]
+    return DensityMatrix(p * np.eye(4, dtype=complex) / 4.0 + (1.0 - p) * _PSI_MINUS)
 
 
-def mems_matrix(p: float) -> np.ndarray:
-    """The raw matrix of :func:`mems`, to stack into one :class:`DensityMatrix`."""
-    p = _check_unit_interval("p", p)
-    f = p / 2.0 if p >= 2.0 / 3.0 else 1.0 / 3.0
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[0, 0] = f
-    mat[3, 3] = f
-    mat[0, 3] = p / 2.0
-    mat[3, 0] = p / 2.0
-    mat[1, 1] = 1.0 - 2.0 * f
-    return mat
-
-
-def mems(p: float) -> DensityMatrix:
-    """Maximally entangled mixed state at off-diagonal coherence p.
+def mems(p: float | np.ndarray) -> DensityMatrix:
+    """Maximally entangled mixed state at off-diagonal coherence p, one state
+    for a number p and a stack for an array of them.
 
     X-shaped family with f(p) = p/2 for p >= 2/3 and f(p) = 1/3 below;
     its concurrence equals p, so the tangle is p^2.
     """
-    return DensityMatrix(mems_matrix(p))
+    p = _unit_interval("p", p)
+    f = np.where(p >= 2.0 / 3.0, p / 2.0, 1.0 / 3.0)
+    mat = np.zeros(p.shape + (4, 4), dtype=complex)
+    mat[..., 0, 0] = mat[..., 3, 3] = f
+    mat[..., 0, 3] = mat[..., 3, 0] = p / 2.0
+    mat[..., 1, 1] = 1.0 - 2.0 * f
+    return DensityMatrix(mat)
 
 
-def rho_family_matrix(p: float, alpha: float) -> np.ndarray:
-    """The raw matrix of :func:`rho_family`, to stack into one :class:`DensityMatrix`."""
-    p = _check_unit_interval("p", p)
-    alpha = _check_unit_interval("alpha", alpha)
-    beta = np.sqrt(1.0 - alpha * alpha)
-    psi = np.array([0.0, alpha, -beta, 0.0], dtype=complex)
-    perp = np.array([0.0, beta, alpha, 0.0], dtype=complex)
-    return (1.0 - p) * np.outer(psi, psi.conj()) + p * np.outer(perp, perp.conj())
-
-
-def rho_family(p: float, alpha: float) -> DensityMatrix:
-    """Two-term mixture (1-p)|psi><psi| + p|psi_perp><psi_perp|.
+def rho_family(p: float | np.ndarray, alpha: float | np.ndarray) -> DensityMatrix:
+    """Two-term mixture (1-p)|psi><psi| + p|psi_perp><psi_perp|, one state for
+    numbers p and alpha and a stack for arrays, which broadcast.
 
     |psi> = alpha|01> - sqrt(1-alpha^2)|10> and |psi_perp> is its unique
     (up to phase) orthogonal companion in span{|01>, |10>}; alpha is real.
     """
-    return DensityMatrix(rho_family_matrix(p, alpha))
+    p = _unit_interval("p", p)[..., None, None]
+    alpha = _unit_interval("alpha", alpha)
+    beta = np.sqrt(1.0 - alpha * alpha)
+    kets = np.zeros(alpha.shape + (2, 4), dtype=complex)  # |psi> and |psi_perp> of each entry
+    kets[..., 0, 1], kets[..., 0, 2], kets[..., 1, 1], kets[..., 1, 2] = alpha, -beta, beta, alpha
+    # each |v><v| element by element, as np.outer computes it, for the same bits
+    proj = kets[..., :, None] * kets.conj()[..., None, :]
+    return DensityMatrix((1.0 - p) * proj[..., 0, :, :] + p * proj[..., 1, :, :])
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -217,37 +217,16 @@ def _born_weights(mats: np.ndarray, wide: np.ndarray) -> np.ndarray:
     return traces.reshape(lead + wide.shape[1:-1])
 
 
-def _ideal_table(born: np.ndarray) -> ProbabilityTable:
-    """The exact table of the detection-setting Born weights of one state or of a stack."""
-    born = np.minimum(np.maximum(0.0, born), 1.0)  # np.clip(born, 0.0, 1.0), bit for bit
-    return ProbabilityTable(born[..., :4, :4], born[..., 4, :4], born[..., 4, 4:], 0)
-
-
 def ideal_probabilities(rho: DensityMatrix) -> ProbabilityTable:
     """Exact Born-rule table for the detection measurement settings, of one
     state or stacked for a stack: one product for every state and setting."""
-    return _ideal_table(_born_weights(rho.mat, _TABLE_SETTINGS))
+    born = np.minimum(np.maximum(0.0, _born_weights(rho.mat, _TABLE_SETTINGS)), 1.0)  # np.clip(weights, 0.0, 1.0), bit for bit
+    return ProbabilityTable(born[..., :4, :4], born[..., 4, :4], born[..., 4, 4:], 0)
 
 
 def _normalized_probs(values: np.ndarray) -> np.ndarray:
     pr = np.maximum(values, 0.0)  # np.clip(values, 0.0, None), bit for bit
     return pr / pr.sum(axis=-1, keepdims=True)
-
-
-def _sampled_table(born: np.ndarray, cfg: ShotConfig) -> ProbabilityTable:
-    """The finite-shot table of the detection-setting Born weights of one state or of a stack."""
-    born = _normalized_probs(born)
-    shots = cfg.shots_per_setting
-    streams = _rngs(cfg.seed, *((_TAG_TABLE, i) for i in range(4)), (_TAG_QR,))
-    # only a stack of two or more states rewinds the substreams, to these start states
-    starts = [rng.bit_generator.state for rng in streams] if born.ndim > 2 and len(born) > 1 else []
-    counts = np.empty(born.shape, dtype=np.int64)
-    for n, k in enumerate(np.ndindex(born.shape[:-2])):
-        for i, rng in enumerate(streams):
-            if n:
-                rng.bit_generator.state = starts[i]
-            counts[k + (i,)] = rng.multinomial(shots, born[k + (i,)])
-    return ProbabilityTable(counts[..., :4, :4] / shots, counts[..., 4, :4] / shots, counts[..., 4, 4:] / shots, shots)
 
 
 def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
@@ -263,14 +242,18 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     so its table equals the one sampled for it alone: each substream is
     seeded once and rewound to its start state for every later state.
     """
-    return _sampled_table(_born_weights(rho.mat, _TABLE_SETTINGS), cfg)
-
-
-def _ideal_and_sampled_tables(rho: DensityMatrix, cfg: ShotConfig) -> tuple[ProbabilityTable, ProbabilityTable]:
-    """``ideal_probabilities(rho)`` and ``sample_table(rho, cfg)``, bit for
-    bit, from one evaluation of the Born weights."""
-    born = _born_weights(rho.mat, _TABLE_SETTINGS)
-    return _ideal_table(born), _sampled_table(born, cfg)
+    born = _normalized_probs(_born_weights(rho.mat, _TABLE_SETTINGS))
+    shots = cfg.shots_per_setting
+    streams = _rngs(cfg.seed, *((_TAG_TABLE, i) for i in range(4)), (_TAG_QR,))
+    # only a stack of two or more states rewinds the substreams, to these start states
+    starts = [rng.bit_generator.state for rng in streams] if born.ndim > 2 and len(born) > 1 else []
+    counts = np.empty(born.shape, dtype=np.int64)
+    for n, k in enumerate(np.ndindex(born.shape[:-2])):
+        for i, rng in enumerate(streams):
+            if n:
+                rng.bit_generator.state = starts[i]
+            counts[k + (i,)] = rng.multinomial(shots, born[k + (i,)])
+    return ProbabilityTable(counts[..., :4, :4] / shots, counts[..., 4, :4] / shots, counts[..., 4, 4:] / shots, shots)
 
 
 def _trajectory_components(rho: DensityMatrix, instrument: Instrument) -> tuple[np.ndarray, np.ndarray]:

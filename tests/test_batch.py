@@ -4,9 +4,10 @@ Every function given an ``(N, d, d)`` stack of states must give, entry by
 entry, exactly what it gives for each state alone: the same bits (``==``),
 not values within a tolerance.  fig3 runs each column as one call on the
 stack of its states, so its rows must equal a loop over single states.  A
-function without a per-entry meaning must refuse a stack.  A bad entry of
-a stack must be named by its index, while errors for a single matrix keep
-their wording."""
+state family given an array of parameters is the stack of the states it
+gives for each.  A function without a per-entry meaning must refuse a
+stack.  A bad entry of a stack must be named by its index, while errors
+for a single matrix keep their wording."""
 
 import contextlib
 import inspect
@@ -15,6 +16,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spapt
 import spapt.io
@@ -32,14 +34,11 @@ from spapt.states import (
     fidelity,
     linear_entropy,
     mems,
-    mems_matrix,
     min_eigenvalue,
     random_density_matrix,
     rho_family,
-    rho_family_matrix,
     tangle,
     werner,
-    werner_matrix,
 )
 from spapt.tomography import (
     ProbabilityTable,
@@ -54,12 +53,58 @@ from spapt.tomography import (
 )
 
 GRID = [round(0.05 * k, 10) for k in range(21)]
-FIG3_MATRICES = (
-    [rho_family_matrix(p, alpha) for p, alpha in NINE_STATE_PARAMS]
-    + [werner_matrix(p) for p in GRID]
-    + [mems_matrix(p) for p in GRID]
-)
+P, ALPHA = np.array(NINE_STATE_PARAMS).T
+FIG3_MATRICES = [*rho_family(P, ALPHA).mat, *werner(GRID).mat, *mems(GRID).mat]
 MATRICES = [random_density_matrix(np.random.default_rng([2025, k]), n_components=1 + k % 4).mat for k in range(200)] + FIG3_MATRICES
+
+
+#: p at, just below and just above the MEMS kink 2/3, and the ends of [0, 1]
+EDGES = (2.0 / 3.0, np.nextafter(2.0 / 3.0, 0.0), np.nextafter(2.0 / 3.0, 1.0), 0.0, 1.0)
+UNIT = st.floats(0.0, 1.0) | st.sampled_from(EDGES)
+
+
+def _same_state(a, b):
+    return (
+        np.array_equal(a.mat, b.mat)
+        and np.array_equal(a.spectrum.values, b.spectrum.values)
+        and np.array_equal(a.spectrum.vectors, b.spectrum.vectors)
+    )
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.tuples(UNIT, UNIT), max_size=12))
+@example([])
+@example([(p, 0.71) for p in EDGES])
+def test_a_family_of_an_array_is_the_stack_of_its_single_states_bit_for_bit(params):
+    ps, alphas = [p for p, _ in params], [alpha for _, alpha in params]
+    stacks = {
+        werner: (werner(ps), [(p,) for p in ps]),
+        mems: (mems(np.array(ps)), [(p,) for p in ps]),
+        rho_family: (rho_family(ps, alphas), params),
+    }
+    for family, (stack, args) in stacks.items():
+        assert stack.mat.shape == (len(params), 4, 4)
+        assert all(_same_state(stack[k], family(*one)) for k, one in enumerate(args))
+    # p and alpha broadcast
+    assert all(_same_state(rho_family(ps, 0.71)[k], rho_family(p, 0.71)) for k, p in enumerate(ps))
+
+
+@pytest.mark.parametrize(
+    "family, args, message",
+    [
+        (werner, (1.5,), r"^p must lie in \[0, 1\], got 1.5$"),
+        (werner, ([0.2, 1.5, 0.3],), r"^stack entry 1: p must lie in \[0, 1\], got 1.5$"),
+        (mems, ([0.2, 0.3, np.nan],), r"^stack entry 2: p must lie in \[0, 1\], got nan$"),
+        (rho_family, ([0.1, 1.01], 0.5), r"^stack entry 1: p must lie in \[0, 1\], got 1.01$"),
+        (rho_family, (0.1, [0.5, 0.7, -0.2]), r"^stack entry 2: alpha must lie in \[0, 1\], got -0.2$"),
+        (werner, ("half",), r"^expected a numeric p"),
+        (mems, ([[0.1], [0.2, 0.3]],), r"^expected a numeric p"),
+    ],
+    ids=["scalar", "entry-out-of-range", "entry-nan", "rho_family-p", "rho_family-alpha", "non-numeric", "ragged"],
+)
+def test_a_family_refuses_a_bad_parameter_naming_its_stack_entry(family, args, message):
+    with pytest.raises(ValidationError, match=message):
+        family(*args)
 
 
 def _same_table(stack, k, one):
@@ -225,7 +270,7 @@ def _same(a, b):
 
 @pytest.mark.parametrize("function, call, per_entry", STATE_CALLS.values(), ids=STATE_CALLS)
 def test_each_function_of_a_state_serves_a_stack_entry_by_entry_or_refuses_it(function, call, per_entry):
-    stack = DensityMatrix([bell_vector("psi-").projector(), werner_matrix(0.5), rho_family_matrix(0.12, 0.71)])
+    stack = DensityMatrix([bell_vector("psi-").projector(), werner(0.5).mat, rho_family(0.12, 0.71).mat])
     if not per_entry:
         with pytest.raises(ValidationError, match="takes a single state, not a stack of 3"):
             call(stack)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spapt import linalg, tomography
+from spapt import linalg
 from spapt.cli import CHANNEL_FACTORIES, build_parser, main
 from spapt.io import load_state, round12
 from spapt.linalg import ValidationError
@@ -426,14 +426,6 @@ def test_fig3_dataset(tmp_path):
     for row in werner_rows:
         assert float(row["lambda_th"]) == pytest.approx((float(row["p"]) + 2.0) / 12.0, abs=1e-10)
         assert row["alpha"] == ""
-
-
-def test_fig3_evaluates_the_detection_born_weights_once(monkeypatch, tmp_path):
-    # the ideal and the sampled table of the 51-state stack share one evaluation
-    born, stacks = tomography._born_weights, []
-    monkeypatch.setattr(tomography, "_born_weights", lambda mats, stack: stacks.append(stack) or born(mats, stack))
-    assert run_cli("fig3", "--shots", "1000", "--seed", "3", "--out", str(tmp_path / "fig3.json")) == 0
-    assert sum(stack is tomography._TABLE_SETTINGS for stack in stacks) == 1
 
 
 @pytest.mark.parametrize(

@@ -243,6 +243,25 @@ def test_detect_accepts_sampled_tables():
     assert abs(verdict.lambda_min - 1.0 / 6.0) < 0.01
 
 
+def test_f_hat_verdicts_of_tables_at_their_bounds_solve_without_a_second_gate():
+    # entries at the table's bounds -1e-12 and 1 + 1e-9 still give exactly Hermitian matrices
+    low, high = -1e-12, 1.0 + 1e-9
+    p, q, r = np.zeros((3, 4, 4)), np.zeros((3, 4)), np.zeros((3, 4))
+    p[0, :, :2] = high, low
+    q[0, :2], r[0, 0] = (high, low), low
+    p[1], q[1], r[1] = low, low, (0.5, 0.5, 0.0, low)
+    ideal = ideal_probabilities(bell("phi+"))
+    p[2], q[2], r[2] = ideal.p, ideal.q, ideal.r
+    p[2, 3, 3], q[2, 3] = low, low
+    tables = ProbabilityTable(p, q, r, 1000)
+    mats = detection._f_hat_matrices(tables.p, tables.q, tables.r)
+    assert np.array_equal(mats, linalg.dag(mats))
+    for k, verdict in enumerate(detect(tables, "f_hat")):
+        one = ProbabilityTable(p[k], q[k], r[k], 1000)
+        assert verdict.lambda_min == lambda_min_d(f_hat(one))
+        assert verdict == detect(one, "f_hat")
+
+
 def test_detect_rejects_unknown_method():
     with pytest.raises(ValidationError):
         detect(bell("phi+"), "negativity")
@@ -303,3 +322,14 @@ def test_witness_rejects_non_projectors():
         witness_expectation(bell("phi+"), np.eye(4, dtype=complex))
     with pytest.raises(ValidationError):
         witness_expectation(bell("phi+"), np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
+
+
+@pytest.mark.parametrize("eps, refused", [(1e-6, True), (1e-11, False)], ids=["defect-1e-6", "defect-1e-11"])
+def test_witness_refuses_a_q_whose_idempotence_defect_exceeds_1e_9(eps, refused):
+    # Hermitian with trace 1, and max |Q^2 - Q| is eps to first order
+    q = bell_vector("phi+").projector() + eps * np.diag([0.0, 1.0, -1.0, 0.0])
+    if refused:
+        with pytest.raises(ValidationError, match="Q must be idempotent"):
+            witness_expectation(bell("phi+"), q)
+    else:
+        assert witness_expectation(bell("phi+"), q) == pytest.approx(0.5, abs=1e-10)

@@ -425,15 +425,6 @@ def test_stacked_born_tables_equal_the_per_effect_products_bit_for_bit():
                 assert _same_bytes(tomography._born_weights(states.mat[k], branch.effects), want[k])
 
 
-def test_both_tables_from_one_born_evaluation_equal_the_public_ones_bit_for_bit():
-    states = random_density_matrix(np.random.default_rng(61), count=5)
-    cfg = ShotConfig(shots_per_setting=1000, seed=9)
-    ideal, sampled = tomography._ideal_and_sampled_tables(states, cfg)
-    for got, want in ((ideal, ideal_probabilities(states)), (sampled, sample_table(states, cfg))):
-        assert got.shots_per_setting == want.shots_per_setting
-        assert all(np.array_equal(getattr(got, name), getattr(want, name)) for name in "pqr")
-
-
 def test_sampled_tomography_reaches_high_fidelity():
     cfg = ShotConfig(shots_per_setting=10**5, seed=5)
     for kind in BELL_KINDS:

@@ -1,0 +1,137 @@
+"""Mutation score of the tier-1 suite on hand-written mutants of src/spapt.
+
+Each mutant is one text substitution in one module of ``src/spapt``.  The
+script copies the repository once, then for each mutant writes the
+substitution into the copy, runs tier-1 there with ``-x`` and restores the
+module.  A failing run kills the mutant.  A mutant that passes counts as
+equivalent when it is declared so below, since it changes no output any
+test can observe, and as a survivor otherwise.
+
+    python tools/mutants.py                 # every mutant, about 5-10 minutes
+    python tools/mutants.py tangle-sign     # only the named mutants
+    python tools/mutants.py --list          # names and substitutions, no run
+
+The exit status is 0 when no mutant survives and 1 otherwise, or when the
+text of a mutant no longer occurs exactly once in its module.  Tier-1 runs
+with bytecode writing off, so no mutant reads a stale ``.pyc`` of another.
+The script is not part of tier-1: its ``tools/`` directory is outside the
+test paths.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    old: str
+    new: str
+    #: why the mutant changes no observable output, or None when a test should kill it
+    equivalent: str | None = None
+
+
+MUTANTS = (
+    # the paper's numbers and rules
+    Mutant("spa-one-ninth", "detection.py", "partial_transpose(mats) / 9.0", "partial_transpose(mats) / 8.0"),
+    Mutant("spa-two-ninths-identity", "detection.py", "_TWO_NINTHS_I = (2.0 / 9.0)", "_TWO_NINTHS_I = (1.0 / 9.0)"),
+    Mutant("spa-threshold", "detection.py", "SPA_THRESHOLD = 2.0 / 9.0", "SPA_THRESHOLD = 1.0 / 4.0"),
+    Mutant("verdict-rule", "detection.py", "lam < threshold - ROUND_TOL", "lam <= threshold + ROUND_TOL"),
+    Mutant("witness-without-partial-transpose", "detection.py", "witness = partial_transpose(q)", "witness = q"),
+    Mutant("f-hat-inversion-identity", "detection.py", "np.kron(s, np.eye(2) / 2.0)", "np.kron(s, np.eye(2))"),
+    Mutant("det-scan-bracket", "detection.py", "lo = min(a1 - b1, a2 - b1 - b2, a3 - b2 - b3, a4 - b3) - RAW_TOL", "lo = min(a1, a2, a3, a4) - RAW_TOL"),
+    Mutant("tangle-sign", "states.py", "lam[..., 2] - lam[..., 3]", "lam[..., 2] + lam[..., 3]"),
+    Mutant("werner-noise", "states.py", "p * np.eye(4, dtype=complex) / 4.0", "p * np.eye(4, dtype=complex) / 2.0"),
+    Mutant("bell-psi-minus-sign", "states.py", "amp = [0, 1, -1, 0]", "amp = [0, 1, 1, 0]"),
+    Mutant("inversion-side-extra-pauli", "channels.py", "PureState(PAULI_Y @ v.amplitudes)", "PureState(PAULI_Y @ PAULIS[1] @ v.amplitudes)"),
+    Mutant("pauli-averaging", "tomography.py", "e[1:, 0] = (freq.sum(axis=3) @ signs).mean(axis=1)", "e[1:, 0] = (freq.sum(axis=3) @ signs).mean(axis=0)"),
+    Mutant("trajectory-draws", "tomography.py", "branch.weigh(w) / branch.draws", "branch.weigh(w)"),
+    Mutant("projection-deficit-sign", "tomography.py", "x[positive] += deficit", "x[positive] -= deficit"),
+    # report bytes
+    Mutant("fmt12-11-digits", "io.py", '".12g"', '".11g"'),
+    Mutant("report-indent", "io.py", "json.dumps(_rounded(report), indent=2)", "json.dumps(_rounded(report), indent=1)"),
+    # formulas that agree on real states
+    Mutant("linear-entropy-conjugate", "states.py", "(rho.mat @ rho.mat)", "(rho.mat @ rho.mat.conj())"),
+    # weakened checks
+    Mutant("witness-idempotence", "detection.py", "np.abs(q @ q - q))) > HERMITIAN_TOL", "np.abs(q @ q - q))) > 5e8 * HERMITIAN_TOL"),
+    Mutant("zero-weight-tolerance", "linalg.py", "ZERO_WEIGHT_TOL = 1e-14", "ZERO_WEIGHT_TOL = 1e-3"),
+    Mutant("instrument-weight-sum", "channels.py", "for b in branches) - 1.0) > ROUND_TOL", "for b in branches) - 1.0) > 1e-6"),
+    Mutant("unitarity", "channels.py", "            if dev > TRACE_TOL:\n                raise ValidationError(f\"correction", "            if dev > 1e-3:\n                raise ValidationError(f\"correction"),
+    Mutant("table-lower-bound", "tomography.py", "bounded.min(initial=0.0) >= -ROUND_TOL", "bounded.min(initial=0.0) >= -1e-6"),
+    Mutant("pure-state-norm", "states.py", "abs(norm - 1.0) <= ROUND_TOL", "abs(norm - 1.0) <= 1e4 * ROUND_TOL"),
+    Mutant("fidelity-clamp", "states.py", "return min(max(val, 0.0), 1.0)", "return val"),
+    Mutant("state-of-four-axes", "states.py", "if m.ndim > 3:", "if m.ndim > 4:"),
+    Mutant("projection-trace-shift", "tomography.py", "x = w + (1.0 - w.sum()) / n", "x = w + (1.0 - w.sum()) / (n + 1)"),
+    # declared equivalent
+    Mutant(
+        "born-clip-abs", "tomography.py", "np.minimum(np.maximum(0.0, _born_weights", "np.minimum(np.abs(_born_weights",
+        "a Born weight of a valid state is below 0 by rounding noise only, and f_hat is continuous in it",
+    ),
+    Mutant("mems-kink-strict", "states.py", "np.where(p >= 2.0 / 3.0", "np.where(p > 2.0 / 3.0", "at p = 2/3 both branches give f = 1/3 to the bit"),
+    Mutant("fig3-grid-unrounded", "cli.py", "grid = [round(0.05 * k, 10) for k in range(21)]", "grid = [0.05 * k for k in range(21)]", "the grid moves by an ulp, below the 12 digits a report carries"),
+    # the array families
+    Mutant("mems-branches-swapped", "states.py", "np.where(p >= 2.0 / 3.0, p / 2.0, 1.0 / 3.0)", "np.where(p >= 2.0 / 3.0, 1.0 / 3.0, p / 2.0)"),
+    Mutant("rho-family-p-unbroadcast", "states.py", 'p = _unit_interval("p", p)[..., None, None]\n    alpha', 'p = _unit_interval("p", p)\n    alpha'),
+)
+
+
+def _tier1(copy: Path) -> tuple[bool, str]:
+    """Run tier-1 in ``copy`` with -x: whether it passed, and the first failing test."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    result = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
+    first = next((line for line in result.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))), result.stdout.strip()[-200:])
+    return result.returncode == 0, first
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="run only these mutants (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
+    args = parser.parse_args(argv)
+    unknown = set(args.names) - {m.name for m in MUTANTS}
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+    mutants = [m for m in MUTANTS if not args.names or m.name in args.names]
+    if args.list:
+        for m in mutants:
+            print(f"{m.name:36} {m.module}: {m.old!r} -> {m.new!r}")
+        return 0
+    stale = [m.name for m in mutants if (ROOT / "src" / "spapt" / m.module).read_text(encoding="utf-8").count(m.old) != 1]
+    if stale:
+        print(f"stale mutants, text not found exactly once: {', '.join(stale)}", file=sys.stderr)
+        return 1
+    counts = {"killed": 0, "equivalent": 0, "survived": 0}
+    with tempfile.TemporaryDirectory(prefix="spapt-mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_run", ".benchmarks"))
+        for m in mutants:
+            module = copy / "src" / "spapt" / m.module
+            original = module.read_text(encoding="utf-8")
+            module.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            start = time.perf_counter()
+            try:
+                passed, first = _tier1(copy)
+            finally:
+                module.write_text(original, encoding="utf-8")
+            status = "killed" if not passed else "equivalent" if m.equivalent else "survived"
+            counts[status] += 1
+            detail = first if not passed else m.equivalent or "no test fails"
+            print(f"{status:10} {m.name:36} {time.perf_counter() - start:6.1f} s  {detail}", flush=True)
+    print(f"{counts['killed']} killed, {counts['equivalent']} equivalent, {counts['survived']} survived of {len(mutants)}")
+    return 1 if counts["survived"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
