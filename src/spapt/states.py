@@ -188,8 +188,13 @@ def bell(kind: str) -> DensityMatrix:
 
 
 def _unit_interval(name: str, value: float | np.ndarray) -> np.ndarray:
-    """``value``, a number or an array, as floats in [0, 1]; one check, naming the stack entry that fails."""
-    value = as_numeric(value, float, name)
+    """``value``, a number or an array, as floats in [0, 1]; one check, naming the stack entry that fails.
+    None, a bool, a str or bytes is refused, which numpy would read as nan, 0 or 1, or a parsed number."""
+    raw = as_numeric(value, None, name, copy=False)
+    for v in raw.flat if raw.dtype.kind in "bSUO" else ():
+        if v is None or isinstance(v, (bool, np.bool_, str, bytes)):
+            raise ValidationError(f"expected a numeric {name}, got {v.item() if isinstance(v, np.generic) else v!r}")
+    value = as_numeric(raw, float, name)
     require_each((0.0 <= value) & (value <= 1.0), lambda i: f"{name} must lie in [0, 1], got {value[i]}")  # NaN fails too
     return value
 

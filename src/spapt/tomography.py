@@ -18,11 +18,11 @@ own substream, ``np.random.default_rng([seed, tag, *indices])``, so settings
 are order-independent and results merge deterministically.  The tags are 0
 for the four joint settings of a table (index i = 0..3), 1 for its q/r
 setting (no index), 2 for trajectories (no index) and 3 for the nine Pauli
-settings (indices i, j = 1..3).  Each call builds the generators it needs
-in one step, bit for bit those of ``default_rng``: a ``SeedSequence`` pool
-from the uint32 words ``default_rng`` derives from the integers, then the
-8 output words of every pool in one vectorized pass of numpy's output hash,
-which seed ``PCG64``.
+settings (indices i, j = 1..3).  Each draw starts its own ``PCG64`` from
+the seed words of its ``default_rng``, so a stack entry draws as it would
+alone; a call derives the words of all its substreams in one step, from the
+``SeedSequence`` pools of the uint32 words ``default_rng`` derives from the
+integers, in one vectorized pass of numpy's output hash.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ _HASH_XOR, _HASH_MUL = _HASH[:8].reshape(2, 4), _HASH[1:].reshape(2, 4)
 
 
 @cache
-def _seed_words() -> type:
+def _seed_sequence() -> type:
     """An ``ISeedSequence`` that hands ``PCG64``, which asks for
     ``generate_state(4, uint64)``, the four seed words its ``SeedSequence``
     would generate.  Built on first use, so that a process that never
@@ -99,17 +99,15 @@ def _seed_words() -> type:
     return SeedWords
 
 
-def _rngs(seed: int, *paths: tuple[int, ...]) -> list[np.random.Generator]:
-    """``np.random.default_rng([seed, *path])`` for each path, in order, from
-    the same uint32 words: the seed's, lowest first, then one per path index."""
+def _seed_words(seed: int, *paths: tuple[int, ...]) -> np.ndarray:
+    """The four uint64 words ``np.random.default_rng([seed, *path])`` seeds ``PCG64`` with, a row per
+    path, from the same uint32 words: the seed's, lowest first, then one per path index."""
     head = [seed & 0xFFFFFFFF, *((seed >> 32,) if seed >> 32 else ())]
     pools = np.array([np.random.SeedSequence(np.array(head + list(path), dtype=np.uint32)).pool for path in paths])
     words = (pools[:, None, :] ^ _HASH_XOR) * _HASH_MUL  # word 4 h + k hashes pool word k
     words ^= words >> 16
     # as generate_state does: little-endian uint32 pairs read as native uint64
-    state = words.reshape(len(paths), 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-    seed_words = _seed_words()
-    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in state]
+    return words.reshape(len(paths), 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -229,6 +227,19 @@ def _normalized_probs(values: np.ndarray) -> np.ndarray:
     return pr / pr.sum(axis=-1, keepdims=True)
 
 
+def _draw(cfg: ShotConfig, probs: np.ndarray, *paths: tuple[int, ...]) -> np.ndarray:
+    """Counts of ``cfg.shots_per_setting`` runs over each row of ``probs``, in its shape: row k,
+    in C order, draws from a fresh generator, bit for bit ``np.random.default_rng([cfg.seed,
+    *paths[k % len(paths)]])``; a 1-D ``probs`` is one row, drawn as it is, with no stacking."""
+    streams = [_seed_sequence()(words) for words in _seed_words(cfg.seed, *paths)]
+
+    def draw(k: int, row: np.ndarray) -> np.ndarray:
+        return np.random.Generator(np.random.PCG64(streams[k % len(streams)])).multinomial(cfg.shots_per_setting, row)
+    if probs.ndim == 1:
+        return draw(0, probs)
+    return np.array([draw(k, row) for k, row in enumerate(probs.reshape(-1, probs.shape[-1]))]).reshape(probs.shape)
+
+
 def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     """Finite-shot table with one multinomial draw per measurement setting,
     of one state or stacked for a stack.
@@ -238,22 +249,11 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     ``p``.  The q/r setting draws from {M_k (x) |0><0|, M_k (x) |1><1|},
     a complete POVM, so the sampled q and r sum to exactly 1.
 
-    Every state of a stack draws each setting's substream from its start,
-    so its table equals the one sampled for it alone: each substream is
-    seeded once and rewound to its start state for every later state.
+    Each draw starts its own generator, so a stack entry's table is the one sampled for it alone.
     """
     born = _normalized_probs(_born_weights(rho.mat, _TABLE_SETTINGS))
-    shots = cfg.shots_per_setting
-    streams = _rngs(cfg.seed, *((_TAG_TABLE, i) for i in range(4)), (_TAG_QR,))
-    # only a stack of two or more states rewinds the substreams, to these start states
-    starts = [rng.bit_generator.state for rng in streams] if born.ndim > 2 and len(born) > 1 else []
-    counts = np.empty(born.shape, dtype=np.int64)
-    for n, k in enumerate(np.ndindex(born.shape[:-2])):
-        for i, rng in enumerate(streams):
-            if n:
-                rng.bit_generator.state = starts[i]
-            counts[k + (i,)] = rng.multinomial(shots, born[k + (i,)])
-    return ProbabilityTable(counts[..., :4, :4] / shots, counts[..., 4, :4] / shots, counts[..., 4, 4:] / shots, shots)
+    freq = _draw(cfg, born, *((_TAG_TABLE, i) for i in range(4)), (_TAG_QR,)) / cfg.shots_per_setting
+    return ProbabilityTable(freq[..., :4, :4], freq[..., 4, :4], freq[..., 4, 4:], cfg.shots_per_setting)
 
 
 def _trajectory_components(rho: DensityMatrix, instrument: Instrument) -> tuple[np.ndarray, np.ndarray]:
@@ -283,8 +283,7 @@ def _trajectory_counts(rho: DensityMatrix, instrument: Instrument, cfg: ShotConf
     probs, outputs = _trajectory_components(rho, instrument)
     drawn = probs > 0.0
     counts = np.zeros(len(probs), dtype=np.int64)
-    (rng,) = _rngs(cfg.seed, (_TAG_TRAJ,))
-    counts[drawn] = rng.multinomial(cfg.shots_per_setting, probs[drawn])
+    counts[drawn] = _draw(cfg, probs[drawn], (_TAG_TRAJ,))
     return counts, outputs
 
 
@@ -356,14 +355,9 @@ def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray
     three settings that contain the given Pauli, and <I (x) I> is 1.
     """
     require_single("sample_pauli_expectations", rho)
-    shots = cfg.shots_per_setting
     probs = _normalized_probs(_born_weights(rho.mat, _PAULI_SETTINGS))
-    counts = np.empty((3, 3, 4), dtype=np.int64)
-    streams = _rngs(cfg.seed, *((_TAG_PAULI, i + 1, j + 1) for i, j in np.ndindex(3, 3)))
-    for (i, j), rng in zip(np.ndindex(3, 3), streams):
-        counts[i, j] = rng.multinomial(shots, probs[i, j])
     # freq[i, j, a, b]: setting (i, j), eigenvalue sign a on A and b on B
-    freq = counts.reshape(3, 3, 2, 2) / shots
+    freq = _draw(cfg, probs, *((_TAG_PAULI, i + 1, j + 1) for i, j in np.ndindex(3, 3))).reshape(3, 3, 2, 2) / cfg.shots_per_setting
     signs = np.array([1.0, -1.0])
     e = np.ones((4, 4))
     e[1:, 1:] = (freq @ signs) @ signs

@@ -99,8 +99,13 @@ def test_a_family_of_an_array_is_the_stack_of_its_single_states_bit_for_bit(para
         (rho_family, (0.1, [0.5, 0.7, -0.2]), r"^stack entry 2: alpha must lie in \[0, 1\], got -0.2$"),
         (werner, ("half",), r"^expected a numeric p"),
         (mems, ([[0.1], [0.2, 0.3]],), r"^expected a numeric p"),
+        (werner, (None,), r"^expected a numeric p, got None$"),
+        (mems, ([0.2, None],), r"^expected a numeric p, got None$"),
+        (rho_family, (0.1, True), r"^expected a numeric alpha, got True$"),
+        (werner, ("0.5",), r"^expected a numeric p, got '0.5'$"),
+        (werner, (b"0.5",), r"^expected a numeric p, got b'0.5'$"),
     ],
-    ids=["scalar", "entry-out-of-range", "entry-nan", "rho_family-p", "rho_family-alpha", "non-numeric", "ragged"],
+    ids=["scalar", "entry-out-of-range", "entry-nan", "rho_family-p", "rho_family-alpha", "non-numeric", "ragged", "none", "entry-none", "bool", "str", "bytes"],
 )
 def test_a_family_refuses_a_bad_parameter_naming_its_stack_entry(family, args, message):
     with pytest.raises(ValidationError, match=message):

@@ -90,9 +90,29 @@ assert "spapt" in built, "the construction counter saw no parser"
 """
 
 
-def test_importing_the_package_builds_no_parser():
-    # in a fresh interpreter, so that no earlier test has imported spapt
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter, so that no earlier test has imported spapt."""
     paths = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    result = subprocess.run([sys.executable, "-c", IMPORT_BUILDS_NO_PARSER], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
+
+
+def test_importing_the_package_builds_no_parser():
+    _run_fresh(IMPORT_BUILDS_NO_PARSER)
+
+
+ONLY_SAMPLING_IMPORTS_NUMPY_RANDOM = """
+import sys
+import spapt, spapt.cli
+spapt.detect(spapt.werner(0.3), "f_hat")
+spapt.apply(spapt.spa_pt(), spapt.werner(0.3))
+assert "numpy.random" not in sys.modules, "import, detect or apply imported numpy.random"
+spapt.sample_table(spapt.werner(0.3), spapt.ShotConfig(100, 1))
+assert "numpy.random" in sys.modules, "sampling did not import numpy.random: the check above saw nothing"
+"""
+
+
+def test_only_sampling_imports_numpy_random():
+    # numpy.random costs 15-19 ms to import, which a process that never samples does not pay
+    _run_fresh(ONLY_SAMPLING_IMPORTS_NUMPY_RANDOM)

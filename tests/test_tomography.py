@@ -252,29 +252,32 @@ PATHS_IN_USE = (
 )
 
 
-def _same_streams(generators, seed, paths):
-    return [g.bit_generator.state for g in generators] == [np.random.default_rng([seed, *path]).bit_generator.state for path in paths]
+def _same_words(words, seed, paths):
+    expected = [np.random.SeedSequence([seed, *path]).generate_state(4, np.uint64).tolist() for path in paths]
+    return words.dtype == np.uint64 and words.tolist() == expected
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
 def test_substreams_are_default_rng_of_seed_tag_and_indices(seed):
-    assert _same_streams(tomography._rngs(seed, *PATHS_IN_USE), seed, PATHS_IN_USE)
+    assert _same_words(tomography._seed_words(seed, *PATHS_IN_USE), seed, PATHS_IN_USE)
     for path in PATHS_IN_USE:
-        (rng,) = tomography._rngs(seed, path)
+        (words,) = tomography._seed_words(seed, path)
+        rng = np.random.Generator(np.random.PCG64(tomography._seed_sequence()(words)))
+        assert rng.bit_generator.state == np.random.default_rng([seed, *path]).bit_generator.state
         assert rng.random(3).tolist() == np.random.default_rng([seed, *path]).random(3).tolist()
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.integers(0, 2**64 - 1))
 def test_every_substream_in_use_is_default_rng_for_any_seed(seed):
-    assert _same_streams(tomography._rngs(seed, *PATHS_IN_USE), seed, PATHS_IN_USE)
+    assert _same_words(tomography._seed_words(seed, *PATHS_IN_USE), seed, PATHS_IN_USE)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.lists(st.tuples(st.integers(0, 3), st.lists(st.integers(0, 2**32 - 1), max_size=3)), min_size=1, max_size=4))
 def test_substreams_match_default_rng_for_any_seed_and_path(seed, tagged):
     paths = [(tag, *indices) for tag, indices in tagged]
-    assert _same_streams(tomography._rngs(seed, *paths), seed, paths)
+    assert _same_words(tomography._seed_words(seed, *paths), seed, paths)
 
 
 @pytest.mark.parametrize(
@@ -288,10 +291,55 @@ def test_substreams_match_default_rng_for_any_seed_and_path(seed, tagged):
     ids=["sample_table", "sample_table_stack", "trajectory", "sample_pauli_expectations"],
 )
 def test_each_sampling_call_seeds_its_substreams_in_one_step(monkeypatch, call, paths):
-    rngs, requests = tomography._rngs, []
-    monkeypatch.setattr(tomography, "_rngs", lambda seed, *p: requests.append((seed, p)) or rngs(seed, *p))
+    seed_words, requests = tomography._seed_words, []
+    monkeypatch.setattr(tomography, "_seed_words", lambda seed, *p: requests.append((seed, p)) or seed_words(seed, *p))
     call(ShotConfig(shots_per_setting=100, seed=9))
     assert requests == [(9, tuple(paths))]
+
+
+KET_00 = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+
+
+def test_sampled_tables_of_a_stack_are_the_per_state_and_setting_default_rng_draws():
+    # reference: one fresh default_rng([seed, tag, *i]) per state and setting, as
+    # the README documents; |00> leaves every I - P_0 outcome of setting 0 at zero
+    stack = DensityMatrix(np.stack([KET_00.mat, werner(0.6).mat, random_density_matrix(np.random.default_rng(13)).mat]))
+    born = tomography._born_weights(stack.mat, tomography._TABLE_SETTINGS)
+    assert np.all(born[0, 0, 4:] == 0.0)
+    paths = [(0, i) for i in range(4)] + [(1,)]
+    for seed, shots in ((42, 1000), (2**64 - 1, 10**6)):
+        table = sample_table(stack, ShotConfig(shots, seed))
+        for n in range(3):
+            counts = np.array([np.random.default_rng([seed, *path]).multinomial(shots, tomography._normalized_probs(born[n, i])) for i, path in enumerate(paths)])
+            assert np.array_equal(table.p[n], counts[:4, :4] / shots)
+            assert np.array_equal(table.q[n], counts[4, :4] / shots)
+            assert np.array_equal(table.r[n], counts[4, 4:] / shots)
+
+
+def _blind_to_last_tetrahedral_outcome():
+    """Both qubits in the null vector of the last tetrahedral effect: every
+    channel that measures a side with the tetrahedral POVM gives its last
+    category probability zero."""
+    _, vecs = np.linalg.eigh(tetrahedral_povm()[3])
+    v = np.kron(vecs[:, 0], vecs[:, 0])
+    return DensityMatrix(np.outer(v, v.conj()))
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_FACTORIES))
+def test_trajectory_counts_are_one_default_rng_draw_over_the_drawn_categories(name):
+    # reference: default_rng([seed, 2]) draws only the categories of nonzero
+    # probability, and a zero last category would consume a draw if it were drawn
+    instrument = CHANNEL_FACTORIES[name]().instrument
+    for rho in (_blind_to_last_tetrahedral_outcome(), werner(0.3)):
+        probs, _ = tomography._trajectory_components(rho, instrument)
+        drawn = probs > 0.0
+        for seed, shots in ((42, 1000), (2**64 - 1, 10**6)):
+            expected = np.zeros(len(probs), dtype=np.int64)
+            expected[drawn] = np.random.default_rng([seed, 2]).multinomial(shots, probs[drawn])
+            counts, _ = tomography._trajectory_counts(rho, instrument, ShotConfig(shots, seed))
+            assert np.array_equal(counts, expected)
+    probs, _ = tomography._trajectory_components(_blind_to_last_tetrahedral_outcome(), SPA_PT_INSTRUMENT)
+    assert probs[-1] == 0.0
 
 
 def test_pauli_expectations_are_the_per_setting_default_rng_draws():
