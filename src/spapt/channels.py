@@ -309,6 +309,15 @@ class Instrument:
     def dim(self) -> int:
         return self.branches[0].dim
 
+    @cached_property
+    def categories(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All branches' categories in order: Born effects side by side, superoperators stacked, and rows
+        (numerator, denominator, draws), so a category of Born weight w has probability
+        ``((w * numerator) / denominator) / draws``, bit for bit its branch's ``weigh(w) / draws``."""
+        weighing = np.array([(b.weight.numerator, b.weight.denominator, b.draws) for b in self.branches], dtype=float)
+        weighing = np.repeat(weighing, [len(b.maps) for b in self.branches], axis=0).T
+        return _read_only(np.concatenate([b.effects for b in self.branches], axis=1)), _read_only(np.concatenate([b.maps for b in self.branches])), _read_only(weighing)
+
     def channel(self) -> Channel:
         """The exact channel, the sum of the branches' superoperators, carrying this instrument."""
         channel = Channel(sum(b.superoperator for b in self.branches))

@@ -31,7 +31,6 @@ from .linalg import (
     ValidationError,
     as_numeric,
     gated_eig,
-    herm_eig,
     psd_sqrt_from,
     require_each,
     require_hermitian,
@@ -191,9 +190,9 @@ def _unit_interval(name: str, value: float | np.ndarray) -> np.ndarray:
     """``value``, a number or an array, as floats in [0, 1]; one check, naming the stack entry that fails.
     None, a bool, a str or bytes is refused, which numpy would read as nan, 0 or 1, or a parsed number."""
     raw = as_numeric(value, None, name, copy=False)
-    for v in raw.flat if raw.dtype.kind in "bSUO" else ():
-        if v is None or isinstance(v, (bool, np.bool_, str, bytes)):
-            raise ValidationError(f"expected a numeric {name}, got {v.item() if isinstance(v, np.generic) else v!r}")
+    if raw.dtype.kind in "bSUO":
+        numeric = np.array([not (v is None or isinstance(v, (bool, np.bool_, str, bytes))) for v in raw.flat], dtype=bool)
+        require_each(numeric.reshape(raw.shape), lambda i: f"expected a numeric {name}, got {raw.item(i)!r}")
     value = as_numeric(raw, float, name)
     require_each((0.0 <= value) & (value <= 1.0), lambda i: f"{name} must lie in [0, 1], got {value[i]}")  # NaN fails too
     return value
@@ -247,7 +246,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 in [0, 1]."""
     require_single("fidelity", rho, sigma)
     s = psd_sqrt_from(rho.spectrum)
-    w = herm_eig(s @ sigma.mat @ s).values
+    w = gated_eig(s @ sigma.mat @ s).values  # both factors passed the gate
     val = float(np.sum(sqrt_spectrum(w)) ** 2)
     return min(max(val, 0.0), 1.0)
 
@@ -260,7 +259,7 @@ def _tangles(mats: np.ndarray, spectra: Spectrum) -> np.ndarray:
     """Tangle of one two-qubit state matrix, or of each of a stack, from the
     stored eigendecompositions that give the state roots: one eigensolve."""
     s = psd_sqrt_from(spectra)
-    lam = sqrt_spectrum(herm_eig(s @ (_YY @ mats.conj() @ _YY) @ s).values)[..., ::-1]
+    lam = sqrt_spectrum(gated_eig(s @ (_YY @ mats.conj() @ _YY) @ s).values)[..., ::-1]
     c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     return np.minimum(c * c, 1.0)
 

@@ -6,12 +6,14 @@ state tomography.
 Each measurement route holds its ``np.kron`` products, built once, side by
 side as one read-only matrix ``[E_0 | E_1 | ...]``: 40 detection-setting
 effects and 36 Pauli-setting projectors at import, and the joint effects of
-each instrument branch, cached on the branch.  A Born table is one BLAS
-product of the state's rows, or a whole stack's, with that matrix, which
-computes each 4x4 block as ``rho @ E_k`` does, then each block's real
-diagonal summed in the order of numpy's trace: bit for bit the per-effect
-``np.trace(rho @ np.kron(a, b)).real``.  Born tables, sampled tables and
-their validation take one state or a stack of them, through the same code.
+each category of an instrument, all branches in one table cached on the
+instrument.  A Born table is one BLAS product of the state's rows, or a
+whole stack's, with that matrix, which computes each 4x4 block as
+``rho @ E_k`` does, then each block's real diagonal summed in the order of
+numpy's trace: bit for bit the per-effect ``np.trace(rho @ np.kron(a, b)).real``.
+A trajectory adds one product of the stacked category superoperators with
+the state.  Born tables, sampled tables and their validation take one state
+or a stack of them, through the same code.
 
 Randomness is fully reproducible: every measurement setting draws from its
 own substream, ``np.random.default_rng([seed, tag, *indices])``, so settings
@@ -227,17 +229,19 @@ def _normalized_probs(values: np.ndarray) -> np.ndarray:
     return pr / pr.sum(axis=-1, keepdims=True)
 
 
+def _multinomial(shots: int, stream, row: np.ndarray) -> np.ndarray:
+    """Counts of ``shots`` runs over the probabilities ``row``, from a fresh ``PCG64`` seeded from ``stream``."""
+    return np.random.Generator(np.random.PCG64(stream)).multinomial(shots, row)
+
+
 def _draw(cfg: ShotConfig, probs: np.ndarray, *paths: tuple[int, ...]) -> np.ndarray:
     """Counts of ``cfg.shots_per_setting`` runs over each row of ``probs``, in its shape: row k,
     in C order, draws from a fresh generator, bit for bit ``np.random.default_rng([cfg.seed,
     *paths[k % len(paths)]])``; a 1-D ``probs`` is one row, drawn as it is, with no stacking."""
     streams = [_seed_sequence()(words) for words in _seed_words(cfg.seed, *paths)]
-
-    def draw(k: int, row: np.ndarray) -> np.ndarray:
-        return np.random.Generator(np.random.PCG64(streams[k % len(streams)])).multinomial(cfg.shots_per_setting, row)
     if probs.ndim == 1:
-        return draw(0, probs)
-    return np.array([draw(k, row) for k, row in enumerate(probs.reshape(-1, probs.shape[-1]))]).reshape(probs.shape)
+        return _multinomial(cfg.shots_per_setting, streams[0], probs)
+    return np.array([_multinomial(cfg.shots_per_setting, streams[k % len(streams)], row) for k, row in enumerate(probs.reshape(-1, probs.shape[-1]))]).reshape(probs.shape)
 
 
 def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
@@ -260,22 +264,18 @@ def _trajectory_components(rho: DensityMatrix, instrument: Instrument) -> tuple[
     """Outcome probabilities and emitted states of one single-copy run of a
     local instrument, one per category.
 
-    Categories run over branch, then over the outcomes and corrections of
-    the branch's sides, side A slowest: for SPA-PT, 0..3 are the transpose
-    branch (outcome k on B), 4..19 the inversion branch (outcome k on A
-    crossed with the Pauli on B).  An outcome of Born weight at most 1e-14
-    gets probability exactly 0; its states are left unnormalized, since
-    they are never drawn.
+    Categories run as in the instrument's table, over branch, then over the
+    outcomes and corrections of the branch's sides, side A slowest: for
+    SPA-PT, 0..3 are the transpose branch (outcome k on B), 4..19 the
+    inversion branch (outcome k on A crossed with the Pauli on B).  An
+    outcome of Born weight at most 1e-14 gets probability exactly 0; its
+    states are left unnormalized, since they are never drawn.
     """
-    probs, outputs = [], []
-    v = vec(rho.mat)
-    for branch in instrument.branches:
-        w = _born_weights(rho.mat, branch.effects)
-        live = w > ZERO_WEIGHT_TOL
-        probs.append(np.where(live, branch.weigh(w) / branch.draws, 0.0))
-        emitted = (branch.maps @ v) / np.where(live, w, 1.0)[:, None]
-        outputs.append(unvec(emitted, rho.dim))
-    return _normalized_probs(np.concatenate(probs)), np.concatenate(outputs)
+    effects, maps, (numerator, denominator, draws) = instrument.categories
+    w = _born_weights(rho.mat, effects)
+    live = w > ZERO_WEIGHT_TOL
+    probs = np.where(live, ((w * numerator) / denominator) / draws, 0.0)
+    return _normalized_probs(probs), unvec((maps @ vec(rho.mat)) / np.where(live, w, 1.0)[:, None], rho.dim)
 
 
 def _trajectory_counts(rho: DensityMatrix, instrument: Instrument, cfg: ShotConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -358,11 +358,13 @@ def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray
     probs = _normalized_probs(_born_weights(rho.mat, _PAULI_SETTINGS))
     # freq[i, j, a, b]: setting (i, j), eigenvalue sign a on A and b on B
     freq = _draw(cfg, probs, *((_TAG_PAULI, i + 1, j + 1) for i, j in np.ndindex(3, 3))).reshape(3, 3, 2, 2) / cfg.shots_per_setting
-    signs = np.array([1.0, -1.0])
+    # f0 - f1 and ((x0 + x1) + x2) / 3 on slices: the float operations, in order, of `@ [1, -1]` and `.mean`
+    b_signed, a_sums, b_sums = freq[..., 0] - freq[..., 1], freq[..., 0] + freq[..., 1], freq[..., 0, :] + freq[..., 1, :]
+    on_a, on_b = a_sums[..., 0] - a_sums[..., 1], b_sums[..., 0] - b_sums[..., 1]  # [i, j]: setting (i, j)'s sign on A, on B
     e = np.ones((4, 4))
-    e[1:, 1:] = (freq @ signs) @ signs
-    e[1:, 0] = (freq.sum(axis=3) @ signs).mean(axis=1)
-    e[0, 1:] = (freq.sum(axis=2) @ signs).mean(axis=0)
+    e[1:, 1:] = b_signed[..., 0] - b_signed[..., 1]
+    e[1:, 0] = ((on_a[:, 0] + on_a[:, 1]) + on_a[:, 2]) / 3.0
+    e[0, 1:] = ((on_b[0] + on_b[1]) + on_b[2]) / 3.0
     return e
 
 

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spapt import linalg
+from spapt import linalg, selftest
 from spapt.cli import CHANNEL_FACTORIES, build_parser, main
 from spapt.io import load_state, round12
 from spapt.linalg import ValidationError
 from spapt.selftest import _suite_sampled_detection_stability
-from spapt.states import NINE_STATE_PARAMS
+from spapt.states import NINE_STATE_PARAMS, DensityMatrix
 
 
 def run_cli(*argv):
@@ -490,6 +490,26 @@ def test_selftest_fails_a_broken_bound_under_python_optimize():
     result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
     assert result.returncode == 3, result.stderr
     assert "3/10 suites passed" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "count, lift, failure",
+    [(4, 1.0 / 12.0, "Bell state does not attain 1/6"), (20, 1.0 / 36.0, "pure product input does not attain 2/9")],
+    ids=["bell", "product"],
+)
+def test_range_law_suite_fails_an_output_just_above_its_upper_bound(monkeypatch, count, lift, failure):
+    # white noise eps mixed into the suite's 4 Bell (20 pure product) inputs
+    # lifts their output minimum from 1/6 (2/9) by eps/12 (eps/36): half the
+    # bound EXACT_BOUND above passes, one and a half times it fails
+    for excess in (0.5, 1.5):
+        eps = excess * selftest.EXACT_BOUND / lift
+        noisy = lambda m: DensityMatrix((1.0 - eps) * np.asarray(m) + eps * np.eye(4) / 4.0 if len(m) == count else m)
+        monkeypatch.setattr(selftest, "DensityMatrix", noisy)
+        if excess < 1.0:
+            selftest._suite_spa_range_law(42)
+        else:
+            with pytest.raises(AssertionError, match=failure):
+                selftest._suite_spa_range_law(42)
 
 
 def test_sampled_detection_suite_runs_at_the_largest_seed():

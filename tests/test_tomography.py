@@ -15,7 +15,22 @@ from spapt import tomography
 from spapt.cli import CHANNEL_FACTORIES
 from spapt.linalg import PAULIS, ValidationError, herm_eig
 from spapt.states import BELL_KINDS, DensityMatrix, bell, fidelity, mems, random_density_matrix, rho_family, werner
-from spapt.channels import IDENTITY_SIDE, SPA_PT_INSTRUMENT, Branch, Instrument, apply, partial_transpose_channel, spa_pt, tetrahedral_povm, tetrahedral_states
+from spapt.channels import (
+    IDENTITY_SIDE,
+    SPA_PT_INSTRUMENT,
+    Branch,
+    Instrument,
+    apply,
+    depolarize,
+    partial_transpose_channel,
+    spa_inversion,
+    spa_pt,
+    spa_transpose,
+    tetrahedral_povm,
+    tetrahedral_states,
+    unvec,
+    vec,
+)
 from spapt.tomography import (
     ProbabilityTable,
     ShotConfig,
@@ -371,6 +386,70 @@ def test_contractions_equal_tensordot_bit_for_bit():
         counts, outputs = tomography._trajectory_counts(rho, instrument, cfg)
         acc = np.tensordot(counts / float(cfg.shots_per_setting), outputs, axes=1)
         assert np.array_equal(trajectory(rho, instrument, cfg).mat, DensityMatrix((acc + acc.conj().T) / 2.0).mat)
+
+
+def test_slice_pauli_averages_equal_the_matmul_and_mean_forms_bit_for_bit(monkeypatch):
+    # random count tables, some with empty outcomes, at every shot budget; the
+    # reference is the (freq @ signs) @ signs and .mean(axis=...) forms
+    rng = np.random.default_rng(41)
+    signs = np.array([1.0, -1.0])
+    rho = werner(0.3)
+    for shots in (1, 7, 10**3, 10**4, 10**5, 10**6, 10**7):
+        for n in range(40):
+            probs = rng.dirichlet(np.ones(4), size=9)
+            probs[:, n % 4] *= n % 3  # a third of the tables leave an outcome empty
+            counts = rng.multinomial(shots, probs / probs.sum(axis=1, keepdims=True))
+            monkeypatch.setattr(tomography, "_draw", lambda cfg, p, *paths: counts)
+            freq = counts.reshape(3, 3, 2, 2) / shots
+            expected = np.ones((4, 4))
+            expected[1:, 1:] = (freq @ signs) @ signs
+            expected[1:, 0] = (freq.sum(axis=3) @ signs).mean(axis=1)
+            expected[0, 1:] = (freq.sum(axis=2) @ signs).mean(axis=0)
+            assert _same_bytes(sample_pauli_expectations(rho, ShotConfig(shots, 1)), expected)
+
+
+ALL_INSTRUMENTS = [factory().instrument for factory in (*CHANNEL_FACTORIES.values(), spa_transpose, spa_inversion, depolarize)]
+
+
+def _per_branch_components(rho, instrument):
+    """Reference trajectory components, one Born product, map product and
+    ``weigh(w) / draws`` per branch, concatenated."""
+    probs, outputs = [], []
+    for branch in instrument.branches:
+        w = tomography._born_weights(rho.mat, branch.effects)
+        live = w > 1e-14
+        probs.append(np.where(live, branch.weigh(w) / branch.draws, 0.0))
+        outputs.append(unvec((branch.maps @ vec(rho.mat)) / np.where(live, w, 1.0)[:, None], rho.dim))
+    return tomography._normalized_probs(np.concatenate(probs)), np.concatenate(outputs)
+
+
+def test_the_category_table_equals_its_branches_bit_for_bit():
+    assert SPA_PT_INSTRUMENT in ALL_INSTRUMENTS and len(ALL_INSTRUMENTS) == 10
+    rng = np.random.default_rng(2121)
+    for instrument in ALL_INSTRUMENTS:
+        effects, maps, weighing = instrument.categories
+        assert instrument.categories is instrument.categories
+        assert not any(a.flags.writeable for a in (effects, maps, weighing))
+        branches = instrument.branches
+        assert _same_bytes(effects, np.concatenate([b.effects for b in branches], axis=1))
+        assert _same_bytes(maps, np.concatenate([b.maps for b in branches]))
+        assert weighing.shape == (3, len(maps))
+        d = instrument.dim
+        for _ in range(20):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            mat = g @ g.conj().T / np.trace(g @ g.conj().T)
+            # a two-qubit instrument is weighed on its Born products; a one-qubit
+            # one, which no state of the package runs, on random weights
+            w = tomography._born_weights(mat, effects) if d == 4 else rng.random(len(maps))
+            per_branch = np.split(w, np.cumsum([len(b.maps) for b in branches])[:-1])
+            if d == 4:
+                assert _same_bytes(w, np.concatenate([tomography._born_weights(mat, b.effects) for b in branches]))
+            numerator, denominator, draws = weighing
+            assert _same_bytes(((w * numerator) / denominator) / draws, np.concatenate([b.weigh(x) / b.draws for b, x in zip(branches, per_branch)]))
+            assert _same_bytes(maps @ vec(mat), np.concatenate([b.maps @ vec(mat) for b in branches]))
+        for rho in (random_density_matrix(rng), _blind_to_last_tetrahedral_outcome(), bell("psi-")) if d == 4 else ():
+            got, want = tomography._trajectory_components(rho, instrument), _per_branch_components(rho, instrument)
+            assert _same_bytes(got[0], want[0]) and _same_bytes(got[1], want[1])
 
 
 def test_trajectory_is_deterministic():

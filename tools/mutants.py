@@ -55,9 +55,11 @@ MUTANTS = (
     Mutant("werner-noise", "states.py", "p * np.eye(4, dtype=complex) / 4.0", "p * np.eye(4, dtype=complex) / 2.0"),
     Mutant("bell-psi-minus-sign", "states.py", "amp = [0, 1, -1, 0]", "amp = [0, 1, 1, 0]"),
     Mutant("inversion-side-extra-pauli", "channels.py", "PureState(PAULI_Y @ v.amplitudes)", "PureState(PAULI_Y @ PAULIS[1] @ v.amplitudes)"),
-    Mutant("pauli-averaging", "tomography.py", "e[1:, 0] = (freq.sum(axis=3) @ signs).mean(axis=1)", "e[1:, 0] = (freq.sum(axis=3) @ signs).mean(axis=0)"),
-    Mutant("trajectory-draws", "tomography.py", "branch.weigh(w) / branch.draws", "branch.weigh(w)"),
+    Mutant("pauli-averaging", "tomography.py", "e[1:, 0] = ((on_a[:, 0] + on_a[:, 1]) + on_a[:, 2]) / 3.0", "e[1:, 0] = ((on_a[0] + on_a[1]) + on_a[2]) / 3.0"),
+    Mutant("trajectory-draws", "tomography.py", "((w * numerator) / denominator) / draws", "(w * numerator) / denominator"),
     Mutant("projection-deficit-sign", "tomography.py", "x[positive] += deficit", "x[positive] -= deficit"),
+    Mutant("range-law-bell-upper", "selftest.py", "1.0 / 6.0 + EXACT_BOUND", "6.0 + EXACT_BOUND"),
+    Mutant("range-law-product-upper", "selftest.py", "SPA_THRESHOLD + EXACT_BOUND", "SPA_THRESHOLD + 1e-6"),
     # report bytes
     Mutant("fmt12-11-digits", "io.py", '".12g"', '".11g"'),
     Mutant("report-indent", "io.py", "json.dumps(_rounded(report), indent=2)", "json.dumps(_rounded(report), indent=1)"),
