@@ -256,7 +256,7 @@ def _cmd_fig3(args: argparse.Namespace, cfg: ShotConfig) -> int:
     grid = [round(0.05 * k, 10) for k in range(21)]
     labels = [("rho_family", p, alpha) for p, alpha in NINE_STATE_PARAMS] + [(family, p, None) for family in ("werner", "mems") for p in grid]
     p, alpha = np.array(NINE_STATE_PARAMS).T
-    states = DensityMatrix(np.concatenate([rho_family(p, alpha).mat, werner(grid).mat, mems(grid).mat]))
+    states = DensityMatrix.concatenate([rho_family(p, alpha), werner(grid), mems(grid)])
     columns = zip(tangle(states), linear_entropy(states), detect(states, "spa_spectrum"), detect(ideal_probabilities(states), "f_hat"), detect(sample_table(states, cfg), "f_hat"))
     rows = [
         {

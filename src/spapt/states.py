@@ -18,6 +18,7 @@ state raise ``ValidationError`` for a stack.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,11 +95,18 @@ class DensityMatrix:
     ``spectrum``: it equals ``herm_eig(mat)`` bit for bit.  ``len(states)``
     and ``states[k]`` give the size of a stack and its entry k, a single
     state that holds its slice of the stack and of the spectrum and is not
-    validated again.
+    validated again; :meth:`concatenate` joins validated states and stacks
+    with their spectra.
+
+    The samplers of :mod:`spapt.tomography` keep, read-only in a private
+    memo made on first use, the probabilities they draw from and the states
+    a trajectory emits; nothing seeded.  The memo goes with the state, and
+    ``states[k]`` starts its own.
     """
 
     mat: np.ndarray
     spectrum: Spectrum = field(init=False, repr=False)
+    _memo: dict | None = field(init=False, repr=False, default=None)  # made on first use
 
     def __post_init__(self) -> None:
         m = require_hermitian(self.mat, "state")
@@ -129,10 +137,31 @@ class DensityMatrix:
         if self.mat.ndim == 2:
             raise TypeError("a single state has no entries")
         k = operator.index(k)
-        entry = object.__new__(DensityMatrix)
-        object.__setattr__(entry, "mat", self.mat[k])
-        object.__setattr__(entry, "spectrum", Spectrum(self.spectrum.values[k], self.spectrum.vectors[k]))
-        return entry
+        return DensityMatrix._from_validated(self.mat[k], Spectrum(self.spectrum.values[k], self.spectrum.vectors[k]))
+
+    @classmethod
+    def concatenate(cls, states: Iterable[DensityMatrix]) -> DensityMatrix:
+        """One stack of the entries of ``states``, single states or stacks, in
+        order.  Each keeps its stored spectrum, so nothing is validated or
+        solved again; the spectra are those one eigensolve of the joined stack
+        gives, bit for bit, since a stacked solve solves each entry alone."""
+        states = list(states)
+        if not states or not all(isinstance(rho, DensityMatrix) for rho in states):
+            raise ValidationError("expected one or more DensityMatrix states or stacks to concatenate")
+        mats = np.concatenate([rho.mat.reshape(-1, 4, 4) for rho in states])
+        values = np.concatenate([rho.spectrum.values.reshape(-1, 4) for rho in states])
+        vectors = np.concatenate([rho.spectrum.vectors.reshape(-1, 4, 4) for rho in states])
+        for part in (mats, values, vectors):
+            part.setflags(write=False)
+        return cls._from_validated(mats, Spectrum(values, vectors))
+
+    @classmethod
+    def _from_validated(cls, mat: np.ndarray, spectrum: Spectrum) -> DensityMatrix:
+        """A state of ``mat`` and its ``spectrum``, read-only parts of validated states, not validated again."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "mat", mat)
+        object.__setattr__(rho, "spectrum", spectrum)
+        return rho
 
 
 def require_single(what: str, *states: DensityMatrix) -> None:
@@ -190,10 +219,12 @@ def _unit_interval(name: str, value: float | np.ndarray) -> np.ndarray:
     """``value``, a number or an array, as floats in [0, 1]; one check, naming the stack entry that fails.
     None, a bool, a str or bytes is refused, which numpy would read as nan, 0 or 1, or a parsed number."""
     raw = as_numeric(value, None, name, copy=False)
-    if raw.dtype.kind in "bSUO":
-        numeric = np.array([not (v is None or isinstance(v, (bool, np.bool_, str, bytes))) for v in raw.flat], dtype=bool)
-        require_each(numeric.reshape(raw.shape), lambda i: f"expected a numeric {name}, got {raw.item(i)!r}")
-    value = as_numeric(raw, float, name)
+    # a list is read entry by entry, since numpy reads a bool among numbers as 0.0 or 1.0
+    entries = np.array(value, dtype=object) if isinstance(value, (list, tuple)) else raw
+    if entries.dtype.kind in "bSUO":
+        numeric = np.array([not (v is None or isinstance(v, (bool, np.bool_, str, bytes))) for v in entries.flat], dtype=bool)
+        require_each(numeric.reshape(entries.shape), lambda i: f"expected a numeric {name}, got {entries.item(i)!r}")
+    value = as_numeric(raw, float, name, copy=False)  # the families build new arrays from it
     require_each((0.0 <= value) & (value <= 1.0), lambda i: f"{name} must lie in [0, 1], got {value[i]}")  # NaN fails too
     return value
 

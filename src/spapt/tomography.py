@@ -15,6 +15,14 @@ A trajectory adds one product of the stacked category superoperators with
 the state.  Born tables, sampled tables and their validation take one state
 or a stack of them, through the same code.
 
+A sweep measures one state at many seeds and shot budgets, and only the draws
+change between calls.  So each sampler keeps what it draws from in the
+state's memo, read-only, from its first call for as long as the state lives:
+the normalized Born table of the detection settings (of one state or a stack)
+or of the Pauli settings, and per ``Instrument`` object the mask of drawn
+categories, their probabilities and the emitted states.  Nothing derived
+from a ``ShotConfig`` is kept.
+
 Randomness is fully reproducible: every measurement setting draws from its
 own substream, ``np.random.default_rng([seed, tag, *indices])``, so settings
 are order-independent and results merge deterministically.  The tags are 0
@@ -29,6 +37,7 @@ integers, in one vectorized pass of numpy's output hash.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass
 from functools import cache
 
@@ -229,6 +238,21 @@ def _normalized_probs(values: np.ndarray) -> np.ndarray:
     return pr / pr.sum(axis=-1, keepdims=True)
 
 
+def _kept(rho: DensityMatrix, key: Hashable, compute: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The arrays ``compute()`` derives from ``rho`` for ``key``: computed on the first call, then kept, read-only, in ``rho``'s memo.
+    Threads that race on one state at worst compute a value twice, to the same bits."""
+    memo = rho._memo
+    if memo is None:
+        memo = {}
+        object.__setattr__(rho, "_memo", memo)
+    kept = memo.get(key)
+    if kept is None:
+        kept = memo[key] = compute()
+        for value in kept:
+            value.setflags(write=False)
+    return kept
+
+
 def _multinomial(shots: int, stream, row: np.ndarray) -> np.ndarray:
     """Counts of ``shots`` runs over the probabilities ``row``, from a fresh ``PCG64`` seeded from ``stream``."""
     return np.random.Generator(np.random.PCG64(stream)).multinomial(shots, row)
@@ -255,7 +279,7 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
 
     Each draw starts its own generator, so a stack entry's table is the one sampled for it alone.
     """
-    born = _normalized_probs(_born_weights(rho.mat, _TABLE_SETTINGS))
+    (born,) = _kept(rho, "detection settings", lambda: (_normalized_probs(_born_weights(rho.mat, _TABLE_SETTINGS)),))
     freq = _draw(cfg, born, *((_TAG_TABLE, i) for i in range(4)), (_TAG_QR,)) / cfg.shots_per_setting
     return ProbabilityTable(freq[..., :4, :4], freq[..., 4, :4], freq[..., 4, 4:], cfg.shots_per_setting)
 
@@ -278,12 +302,19 @@ def _trajectory_components(rho: DensityMatrix, instrument: Instrument) -> tuple[
     return _normalized_probs(probs), unvec((maps @ vec(rho.mat)) / np.where(live, w, 1.0)[:, None], rho.dim)
 
 
-def _trajectory_counts(rho: DensityMatrix, instrument: Instrument, cfg: ShotConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Run counts and output states per category; only categories of nonzero probability are drawn."""
+def _drawn_components(rho: DensityMatrix, instrument: Instrument) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mask of categories of nonzero probability, their probabilities and every category's emitted
+    state, in C order, so that ``trajectory`` reads them as rows without a copy."""
     probs, outputs = _trajectory_components(rho, instrument)
     drawn = probs > 0.0
-    counts = np.zeros(len(probs), dtype=np.int64)
-    counts[drawn] = _draw(cfg, probs[drawn], (_TAG_TRAJ,))
+    return drawn, probs[drawn], np.ascontiguousarray(outputs)
+
+
+def _trajectory_counts(rho: DensityMatrix, instrument: Instrument, cfg: ShotConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Run counts and output states per category; only categories of nonzero probability are drawn."""
+    drawn, probs, outputs = _kept(rho, instrument, lambda: _drawn_components(rho, instrument))
+    counts = np.zeros(len(drawn), dtype=np.int64)
+    counts[drawn] = _draw(cfg, probs, (_TAG_TRAJ,))
     return counts, outputs
 
 
@@ -355,7 +386,7 @@ def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray
     three settings that contain the given Pauli, and <I (x) I> is 1.
     """
     require_single("sample_pauli_expectations", rho)
-    probs = _normalized_probs(_born_weights(rho.mat, _PAULI_SETTINGS))
+    (probs,) = _kept(rho, "pauli settings", lambda: (_normalized_probs(_born_weights(rho.mat, _PAULI_SETTINGS)),))
     # freq[i, j, a, b]: setting (i, j), eigenvalue sign a on A and b on B
     freq = _draw(cfg, probs, *((_TAG_PAULI, i + 1, j + 1) for i, j in np.ndindex(3, 3))).reshape(3, 3, 2, 2) / cfg.shots_per_setting
     # f0 - f1 and ((x0 + x1) + x2) / 3 on slices: the float operations, in order, of `@ [1, -1]` and `.mean`

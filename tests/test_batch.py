@@ -102,12 +102,18 @@ def test_a_family_of_an_array_is_the_stack_of_its_single_states_bit_for_bit(para
         (werner, (None,), r"^expected a numeric p, got None$"),
         (mems, ([0.2, None],), r"^stack entry 1: expected a numeric p, got None$"),
         (rho_family, (0.1, [0.5, True, None]), r"^stack entry 1: expected a numeric alpha, got True$"),
+        (werner, ([0.5, True],), r"^stack entry 1: expected a numeric p, got True$"),
+        (mems, ([True, 0.3],), r"^stack entry 0: expected a numeric p, got True$"),
+        (rho_family, (0.1, ((0.5, 0.7), (False, 0.2))), r"^stack entry \(1, 0\): expected a numeric alpha, got False$"),
         (werner, (["0.5", "0.6"],), r"^stack entry 0: expected a numeric p, got '0.5'$"),
         (rho_family, (0.1, True), r"^expected a numeric alpha, got True$"),
         (werner, ("0.5",), r"^expected a numeric p, got '0.5'$"),
         (werner, (b"0.5",), r"^expected a numeric p, got b'0.5'$"),
     ],
-    ids=["scalar", "entry-out-of-range", "entry-nan", "rho_family-p", "rho_family-alpha", "non-numeric", "ragged", "none", "entry-none", "entry-bool", "entry-str", "bool", "str", "bytes"],
+    ids=[
+        "scalar", "entry-out-of-range", "entry-nan", "rho_family-p", "rho_family-alpha", "non-numeric", "ragged", "none", "entry-none", "entry-bool",
+        "entry-bool-among-numbers", "first-entry-bool", "nested-entry-bool", "entry-str", "bool", "str", "bytes",
+    ],
 )
 def test_a_family_refuses_a_bad_parameter_naming_its_stack_entry(family, args, message):
     with pytest.raises(ValidationError, match=message):
@@ -157,6 +163,20 @@ def test_batch_states_keep_a_read_only_slice_of_the_spectrum():
         len(bell("phi+"))
     with pytest.raises(TypeError):
         bell("phi+")[0]
+
+
+def test_concatenated_states_keep_their_spectra_and_equal_one_validated_stack_bit_for_bit():
+    parts = [rho_family(P, ALPHA), werner(GRID), bell("phi+"), mems(GRID)]
+    joined = DensityMatrix.concatenate(parts)
+    assert _same_state(joined, DensityMatrix(np.concatenate([rho.mat.reshape(-1, 4, 4) for rho in parts])))
+    assert len(joined) == len(P) + 2 * len(GRID) + 1
+    for array in (joined.mat, joined.spectrum.values, joined.spectrum.vectors):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    assert _same_state(DensityMatrix.concatenate([bell("psi-")]), DensityMatrix([bell("psi-").mat]))
+    for bad in ([], [werner(0.3), werner(0.3).mat], (m for m in FIG3_MATRICES[:1])):
+        with pytest.raises(ValidationError, match="expected one or more DensityMatrix states or stacks"):
+            DensityMatrix.concatenate(bad)
 
 
 def test_random_batch_draws_the_same_states_as_single_calls():

@@ -3,6 +3,8 @@ simulation of the channel realization, and linear-inversion tomography."""
 
 import hashlib
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -457,6 +459,130 @@ def test_trajectory_is_deterministic():
     a = trajectory_spa_pt(bell("phi-"), cfg)
     b = trajectory_spa_pt(bell("phi-"), cfg)
     assert np.array_equal(a.mat, b.mat)
+
+
+# A state keeps the probabilities its samplers draw from.  The memo must never
+# change a draw: calls on a reused state, in any order and for any instrument,
+# equal calls on a fresh equal state, whose memo is empty.
+MEMO_CFGS = (ShotConfig(1000, 3), ShotConfig(10**6, 2**64 - 1), ShotConfig(1000, 3), ShotConfig(7, 0))
+MEMO_STACK = np.stack([KET_00.mat, werner(0.6).mat, random_density_matrix(np.random.default_rng(17)).mat])
+
+
+def _arrays(out):
+    """The arrays of a sampler's output, a table, a state, an array or a pair of counts."""
+    if isinstance(out, ProbabilityTable):
+        return [out.p, out.q, out.r, np.array(out.shots_per_setting)]
+    return [out.mat] if isinstance(out, DensityMatrix) else [np.asarray(out)]
+
+
+def _same_outputs(got, want):
+    return all(_same_bytes(a, b) for a, b in zip(_arrays(got), _arrays(want), strict=True))
+
+
+SAMPLERS = {
+    "sample_table": (sample_table, werner(0.6).mat),
+    "sample_table_stack": (sample_table, MEMO_STACK),
+    "sample_pauli_expectations": (sample_pauli_expectations, random_density_matrix(np.random.default_rng(19)).mat),
+    "trajectory_spa_pt": (trajectory_spa_pt, _blind_to_last_tetrahedral_outcome().mat),
+    "trajectory_branch_counts": (trajectory_branch_counts, werner(0.3).mat),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+def test_repeated_sampling_of_one_state_equals_sampling_a_fresh_equal_state(name):
+    sampler, mat = SAMPLERS[name]
+    rho = DensityMatrix(mat)
+    for cfg in MEMO_CFGS:
+        assert _same_outputs(sampler(rho, cfg), sampler(DensityMatrix(mat), cfg))
+
+
+def test_trajectories_of_every_instrument_interleaved_on_one_state_equal_those_of_fresh_states():
+    for rho in (random_density_matrix(np.random.default_rng(23)), _blind_to_last_tetrahedral_outcome()):
+        for cfg in MEMO_CFGS:
+            for name in sorted(CHANNEL_FACTORIES):
+                instrument = CHANNEL_FACTORIES[name]().instrument
+                for run in (instrument, SPA_PT_INSTRUMENT, instrument):
+                    assert _same_bytes(trajectory(rho, run, cfg).mat, trajectory(DensityMatrix(rho.mat), run, cfg).mat)
+                assert trajectory_branch_counts(rho, cfg) == trajectory_branch_counts(DensityMatrix(rho.mat), cfg)
+        assert len(rho._memo) == len(CHANNEL_FACTORIES)  # one entry per instrument
+
+
+def test_the_kept_probabilities_and_states_are_read_only():
+    rho, stack = werner(0.6), DensityMatrix(MEMO_STACK)
+    for sampler in (sample_table, sample_pauli_expectations, trajectory_spa_pt):
+        sampler(rho, _CFG)
+    sample_table(stack, _CFG)
+    kept = [value for state in (rho, stack) for entry in state._memo.values() for value in entry]
+    assert len(rho._memo) == 3 and len(stack._memo) == 1 and len(kept) == 6
+    for value in kept:
+        assert not value.flags.writeable
+        with pytest.raises(ValueError):
+            value.flat[0] = 0
+
+
+def test_a_stack_entry_keeps_its_own_probabilities():
+    stack = DensityMatrix(MEMO_STACK)
+    stacked = sample_table(stack, _CFG)
+    entry = stack[1]
+    assert entry._memo is None
+    one = sample_table(entry, _CFG)
+    assert _same_outputs(one, sample_table(DensityMatrix(MEMO_STACK[1]), _CFG))
+    assert [v.shape for e in entry._memo.values() for v in e] == [(5, 8)]
+    assert [v.shape for e in stack._memo.values() for v in e] == [(3, 5, 8)]
+    assert all(_same_bytes(arr[1], getattr(one, name)) for name, arr in (("p", stacked.p), ("q", stacked.q), ("r", stacked.r)))
+    # an entry sampled first leaves its stack's memo empty
+    other = DensityMatrix(MEMO_STACK)
+    sample_table(other[0], _CFG)
+    assert other._memo is None
+
+
+def test_an_instrument_of_another_dimension_is_refused_before_the_memo_is_touched():
+    rho = werner(0.6)
+    with pytest.raises(ValidationError, match="the instrument acts on dim 2, the state has dim 4"):
+        trajectory(rho, Instrument((Branch(1, (IDENTITY_SIDE,)),)), _CFG)
+    with pytest.raises(ValidationError, match="the channel has no local instrument to run"):
+        trajectory(rho, SPA_PT_INSTRUMENT.branches, _CFG)
+    assert rho._memo is None
+
+
+def test_threads_sampling_one_fresh_state_draw_what_one_thread_draws():
+    # more threads than cores, switching often, all filling one state's memo at once
+    rho, reference = random_density_matrix(np.random.default_rng(29)), random_density_matrix(np.random.default_rng(29))
+    cfgs = [ShotConfig(100, seed) for seed in range(8)]
+    want = [(sample_table(reference, cfg), trajectory_spa_pt(reference, cfg), sample_pauli_expectations(reference, cfg)) for cfg in cfgs]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(lambda cfg: (sample_table(rho, cfg), trajectory_spa_pt(rho, cfg), sample_pauli_expectations(rho, cfg)), cfg) for cfg in cfgs]
+            got = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(_same_outputs(g, w) for gs, ws in zip(got, want) for g, w in zip(gs, ws, strict=True))
+
+
+@pytest.fixture
+def born_calls(monkeypatch):
+    calls = []
+    born = tomography._born_weights
+
+    def counting_born(mats, wide):
+        calls.append(wide.shape)
+        return born(mats, wide)
+
+    monkeypatch.setattr(tomography, "_born_weights", counting_born)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["sample_table", "sample_table_stack", "sample_pauli_expectations", "trajectory_spa_pt"])
+def test_a_second_sampling_call_on_a_state_makes_no_born_product(born_calls, name):
+    sampler, mat = SAMPLERS[name]
+    rho = DensityMatrix(mat)
+    sampler(rho, MEMO_CFGS[0])
+    assert len(born_calls) == 1
+    for cfg in MEMO_CFGS[1:]:
+        sampler(rho, cfg)
+    assert len(born_calls) == 1
 
 
 def test_pauli_expectations_of_bell_state():
