@@ -99,9 +99,11 @@ class DensityMatrix:
     with their spectra.
 
     The samplers of :mod:`spapt.tomography` keep, read-only in a private
-    memo made on first use, the probabilities they draw from and the states
-    a trajectory emits; nothing seeded.  The memo goes with the state, and
-    ``states[k]`` starts its own.
+    memo made on first use, what they draw from: the detection settings'
+    Born table, and the probabilities and emitted states of the last
+    instrument a trajectory ran on the state; nothing seeded.  The memo goes
+    with the state, holds at most these two entries, and ``states[k]``
+    starts its own.
     """
 
     mat: np.ndarray
@@ -219,10 +221,13 @@ def _unit_interval(name: str, value: float | np.ndarray) -> np.ndarray:
     """``value``, a number or an array, as floats in [0, 1]; one check, naming the stack entry that fails.
     None, a bool, a str or bytes is refused, which numpy would read as nan, 0 or 1, or a parsed number."""
     raw = as_numeric(value, None, name, copy=False)
-    # a list is read entry by entry, since numpy reads a bool among numbers as 0.0 or 1.0
+    # a list is read entry by entry, since numpy reads a bool among numbers as 0.0 or 1.0;
+    # an entry may be a 0-d array, which numpy reads by its value
     entries = np.array(value, dtype=object) if isinstance(value, (list, tuple)) else raw
     if entries.dtype.kind in "bSUO":
-        numeric = np.array([not (v is None or isinstance(v, (bool, np.bool_, str, bytes))) for v in entries.flat], dtype=bool)
+        numeric = np.array(
+            [not (v is None or isinstance(v, (bool, np.bool_, str, bytes)) or (isinstance(v, np.ndarray) and v.dtype.kind in "bSU")) for v in entries.flat], dtype=bool
+        )
         require_each(numeric.reshape(entries.shape), lambda i: f"expected a numeric {name}, got {entries.item(i)!r}")
     value = as_numeric(raw, float, name, copy=False)  # the families build new arrays from it
     require_each((0.0 <= value) & (value <= 1.0), lambda i: f"{name} must lie in [0, 1], got {value[i]}")  # NaN fails too

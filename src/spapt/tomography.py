@@ -16,11 +16,12 @@ the state.  Born tables, sampled tables and their validation take one state
 or a stack of them, through the same code.
 
 A sweep measures one state at many seeds and shot budgets, and only the draws
-change between calls.  So each sampler keeps what it draws from in the
-state's memo, read-only, from its first call for as long as the state lives:
-the normalized Born table of the detection settings (of one state or a stack)
-or of the Pauli settings, and per ``Instrument`` object the mask of drawn
-categories, their probabilities and the emitted states.  Nothing derived
+change between calls.  So ``sample_table`` and the trajectories keep what
+they draw from in the state's memo, read-only, from their first call for as
+long as the state lives: the normalized Born table of the detection settings
+(of one state or a stack), and for the last ``Instrument`` object run on the
+state the mask of drawn categories, their probabilities and the emitted
+states; a trajectory of another instrument replaces them.  Nothing derived
 from a ``ShotConfig`` is kept.
 
 Randomness is fully reproducible: every measurement setting draws from its
@@ -37,7 +38,7 @@ integers, in one vectorized pass of numpy's output hash.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 
@@ -238,19 +239,21 @@ def _normalized_probs(values: np.ndarray) -> np.ndarray:
     return pr / pr.sum(axis=-1, keepdims=True)
 
 
-def _kept(rho: DensityMatrix, key: Hashable, compute: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """The arrays ``compute()`` derives from ``rho`` for ``key``: computed on the first call, then kept, read-only, in ``rho``'s memo.
-    Threads that race on one state at worst compute a value twice, to the same bits."""
+def _kept(rho: DensityMatrix, key: str, source: object, compute: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The arrays ``compute()`` derives from ``rho`` and ``source``, kept read-only in ``rho``'s memo under ``key``
+    with their source, which another source replaces: a state holds one entry per key.  Threads that race on one
+    state at worst compute a value twice, to the same bits."""
     memo = rho._memo
     if memo is None:
         memo = {}
         object.__setattr__(rho, "_memo", memo)
     kept = memo.get(key)
-    if kept is None:
-        kept = memo[key] = compute()
-        for value in kept:
+    if kept is None or kept[0] is not source:
+        arrays = compute()
+        for value in arrays:
             value.setflags(write=False)
-    return kept
+        kept = memo[key] = (source, arrays)
+    return kept[1]
 
 
 def _multinomial(shots: int, stream, row: np.ndarray) -> np.ndarray:
@@ -279,7 +282,7 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
 
     Each draw starts its own generator, so a stack entry's table is the one sampled for it alone.
     """
-    (born,) = _kept(rho, "detection settings", lambda: (_normalized_probs(_born_weights(rho.mat, _TABLE_SETTINGS)),))
+    (born,) = _kept(rho, "table", _TABLE_SETTINGS, lambda: (_normalized_probs(_born_weights(rho.mat, _TABLE_SETTINGS)),))
     freq = _draw(cfg, born, *((_TAG_TABLE, i) for i in range(4)), (_TAG_QR,)) / cfg.shots_per_setting
     return ProbabilityTable(freq[..., :4, :4], freq[..., 4, :4], freq[..., 4, 4:], cfg.shots_per_setting)
 
@@ -312,7 +315,7 @@ def _drawn_components(rho: DensityMatrix, instrument: Instrument) -> tuple[np.nd
 
 def _trajectory_counts(rho: DensityMatrix, instrument: Instrument, cfg: ShotConfig) -> tuple[np.ndarray, np.ndarray]:
     """Run counts and output states per category; only categories of nonzero probability are drawn."""
-    drawn, probs, outputs = _kept(rho, instrument, lambda: _drawn_components(rho, instrument))
+    drawn, probs, outputs = _kept(rho, "trajectory", instrument, lambda: _drawn_components(rho, instrument))
     counts = np.zeros(len(drawn), dtype=np.int64)
     counts[drawn] = _draw(cfg, probs, (_TAG_TRAJ,))
     return counts, outputs
@@ -386,7 +389,7 @@ def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray
     three settings that contain the given Pauli, and <I (x) I> is 1.
     """
     require_single("sample_pauli_expectations", rho)
-    (probs,) = _kept(rho, "pauli settings", lambda: (_normalized_probs(_born_weights(rho.mat, _PAULI_SETTINGS)),))
+    probs = _normalized_probs(_born_weights(rho.mat, _PAULI_SETTINGS))
     # freq[i, j, a, b]: setting (i, j), eigenvalue sign a on A and b on B
     freq = _draw(cfg, probs, *((_TAG_PAULI, i + 1, j + 1) for i, j in np.ndindex(3, 3))).reshape(3, 3, 2, 2) / cfg.shots_per_setting
     # f0 - f1 and ((x0 + x1) + x2) / 3 on slices: the float operations, in order, of `@ [1, -1]` and `.mean`

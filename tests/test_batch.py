@@ -105,6 +105,8 @@ def test_a_family_of_an_array_is_the_stack_of_its_single_states_bit_for_bit(para
         (werner, ([0.5, True],), r"^stack entry 1: expected a numeric p, got True$"),
         (mems, ([True, 0.3],), r"^stack entry 0: expected a numeric p, got True$"),
         (rho_family, (0.1, ((0.5, 0.7), (False, 0.2))), r"^stack entry \(1, 0\): expected a numeric alpha, got False$"),
+        (werner, ([np.array(True), 0.5],), r"^stack entry 0: expected a numeric p, got array\(True\)$"),
+        (mems, ([0.3, np.array("0.5")],), r"^stack entry 1: expected a numeric p, got array\('0\.5', dtype='<U3'\)$"),
         (werner, (["0.5", "0.6"],), r"^stack entry 0: expected a numeric p, got '0.5'$"),
         (rho_family, (0.1, True), r"^expected a numeric alpha, got True$"),
         (werner, ("0.5",), r"^expected a numeric p, got '0.5'$"),
@@ -112,7 +114,7 @@ def test_a_family_of_an_array_is_the_stack_of_its_single_states_bit_for_bit(para
     ],
     ids=[
         "scalar", "entry-out-of-range", "entry-nan", "rho_family-p", "rho_family-alpha", "non-numeric", "ragged", "none", "entry-none", "entry-bool",
-        "entry-bool-among-numbers", "first-entry-bool", "nested-entry-bool", "entry-str", "bool", "str", "bytes",
+        "entry-bool-among-numbers", "first-entry-bool", "nested-entry-bool", "entry-0d-bool-array", "entry-0d-str-array", "entry-str", "bool", "str", "bytes",
     ],
 )
 def test_a_family_refuses_a_bad_parameter_naming_its_stack_entry(family, args, message):

@@ -18,6 +18,7 @@ from spapt.cli import CHANNEL_FACTORIES
 from spapt.linalg import PAULIS, ValidationError, herm_eig
 from spapt.states import BELL_KINDS, DensityMatrix, bell, fidelity, mems, random_density_matrix, rho_family, werner
 from spapt.channels import (
+    DEPOLARIZE_SIDE,
     IDENTITY_SIDE,
     SPA_PT_INSTRUMENT,
     Branch,
@@ -482,7 +483,6 @@ def _same_outputs(got, want):
 SAMPLERS = {
     "sample_table": (sample_table, werner(0.6).mat),
     "sample_table_stack": (sample_table, MEMO_STACK),
-    "sample_pauli_expectations": (sample_pauli_expectations, random_density_matrix(np.random.default_rng(19)).mat),
     "trajectory_spa_pt": (trajectory_spa_pt, _blind_to_last_tetrahedral_outcome().mat),
     "trajectory_branch_counts": (trajectory_branch_counts, werner(0.3).mat),
 }
@@ -504,7 +504,17 @@ def test_trajectories_of_every_instrument_interleaved_on_one_state_equal_those_o
                 for run in (instrument, SPA_PT_INSTRUMENT, instrument):
                     assert _same_bytes(trajectory(rho, run, cfg).mat, trajectory(DensityMatrix(rho.mat), run, cfg).mat)
                 assert trajectory_branch_counts(rho, cfg) == trajectory_branch_counts(DensityMatrix(rho.mat), cfg)
-        assert len(rho._memo) == len(CHANNEL_FACTORIES)  # one entry per instrument
+        assert list(rho._memo) == ["trajectory"] and rho._memo["trajectory"][0] is SPA_PT_INSTRUMENT  # the last instrument run
+
+
+def test_a_state_keeps_one_table_and_one_instrument_whatever_runs_on_it():
+    rho = werner(0.6)
+    sample_table(rho, _CFG)
+    for _ in range(20):
+        # a fresh instrument object each time, as a caller building one inline makes
+        instrument = Instrument((Branch(1, (IDENTITY_SIDE, DEPOLARIZE_SIDE)),))
+        trajectory(rho, instrument, _CFG)
+        assert sorted(rho._memo) == ["table", "trajectory"] and rho._memo["trajectory"][0] is instrument
 
 
 def test_the_kept_probabilities_and_states_are_read_only():
@@ -512,8 +522,8 @@ def test_the_kept_probabilities_and_states_are_read_only():
     for sampler in (sample_table, sample_pauli_expectations, trajectory_spa_pt):
         sampler(rho, _CFG)
     sample_table(stack, _CFG)
-    kept = [value for state in (rho, stack) for entry in state._memo.values() for value in entry]
-    assert len(rho._memo) == 3 and len(stack._memo) == 1 and len(kept) == 6
+    kept = [value for state in (rho, stack) for _, arrays in state._memo.values() for value in arrays]
+    assert len(rho._memo) == 2 and len(stack._memo) == 1 and len(kept) == 5
     for value in kept:
         assert not value.flags.writeable
         with pytest.raises(ValueError):
@@ -527,8 +537,8 @@ def test_a_stack_entry_keeps_its_own_probabilities():
     assert entry._memo is None
     one = sample_table(entry, _CFG)
     assert _same_outputs(one, sample_table(DensityMatrix(MEMO_STACK[1]), _CFG))
-    assert [v.shape for e in entry._memo.values() for v in e] == [(5, 8)]
-    assert [v.shape for e in stack._memo.values() for v in e] == [(3, 5, 8)]
+    assert [v.shape for _, arrays in entry._memo.values() for v in arrays] == [(5, 8)]
+    assert [v.shape for _, arrays in stack._memo.values() for v in arrays] == [(3, 5, 8)]
     assert all(_same_bytes(arr[1], getattr(one, name)) for name, arr in (("p", stacked.p), ("q", stacked.q), ("r", stacked.r)))
     # an entry sampled first leaves its stack's memo empty
     other = DensityMatrix(MEMO_STACK)
@@ -549,12 +559,12 @@ def test_threads_sampling_one_fresh_state_draw_what_one_thread_draws():
     # more threads than cores, switching often, all filling one state's memo at once
     rho, reference = random_density_matrix(np.random.default_rng(29)), random_density_matrix(np.random.default_rng(29))
     cfgs = [ShotConfig(100, seed) for seed in range(8)]
-    want = [(sample_table(reference, cfg), trajectory_spa_pt(reference, cfg), sample_pauli_expectations(reference, cfg)) for cfg in cfgs]
+    want = [(sample_table(reference, cfg), trajectory_spa_pt(reference, cfg)) for cfg in cfgs]
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(lambda cfg: (sample_table(rho, cfg), trajectory_spa_pt(rho, cfg), sample_pauli_expectations(rho, cfg)), cfg) for cfg in cfgs]
+            futures = [pool.submit(lambda cfg: (sample_table(rho, cfg), trajectory_spa_pt(rho, cfg)), cfg) for cfg in cfgs]
             got = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(switch)
@@ -574,7 +584,7 @@ def born_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["sample_table", "sample_table_stack", "sample_pauli_expectations", "trajectory_spa_pt"])
+@pytest.mark.parametrize("name", ["sample_table", "sample_table_stack", "trajectory_spa_pt"])
 def test_a_second_sampling_call_on_a_state_makes_no_born_product(born_calls, name):
     sampler, mat = SAMPLERS[name]
     rho = DensityMatrix(mat)

@@ -86,7 +86,7 @@ MUTANTS = (
     Mutant("mems-branches-swapped", "states.py", "np.where(p >= 2.0 / 3.0, p / 2.0, 1.0 / 3.0)", "np.where(p >= 2.0 / 3.0, 1.0 / 3.0, p / 2.0)"),
     Mutant("rho-family-p-unbroadcast", "states.py", 'p = _unit_interval("p", p)[..., None, None]\n    alpha', 'p = _unit_interval("p", p)\n    alpha'),
     # the per-state sampler memo
-    Mutant("trajectory-memo-by-state", "tomography.py", "_kept(rho, instrument, lambda", '_kept(rho, "trajectory", lambda'),
+    Mutant("trajectory-memo-by-state", "tomography.py", "if kept is None or kept[0] is not source:", "if kept is None:"),
     Mutant("memo-writable", "tomography.py", "value.setflags(write=False)", "value.setflags(write=True)"),
 )
 
