@@ -12,6 +12,7 @@ Bell-state minimum eigenvalue.
 
 from spapt import (
     BELL_KINDS,
+    DensityMatrix,
     ShotConfig,
     apply,
     bell,
@@ -19,6 +20,7 @@ from spapt import (
     f_hat,
     fidelity,
     lambda_min_d,
+    min_eigenvalue,
     project_to_physical,
     qst_linear_inversion,
     sample_pauli_expectations,
@@ -52,14 +54,14 @@ print(f"tomography fidelity to the exact output: {fidelity(reconstructed, exact_
 #   lambda_th   exact channel spectrum,
 #   lambda_exp  trajectory + sampled tomography + spectrum,
 #   lambda_d    detection operator from sampled tables alone.
+# Each column is one call on the stack of the four Bell states; a stack
+# entry draws what the state draws alone.
+bells = DensityMatrix.concatenate([bell(kind) for kind in BELL_KINDS])
+lams_th = [v.lambda_min for v in detect(bells, "spa_spectrum")]
+lams_exp = min_eigenvalue(project_to_physical(qst_linear_inversion(sample_pauli_expectations(trajectory_spa_pt(bells, cfg), cfg))))
+lams_d = [v.lambda_min for v in detect(sample_table(bells, cfg), "f_hat")]
 print(f"\n{'state':<6} {'lambda_th':>10} {'lambda_exp':>11} {'lambda_d':>10}   (threshold 2/9 = {2 / 9:.4f})")
-for kind in BELL_KINDS:
-    rho = bell(kind)
-    lam_th = detect(rho, "spa_spectrum").lambda_min
-    out = trajectory_spa_pt(rho, cfg)
-    rec = project_to_physical(qst_linear_inversion(sample_pauli_expectations(out, cfg)))
-    lam_exp = float(rec.spectrum.values[0])
-    lam_d = lambda_min_d(f_hat(sample_table(rho, cfg)))
+for kind, lam_th, lam_exp, lam_d in zip(BELL_KINDS, lams_th, lams_exp, lams_d):
     print(f"{kind:<6} {lam_th:>10.6f} {lam_exp:>11.6f} {lam_d:>10.6f}")
 print("\nall three sit near the maximal-entanglement floor 1/6 =", round(1 / 6, 6))
 

@@ -76,7 +76,7 @@ __all__ = [
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization of a matrix, or of each matrix of a stack."""
     a = np.asarray(m, dtype=complex)
-    return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (-1,))
+    return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))  # reshape cannot infer -1 for an empty stack
 
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from .states import (
     fidelity,
     linear_entropy,
     mems,
+    min_eigenvalue,
     rho_family,
     tangle,
     werner,
@@ -231,22 +232,15 @@ def _cmd_detect(args: argparse.Namespace, cfg: ShotConfig) -> int:
     return _report(args, cfg, [row], method=args.method, state=args.state)
 
 
-def _lambda_exp(rho: DensityMatrix, cfg: ShotConfig) -> float:
-    """Experiment-style estimate: trajectory runs, sampled state
-    tomography of the output, physicality projection, then the spectrum."""
-    out = trajectory_spa_pt(rho, cfg)
-    expectations = sample_pauli_expectations(out, cfg)
-    reconstructed = project_to_physical(qst_linear_inversion(expectations))
-    return float(reconstructed.spectrum.values[0])
-
-
 def _cmd_table1(args: argparse.Namespace, cfg: ShotConfig) -> int:
-    # each column but the trajectory tomography of lambda_exp is one call on the stack of Bell states
+    # each column is one call on the stack of Bell states; lambda_exp is the experiment's estimate:
+    # trajectory runs, sampled state tomography of the output, physicality projection, then the spectrum
     states = DensityMatrix([bell_vector(kind).projector() for kind in BELL_KINDS])
-    columns = zip(BELL_KINDS, states, detect(states, "spa_spectrum"), detect(sample_table(states, cfg), "f_hat"))
+    lambda_exp = min_eigenvalue(project_to_physical(qst_linear_inversion(sample_pauli_expectations(trajectory_spa_pt(states, cfg), cfg))))
+    columns = zip(BELL_KINDS, detect(states, "spa_spectrum"), lambda_exp, detect(sample_table(states, cfg), "f_hat"))
     rows = [
-        {"state": kind, "lambda_th": th.lambda_min, "lambda_exp": _lambda_exp(rho, cfg), "lambda_d": d.lambda_min, "shots": cfg.shots_per_setting}
-        for kind, rho, th, d in columns
+        {"state": kind, "lambda_th": th.lambda_min, "lambda_exp": float(exp), "lambda_d": d.lambda_min, "shots": cfg.shots_per_setting}
+        for kind, th, exp, d in columns
     ]
     return _report(args, cfg, rows)
 

@@ -270,7 +270,8 @@ def witness_expectation(rho: DensityMatrix, q_projector: np.ndarray) -> float:
 
     Returns tr[(identity (x) transpose)(Q) rho]; a negative value
     certifies entanglement.  Unlike the operation-based routes, the
-    verdict depends on how Q is aligned with the state's local basis.
+    verdict depends on how Q is aligned with the state's local basis.  It
+    takes a single state: a stack is refused.
     """
     require_single("witness_expectation", rho)
     q = require_hermitian(q_projector, "Q")

@@ -44,7 +44,7 @@ def round12(x: float) -> float:
 
 
 def state_payload(rho: DensityMatrix, metadata: dict[str, Any]) -> dict[str, Any]:
-    """JSON-ready document for a state file."""
+    """JSON-ready document for the state file of a single state; a stack is refused."""
     require_single("state_payload", rho)
     return {
         "dim": rho.dim,

@@ -151,11 +151,9 @@ def _suite_bell_basis_independence(seed: int) -> None:
 
 
 def _suite_tomography_roundtrip(seed: int) -> None:
-    rng = np.random.default_rng([seed, 13])
-    states = [bell(k) for k in BELL_KINDS] + [werner(0.3)] + [random_density_matrix(rng) for _ in range(5)]
-    for rho in states:
-        dev = float(np.max(np.abs(qst_linear_inversion(pauli_expectations(rho)) - rho.mat)))
-        _check(dev < EXACT_BOUND, f"linear inversion round trip deviates by {dev:.3e}")
+    states = DensityMatrix.concatenate([bell(k) for k in BELL_KINDS] + [werner(0.3), random_density_matrix(np.random.default_rng([seed, 13]), count=5)])
+    dev = float(np.max(np.abs(qst_linear_inversion(pauli_expectations(states)) - states.mat)))
+    _check(dev < EXACT_BOUND, f"linear inversion round trip deviates by {dev:.3e}")
 
 
 def _suite_trajectory_convergence(seed: int) -> None:

@@ -10,9 +10,9 @@ A :class:`DensityMatrix` holds one two-qubit state or an ``(N, 4, 4)``
 stack of them, validated by the same code: one gate, one trace check and
 one eigensolve.  The state families :func:`werner`, :func:`mems` and
 :func:`rho_family` give one state for numbers and a stack for arrays of
-parameters.  :func:`tangle` and :func:`linear_entropy` return one
-value per entry of a stack; the functionals that compare or read one
-state raise ``ValidationError`` for a stack.
+parameters.  :func:`tangle`, :func:`linear_entropy` and :func:`min_eigenvalue`
+return one value per entry of a stack; :func:`fidelity`, which compares two
+states, raises ``ValidationError`` for a stack.
 """
 
 from __future__ import annotations
@@ -279,7 +279,8 @@ def rho_family(p: float | np.ndarray, alpha: float | np.ndarray) -> DensityMatri
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 in [0, 1]."""
+    """Uhlmann fidelity [tr sqrt(sqrt(rho) sigma sqrt(rho))]^2 in [0, 1] of
+    two single states; a stack is refused."""
     require_single("fidelity", rho, sigma)
     s = psd_sqrt_from(rho.spectrum)
     w = gated_eig(s @ sigma.mat @ s).values  # both factors passed the gate
@@ -316,10 +317,10 @@ def linear_entropy(rho: DensityMatrix) -> float | np.ndarray:
     return _per_entry((4.0 / 3.0) * (1.0 - (rho.mat @ rho.mat).trace(axis1=-2, axis2=-1).real))
 
 
-def min_eigenvalue(rho: DensityMatrix) -> float:
-    """Smallest eigenvalue of the state."""
-    require_single("min_eigenvalue", rho)
-    return float(rho.spectrum.values[0])
+def min_eigenvalue(rho: DensityMatrix) -> float | np.ndarray:
+    """Smallest eigenvalue of the state, read from its stored spectrum, or
+    of each state of a stack."""
+    return _per_entry(rho.spectrum.values[..., 0])
 
 
 def _random_state_matrix(rng: np.random.Generator, n_components: int) -> np.ndarray:

@@ -12,17 +12,20 @@ whole stack's, with that matrix, which computes each 4x4 block as
 ``rho @ E_k`` does, then each block's real diagonal summed in the order of
 numpy's trace: bit for bit the per-effect ``np.trace(rho @ np.kron(a, b)).real``.
 A trajectory adds one product of the stacked category superoperators with
-the state.  Born tables, sampled tables and their validation take one state
-or a stack of them, through the same code.
+the state.  Each function of a state, table or matrix here takes one or a
+stack of them, through the same code, and gives each entry its single
+result bit for bit: Born tables, sampled tables, trajectories, Pauli
+expectations, their inversion and the physicality projection.  Only
+:func:`trajectory_branch_counts` refuses a stack.
 
 A sweep measures one state at many seeds and shot budgets, and only the draws
 change between calls.  So ``sample_table`` and the trajectories keep what
 they draw from in the state's memo, read-only, from their first call for as
 long as the state lives: the normalized Born table of the detection settings
 (of one state or a stack), and for the last ``Instrument`` object run on the
-state the mask of drawn categories, their probabilities and the emitted
-states; a trajectory of another instrument replaces them.  Nothing derived
-from a ``ShotConfig`` is kept.
+state the mask of drawn categories, each entry's probabilities of them and
+the emitted states; a trajectory of another instrument replaces them.
+Nothing derived from a ``ShotConfig`` is kept.
 
 Randomness is fully reproducible: every measurement setting draws from its
 own substream, ``np.random.default_rng([seed, tag, *indices])``, so settings
@@ -31,14 +34,14 @@ for the four joint settings of a table (index i = 0..3), 1 for its q/r
 setting (no index), 2 for trajectories (no index) and 3 for the nine Pauli
 settings (indices i, j = 1..3).  Each draw starts its own ``PCG64`` from
 the seed words of its ``default_rng``, so a stack entry draws as it would
-alone; a call derives the words of all its substreams in one step, from the
+alone, from the same substreams; a call derives the words of all its substreams in one step, from the
 ``SeedSequence`` pools of the uint32 words ``default_rng`` derives from the
 integers, in one vectorized pass of numpy's output hash.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cache
 
@@ -52,6 +55,7 @@ from .linalg import (
     ZERO_WEIGHT_TOL,
     ValidationError,
     as_numeric,
+    dag,
     gated_eig,
     require_each,
     require_hermitian,
@@ -256,19 +260,11 @@ def _kept(rho: DensityMatrix, key: str, source: object, compute: Callable[[], tu
     return kept[1]
 
 
-def _multinomial(shots: int, stream, row: np.ndarray) -> np.ndarray:
-    """Counts of ``shots`` runs over the probabilities ``row``, from a fresh ``PCG64`` seeded from ``stream``."""
-    return np.random.Generator(np.random.PCG64(stream)).multinomial(shots, row)
-
-
-def _draw(cfg: ShotConfig, probs: np.ndarray, *paths: tuple[int, ...]) -> np.ndarray:
-    """Counts of ``cfg.shots_per_setting`` runs over each row of ``probs``, in its shape: row k,
-    in C order, draws from a fresh generator, bit for bit ``np.random.default_rng([cfg.seed,
-    *paths[k % len(paths)]])``; a 1-D ``probs`` is one row, drawn as it is, with no stacking."""
+def _draw(cfg: ShotConfig, rows: Iterable[np.ndarray], *paths: tuple[int, ...]) -> list[np.ndarray]:
+    """Counts of ``cfg.shots_per_setting`` runs over each probability row of ``rows``, rows of any lengths:
+    row k draws from a fresh ``PCG64``, bit for bit ``np.random.default_rng([cfg.seed, *paths[k % len(paths)]])``."""
     streams = [_seed_sequence()(words) for words in _seed_words(cfg.seed, *paths)]
-    if probs.ndim == 1:
-        return _multinomial(cfg.shots_per_setting, streams[0], probs)
-    return np.array([_multinomial(cfg.shots_per_setting, streams[k % len(streams)], row) for k, row in enumerate(probs.reshape(-1, probs.shape[-1]))]).reshape(probs.shape)
+    return [np.random.Generator(np.random.PCG64(streams[k % len(streams)])).multinomial(cfg.shots_per_setting, row) for k, row in enumerate(rows)]
 
 
 def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
@@ -283,13 +279,13 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     Each draw starts its own generator, so a stack entry's table is the one sampled for it alone.
     """
     (born,) = _kept(rho, "table", _TABLE_SETTINGS, lambda: (_normalized_probs(_born_weights(rho.mat, _TABLE_SETTINGS)),))
-    freq = _draw(cfg, born, *((_TAG_TABLE, i) for i in range(4)), (_TAG_QR,)) / cfg.shots_per_setting
+    freq = np.array(_draw(cfg, born.reshape(-1, 8), *((_TAG_TABLE, i) for i in range(4)), (_TAG_QR,))).reshape(born.shape) / cfg.shots_per_setting
     return ProbabilityTable(freq[..., :4, :4], freq[..., 4, :4], freq[..., 4, 4:], cfg.shots_per_setting)
 
 
 def _trajectory_components(rho: DensityMatrix, instrument: Instrument) -> tuple[np.ndarray, np.ndarray]:
     """Outcome probabilities and emitted states of one single-copy run of a
-    local instrument, one per category.
+    local instrument, one per category, for one state or each of a stack.
 
     Categories run as in the instrument's table, over branch, then over the
     outcomes and corrections of the branch's sides, side A slowest: for
@@ -302,48 +298,54 @@ def _trajectory_components(rho: DensityMatrix, instrument: Instrument) -> tuple[
     w = _born_weights(rho.mat, effects)
     live = w > ZERO_WEIGHT_TOL
     probs = np.where(live, ((w * numerator) / denominator) / draws, 0.0)
-    return _normalized_probs(probs), unvec((maps @ vec(rho.mat)) / np.where(live, w, 1.0)[:, None], rho.dim)
+    # vec(rho) as a column, so that each category's product is the matrix-vector one of maps @ vec(rho)
+    emitted = (maps @ vec(rho.mat)[..., None, :, None])[..., 0]
+    return _normalized_probs(probs), unvec(emitted / np.where(live, w, 1.0)[..., None], rho.dim)
 
 
-def _drawn_components(rho: DensityMatrix, instrument: Instrument) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The mask of categories of nonzero probability, their probabilities and every category's emitted
-    state, in C order, so that ``trajectory`` reads them as rows without a copy."""
+def _drawn_components(rho: DensityMatrix, instrument: Instrument) -> tuple[np.ndarray, ...]:
+    """The mask of categories of nonzero probability, every category's emitted state, in C order, so
+    that ``trajectory`` reads them as rows without a copy, then each entry's drawn probabilities."""
     probs, outputs = _trajectory_components(rho, instrument)
     drawn = probs > 0.0
-    return drawn, probs[drawn], np.ascontiguousarray(outputs)
+    rows = zip(probs.reshape(-1, probs.shape[-1]), drawn.reshape(-1, probs.shape[-1]))
+    return drawn, np.ascontiguousarray(outputs), *(row[mask] for row, mask in rows)
 
 
 def _trajectory_counts(rho: DensityMatrix, instrument: Instrument, cfg: ShotConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Run counts and output states per category; only categories of nonzero probability are drawn."""
-    drawn, probs, outputs = _kept(rho, "trajectory", instrument, lambda: _drawn_components(rho, instrument))
-    counts = np.zeros(len(drawn), dtype=np.int64)
-    counts[drawn] = _draw(cfg, probs, (_TAG_TRAJ,))
+    """Run counts and output states per category, of one state or each of a stack; each entry draws
+    only its categories of nonzero probability, from the one trajectory substream."""
+    drawn, outputs, *rows = _kept(rho, "trajectory", instrument, lambda: _drawn_components(rho, instrument))
+    counts = np.zeros(drawn.shape, dtype=np.int64)
+    # the entries' draws joined in C order, as the mask reads them; the empty int64 start serves an empty stack
+    counts[drawn] = np.concatenate([np.zeros(0, dtype=np.int64), *_draw(cfg, rows, (_TAG_TRAJ,))])
     return counts, outputs
 
 
 def trajectory(rho: DensityMatrix, instrument: Instrument, cfg: ShotConfig) -> DensityMatrix:
     """Ensemble average of finite single-copy runs of a local instrument,
-    such as the ``instrument`` of a channel.
+    such as the ``instrument`` of a channel, on one state or on each state
+    of a stack.
 
     Each run picks a branch with its weight, measures each measured side and
     re-prepares the state of its outcome, and applies a uniformly random
     correction to each corrected side.  Converges to the exact channel
-    output as the run count grows.
+    output as the run count grows.  Every entry of a stack draws from the
+    one trajectory substream, so its output is the one it gives alone.
     """
-    require_single("trajectory", rho)
     if not isinstance(instrument, Instrument):
         raise ValidationError(f"the channel has no local instrument to run: expected an Instrument, got {type(instrument).__name__}")
     if instrument.dim != rho.dim:
         raise ValidationError(f"the instrument acts on dim {instrument.dim}, the state has dim {rho.dim}")
     counts, outputs = _trajectory_counts(rho, instrument, cfg)
-    # the one dot of np.tensordot(weights, outputs, axes=1), on its reshaped operands
-    acc = np.dot((counts / float(cfg.shots_per_setting)).reshape(1, -1), outputs.reshape(len(counts), -1)).reshape(rho.dim, rho.dim)
-    return DensityMatrix((acc + acc.conj().T) / 2.0)
+    # per entry the one (1, K) @ (K, d * d) dot of np.tensordot(weights, outputs, axes=1), on its reshaped operands
+    acc = ((counts / float(cfg.shots_per_setting))[..., None, :] @ outputs.reshape(counts.shape + (rho.dim**2,))).reshape(rho.mat.shape)
+    return DensityMatrix((acc + dag(acc)) / 2.0)
 
 
 def trajectory_branch_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[int, int]:
-    """How many single-copy runs took the transpose branch vs the
-    inversion branch (expected fractions 1/3 and 2/3)."""
+    """How many single-copy runs of one state took the transpose branch vs
+    the inversion branch (expected fractions 1/3 and 2/3); a stack is refused."""
     require_single("trajectory_branch_counts", rho)
     counts, _ = _trajectory_counts(rho, SPA_PT_INSTRUMENT, cfg)
     split = len(SPA_PT_INSTRUMENT.branches[0].maps)
@@ -351,7 +353,8 @@ def trajectory_branch_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[int, 
 
 
 def trajectory_spa_pt(rho: DensityMatrix, cfg: ShotConfig) -> DensityMatrix:
-    """Single-copy trajectories of :data:`~spapt.channels.SPA_PT_INSTRUMENT`.
+    """Single-copy trajectories of :data:`~spapt.channels.SPA_PT_INSTRUMENT`,
+    of one state or of each state of a stack.
 
     Each run picks the transpose branch with probability 1/3 (measure the
     tetrahedral POVM on B, re-prepare the matching state, keep A) or the
@@ -382,73 +385,74 @@ def pauli_expectations(rho: DensityMatrix) -> np.ndarray:
 
 
 def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray:
-    """Finite-shot estimate of all Pauli-product expectations.
+    """Finite-shot estimate of all Pauli-product expectations, of one state
+    or of each state of a stack.
 
     Nine settings measure the joint eigenbasis of sigma_i (x) sigma_j for
     i, j in {x, y, z}; single-qubit expectations are averaged over the
-    three settings that contain the given Pauli, and <I (x) I> is 1.
+    three settings that contain the given Pauli, and <I (x) I> is 1.  A
+    stack entry's estimate is the one sampled for it alone.
     """
-    require_single("sample_pauli_expectations", rho)
     probs = _normalized_probs(_born_weights(rho.mat, _PAULI_SETTINGS))
-    # freq[i, j, a, b]: setting (i, j), eigenvalue sign a on A and b on B
-    freq = _draw(cfg, probs, *((_TAG_PAULI, i + 1, j + 1) for i, j in np.ndindex(3, 3))).reshape(3, 3, 2, 2) / cfg.shots_per_setting
+    # freq[..., i, j, a, b]: setting (i, j), eigenvalue sign a on A and b on B
+    counts = np.array(_draw(cfg, probs.reshape(-1, 4), *((_TAG_PAULI, i + 1, j + 1) for i, j in np.ndindex(3, 3))))
+    freq = counts.reshape(probs.shape[:-3] + (3, 3, 2, 2)) / cfg.shots_per_setting
     # f0 - f1 and ((x0 + x1) + x2) / 3 on slices: the float operations, in order, of `@ [1, -1]` and `.mean`
     b_signed, a_sums, b_sums = freq[..., 0] - freq[..., 1], freq[..., 0] + freq[..., 1], freq[..., 0, :] + freq[..., 1, :]
-    on_a, on_b = a_sums[..., 0] - a_sums[..., 1], b_sums[..., 0] - b_sums[..., 1]  # [i, j]: setting (i, j)'s sign on A, on B
-    e = np.ones((4, 4))
-    e[1:, 1:] = b_signed[..., 0] - b_signed[..., 1]
-    e[1:, 0] = ((on_a[:, 0] + on_a[:, 1]) + on_a[:, 2]) / 3.0
-    e[0, 1:] = ((on_b[0] + on_b[1]) + on_b[2]) / 3.0
+    on_a, on_b = a_sums[..., 0] - a_sums[..., 1], b_sums[..., 0] - b_sums[..., 1]  # [..., i, j]: setting (i, j)'s sign on A, on B
+    e = np.ones(probs.shape[:-3] + (4, 4))
+    e[..., 1:, 1:] = b_signed[..., 0] - b_signed[..., 1]
+    e[..., 1:, 0] = ((on_a[..., 0] + on_a[..., 1]) + on_a[..., 2]) / 3.0
+    e[..., 0, 1:] = ((on_b[..., 0, :] + on_b[..., 1, :]) + on_b[..., 2, :]) / 3.0
     return e
 
 
 def qst_linear_inversion(expectations: np.ndarray) -> np.ndarray:
     """Reconstruct a two-qubit operator from Pauli-product expectations.
 
-    ``expectations`` is a finite 4x4 real array, exact (from
-    :func:`pauli_expectations`, and the reconstruction round-trips the
-    state) or sampled, whose ``[0, 0]`` entry, the trace, is 1 within 1e-9.
-    Returns a raw matrix: from noisy data it is generally not PSD, see
-    :func:`project_to_physical`.
+    ``expectations`` is a finite 4x4 real array, or an ``(N, 4, 4)`` stack
+    of them, exact (from :func:`pauli_expectations`, and the reconstruction
+    round-trips the state) or sampled, whose ``[0, 0]`` entry, the trace,
+    is 1 within 1e-9.  Returns a raw matrix, or one per entry: from noisy
+    data it is generally not PSD, see :func:`project_to_physical`.
     """
     expectations = as_numeric(expectations, None, "array of Pauli expectations", copy=False)
-    if expectations.shape != (4, 4):
-        raise ValidationError(f"expected all 16 Pauli expectations as a 4x4 array, got shape {expectations.shape}")
+    if expectations.shape[-2:] != (4, 4) or expectations.ndim > 3:
+        raise ValidationError(f"expected all 16 Pauli expectations as a 4x4 array or an (N, 4, 4) stack, got shape {expectations.shape}")
     if expectations.dtype.kind not in "iuf":
         raise ValidationError(f"Pauli expectations must be real numbers, got dtype {expectations.dtype}")
-    if not np.isfinite(expectations).all():
-        raise ValidationError("Pauli expectations must be finite: the array holds NaN or inf")
-    if abs(expectations[0, 0] - 1.0) > TRACE_TOL:
-        raise ValidationError(f"<I (x) I> is the trace and must be 1, got {expectations[0, 0]:.6g}")
-    # the one dot of np.tensordot(expectations, _PAULI_PRODUCTS, axes=2), on its reshaped operands
-    return np.dot(expectations.reshape(1, 16), _PAULI_PRODUCTS.reshape(16, 16)).reshape(4, 4) / 4.0
+    require_each(np.isfinite(expectations).all(axis=(-2, -1)), lambda i: "Pauli expectations must be finite: the array holds NaN or inf")
+    trace = expectations[..., 0, 0]
+    require_each(abs(trace - 1.0) <= TRACE_TOL, lambda i: f"<I (x) I> is the trace and must be 1, got {trace[i]:.6g}")
+    # per entry the one (1, 16) @ (16, 16) dot of np.tensordot(expectations, _PAULI_PRODUCTS, axes=2), on its reshaped operands
+    return (expectations.reshape(trace.shape + (1, 16)) @ _PAULI_PRODUCTS.reshape(16, 16)).reshape(expectations.shape) / 4.0
 
 
 def project_to_physical(raw: np.ndarray) -> DensityMatrix:
-    """Nearest physical state under the 2-norm on the spectrum.
+    """Nearest physical state under the 2-norm on the spectrum, of one raw
+    matrix or of each matrix of a stack.
 
     This is the projection of Smolin, Gambetta and Smith, PRL 108, 070502
     (2012).  The eigenbasis is kept.  The spectrum gets a uniform shift to
     restore unit trace, then negative eigenvalues are clipped to zero with
     their deficit spread uniformly over the remaining positive ones,
-    iterating until all are nonnegative.
+    iterating until all are nonnegative.  A stack iterates as one, each
+    entry with its own masks, and an entry that is done stays as it is.
     """
     a = require_hermitian(raw, "matrix to project", RAW_TOL)
-    if a.ndim != 2:
-        raise ValidationError(f"expected one square matrix to project, got shape {a.shape}")
-    trace_dev = abs(complex(np.trace(a)) - 1.0)
-    if trace_dev > RAW_TOL:
-        raise ValidationError(f"trace too far from 1 to project: |tr - 1| = {trace_dev:.3e}")
+    trace_dev = abs(a.trace(axis1=-2, axis2=-1) - 1.0)
+    require_each(trace_dev <= RAW_TOL, lambda i: f"trace too far from 1 to project: |tr - 1| = {trace_dev[i]:.3e}")
     w, v = gated_eig(a)
-    n = len(w)
-    x = w + (1.0 - w.sum()) / n
+    n = w.shape[-1]
+    x = w + (1.0 - w.sum(axis=-1, keepdims=True)) / n
     for _ in range(n + 1):
         negative = x < 0.0
         if not negative.any():
             break
-        deficit = float(x[negative].sum())
+        # the negatives summed in order, with the zeros in between adding nothing
+        deficit = np.where(negative, x, 0.0).sum(axis=-1, keepdims=True)
         x[negative] = 0.0
         positive = x > 0.0
-        x[positive] += deficit / int(positive.sum())
-    mat = (v * np.clip(x, 0.0, None)) @ v.conj().T
-    return DensityMatrix((mat + mat.conj().T) / 2.0)
+        np.add(x, deficit / positive.sum(axis=-1, keepdims=True), out=x, where=positive)
+    mat = (v * np.maximum(x, 0.0)[..., None, :]) @ dag(v)  # np.clip(x, 0.0, None), bit for bit
+    return DensityMatrix((mat + dag(mat)) / 2.0)

@@ -26,6 +26,7 @@ from spapt.detection import DetectionVerdict, FHatOperator, detect, f_hat, lambd
 from spapt.io import round12, save_state, state_payload
 from spapt.linalg import ValidationError, herm_eig, partial_transpose, psd_sqrt_from, require_hermitian
 from spapt.states import (
+    BELL_KINDS,
     NINE_STATE_PARAMS,
     DensityMatrix,
     PureState,
@@ -45,6 +46,8 @@ from spapt.tomography import (
     ShotConfig,
     ideal_probabilities,
     pauli_expectations,
+    project_to_physical,
+    qst_linear_inversion,
     sample_pauli_expectations,
     sample_table,
     trajectory,
@@ -206,10 +209,10 @@ def test_fig3_samples_each_table_as_sample_table_does():
         assert all(_same_table(tables, k, sample_table(rho, cfg)) for k, rho in enumerate(states))
 
 
-def _fig3_rows(seed, shots):
+def _rows(command, seed, shots):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["fig3", "--seed", str(seed), "--shots", str(shots)]) == 0
+        assert main([command, "--seed", str(seed), "--shots", str(shots)]) == 0
     return json.loads(out.getvalue())["rows"]
 
 
@@ -237,8 +240,21 @@ def test_fig3_rows_equal_a_loop_over_the_single_state_api(seed, shots):
                 "seed": seed,
             }
         )
-    rows = _fig3_rows(seed, shots)
+    rows = _rows("fig3", seed, shots)
     assert [{k: v for k, v in row.items() if k != "version"} for row in rows] == expected
+
+
+@pytest.mark.parametrize("seed, shots", [(42, 1000), (2**64 - 1, 1)])
+def test_table1_rows_equal_a_loop_over_the_single_state_api(seed, shots):
+    cfg = ShotConfig(shots_per_setting=shots, seed=seed)
+    expected = []
+    for kind in BELL_KINDS:
+        rho = bell(kind)
+        reconstructed = project_to_physical(qst_linear_inversion(sample_pauli_expectations(trajectory_spa_pt(rho, cfg), cfg)))
+        lambda_d = lambda_min_d(f_hat(sample_table(rho, cfg)))
+        lambdas = {"lambda_th": detect(rho, "spa_spectrum").lambda_min, "lambda_exp": min_eigenvalue(reconstructed), "lambda_d": lambda_d}
+        expected.append({"state": kind, **{k: round12(v) for k, v in lambdas.items()}, "shots": shots, "seed": seed})
+    assert [{k: v for k, v in row.items() if k != "version"} for row in _rows("table1", seed, shots)] == expected
 
 
 CFG = ShotConfig(shots_per_setting=1000, seed=4)
@@ -254,15 +270,15 @@ STATE_CALLS = {
     "linear_entropy": (linear_entropy, linear_entropy, True),
     "fidelity-state_first": (fidelity, lambda rho: fidelity(rho, bell("phi+")), False),
     "fidelity-state_second": (fidelity, lambda rho: fidelity(bell("phi+"), rho), False),
-    "min_eigenvalue": (min_eigenvalue, min_eigenvalue, False),
+    "min_eigenvalue": (min_eigenvalue, min_eigenvalue, True),
     "apply": (apply, lambda rho: apply(spa_pt(), rho), True),
     "ideal_probabilities": (ideal_probabilities, ideal_probabilities, True),
     "sample_table": (sample_table, lambda rho: sample_table(rho, CFG), True),
-    "trajectory": (trajectory, lambda rho: trajectory(rho, SPA_PT_INSTRUMENT, CFG), False),
-    "trajectory_spa_pt": (trajectory_spa_pt, lambda rho: trajectory_spa_pt(rho, CFG), False),
+    "trajectory": (trajectory, lambda rho: trajectory(rho, SPA_PT_INSTRUMENT, CFG), True),
+    "trajectory_spa_pt": (trajectory_spa_pt, lambda rho: trajectory_spa_pt(rho, CFG), True),
     "trajectory_branch_counts": (trajectory_branch_counts, lambda rho: trajectory_branch_counts(rho, CFG), False),
     "pauli_expectations": (pauli_expectations, pauli_expectations, True),
-    "sample_pauli_expectations": (sample_pauli_expectations, lambda rho: sample_pauli_expectations(rho, CFG), False),
+    "sample_pauli_expectations": (sample_pauli_expectations, lambda rho: sample_pauli_expectations(rho, CFG), True),
     "detect-ppt": (detect, lambda rho: detect(rho, "ppt"), True),
     "detect-spa_spectrum": (detect, lambda rho: detect(rho, "spa_spectrum"), True),
     "detect-f_hat": (detect, lambda rho: detect(rho, "f_hat"), True),
@@ -308,6 +324,15 @@ def test_each_function_of_a_state_serves_a_stack_entry_by_entry_or_refuses_it(fu
     assert len(result.p if isinstance(result, ProbabilityTable) else result) == 3
     for k in range(3):
         assert _same(_entry(result, k), _whole(call(stack[k])))
+
+
+PER_ENTRY = {name: call for name, (_, call, per_entry) in STATE_CALLS.items() if per_entry}
+
+
+@pytest.mark.parametrize("call", PER_ENTRY.values(), ids=PER_ENTRY)
+def test_each_function_with_a_per_entry_meaning_maps_an_empty_stack_to_an_empty_result(call):
+    result = call(DensityMatrix(np.zeros((0, 4, 4))))
+    assert len(result.p if isinstance(result, ProbabilityTable) else result) == 0
 
 
 def test_a_stack_of_stacks_is_not_a_state():

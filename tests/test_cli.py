@@ -512,6 +512,22 @@ def test_range_law_suite_fails_an_output_just_above_its_upper_bound(monkeypatch,
                 selftest._suite_spa_range_law(42)
 
 
+def test_tomography_roundtrip_suite_fails_a_deviation_just_above_its_bound(monkeypatch):
+    # an offset of one Pauli expectation moves the reconstruction by a quarter
+    # of it in the entries of its Pauli product, which are 0 or of modulus 1:
+    # a deviation of half the bound EXACT_BOUND passes, one and a half times it fails
+    exact = selftest.pauli_expectations
+    for excess in (0.5, 1.5):
+        offset = np.zeros((4, 4))
+        offset[1, 3] = 4.0 * excess * selftest.EXACT_BOUND
+        monkeypatch.setattr(selftest, "pauli_expectations", lambda states: exact(states) + offset)
+        if excess < 1.0:
+            selftest._suite_tomography_roundtrip(42)
+        else:
+            with pytest.raises(AssertionError, match="linear inversion round trip deviates by 1.5"):
+                selftest._suite_tomography_roundtrip(42)
+
+
 def test_sampled_detection_suite_runs_at_the_largest_seed():
     # its 50 seeds seed + k wrap modulo 2**64 instead of leaving the seed range
     _suite_sampled_detection_stability(2**64 - 1)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_states import haar_unitary
 
 from spapt import tomography
@@ -304,9 +304,11 @@ def test_substreams_match_default_rng_for_any_seed_and_path(seed, tagged):
         (lambda cfg: sample_table(werner(0.6), cfg), PATHS_IN_USE[:5]),
         (lambda cfg: sample_table(DensityMatrix(np.stack([werner(0.6).mat, bell("phi+").mat])), cfg), PATHS_IN_USE[:5]),
         (lambda cfg: trajectory_spa_pt(werner(0.6), cfg), PATHS_IN_USE[5:6]),
+        (lambda cfg: trajectory_spa_pt(DensityMatrix(np.stack([werner(0.6).mat, bell("phi+").mat])), cfg), PATHS_IN_USE[5:6]),
         (lambda cfg: sample_pauli_expectations(werner(0.6), cfg), PATHS_IN_USE[6:]),
+        (lambda cfg: sample_pauli_expectations(DensityMatrix(np.stack([werner(0.6).mat, bell("phi+").mat])), cfg), PATHS_IN_USE[6:]),
     ],
-    ids=["sample_table", "sample_table_stack", "trajectory", "sample_pauli_expectations"],
+    ids=["sample_table", "sample_table_stack", "trajectory", "trajectory_stack", "sample_pauli_expectations", "sample_pauli_expectations_stack"],
 )
 def test_each_sampling_call_seeds_its_substreams_in_one_step(monkeypatch, call, paths):
     seed_words, requests = tomography._seed_words, []
@@ -467,6 +469,8 @@ def test_trajectory_is_deterministic():
 # equal calls on a fresh equal state, whose memo is empty.
 MEMO_CFGS = (ShotConfig(1000, 3), ShotConfig(10**6, 2**64 - 1), ShotConfig(1000, 3), ShotConfig(7, 0))
 MEMO_STACK = np.stack([KET_00.mat, werner(0.6).mat, random_density_matrix(np.random.default_rng(17)).mat])
+#: its first entry gives the last category of SPA-PT probability zero
+TRAJECTORY_STACK = np.stack([_blind_to_last_tetrahedral_outcome().mat, *MEMO_STACK[1:]])
 
 
 def _arrays(out):
@@ -484,6 +488,7 @@ SAMPLERS = {
     "sample_table": (sample_table, werner(0.6).mat),
     "sample_table_stack": (sample_table, MEMO_STACK),
     "trajectory_spa_pt": (trajectory_spa_pt, _blind_to_last_tetrahedral_outcome().mat),
+    "trajectory_spa_pt_stack": (trajectory_spa_pt, TRAJECTORY_STACK),
     "trajectory_branch_counts": (trajectory_branch_counts, werner(0.3).mat),
 }
 
@@ -584,7 +589,7 @@ def born_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name", ["sample_table", "sample_table_stack", "trajectory_spa_pt"])
+@pytest.mark.parametrize("name", ["sample_table", "sample_table_stack", "trajectory_spa_pt", "trajectory_spa_pt_stack"])
 def test_a_second_sampling_call_on_a_state_makes_no_born_product(born_calls, name):
     sampler, mat = SAMPLERS[name]
     rho = DensityMatrix(mat)
@@ -593,6 +598,110 @@ def test_a_second_sampling_call_on_a_state_makes_no_born_product(born_calls, nam
     for cfg in MEMO_CFGS[1:]:
         sampler(rho, cfg)
     assert len(born_calls) == 1
+
+
+def test_a_stack_keeps_one_trajectory_entry_and_a_second_call_reuses_it_bit_for_bit():
+    stack = DensityMatrix(TRAJECTORY_STACK)
+    first = trajectory_spa_pt(stack, _CFG)
+    drawn, outputs, *rows = kept = stack._memo["trajectory"][1]
+    assert list(stack._memo) == ["trajectory"] and drawn.shape == (3, 20) and outputs.shape == (3, 20, 4, 4)
+    assert not drawn[0].all() and [len(row) for row in rows] == np.count_nonzero(drawn, axis=1).tolist()
+    again = trajectory_spa_pt(stack, _CFG)
+    assert all(a is b for a, b in zip(stack._memo["trajectory"][1], kept, strict=True))
+    assert _same_bytes(first.mat, again.mat) and _same_bytes(first.spectrum.vectors, again.spectrum.vectors)
+    for k in range(3):
+        assert _same_bytes(again.mat[k], trajectory_spa_pt(DensityMatrix(TRAJECTORY_STACK[k]), _CFG).mat)
+
+
+def _projected_spectrum(w):
+    """Reference: the clip-and-spread loop on one spectrum, on the floats of the entries it selects."""
+    x = w + (1.0 - w.sum()) / len(w)
+    for _ in range(len(w) + 1):
+        negative = x < 0.0
+        if not negative.any():
+            break
+        deficit = float(x[negative].sum())
+        x[negative] = 0.0
+        positive = x > 0.0
+        x[positive] += deficit / int(positive.sum())
+    return np.clip(x, 0.0, None)
+
+
+def _same_states(stack, singles):
+    """Each entry of ``stack`` equals the single state of ``singles`` byte for byte, matrix and spectrum."""
+    views = (lambda rho: rho.mat, lambda rho: rho.spectrum.values, lambda rho: rho.spectrum.vectors)
+    return len(stack) == len(singles) and all(_same_bytes(view(stack)[k], view(one)) for k, one in enumerate(singles) for view in views)
+
+
+#: states the experimental route runs on: |00> and a state blind to the last
+#: tetrahedral outcome give categories of probability zero
+ROUTE_POOL = [KET_00.mat, _blind_to_last_tetrahedral_outcome().mat, bell("psi-").mat, werner(0.6).mat, mems(0.8).mat, *random_density_matrix(np.random.default_rng(37), count=3).mat]
+
+
+@pytest.mark.parametrize("name", sorted(CHANNEL_FACTORIES))
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.integers(1, 10**5), st.integers(0, 2**64 - 1), st.lists(st.integers(0, len(ROUTE_POOL) - 1), min_size=1, max_size=5))
+@example(1, 2**64 - 1, [1, 0, 1])
+@example(10**5, 0, [0, 1, 2, 3, 4, 5, 6, 7])
+def test_the_stacked_experimental_route_is_the_loop_of_single_calls_bit_for_bit(name, shots, seed, picks):
+    instrument, cfg = CHANNEL_FACTORIES[name]().instrument, ShotConfig(shots, seed)
+    outputs = trajectory(DensityMatrix([ROUTE_POOL[k] for k in picks]), instrument, cfg)
+    expectations = sample_pauli_expectations(outputs, cfg)
+    raw = qst_linear_inversion(expectations)
+    projected = project_to_physical(raw)
+    singles = [trajectory(DensityMatrix(ROUTE_POOL[k]), instrument, cfg) for k in picks]
+    assert _same_states(outputs, singles)
+    single_expectations = [sample_pauli_expectations(one, cfg) for one in singles]
+    assert all(_same_bytes(expectations[k], e) for k, e in enumerate(single_expectations))
+    single_raw = [qst_linear_inversion(e) for e in single_expectations]
+    assert all(_same_bytes(raw[k], r) for k, r in enumerate(single_raw))
+    assert _same_states(projected, [project_to_physical(r) for r in single_raw])
+
+
+#: spectra whose projection clips none, one, two over two rounds, two at once and three eigenvalues
+CLIPPED_SPECTRA = [(0.4, 0.3, 0.2, 0.1), (0.5, 0.45, 0.4, -0.35), (0.9, 0.3, 0.02, -0.22), (1.1, 0.2, -0.2, -0.1), (2.0, -0.3, -0.3, -0.4)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(-0.6, 1.6)] * 4), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+@example(CLIPPED_SPECTRA, 46)
+def test_a_stacked_projection_clips_each_entry_as_the_one_matrix_loop_does(spectra, seed):
+    lam = np.array(spectra)
+    lam -= (lam.sum(axis=1, keepdims=True) - 1.0) / 4.0  # unit trace, up to rounding
+    u = [haar_unitary(np.random.default_rng([seed, k]), 4) for k in range(len(lam))]
+    raw = np.array([(v * w) @ v.conj().T for v, w in zip(u, lam)])
+    projected = project_to_physical(raw)
+    singles = [project_to_physical(m) for m in raw]
+    assert _same_states(projected, singles)
+    for k, one in enumerate(singles):
+        w, v = herm_eig(raw[k])
+        mat = (v * _projected_spectrum(w)) @ v.conj().T
+        assert _same_bytes(one.mat, (mat + mat.conj().T) / 2.0)
+    if spectra == CLIPPED_SPECTRA:
+        assert [int(np.count_nonzero(_projected_spectrum(np.sort(w)) == 0.0)) for w in lam] == [0, 1, 2, 2, 3]
+
+
+def test_each_function_of_the_experimental_route_maps_an_empty_stack_to_an_empty_stack():
+    # the functions of a state are checked on an empty stack in test_batch.py, with SPA-PT's instrument
+    empty = np.zeros((0, 4, 4))
+    for factory in CHANNEL_FACTORIES.values():
+        assert trajectory(DensityMatrix(empty), factory().instrument, ShotConfig(100, 5)).mat.shape == (0, 4, 4)
+    assert qst_linear_inversion(empty).shape == (0, 4, 4)
+    assert project_to_physical(empty.astype(complex)).mat.shape == (0, 4, 4)
+
+
+def test_a_bad_entry_of_a_stack_of_expectations_or_raw_matrices_is_named_by_its_index():
+    e = pauli_expectations(DensityMatrix(np.stack([werner(0.3).mat] * 3)))
+    e[1, 2, 3] = np.nan
+    with pytest.raises(ValidationError, match=r"^stack entry 1: Pauli expectations must be finite"):
+        qst_linear_inversion(e)
+    e[1, 2, 3], e[2, 0, 0] = 0.0, 1.5
+    with pytest.raises(ValidationError, match=r"^stack entry 2: <I \(x\) I> is the trace and must be 1, got 1.5$"):
+        qst_linear_inversion(e)
+    raw = np.stack([np.eye(4, dtype=complex) / 4.0] * 3)
+    raw[2] *= 1.1
+    with pytest.raises(ValidationError, match=r"^stack entry 2: trace too far from 1 to project"):
+        project_to_physical(raw)
 
 
 def test_pauli_expectations_of_bell_state():
@@ -612,8 +721,8 @@ def test_linear_inversion_round_trips_exact_expectations():
 
 
 def test_linear_inversion_rejects_incomplete_expectations():
-    # a state converts to an array of shape ()
-    for bad in (np.ones((3, 3)), "abc", [[1, "a"]], werner(0.3)):
+    # a state converts to an array of shape (); a stack of stacks is refused
+    for bad in (np.ones((3, 3)), "abc", [[1, "a"]], werner(0.3), np.ones((2, 3, 4, 4))):
         with pytest.raises(ValidationError, match="4x4 array"):
             qst_linear_inversion(bad)
 
@@ -759,8 +868,9 @@ def test_project_to_physical_rejects_bad_input():
         project_to_physical(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(ValidationError):
         project_to_physical(np.eye(4, dtype=complex))  # trace 4
-    with pytest.raises(ValidationError, match="one square matrix"):
-        project_to_physical(np.array([np.eye(4, dtype=complex) / 4.0] * 3))
+    # a stack of stacks is refused as a state is
+    with pytest.raises(ValidationError, match=r"an \(N, 4, 4\) stack, got shape \(2, 3, 4, 4\)"):
+        project_to_physical(np.broadcast_to(np.eye(4, dtype=complex) / 4.0, (2, 3, 4, 4)))
 
 
 def test_probability_table_validation():

@@ -55,9 +55,12 @@ MUTANTS = (
     Mutant("werner-noise", "states.py", "p * np.eye(4, dtype=complex) / 4.0", "p * np.eye(4, dtype=complex) / 2.0"),
     Mutant("bell-psi-minus-sign", "states.py", "amp = [0, 1, -1, 0]", "amp = [0, 1, 1, 0]"),
     Mutant("inversion-side-extra-pauli", "channels.py", "PureState(PAULI_Y @ v.amplitudes)", "PureState(PAULI_Y @ PAULIS[1] @ v.amplitudes)"),
-    Mutant("pauli-averaging", "tomography.py", "e[1:, 0] = ((on_a[:, 0] + on_a[:, 1]) + on_a[:, 2]) / 3.0", "e[1:, 0] = ((on_a[0] + on_a[1]) + on_a[2]) / 3.0"),
+    Mutant(
+        "pauli-averaging", "tomography.py",
+        "e[..., 1:, 0] = ((on_a[..., 0] + on_a[..., 1]) + on_a[..., 2]) / 3.0", "e[..., 1:, 0] = ((on_a[..., 0, :] + on_a[..., 1, :]) + on_a[..., 2, :]) / 3.0",
+    ),
     Mutant("trajectory-draws", "tomography.py", "((w * numerator) / denominator) / draws", "(w * numerator) / denominator"),
-    Mutant("projection-deficit-sign", "tomography.py", "x[positive] += deficit", "x[positive] -= deficit"),
+    Mutant("projection-deficit-sign", "tomography.py", "np.add(x, deficit", "np.subtract(x, deficit"),
     Mutant("range-law-bell-upper", "selftest.py", "1.0 / 6.0 + EXACT_BOUND", "6.0 + EXACT_BOUND"),
     Mutant("range-law-product-upper", "selftest.py", "SPA_THRESHOLD + EXACT_BOUND", "SPA_THRESHOLD + 1e-6"),
     # report bytes
@@ -74,7 +77,7 @@ MUTANTS = (
     Mutant("pure-state-norm", "states.py", "abs(norm - 1.0) <= ROUND_TOL", "abs(norm - 1.0) <= 1e4 * ROUND_TOL"),
     Mutant("fidelity-clamp", "states.py", "return min(max(val, 0.0), 1.0)", "return val"),
     Mutant("state-of-four-axes", "states.py", "if m.ndim > 3:", "if m.ndim > 4:"),
-    Mutant("projection-trace-shift", "tomography.py", "x = w + (1.0 - w.sum()) / n", "x = w + (1.0 - w.sum()) / (n + 1)"),
+    Mutant("projection-trace-shift", "tomography.py", "x = w + (1.0 - w.sum(axis=-1, keepdims=True)) / n", "x = w + (1.0 - w.sum(axis=-1, keepdims=True)) / (n + 1)"),
     # declared equivalent
     Mutant(
         "born-clip-abs", "tomography.py", "np.minimum(np.maximum(0.0, _born_weights", "np.minimum(np.abs(_born_weights",
