@@ -35,6 +35,7 @@ from .linalg import (
     gated_eig,
     partial_transpose,
     require_hermitian,
+    transpose_second,
 )
 from .states import DensityMatrix, require_single
 from .channels import SPA_PT_INSTRUMENT
@@ -108,19 +109,13 @@ _F_HAT_MAP = _f_hat_map()
 
 
 def _f_hat_matrices(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The Hermitian part of the f_hat matrix of one table, or of each table
-    of a stack, exactly Hermitian.  Each table vector is its own (1, 20) row
-    times the map, so a stack equals its tables one by one bit for bit; an
-    (N, 20) matrix product would sum in another order."""
+    """The f_hat matrix of one table, or of each table of a stack, Hermitian
+    up to rounding: its Hermitian part is the operator.  Each table vector is
+    its own (1, 20) row times the map, so a stack equals its tables one by
+    one bit for bit; an (N, 20) matrix product would sum in another order."""
     lead = p.shape[:-2]
     rows = np.concatenate([p.reshape(lead + (16,)), q + r], axis=-1)[..., None, :]
-    mat = (rows @ _F_HAT_MAP).reshape(lead + (4, 4))
-    return (mat + dag(mat)) / 2.0
-
-
-def _lambda_min(mats: np.ndarray) -> np.ndarray:
-    """Minimum eigenvalue of a gated matrix, or of each of a stack: one eigensolve."""
-    return gated_eig(mats).values[..., 0]
+    return (rows @ _F_HAT_MAP).reshape(lead + (4, 4))
 
 
 def f_hat(table: ProbabilityTable) -> FHatOperator:
@@ -134,13 +129,14 @@ def f_hat(table: ProbabilityTable) -> FHatOperator:
     linear in the table, and on exact Born probabilities it equals the
     output of the approximated partial transpose.
     """
-    return FHatOperator(_f_hat_matrices(table.p, table.q, table.r))
+    mat = _f_hat_matrices(table.p, table.q, table.r)
+    return FHatOperator((mat + dag(mat)) / 2.0)
 
 
 def lambda_min_d(operator: FHatOperator) -> float:
     """Minimum eigenvalue of the reconstructed operator (authoritative
     eigensolver route); the operator passed the gate when it was built."""
-    return float(_lambda_min(operator.mat))
+    return float(gated_eig(operator.mat).values[0])
 
 
 def _reflect(x0, x1, x2, b00, b10, b11, b20, b21, b22):
@@ -230,7 +226,7 @@ _TWO_NINTHS_I.setflags(write=False)
 def _spa_pt_closed_form(mats: np.ndarray) -> np.ndarray:
     """The output of :func:`~spapt.channels.spa_pt` on one state matrix, or on
     each of a stack: PT(rho)/9 + (2/9) tr(rho) I."""
-    return partial_transpose(mats) / 9.0 + mats.trace(axis1=-2, axis2=-1)[..., None, None] * _TWO_NINTHS_I
+    return transpose_second(mats) / 9.0 + mats.trace(axis1=-2, axis2=-1)[..., None, None] * _TWO_NINTHS_I
 
 
 _THRESHOLDS = {"ppt": PPT_THRESHOLD, "spa_spectrum": SPA_THRESHOLD}
@@ -249,8 +245,9 @@ def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVe
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "f_hat" and isinstance(target, ProbabilityTable):
-        # a validated table is finite and bounded, and its f_hat matrices exactly Hermitian: solved without a second gate
-        lams = _lambda_min(_f_hat_matrices(target.p, target.q, target.r))
+        # a validated table is finite and bounded, so no gate; the solve's Hermitian part is f_hat(table).mat,
+        # which lambda_min_d's solve symmetrizes to the same bits
+        lams = gated_eig(_f_hat_matrices(target.p, target.q, target.r)).values[..., 0]
         threshold, shots = SPA_THRESHOLD, target.shots_per_setting
     elif not isinstance(target, DensityMatrix):
         raise ValidationError("f_hat needs a DensityMatrix or a ProbabilityTable" if method == "f_hat" else f"method {method!r} needs a DensityMatrix")
@@ -258,9 +255,9 @@ def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVe
         if method == "f_hat":
             return detect(ideal_probabilities(target), method)
         # the partial transpose of a validated state is Hermitian: solved without a second gate
-        lams = _lambda_min(partial_transpose(target.mat) if method == "ppt" else _spa_pt_closed_form(target.mat))
+        lams = gated_eig(transpose_second(target.mat) if method == "ppt" else _spa_pt_closed_form(target.mat)).values[..., 0]
         threshold, shots = _THRESHOLDS[method], 0
-    if np.ndim(lams) == 0:
+    if lams.ndim == 0:
         return _verdict(method, lams, threshold, shots)
     return [_verdict(method, lam, threshold, shots) for lam in lams]
 

@@ -80,6 +80,10 @@ _MAX_DIM = 16
 #: the gufunc ``numpy.linalg.eigh`` wraps: bit for bit its result on complex
 #: input, without its per-call conversions and ``errstate`` block
 _eigh = _umath_linalg.eigh_lo
+try:  # the C function np.count_nonzero wraps, without its dispatch (0.5 us a call)
+    from numpy._core.multiarray import count_nonzero
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import count_nonzero
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -102,7 +106,7 @@ def require_each(ok: np.ndarray, message: Callable[[tuple[int, ...]], str]) -> N
     entry of a stack.  The error is ``message(index)`` of the first failing
     entry, after "stack entry <index>: " when it is an entry of a stack.
     """
-    if np.count_nonzero(ok) == ok.size if ok.ndim else ok:  # both far cheaper than ok.all()
+    if count_nonzero(ok) == ok.size if ok.ndim else ok:  # both far cheaper than ok.all()
         return
     index = tuple(int(i) for i in np.argwhere(~ok)[0])
     text = message(index)
@@ -135,17 +139,32 @@ def _as_square(m: np.ndarray, copy: bool = False) -> np.ndarray:
     return a
 
 
+def require_all(ok: np.ndarray, message: Callable[[tuple[int, ...]], str]) -> None:
+    """:func:`require_each` of the flags ``ok.all(axis=(-2, -1))`` of each matrix: one whole-array
+    test decides, and the per-matrix reduction runs only to name the first failing entry."""
+    if count_nonzero(ok) != ok.size:
+        require_each(ok.all(axis=(-2, -1)), message)
+
+
+def hermitian_gate(m: np.ndarray, what: str = "matrix", tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of :func:`require_hermitian`: its read-only copy ``a`` of
+    ``m``, with ``a^dag``, which :func:`eig_of_gated` reuses."""
+    a = _as_square(m, copy=True)
+    # finite first: inf - inf in the defect would be NaN and a RuntimeWarning
+    require_all(np.isfinite(a), lambda i: f"{what} entries must be finite: the matrix holds NaN or inf")
+    a_dag = dag(a)
+    defect = np.abs(a - a_dag)
+    require_all(defect <= tol, lambda i: f"{what} is not Hermitian: max |m - m^dag| = {defect[i].max():.3e}")
+    a.setflags(write=False)
+    return a, a_dag
+
+
 def require_hermitian(m: np.ndarray, what: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndarray:
     """The gate in front of every Hermitian input: a read-only complex copy
     of ``m``, a matrix or a stack of them, or ``ValidationError`` naming
     ``what`` when a matrix is not square, holds NaN or inf, or has an entry
     of ``m - m^dag`` above ``tol``."""
-    a = _as_square(m, copy=True)
-    require_each(np.isfinite(a).all(axis=(-2, -1)), lambda i: f"{what} entries must be finite: the matrix holds NaN or inf")
-    defect = np.abs(a - dag(a)).max(axis=(-2, -1))
-    require_each(defect <= tol, lambda i: f"{what} is not Hermitian: max |m - m^dag| = {defect[i]:.3e}")
-    a.setflags(write=False)
-    return a
+    return hermitian_gate(m, what, tol)[0]
 
 
 class Spectrum(NamedTuple):
@@ -170,7 +189,7 @@ def herm_eig(m: np.ndarray) -> Spectrum:
     1e-9) or oversized input, and ``NumericError`` if LAPACK does not
     converge.
     """
-    return gated_eig(require_hermitian(m))
+    return eig_of_gated(*hermitian_gate(m))
 
 
 def gated_eig(a: np.ndarray) -> Spectrum:
@@ -179,14 +198,19 @@ def gated_eig(a: np.ndarray) -> Spectrum:
     equal to ``numpy.linalg.eigh`` of it bit for bit.  A stack is one
     ``eigh`` call, bit-identical entry by entry to solving each matrix
     alone."""
+    return eig_of_gated(a, dag(a))
+
+
+def eig_of_gated(a: np.ndarray, a_dag: np.ndarray) -> Spectrum:
+    """:func:`gated_eig` of ``a`` given ``a^dag``, which the gate formed."""
     if a.shape[-1] > _MAX_DIM:
         raise ValidationError(f"dimension {a.shape[-1]} exceeds the supported maximum {_MAX_DIM}")
     try:
-        w, v = _eigh((a + dag(a)) / 2.0, signature="D->dD")
+        w, v = _eigh((a + a_dag) / 2.0, signature="D->dD")
     except (RuntimeWarning, FloatingPointError) as exc:
         # the invalid flag a failed solve sets, under -W error or np.seterr(invalid="raise")
         raise NumericError(f"eigh did not converge: {exc}") from exc
-    if np.count_nonzero(w != w):  # a failed solve leaves NaN eigenvalues
+    if count_nonzero(w != w):  # a failed solve leaves NaN eigenvalues
         raise NumericError("eigh did not converge: LAPACK returned NaN eigenvalues")
     return Spectrum(w, v)
 
@@ -220,6 +244,11 @@ def partial_transpose(m: np.ndarray) -> np.ndarray:
     a = _as_square(m)
     if a.shape[-1] != 4:
         raise ValidationError(f"partial transpose is defined for dim 4, got {a.shape[-1]}")
-    lead = a.shape[:-2]
-    return a.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(lead + (4, 4))
+    return transpose_second(a)
+
+
+def transpose_second(a: np.ndarray) -> np.ndarray:
+    """:func:`partial_transpose` of a complex array of 4x4 matrices, such as a
+    validated state's, which it neither converts nor checks again."""
+    return a.reshape(a.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(a.shape)
 

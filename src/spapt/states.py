@@ -31,10 +31,11 @@ from .linalg import (
     Spectrum,
     ValidationError,
     as_numeric,
+    eig_of_gated,
     gated_eig,
+    hermitian_gate,
     psd_sqrt_from,
     require_each,
-    require_hermitian,
     require_integer,
     sqrt_spectrum,
 )
@@ -111,14 +112,14 @@ class DensityMatrix:
     _memo: dict | None = field(init=False, repr=False, default=None)  # made on first use
 
     def __post_init__(self) -> None:
-        m = require_hermitian(self.mat, "state")
+        m, m_dag = hermitian_gate(self.mat, "state")
         if m.ndim > 3:
             raise ValidationError(f"expected a square matrix or an (N, 4, 4) stack, got shape {m.shape}")
         if m.shape[-1] != 4:
             raise ValidationError(f"a state is a two-qubit state of dimension 4, got dimension {m.shape[-1]}")
         off = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
         require_each(off <= TRACE_TOL, lambda i: f"trace is not 1: |tr - 1| = {off[i]:.3e}")
-        spectrum = gated_eig(m)
+        spectrum = eig_of_gated(m, m_dag)
         lam_min = spectrum.values[..., 0]
         require_each(lam_min >= -PSD_TOL, lambda i: f"not positive semidefinite: min eigenvalue = {lam_min[i]:.3e}")
         spectrum.values.setflags(write=False)

@@ -55,10 +55,12 @@ from .linalg import (
     ZERO_WEIGHT_TOL,
     ValidationError,
     as_numeric,
+    count_nonzero,
     dag,
-    gated_eig,
+    eig_of_gated,
+    hermitian_gate,
+    require_all,
     require_each,
-    require_hermitian,
     require_integer,
     side_by_side,
 )
@@ -81,11 +83,13 @@ __all__ = [
 ]
 
 # Substream tags: 0 joint-setting tables, 1 the q/r setting, 2 trajectories,
-# 3 Pauli tomography settings.
+# 3 Pauli tomography settings; then the substream paths of a table's and the Pauli settings' draws.
 _TAG_TABLE = 0
 _TAG_QR = 1
 _TAG_TRAJ = 2
 _TAG_PAULI = 3
+_TABLE_PATHS = tuple((_TAG_TABLE, i) for i in range(4)) + ((_TAG_QR,),)
+_PAULI_PATHS = tuple((_TAG_PAULI, i, j) for i in (1, 2, 3) for j in (1, 2, 3))
 
 
 # numpy's SeedSequence output stage, generate_state(4, uint64): uint32 word k
@@ -172,15 +176,17 @@ class ProbabilityTable:
     shots_per_setting: int = 0
 
     def __post_init__(self) -> None:
-        p, q, r = (as_numeric(a, float, "probability table") for a in (self.p, self.q, self.r))
+        p = as_numeric(self.p, float, "probability table")
+        q = as_numeric(self.q, float, "probability table")
+        r = as_numeric(self.r, float, "probability table")
         lead = p.shape[:1] if p.ndim == 3 else ()
         if p.shape != lead + (4, 4) or q.shape != lead + (4,) or r.shape != lead + (4,):
             raise ValidationError(f"expected p (4,4), q (4,), r (4,), got {p.shape}, {q.shape}, {r.shape}")
-        p_sums, qr_sums = p.sum(axis=-1), q.sum(axis=-1) + r.sum(axis=-1)
-        # one test of the whole stack, failed by NaN and inf too as min and max
-        # propagate them: every entry is at least 0 and every entry and sum at most 1
+        p_sums, qr_sums = np.add.reduce(p, -1), np.add.reduce(q, -1) + np.add.reduce(r, -1)
+        # one test of the whole stack, which NaN fails too: every entry is at least 0 and every entry and sum at most 1
         bounded = np.concatenate([p.reshape(lead + (16,)), q, r, p_sums, qr_sums[..., None]], axis=-1)
-        if not (bounded.min(initial=0.0) >= -ROUND_TOL and bounded.max(initial=0.0) <= 1.0 + TRACE_TOL):
+        inside = (bounded >= -ROUND_TOL) & (bounded <= 1.0 + TRACE_TOL)
+        if count_nonzero(inside) != inside.size:
             _name_table_defect(p, q, r, p_sums, qr_sums, lead)
         shots = require_integer(self.shots_per_setting, 0, float("inf"), "shots_per_setting must be a nonnegative integer")
         for name, arr in (("p", p), ("q", q), ("r", r)):
@@ -279,7 +285,7 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     Each draw starts its own generator, so a stack entry's table is the one sampled for it alone.
     """
     (born,) = _kept(rho, "table", _TABLE_SETTINGS, lambda: (_normalized_probs(_born_weights(rho.mat, _TABLE_SETTINGS)),))
-    freq = np.array(_draw(cfg, born.reshape(-1, 8), *((_TAG_TABLE, i) for i in range(4)), (_TAG_QR,))).reshape(born.shape) / cfg.shots_per_setting
+    freq = np.array(_draw(cfg, born.reshape(-1, 8), *_TABLE_PATHS)).reshape(born.shape) / cfg.shots_per_setting
     return ProbabilityTable(freq[..., :4, :4], freq[..., 4, :4], freq[..., 4, 4:], cfg.shots_per_setting)
 
 
@@ -395,7 +401,7 @@ def sample_pauli_expectations(rho: DensityMatrix, cfg: ShotConfig) -> np.ndarray
     """
     probs = _normalized_probs(_born_weights(rho.mat, _PAULI_SETTINGS))
     # freq[..., i, j, a, b]: setting (i, j), eigenvalue sign a on A and b on B
-    counts = np.array(_draw(cfg, probs.reshape(-1, 4), *((_TAG_PAULI, i + 1, j + 1) for i, j in np.ndindex(3, 3))))
+    counts = np.array(_draw(cfg, probs.reshape(-1, 4), *_PAULI_PATHS))
     freq = counts.reshape(probs.shape[:-3] + (3, 3, 2, 2)) / cfg.shots_per_setting
     # f0 - f1 and ((x0 + x1) + x2) / 3 on slices: the float operations, in order, of `@ [1, -1]` and `.mean`
     b_signed, a_sums, b_sums = freq[..., 0] - freq[..., 1], freq[..., 0] + freq[..., 1], freq[..., 0, :] + freq[..., 1, :]
@@ -421,7 +427,7 @@ def qst_linear_inversion(expectations: np.ndarray) -> np.ndarray:
         raise ValidationError(f"expected all 16 Pauli expectations as a 4x4 array or an (N, 4, 4) stack, got shape {expectations.shape}")
     if expectations.dtype.kind not in "iuf":
         raise ValidationError(f"Pauli expectations must be real numbers, got dtype {expectations.dtype}")
-    require_each(np.isfinite(expectations).all(axis=(-2, -1)), lambda i: "Pauli expectations must be finite: the array holds NaN or inf")
+    require_all(np.isfinite(expectations), lambda i: "Pauli expectations must be finite: the array holds NaN or inf")
     trace = expectations[..., 0, 0]
     require_each(abs(trace - 1.0) <= TRACE_TOL, lambda i: f"<I (x) I> is the trace and must be 1, got {trace[i]:.6g}")
     # per entry the one (1, 16) @ (16, 16) dot of np.tensordot(expectations, _PAULI_PRODUCTS, axes=2), on its reshaped operands
@@ -439,10 +445,10 @@ def project_to_physical(raw: np.ndarray) -> DensityMatrix:
     iterating until all are nonnegative.  A stack iterates as one, each
     entry with its own masks, and an entry that is done stays as it is.
     """
-    a = require_hermitian(raw, "matrix to project", RAW_TOL)
+    a, a_dag = hermitian_gate(raw, "matrix to project", RAW_TOL)
     trace_dev = abs(a.trace(axis1=-2, axis2=-1) - 1.0)
     require_each(trace_dev <= RAW_TOL, lambda i: f"trace too far from 1 to project: |tr - 1| = {trace_dev[i]:.3e}")
-    w, v = gated_eig(a)
+    w, v = eig_of_gated(a, a_dag)
     n = w.shape[-1]
     x = w + (1.0 - w.sum(axis=-1, keepdims=True)) / n
     for _ in range(n + 1):

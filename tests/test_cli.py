@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -526,6 +527,24 @@ def test_tomography_roundtrip_suite_fails_a_deviation_just_above_its_bound(monke
         else:
             with pytest.raises(AssertionError, match="linear inversion round trip deviates by 1.5"):
                 selftest._suite_tomography_roundtrip(42)
+
+
+def test_bell_basis_suite_fails_a_spa_spectrum_spread_just_above_its_bound(monkeypatch):
+    # the four Bell states' spa_spectrum minima are 1/6 to rounding: one of them
+    # offset by half the bound EXACT_BOUND passes, by one and a half times it fails
+    exact, psi_minus = selftest.detect, selftest.bell("psi-").mat
+    for excess in (0.5, 1.5):
+
+        def offset_detect(rho, method, offset=excess * selftest.EXACT_BOUND):
+            verdict = exact(rho, method)
+            return dataclasses.replace(verdict, lambda_min=verdict.lambda_min + offset) if np.array_equal(rho.mat, psi_minus) else verdict
+
+        monkeypatch.setattr(selftest, "detect", offset_detect)
+        if excess < 1.0:
+            selftest._suite_bell_basis_independence(42)
+        else:
+            with pytest.raises(AssertionError, match="spa_spectrum differs across Bell states"):
+                selftest._suite_bell_basis_independence(42)
 
 
 def test_sampled_detection_suite_runs_at_the_largest_seed():

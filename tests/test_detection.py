@@ -244,7 +244,9 @@ def test_detect_accepts_sampled_tables():
 
 
 def test_f_hat_verdicts_of_tables_at_their_bounds_solve_without_a_second_gate():
-    # entries at the table's bounds -1e-12 and 1 + 1e-9 still give exactly Hermitian matrices
+    # entries at the table's bounds -1e-12 and 1 + 1e-9 still give exactly Hermitian
+    # operators, each its own Hermitian part to the bit, so the verdict's solve, which
+    # forms the Hermitian part of the unsymmetrized f_hat matrix once, is the operator's
     low, high = -1e-12, 1.0 + 1e-9
     p, q, r = np.zeros((3, 4, 4)), np.zeros((3, 4)), np.zeros((3, 4))
     p[0, :, :2] = high, low
@@ -253,11 +255,14 @@ def test_f_hat_verdicts_of_tables_at_their_bounds_solve_without_a_second_gate():
     ideal = ideal_probabilities(bell("phi+"))
     p[2], q[2], r[2] = ideal.p, ideal.q, ideal.r
     p[2, 3, 3], q[2, 3] = low, low
+    sampled = sample_table(random_density_matrix(np.random.default_rng(24), count=40), ShotConfig(1000, 24))
+    p, q, r = np.concatenate([p, sampled.p]), np.concatenate([q, sampled.q]), np.concatenate([r, sampled.r])
     tables = ProbabilityTable(p, q, r, 1000)
-    mats = detection._f_hat_matrices(tables.p, tables.q, tables.r)
-    assert np.array_equal(mats, linalg.dag(mats))
     for k, verdict in enumerate(detect(tables, "f_hat")):
         one = ProbabilityTable(p[k], q[k], r[k], 1000)
+        mat = f_hat(one).mat
+        assert np.array_equal(mat, linalg.dag(mat))
+        assert ((mat + linalg.dag(mat)) / 2.0).tobytes() == mat.tobytes()
         assert verdict.lambda_min == lambda_min_d(f_hat(one))
         assert verdict == detect(one, "f_hat")
 

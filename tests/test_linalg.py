@@ -10,8 +10,12 @@ import numpy as np
 import pytest
 
 from spapt.linalg import (
+    HERMITIAN_TOL,
     PAULI_X,
     PAULI_Z,
+    PSD_TOL,
+    RAW_TOL,
+    TRACE_TOL,
     ValidationError,
     dag,
     gated_eig,
@@ -20,7 +24,7 @@ from spapt.linalg import (
     partial_transpose,
     psd_sqrt_from,
 )
-from spapt.states import DensityMatrix, werner
+from spapt.states import DensityMatrix, bell, werner
 from spapt.channels import ChoiMatrix, choi
 from spapt.cli import CHANNEL_FACTORIES
 from spapt.tomography import project_to_physical
@@ -28,6 +32,7 @@ from spapt.detection import FHatOperator, witness_expectation
 
 PHI_PLUS = np.zeros((4, 4), dtype=complex)
 PHI_PLUS[0, 0] = PHI_PLUS[0, 3] = PHI_PLUS[3, 0] = PHI_PLUS[3, 3] = 0.5
+PSI_MINUS = bell("psi-").mat
 
 
 def psd_sqrt(m):
@@ -153,6 +158,63 @@ def test_non_finite_input_is_a_validation_error(call):
         call(np.full((4, 4), np.nan, dtype=complex))
 
 
+def _werner_plus(entries):
+    """werner(0.3) with {(row, column): value} added to its entries."""
+    m = np.array(werner(0.3).mat)
+    for index, value in entries.items():
+        m[index] += value
+    return m
+
+
+NON_FINITE = {
+    "inf_upper": _werner_plus({(0, 1): np.inf}),
+    "inf_lower": _werner_plus({(1, 0): np.inf}),
+    "inf_pair": _werner_plus({(0, 1): np.inf, (1, 0): np.inf}),
+    "minus_inf": _werner_plus({(2, 3): -np.inf}),
+    "nan": _werner_plus({(1, 2): np.nan}),
+    "inf_imag_diagonal": _werner_plus({(2, 2): complex(0.0, np.inf)}),
+}
+GATED_CALLS = {
+    "require_hermitian": require_hermitian,
+    "herm_eig": herm_eig,
+    "DensityMatrix": DensityMatrix,
+    "FHatOperator": FHatOperator,
+    "project_to_physical": project_to_physical,
+}
+
+
+@pytest.mark.parametrize("entry", NON_FINITE.values(), ids=NON_FINITE.keys())
+@pytest.mark.parametrize("call", GATED_CALLS.values(), ids=GATED_CALLS.keys())
+def test_a_non_finite_entry_is_named_before_any_arithmetic_on_it(call, entry):
+    # under filterwarnings = error, inf - inf in the Hermitian defect would raise a
+    # RuntimeWarning instead; the gate names the matrix, or the entry of a stack
+    with pytest.raises(ValidationError, match="^[a-z ]*entries must be finite"):
+        call(entry)
+    stack = np.array([werner(0.3).mat] * 4)
+    stack[2] = entry
+    with pytest.raises(ValidationError, match="^stack entry 2: [a-z ]*entries must be finite"):
+        call(stack)
+
+
+#: a check, its tolerance, a matrix that breaks it by eps, and how the check names the break
+TOLERANCES = {
+    "gate_hermitian": (herm_eig, HERMITIAN_TOL, lambda eps: _werner_plus({(0, 1): eps}), "matrix is not Hermitian"),
+    "state_hermitian": (DensityMatrix, HERMITIAN_TOL, lambda eps: _werner_plus({(0, 1): eps}), "state is not Hermitian"),
+    "state_trace": (DensityMatrix, TRACE_TOL, lambda eps: _werner_plus({(0, 0): eps}), "trace is not 1"),
+    "state_psd": (DensityMatrix, PSD_TOL, lambda eps: np.diag([0.5 + eps, 0.5, 0.0, -eps]).astype(complex), "not positive semidefinite"),
+    "projection_trace": (project_to_physical, RAW_TOL, lambda eps: _werner_plus({(0, 0): eps}), "trace too far from 1"),
+}
+
+
+@pytest.mark.parametrize("call, tol, broken, message", TOLERANCES.values(), ids=TOLERANCES.keys())
+def test_a_check_passes_half_its_tolerance_and_refuses_twice_it(call, tol, broken, message):
+    for stacked in (False, True):
+        wrap = (lambda m: np.array([werner(0.3).mat, m])) if stacked else (lambda m: m)
+        call(wrap(broken(0.5 * tol)))
+        with pytest.raises(ValidationError, match=("^stack entry 1: " if stacked else "^") + message):
+            call(wrap(broken(2.0 * tol)))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -194,6 +256,35 @@ def test_gated_eig_is_numpy_eigh_bit_for_bit(build):
         want_w, want_v = np.linalg.eigh((a + dag(a)) / 2.0)
         assert (w.dtype, v.dtype, w.shape, v.shape) == (want_w.dtype, want_v.dtype, want_w.shape, want_v.shape)
         assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
+
+
+def _signed_zero_state():
+    """A state whose conjugate pairs carry -0.0 real and imaginary parts."""
+    m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    m[0, 1], m[1, 0] = complex(0.1, -0.0), complex(0.1, 0.0)
+    m[2, 3], m[3, 2] = complex(-0.0, 0.05), complex(-0.0, -0.05)
+    m[0, 3], m[3, 0] = complex(-0.0, -0.0), complex(-0.0, 0.0)
+    m[1, 2], m[2, 1] = complex(-0.0, 0.0), complex(-0.0, -0.0)
+    return m
+
+
+SIGNED_ZEROS = {"werner": werner(0.3).mat, "psi_minus": PSI_MINUS, "hand_made": _signed_zero_state()}
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize("m", SIGNED_ZEROS.values(), ids=SIGNED_ZEROS.keys())
+def test_the_hermitian_part_keeps_signed_zeros_bit_for_bit(m, stacked):
+    # halving a complex array by * 0.5 moves the signed zeros of (a + a^dag) / 2.0,
+    # and eigh returns other bytes for them; random normals never hold a zero
+    if stacked:
+        m = np.array([m, werner(0.7).mat, m])
+    a = require_hermitian(m)
+    w, v = gated_eig(a)
+    want_w, want_v = np.linalg.eigh((a + dag(a)) / 2.0)
+    assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
+    spectrum, solved = DensityMatrix(m).spectrum, herm_eig(m)
+    assert spectrum.values.tobytes() == solved.values.tobytes() and spectrum.vectors.tobytes() == solved.vectors.tobytes()
+    assert spectrum.values.tobytes() == w.tobytes() and spectrum.vectors.tobytes() == v.tobytes()
 
 
 def test_herm_eig_agrees_with_lapack_oracle():

@@ -44,7 +44,7 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     # the paper's numbers and rules
-    Mutant("spa-one-ninth", "detection.py", "partial_transpose(mats) / 9.0", "partial_transpose(mats) / 8.0"),
+    Mutant("spa-one-ninth", "detection.py", "transpose_second(mats) / 9.0", "transpose_second(mats) / 8.0"),
     Mutant("spa-two-ninths-identity", "detection.py", "_TWO_NINTHS_I = (2.0 / 9.0)", "_TWO_NINTHS_I = (1.0 / 9.0)"),
     Mutant("spa-threshold", "detection.py", "SPA_THRESHOLD = 2.0 / 9.0", "SPA_THRESHOLD = 1.0 / 4.0"),
     Mutant("verdict-rule", "detection.py", "lam < threshold - ROUND_TOL", "lam <= threshold + ROUND_TOL"),
@@ -63,6 +63,7 @@ MUTANTS = (
     Mutant("projection-deficit-sign", "tomography.py", "np.add(x, deficit", "np.subtract(x, deficit"),
     Mutant("range-law-bell-upper", "selftest.py", "1.0 / 6.0 + EXACT_BOUND", "6.0 + EXACT_BOUND"),
     Mutant("range-law-product-upper", "selftest.py", "SPA_THRESHOLD + EXACT_BOUND", "SPA_THRESHOLD + 1e-6"),
+    Mutant("bell-spread-bound", "selftest.py", "max(lams_th) - min(lams_th) <= EXACT_BOUND", "max(lams_th) - min(lams_th) <= 1e-6"),
     # report bytes
     Mutant("fmt12-11-digits", "io.py", '".12g"', '".11g"'),
     Mutant("report-indent", "io.py", "json.dumps(_rounded(report), indent=2)", "json.dumps(_rounded(report), indent=1)"),
@@ -73,11 +74,19 @@ MUTANTS = (
     Mutant("zero-weight-tolerance", "linalg.py", "ZERO_WEIGHT_TOL = 1e-14", "ZERO_WEIGHT_TOL = 1e-3"),
     Mutant("instrument-weight-sum", "channels.py", "for b in branches) - 1.0) > ROUND_TOL", "for b in branches) - 1.0) > 1e-6"),
     Mutant("unitarity", "channels.py", "            if dev > TRACE_TOL:\n                raise ValidationError(f\"correction", "            if dev > 1e-3:\n                raise ValidationError(f\"correction"),
-    Mutant("table-lower-bound", "tomography.py", "bounded.min(initial=0.0) >= -ROUND_TOL", "bounded.min(initial=0.0) >= -1e-6"),
+    Mutant("table-lower-bound", "tomography.py", "(bounded >= -ROUND_TOL)", "(bounded >= -1e-6)"),
     Mutant("pure-state-norm", "states.py", "abs(norm - 1.0) <= ROUND_TOL", "abs(norm - 1.0) <= 1e4 * ROUND_TOL"),
     Mutant("fidelity-clamp", "states.py", "return min(max(val, 0.0), 1.0)", "return val"),
     Mutant("state-of-four-axes", "states.py", "if m.ndim > 3:", "if m.ndim > 4:"),
     Mutant("projection-trace-shift", "tomography.py", "x = w + (1.0 - w.sum(axis=-1, keepdims=True)) / n", "x = w + (1.0 - w.sum(axis=-1, keepdims=True)) / (n + 1)"),
+    # the checks of the gate, the state, the solve and the projection, and the solve's Hermitian part
+    Mutant("gate-finite-dropped", "linalg.py", "    require_all(np.isfinite(a), ", "    (np.isfinite(a), "),
+    Mutant("gate-hermitian-tol", "linalg.py", "require_all(defect <= tol, ", "require_all(defect <= 1e3 * tol, "),
+    Mutant("state-trace-loosened", "states.py", "require_each(off <= TRACE_TOL", "require_each(off <= 1e3 * TRACE_TOL"),
+    Mutant("state-psd-loosened", "states.py", "require_each(lam_min >= -PSD_TOL", "require_each(lam_min >= -1e3 * PSD_TOL"),
+    Mutant("eig-nan-dropped", "linalg.py", "if count_nonzero(w != w):", "if False:"),
+    Mutant("hermitian-part-times-half", "linalg.py", "(a + a_dag) / 2.0", "(a + a_dag) * 0.5"),
+    Mutant("projection-trace-loosened", "tomography.py", "require_each(trace_dev <= RAW_TOL", "require_each(trace_dev <= 1e3 * RAW_TOL"),
     # declared equivalent
     Mutant(
         "born-clip-abs", "tomography.py", "np.minimum(np.maximum(0.0, _born_weights", "np.minimum(np.abs(_born_weights",
