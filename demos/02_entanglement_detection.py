@@ -25,24 +25,23 @@ from spapt import (
 
 print(f"detection threshold after the approximation: 2/9 = {SPA_THRESHOLD:.6f}\n")
 
-# All three routes agree on representative states.
+# All three routes agree on representative states; the states are one stack
+# and each column below is one call on it.
+labels = ["bell psi-", "werner p=0.5", "werner p=0.8", "|00><00|"]
 product = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
-samples = [("bell psi-", bell("psi-")), ("werner p=0.5", werner(0.5)), ("werner p=0.8", werner(0.8)), ("|00><00|", product)]
+samples = DensityMatrix.concatenate([bell("psi-"), werner([0.5, 0.8]), product])
+columns = [detect(samples, method) for method in ("ppt", "spa_spectrum", "f_hat")]
 print(f"{'state':<14} {'ppt':>10} {'spa':>10} {'f_hat':>10}  verdict")
-for label, rho in samples:
-    verdicts = [detect(rho, method) for method in ("ppt", "spa_spectrum", "f_hat")]
-    assert len({v.verdict for v in verdicts[1:]}) == 1
-    print(
-        f"{label:<14} {verdicts[0].lambda_min:>10.6f} {verdicts[1].lambda_min:>10.6f}"
-        f" {verdicts[2].lambda_min:>10.6f}  {verdicts[1].verdict}"
-    )
+for label, ppt, spa, fhat in zip(labels, *columns):
+    assert spa.verdict == fhat.verdict
+    print(f"{label:<14} {ppt.lambda_min:>10.6f} {spa.lambda_min:>10.6f} {fhat.lambda_min:>10.6f}  {spa.verdict}")
 
 # The noise-mixed singlet flips from entangled to undetected exactly at
 # p = 2/3, in lockstep with the PPT criterion.
 print("\nwerner family sweep (lambda after the channel is (p+2)/12):")
+grid = np.linspace(0.0, 1.0, 11)
 previous = "entangled"
-for p in np.linspace(0.0, 1.0, 11):
-    verdict = detect(werner(p), "spa_spectrum")
+for p, verdict in zip(grid, detect(werner(grid), "spa_spectrum")):
     marker = "<-- flips past p = 2/3" if verdict.verdict != previous else ""
     previous = verdict.verdict
     print(f"  p={p:.2f}  lambda={verdict.lambda_min:.6f}  {verdict.verdict} {marker}")
@@ -51,10 +50,8 @@ for p in np.linspace(0.0, 1.0, 11):
 # phi+ projector, it flags the singlet and misses the other three
 # maximally entangled states.  The channel routes treat all four alike.
 print("\nfixed witness vs channel route on the four Bell states:")
-q = bell_vector("phi+").projector()
-for kind in BELL_KINDS:
-    rho = bell(kind)
-    w = witness_expectation(rho, q)
-    lam = detect(rho, "spa_spectrum").lambda_min
+bells = DensityMatrix.concatenate(bell(kind) for kind in BELL_KINDS)
+witness = witness_expectation(bells, bell_vector("phi+").projector())
+for kind, w, spa in zip(BELL_KINDS, witness, detect(bells, "spa_spectrum")):
     witness_says = "entangled" if w < 0 else "missed"
-    print(f"  {kind:<5} witness expectation {w:+.3f} ({witness_says:<9})   channel lambda {lam:.6f} (entangled)")
+    print(f"  {kind:<5} witness expectation {w:+.3f} ({witness_says:<9})   channel lambda {spa.lambda_min:.6f} (entangled)")

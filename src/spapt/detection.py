@@ -15,8 +15,9 @@
 A fixed entanglement witness expectation is included as the
 basis-dependent baseline the operation-based routes are contrasted with.
 
-:func:`detect` runs one method on a state or a table, or over a whole
-stack of them with one stacked eigensolve, through the same kernels.
+Each function takes one state, table or operator, or a stack of them with one
+stacked eigensolve, through the same code, giving each entry its single result
+bit for bit; only the cross-check :func:`lambda_min_det_scan` refuses a stack.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .linalg import (
     require_hermitian,
     transpose_second,
 )
-from .states import DensityMatrix, require_single
+from .states import DensityMatrix, _per_entry
 from .channels import SPA_PT_INSTRUMENT
 from .tomography import ProbabilityTable, ideal_probabilities, tomo_basis
 
@@ -63,14 +64,14 @@ METHODS = ("ppt", "spa_spectrum", "f_hat")
 
 @dataclass(frozen=True, eq=False)
 class FHatOperator:
-    """Hermitian 4x4 operator reconstructed from a probability table."""
+    """Hermitian 4x4 operator reconstructed from a probability table, or an ``(N, 4, 4)`` stack."""
 
     mat: np.ndarray
 
     def __post_init__(self) -> None:
         m = require_hermitian(self.mat, "operator")
-        if m.shape != (4, 4):
-            raise ValidationError(f"expected a 4x4 matrix, got {m.shape}")
+        if m.ndim > 3 or m.shape[-1] != 4:
+            raise ValidationError(f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {m.shape}")
         object.__setattr__(self, "mat", m)
 
 
@@ -119,7 +120,7 @@ def _f_hat_matrices(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def f_hat(table: ProbabilityTable) -> FHatOperator:
-    """Assemble the detection operator from measured probabilities.
+    """Assemble the detection operator from measured probabilities, one per table of a stack.
 
     The ``p`` block is inverted through the dual frame of the A-side
     reconstruction projectors, recovering the conditional A operators of
@@ -133,10 +134,10 @@ def f_hat(table: ProbabilityTable) -> FHatOperator:
     return FHatOperator((mat + dag(mat)) / 2.0)
 
 
-def lambda_min_d(operator: FHatOperator) -> float:
-    """Minimum eigenvalue of the reconstructed operator (authoritative
+def lambda_min_d(operator: FHatOperator) -> float | np.ndarray:
+    """Minimum eigenvalue of the reconstructed operator, or of each of a stack (authoritative
     eigensolver route); the operator passed the gate when it was built."""
-    return float(gated_eig(operator.mat).values[0])
+    return _per_entry(gated_eig(operator.mat).values[..., 0])
 
 
 def _reflect(x0, x1, x2, b00, b10, b11, b20, b21, b22):
@@ -193,6 +194,8 @@ def lambda_min_det_scan(operator: FHatOperator) -> float:
     bracket stops shrinking or is narrower than eps times its starting
     width, so within about 53 steps, and returns the upper end.
     """
+    if operator.mat.ndim != 2:
+        raise ValidationError(f"lambda_min_det_scan takes a single operator, not a stack of {len(operator.mat)}")
     (a1, a2, a3, a4), (b1_sq, b2_sq, b3_sq) = _tridiagonal(operator.mat)
     b1, b2, b3 = b1_sq**0.5, b2_sq**0.5, b3_sq**0.5
     lo = min(a1 - b1, a2 - b1 - b2, a3 - b2 - b3, a4 - b3) - RAW_TOL
@@ -262,15 +265,13 @@ def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVe
     return [_verdict(method, lam, threshold, shots) for lam in lams]
 
 
-def witness_expectation(rho: DensityMatrix, q_projector: np.ndarray) -> float:
-    """Expectation of the witness built from a pure-state projector Q.
+def witness_expectation(rho: DensityMatrix, q_projector: np.ndarray) -> float | np.ndarray:
+    """Expectation of the witness built from a pure-state projector Q, one per state of a stack.
 
     Returns tr[(identity (x) transpose)(Q) rho]; a negative value
     certifies entanglement.  Unlike the operation-based routes, the
-    verdict depends on how Q is aligned with the state's local basis.  It
-    takes a single state: a stack is refused.
+    verdict depends on how Q is aligned with the state's local basis.
     """
-    require_single("witness_expectation", rho)
     q = require_hermitian(q_projector, "Q")
     if q.shape != (4, 4):
         raise ValidationError(f"expected a 4x4 projector, got {q.shape}")
@@ -279,4 +280,4 @@ def witness_expectation(rho: DensityMatrix, q_projector: np.ndarray) -> float:
     if abs(complex(np.trace(q)) - 1.0) > RAW_TOL:
         raise ValidationError("Q must project onto a single pure state (trace 1)")
     witness = partial_transpose(q)
-    return float(np.real(np.trace(witness @ rho.mat)))
+    return _per_entry((witness @ rho.mat).trace(axis1=-2, axis2=-1).real)

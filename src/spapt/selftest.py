@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import herm_eig, partial_transpose
+from .linalg import dag, herm_eig, partial_transpose
 from .states import (
     BELL_KINDS,
     DensityMatrix,
@@ -83,18 +83,13 @@ def _suite_povm_completeness(seed: int) -> None:
 
 def _suite_measure_prepare_closed_form(seed: int) -> None:
     rng = np.random.default_rng([seed, 10])
-    transpose_approx = spa_transpose()
-    inversion_approx = spa_inversion()
-    eye = np.eye(2, dtype=complex)
-    worst = 0.0
-    for _ in range(1000):
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho)
-        expect_t = rho.T / 3.0 + (2.0 / 3.0) * np.trace(rho) * eye / 2.0
-        expect_inv = (2.0 / 3.0) * np.trace(rho) * eye - rho / 3.0
-        worst = max(worst, float(np.max(np.abs(transpose_approx.apply_matrix(rho) - expect_t))))
-        worst = max(worst, float(np.max(np.abs(inversion_approx.apply_matrix(rho) - expect_inv))))
+    g = rng.standard_normal((1000, 2, 2)) + 1j * rng.standard_normal((1000, 2, 2))
+    rho = g @ dag(g)
+    rho /= rho.trace(axis1=-2, axis2=-1)[:, None, None]
+    mixed = rho.trace(axis1=-2, axis2=-1)[:, None, None] * np.eye(2) / 2.0
+    expect_t = rho.swapaxes(-1, -2) / 3.0 + (2.0 / 3.0) * mixed
+    expect_inv = (4.0 / 3.0) * mixed - rho / 3.0
+    worst = max(float(np.max(np.abs(channel.apply_matrix(rho) - expected))) for channel, expected in ((spa_transpose(), expect_t), (spa_inversion(), expect_inv)))
     _check(worst < EXACT_BOUND, f"measure-and-prepare closed form deviates by {worst:.3e}")
 
 
@@ -117,20 +112,22 @@ def _suite_verdict_equivalence(seed: int) -> None:
     _check(dev < EXACT_BOUND, f"spa_spectrum deviates from the channel output by {dev:.3e}")
 
 
+def _bell_states() -> DensityMatrix:
+    """The four Bell states, in the order of ``BELL_KINDS``, as one stack."""
+    return DensityMatrix([bell_vector(kind).projector() for kind in BELL_KINDS])
+
+
 def _suite_spa_range_law(seed: int) -> None:
     rng = np.random.default_rng([seed, 12])
     mixed = random_density_matrix(rng, count=200)
-    products = []
-    for _ in range(20):
-        a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
-        products.append(np.outer(v, v.conj()))
-    bells = [bell_vector(kind).projector() for kind in BELL_KINDS]
+    kets = rng.standard_normal((2, 20, 2)) + 1j * rng.standard_normal((2, 20, 2))
+    a, b = kets / np.linalg.norm(kets, axis=-1, keepdims=True)
+    v = (a[:, :, None] * b[:, None, :]).reshape(20, 4)
+    products = v[:, :, None] * v.conj()[:, None, :]
     # (states, range their output min eigenvalues must lie in, what fails otherwise)
     for states, low, high, failure in (
         (mixed, 1.0 / 6.0 - EXACT_BOUND, 0.25 + ROUND_BOUND, "mixed state outside [1/6, 1/4]"),
-        (DensityMatrix(bells), 1.0 / 6.0 - EXACT_BOUND, 1.0 / 6.0 + EXACT_BOUND, "Bell state does not attain 1/6"),
+        (_bell_states(), 1.0 / 6.0 - EXACT_BOUND, 1.0 / 6.0 + EXACT_BOUND, "Bell state does not attain 1/6"),
         (DensityMatrix(products), SPA_THRESHOLD - EXACT_BOUND, SPA_THRESHOLD + EXACT_BOUND, "pure product input does not attain 2/9"),
     ):
         lam = np.array([v.lambda_min for v in detect(states, "spa_spectrum")])
@@ -141,39 +138,35 @@ def _suite_spa_range_law(seed: int) -> None:
 
 
 def _suite_bell_basis_independence(seed: int) -> None:
-    lams_th = [detect(bell(k), "spa_spectrum").lambda_min for k in BELL_KINDS]
-    lams_d = [lambda_min_d(f_hat(ideal_probabilities(bell(k)))) for k in BELL_KINDS]
-    _check(max(lams_th) - min(lams_th) <= EXACT_BOUND, "spa_spectrum differs across Bell states")
-    _check(max(lams_d) - min(lams_d) <= EXACT_BOUND, "f_hat differs across Bell states")
-    q = bell_vector("phi+").projector()
-    expectations = [witness_expectation(bell(k), q) for k in BELL_KINDS]
-    _check(min(expectations) < 0 < max(expectations), "fixed witness does not change sign across Bell states")
+    bells = _bell_states()
+    lams_th = np.array([v.lambda_min for v in detect(bells, "spa_spectrum")])
+    lams_d = lambda_min_d(f_hat(ideal_probabilities(bells)))
+    _check(lams_th.max() - lams_th.min() <= EXACT_BOUND, "spa_spectrum differs across Bell states")
+    _check(lams_d.max() - lams_d.min() <= EXACT_BOUND, "f_hat differs across Bell states")
+    expectations = witness_expectation(bells, bell_vector("phi+").projector())
+    _check(expectations.min() < 0 < expectations.max(), "fixed witness does not change sign across Bell states")
 
 
 def _suite_tomography_roundtrip(seed: int) -> None:
-    states = DensityMatrix.concatenate([bell(k) for k in BELL_KINDS] + [werner(0.3), random_density_matrix(np.random.default_rng([seed, 13]), count=5)])
+    states = DensityMatrix.concatenate([_bell_states(), werner(0.3), random_density_matrix(np.random.default_rng([seed, 13]), count=5)])
     dev = float(np.max(np.abs(qst_linear_inversion(pauli_expectations(states)) - states.mat)))
     _check(dev < EXACT_BOUND, f"linear inversion round trip deviates by {dev:.3e}")
 
 
 def _suite_trajectory_convergence(seed: int) -> None:
-    channel = spa_pt()
-    cfg = ShotConfig(shots_per_setting=100000, seed=seed)
-    for kind in BELL_KINDS:
-        rho = bell(kind)
-        fid = fidelity(trajectory_spa_pt(rho, cfg), apply(channel, rho))
+    bells = _bell_states()
+    runs = trajectory_spa_pt(bells, ShotConfig(shots_per_setting=100000, seed=seed))
+    for kind, run, exact in zip(BELL_KINDS, runs, apply(spa_pt(), bells)):
+        fid = fidelity(run, exact)
         _check(fid >= MIN_TRAJECTORY_FIDELITY, f"trajectory fidelity {fid:.6f} below {MIN_TRAJECTORY_FIDELITY} for {kind}")
 
 
 def _suite_sampled_detection_stability(seed: int) -> None:
-    for rho in (bell("phi+"), werner(0.5)):
-        ideal = lambda_min_d(f_hat(ideal_probabilities(rho)))
-        sampled = [
-            lambda_min_d(f_hat(sample_table(rho, ShotConfig(shots_per_setting=100000, seed=(seed + k) % 2**64))))
-            for k in range(50)
-        ]
-        dev = abs(float(np.mean(sampled)) - ideal)
-        _check(dev < SAMPLED_MEAN_BOUND, f"sampled detection mean deviates from ideal by {dev:.4f}")
+    states = DensityMatrix.concatenate([bell("phi+"), werner(0.5)])
+    ideal = lambda_min_d(f_hat(ideal_probabilities(states)))
+    sampled = [lambda_min_d(f_hat(sample_table(states, ShotConfig(shots_per_setting=100000, seed=(seed + k) % 2**64)))) for k in range(50)]
+    dev = float(np.max(np.abs(np.mean(sampled, axis=0) - ideal)))
+    _check(dev < SAMPLED_MEAN_BOUND, f"sampled detection mean deviates from ideal by {dev:.4f}")
 
 
 # Assertion bounds of the suites.

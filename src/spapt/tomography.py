@@ -145,16 +145,17 @@ class ShotConfig:
         object.__setattr__(self, "seed", seed)
 
 
-def _name_table_defect(p: np.ndarray, q: np.ndarray, r: np.ndarray, p_sums: np.ndarray, qr_sums: np.ndarray, lead: tuple[int, ...]) -> None:
-    """Raise ``ValidationError`` for the first invariant a table breaks, in
-    the order finite and in [0, 1] for p, q, r, then the row and q + r sums."""
+#: starts of the p rows and of q, r in a table's entries [p.ravel(), q, r]: their sums are the row sums and q + r
+_SUM_STARTS = np.array([0, 4, 8, 12, 16])
+
+
+def _name_entry_defect(p: np.ndarray, q: np.ndarray, r: np.ndarray, lead: tuple[int, ...]) -> None:
+    """Raise ``ValidationError`` for the first of p, q, r, in order, whose entries are not finite or not in [0, 1]."""
     for name, arr in (("p", p), ("q", q), ("r", r)):
         entries = tuple(range(len(lead), arr.ndim))
         require_each(np.isfinite(arr).all(axis=entries), lambda i: f"{name} entries must be finite: the table holds NaN or inf")
         inside = (arr.min(axis=entries) >= -ROUND_TOL) & (arr.max(axis=entries) <= 1.0 + TRACE_TOL)
         require_each(inside, lambda i: f"{name} entries must lie in [0, 1]")
-    require_each(np.all(p_sums <= 1.0 + TRACE_TOL, axis=-1), lambda i: "each p row must sum to at most 1 (binary A outcome per setting)")
-    require_each(qr_sums <= 1.0 + TRACE_TOL, lambda i: "q and r jointly exceed total probability 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,12 +183,16 @@ class ProbabilityTable:
         lead = p.shape[:1] if p.ndim == 3 else ()
         if p.shape != lead + (4, 4) or q.shape != lead + (4,) or r.shape != lead + (4,):
             raise ValidationError(f"expected p (4,4), q (4,), r (4,), got {p.shape}, {q.shape}, {r.shape}")
-        p_sums, qr_sums = np.add.reduce(p, -1), np.add.reduce(q, -1) + np.add.reduce(r, -1)
-        # one test of the whole stack, which NaN fails too: every entry is at least 0 and every entry and sum at most 1
-        bounded = np.concatenate([p.reshape(lead + (16,)), q, r, p_sums, qr_sums[..., None]], axis=-1)
-        inside = (bounded >= -ROUND_TOL) & (bounded <= 1.0 + TRACE_TOL)
+        # one test of the whole stack's entries, which NaN fails too: each lies in [0, 1]; only then are they
+        # summed, since inf - inf would be NaN and a RuntimeWarning, and one more test bounds the sums by 1
+        entries = np.concatenate([p.reshape(lead + (16,)), q, r], axis=-1)
+        inside = (entries >= -ROUND_TOL) & (entries <= 1.0 + TRACE_TOL)
         if count_nonzero(inside) != inside.size:
-            _name_table_defect(p, q, r, p_sums, qr_sums, lead)
+            _name_entry_defect(p, q, r, lead)
+        bounded = np.add.reduceat(entries, _SUM_STARTS, axis=-1) <= 1.0 + TRACE_TOL
+        if count_nonzero(bounded) != bounded.size:
+            require_each(bounded[..., :4].all(axis=-1), lambda i: "each p row must sum to at most 1 (binary A outcome per setting)")
+            require_each(bounded[..., 4], lambda i: "q and r jointly exceed total probability 1")
         shots = require_integer(self.shots_per_setting, 0, float("inf"), "shots_per_setting must be a nonnegative integer")
         for name, arr in (("p", p), ("q", q), ("r", r)):
             arr.setflags(write=False)

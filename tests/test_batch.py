@@ -22,7 +22,7 @@ import spapt
 import spapt.io
 from spapt.channels import SPA_PT_INSTRUMENT, apply, spa_pt
 from spapt.cli import main
-from spapt.detection import DetectionVerdict, FHatOperator, detect, f_hat, lambda_min_d, witness_expectation
+from spapt.detection import DetectionVerdict, FHatOperator, detect, f_hat, lambda_min_d, lambda_min_det_scan, witness_expectation
 from spapt.io import round12, save_state, state_payload
 from spapt.linalg import ValidationError, herm_eig, partial_transpose, psd_sqrt_from, require_hermitian
 from spapt.states import (
@@ -282,7 +282,7 @@ STATE_CALLS = {
     "detect-ppt": (detect, lambda rho: detect(rho, "ppt"), True),
     "detect-spa_spectrum": (detect, lambda rho: detect(rho, "spa_spectrum"), True),
     "detect-f_hat": (detect, lambda rho: detect(rho, "f_hat"), True),
-    "witness_expectation": (witness_expectation, lambda rho: witness_expectation(rho, PHI_PLUS), False),
+    "witness_expectation": (witness_expectation, lambda rho: witness_expectation(rho, PHI_PLUS), True),
     "state_payload": (state_payload, lambda rho: state_payload(rho, {}), False),
     "save_state": (save_state, lambda rho: save_state(rho, {}, None), False),
 }
@@ -349,14 +349,73 @@ def test_a_state_or_a_stack_of_qubit_states_is_refused_for_its_dimension():
         assert str(err.value) == "a state is a two-qubit state of dimension 4, got dimension 2"
 
 
-def test_every_function_of_a_state_is_checked_on_a_stack():
-    takes_a_state = set()
+def _public_functions_taking(*types):
+    """The public functions of the package with a parameter annotated with one of ``types``."""
+    found = set()
     for module in (spapt, spapt.io):
         for name in module.__all__:
             obj = getattr(module, name)
-            if inspect.isfunction(obj) and any("DensityMatrix" in str(p.annotation) for p in inspect.signature(obj).parameters.values()):
-                takes_a_state.add(obj)
-    assert takes_a_state == {fn for fn, *_ in STATE_CALLS.values()}
+            if inspect.isfunction(obj) and any(t in str(p.annotation) for p in inspect.signature(obj).parameters.values() for t in types):
+                found.add(obj)
+    return found
+
+
+def test_every_function_of_a_state_is_checked_on_a_stack():
+    assert _public_functions_taking("DensityMatrix") == {fn for fn, *_ in STATE_CALLS.values()}
+
+
+#: every public function that takes a ProbabilityTable or an FHatOperator, as
+#: (function, call on a table, whether it has a per-entry meaning); an
+#: operator is the f_hat of the table
+TABLE_CALLS = {
+    "f_hat": (f_hat, f_hat, True),
+    "lambda_min_d": (lambda_min_d, lambda table: lambda_min_d(f_hat(table)), True),
+    "lambda_min_det_scan": (lambda_min_det_scan, lambda table: lambda_min_det_scan(f_hat(table)), False),
+    "detect-f_hat": (detect, lambda table: detect(table, "f_hat"), True),
+}
+
+
+def _table(stack, k):
+    """Table ``k`` of a stacked table, as a single table."""
+    return ProbabilityTable(stack.p[k], stack.q[k], stack.r[k], stack.shots_per_setting)
+
+
+@pytest.mark.parametrize("function, call, per_entry", TABLE_CALLS.values(), ids=TABLE_CALLS)
+def test_each_function_of_a_table_serves_a_stack_entry_by_entry_or_refuses_it(function, call, per_entry):
+    stack = sample_table(DensityMatrix([bell_vector("psi-").projector(), werner(0.5).mat, rho_family(0.12, 0.71).mat]), CFG)
+    if not per_entry:
+        with pytest.raises(ValidationError, match=f"^{function.__name__} takes a single operator, not a stack of 3$"):
+            call(stack)
+        return
+    result = call(stack)
+    if isinstance(result, FHatOperator):
+        assert [m.tobytes() for m in result.mat] == [call(_table(stack, k)).mat.tobytes() for k in range(3)]
+    else:
+        assert list(result) == [call(_table(stack, k)) for k in range(3)]
+
+
+PER_ENTRY_OF_A_TABLE = {name: call for name, (_, call, per_entry) in TABLE_CALLS.items() if per_entry}
+
+
+@pytest.mark.parametrize("call", PER_ENTRY_OF_A_TABLE.values(), ids=PER_ENTRY_OF_A_TABLE)
+def test_each_function_of_a_table_with_a_per_entry_meaning_maps_an_empty_stack_to_an_empty_result(call):
+    result = call(ProbabilityTable(np.zeros((0, 4, 4)), np.zeros((0, 4)), np.zeros((0, 4)), 0))
+    assert len(result.mat if isinstance(result, FHatOperator) else result) == 0
+
+
+def test_every_function_of_a_table_is_checked_on_a_stack():
+    assert _public_functions_taking("ProbabilityTable", "FHatOperator") == {fn for fn, *_ in TABLE_CALLS.values()}
+
+
+def test_lambda_min_d_of_a_stack_is_the_lambda_of_detect_per_entry():
+    tables = sample_table(DensityMatrix(MATRICES), ShotConfig(shots_per_setting=700, seed=5))
+    assert lambda_min_d(f_hat(tables)).tolist() == [v.lambda_min for v in detect(tables, "f_hat")]
+
+
+def test_an_operator_stack_of_stacks_is_refused_naming_its_shape():
+    with pytest.raises(ValidationError) as err:
+        FHatOperator(np.zeros((2, 3, 4, 4)))
+    assert str(err.value) == "expected a 4x4 matrix or an (N, 4, 4) stack, got shape (2, 3, 4, 4)"
 
 
 def _bad_stack(index, entry):

@@ -530,14 +530,17 @@ def test_tomography_roundtrip_suite_fails_a_deviation_just_above_its_bound(monke
 
 
 def test_bell_basis_suite_fails_a_spa_spectrum_spread_just_above_its_bound(monkeypatch):
-    # the four Bell states' spa_spectrum minima are 1/6 to rounding: one of them
-    # offset by half the bound EXACT_BOUND passes, by one and a half times it fails
+    # the four Bell states' spa_spectrum minima are 1/6 to rounding: the one of
+    # psi-, stack entry 3, offset by half the bound EXACT_BOUND passes, by one
+    # and a half times it fails
     exact, psi_minus = selftest.detect, selftest.bell("psi-").mat
     for excess in (0.5, 1.5):
 
         def offset_detect(rho, method, offset=excess * selftest.EXACT_BOUND):
-            verdict = exact(rho, method)
-            return dataclasses.replace(verdict, lambda_min=verdict.lambda_min + offset) if np.array_equal(rho.mat, psi_minus) else verdict
+            verdicts = exact(rho, method)
+            assert np.array_equal(rho.mat[3], psi_minus)
+            verdicts[3] = dataclasses.replace(verdicts[3], lambda_min=verdicts[3].lambda_min + offset)
+            return verdicts
 
         monkeypatch.setattr(selftest, "detect", offset_detect)
         if excess < 1.0:

@@ -914,3 +914,20 @@ def test_probability_table_rejects_non_finite_entries():
         ProbabilityTable(np.full((4, 4), np.nan), good.q, good.r, 0)
     with pytest.raises(ValidationError, match="finite"):
         ProbabilityTable(good.p, np.array([np.inf, 0.0, 0.0, 0.0]), good.r, 0)
+
+
+@pytest.mark.parametrize("plus, minus", [(("p", (0, 0)), ("p", (0, 1))), (("q", 0), ("r", 0))], ids=["p_row", "q_and_r"])
+def test_opposite_infinities_are_named_non_finite_before_any_sum(plus, minus):
+    # under filterwarnings = error, inf - inf in a p row sum or in q + r would
+    # raise a RuntimeWarning instead; the table names the field, or the stack entry
+    good = ideal_probabilities(bell("phi+"))
+    arrays = {"p": good.p.copy(), "q": good.q.copy(), "r": good.r.copy()}
+    arrays[plus[0]][plus[1]] = np.inf
+    arrays[minus[0]][minus[1]] = -np.inf
+    with pytest.raises(ValidationError, match=f"^{plus[0]} entries must be finite"):
+        ProbabilityTable(arrays["p"], arrays["q"], arrays["r"], 0)
+    stack = {name: np.array([getattr(good, name)] * 4) for name in arrays}
+    for name, arr in arrays.items():
+        stack[name][2] = arr
+    with pytest.raises(ValidationError, match=f"^stack entry 2: {plus[0]} entries must be finite"):
+        ProbabilityTable(stack["p"], stack["q"], stack["r"], 0)

@@ -63,7 +63,7 @@ MUTANTS = (
     Mutant("projection-deficit-sign", "tomography.py", "np.add(x, deficit", "np.subtract(x, deficit"),
     Mutant("range-law-bell-upper", "selftest.py", "1.0 / 6.0 + EXACT_BOUND", "6.0 + EXACT_BOUND"),
     Mutant("range-law-product-upper", "selftest.py", "SPA_THRESHOLD + EXACT_BOUND", "SPA_THRESHOLD + 1e-6"),
-    Mutant("bell-spread-bound", "selftest.py", "max(lams_th) - min(lams_th) <= EXACT_BOUND", "max(lams_th) - min(lams_th) <= 1e-6"),
+    Mutant("bell-spread-bound", "selftest.py", "lams_th.max() - lams_th.min() <= EXACT_BOUND", "lams_th.max() - lams_th.min() <= 1e-6"),
     # report bytes
     Mutant("fmt12-11-digits", "io.py", '".12g"', '".11g"'),
     Mutant("report-indent", "io.py", "json.dumps(_rounded(report), indent=2)", "json.dumps(_rounded(report), indent=1)"),
@@ -74,7 +74,7 @@ MUTANTS = (
     Mutant("zero-weight-tolerance", "linalg.py", "ZERO_WEIGHT_TOL = 1e-14", "ZERO_WEIGHT_TOL = 1e-3"),
     Mutant("instrument-weight-sum", "channels.py", "for b in branches) - 1.0) > ROUND_TOL", "for b in branches) - 1.0) > 1e-6"),
     Mutant("unitarity", "channels.py", "            if dev > TRACE_TOL:\n                raise ValidationError(f\"correction", "            if dev > 1e-3:\n                raise ValidationError(f\"correction"),
-    Mutant("table-lower-bound", "tomography.py", "(bounded >= -ROUND_TOL)", "(bounded >= -1e-6)"),
+    Mutant("table-lower-bound", "tomography.py", "(entries >= -ROUND_TOL)", "(entries >= -1e-6)"),
     Mutant("pure-state-norm", "states.py", "abs(norm - 1.0) <= ROUND_TOL", "abs(norm - 1.0) <= 1e4 * ROUND_TOL"),
     Mutant("fidelity-clamp", "states.py", "return min(max(val, 0.0), 1.0)", "return val"),
     Mutant("state-of-four-axes", "states.py", "if m.ndim > 3:", "if m.ndim > 4:"),
@@ -100,6 +100,14 @@ MUTANTS = (
     # the per-state sampler memo
     Mutant("trajectory-memo-by-state", "tomography.py", "if kept is None or kept[0] is not source:", "if kept is None:"),
     Mutant("memo-writable", "tomography.py", "value.setflags(write=False)", "value.setflags(write=True)"),
+    # the detection layer and the selftest on stacks, and the table's entries-first test
+    Mutant("det-scan-stack-refusal", "detection.py", "if operator.mat.ndim != 2:", "if operator.mat.ndim > 3:"),
+    Mutant("lambda-min-d-first-entry", "detection.py", "gated_eig(operator.mat).values[..., 0]", "gated_eig(operator.mat).values[0]"),
+    Mutant(
+        "table-entries-first-dropped", "tomography.py",
+        "        if count_nonzero(inside) != inside.size:\n            _name_entry_defect(p, q, r, lead)\n", "",
+    ),
+    Mutant("measure-prepare-inversion-coefficient", "selftest.py", "(4.0 / 3.0) * mixed", "(2.0 / 3.0) * mixed"),
 )
 
 
