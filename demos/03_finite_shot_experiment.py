@@ -12,7 +12,6 @@ Bell-state minimum eigenvalue.
 
 from spapt import (
     BELL_KINDS,
-    DensityMatrix,
     ShotConfig,
     apply,
     bell,
@@ -56,10 +55,10 @@ print(f"tomography fidelity to the exact output: {fidelity(reconstructed, exact_
 #   lambda_d    detection operator from sampled tables alone.
 # Each column is one call on the stack of the four Bell states; a stack
 # entry draws what the state draws alone.
-bells = DensityMatrix.concatenate([bell(kind) for kind in BELL_KINDS])
-lams_th = [v.lambda_min for v in detect(bells, "spa_spectrum")]
+bells = bell(BELL_KINDS)
+lams_th = detect(bells, "spa_spectrum").lambda_min
 lams_exp = min_eigenvalue(project_to_physical(qst_linear_inversion(sample_pauli_expectations(trajectory_spa_pt(bells, cfg), cfg))))
-lams_d = [v.lambda_min for v in detect(sample_table(bells, cfg), "f_hat")]
+lams_d = detect(sample_table(bells, cfg), "f_hat").lambda_min
 print(f"\n{'state':<6} {'lambda_th':>10} {'lambda_exp':>11} {'lambda_d':>10}   (threshold 2/9 = {2 / 9:.4f})")
 for kind, lam_th, lam_exp, lam_d in zip(BELL_KINDS, lams_th, lams_exp, lams_d):
     print(f"{kind:<6} {lam_th:>10.6f} {lam_exp:>11.6f} {lam_d:>10.6f}")

@@ -12,7 +12,6 @@ import numpy as np
 
 from spapt import (
     NINE_STATE_PARAMS,
-    SPA_THRESHOLD,
     ShotConfig,
     detect,
     f_hat,
@@ -32,10 +31,10 @@ print(f"{'p':>5} {'alpha':>6} {'tangle':>8} {'S_L':>7} {'lambda_th':>10} {'lambd
 # the nine mixtures are one stack, and each column is one call on it
 ps, alphas = np.array(NINE_STATE_PARAMS).T
 mixtures = rho_family(ps, alphas)
-columns = (tangle(mixtures), linear_entropy(mixtures), detect(mixtures, "spa_spectrum"), lambda_min_d(f_hat(sample_table(mixtures, cfg))))
-for p, alpha, t, s_l, spa, lam_d in zip(ps, alphas, *columns):
-    verdict = "entangled" if spa.lambda_min < SPA_THRESHOLD else "undetected"
-    print(f"{p:>5.2f} {alpha:>6.2f} {t:>8.4f} {s_l:>7.4f} {spa.lambda_min:>10.6f} {lam_d:>12.6f}  {verdict}")
+spa = detect(mixtures, "spa_spectrum")
+columns = (tangle(mixtures), linear_entropy(mixtures), spa.lambda_min, lambda_min_d(f_hat(sample_table(mixtures, cfg))), spa.verdict)
+for p, alpha, t, s_l, lam_th, lam_d, verdict in zip(ps, alphas, *columns):
+    print(f"{p:>5.2f} {alpha:>6.2f} {t:>8.4f} {s_l:>7.4f} {lam_th:>10.6f} {lam_d:>12.6f}  {verdict}")
 
 print("\nverdicts track the tangle exactly: entangled iff tangle > 0")
 
@@ -45,7 +44,7 @@ curves = (("noise-mixed singlet curve (lambda = (p+2)/12, flips at p = 2/3)", we
 for title, family in curves:
     print(f"\n{title}:")
     states = family(grid)
-    for p, t, s_l, spa in zip(grid, tangle(states), linear_entropy(states), detect(states, "spa_spectrum")):
-        print(f"  p={p:.2f}  tangle={t:.4f}  S_L={s_l:.4f}  lambda={spa.lambda_min:.6f}")
+    for p, t, s_l, lam in zip(grid, tangle(states), linear_entropy(states), detect(states, "spa_spectrum").lambda_min):
+        print(f"  p={p:.2f}  tangle={t:.4f}  S_L={s_l:.4f}  lambda={lam:.6f}")
 
 print("\nfor the CSV dataset run:  spapt fig3 --format csv --out sweep.csv")

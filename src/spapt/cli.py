@@ -22,7 +22,6 @@ from .states import (
     NINE_STATE_PARAMS,
     DensityMatrix,
     bell,
-    bell_vector,
     fidelity,
     linear_entropy,
     mems,
@@ -235,11 +234,11 @@ def _cmd_detect(args: argparse.Namespace, cfg: ShotConfig) -> int:
 def _cmd_table1(args: argparse.Namespace, cfg: ShotConfig) -> int:
     # each column is one call on the stack of Bell states; lambda_exp is the experiment's estimate:
     # trajectory runs, sampled state tomography of the output, physicality projection, then the spectrum
-    states = DensityMatrix([bell_vector(kind).projector() for kind in BELL_KINDS])
+    states = bell(BELL_KINDS)
     lambda_exp = min_eigenvalue(project_to_physical(qst_linear_inversion(sample_pauli_expectations(trajectory_spa_pt(states, cfg), cfg))))
-    columns = zip(BELL_KINDS, detect(states, "spa_spectrum"), lambda_exp, detect(sample_table(states, cfg), "f_hat"))
+    columns = zip(BELL_KINDS, detect(states, "spa_spectrum").lambda_min, lambda_exp, detect(sample_table(states, cfg), "f_hat").lambda_min)
     rows = [
-        {"state": kind, "lambda_th": th.lambda_min, "lambda_exp": float(exp), "lambda_d": d.lambda_min, "shots": cfg.shots_per_setting}
+        {"state": kind, "lambda_th": float(th), "lambda_exp": float(exp), "lambda_d": float(d), "shots": cfg.shots_per_setting}
         for kind, th, exp, d in columns
     ]
     return _report(args, cfg, rows)
@@ -251,7 +250,8 @@ def _cmd_fig3(args: argparse.Namespace, cfg: ShotConfig) -> int:
     labels = [("rho_family", p, alpha) for p, alpha in NINE_STATE_PARAMS] + [(family, p, None) for family in ("werner", "mems") for p in grid]
     p, alpha = np.array(NINE_STATE_PARAMS).T
     states = DensityMatrix.concatenate([rho_family(p, alpha), werner(grid), mems(grid)])
-    columns = zip(tangle(states), linear_entropy(states), detect(states, "spa_spectrum"), detect(ideal_probabilities(states), "f_hat"), detect(sample_table(states, cfg), "f_hat"))
+    spa, ideal, sampled = detect(states, "spa_spectrum"), detect(ideal_probabilities(states), "f_hat"), detect(sample_table(states, cfg), "f_hat")
+    columns = zip(tangle(states), linear_entropy(states), spa.lambda_min, ideal.lambda_min, sampled.lambda_min, spa.verdict)
     rows = [
         {
             "family": family,
@@ -259,13 +259,13 @@ def _cmd_fig3(args: argparse.Namespace, cfg: ShotConfig) -> int:
             "alpha": alpha,
             "tangle": float(tangle),
             "linear_entropy": float(entropy),
-            "lambda_th": spa.lambda_min,
-            "lambda_d_ideal": ideal.lambda_min,
-            "lambda_d_sampled": sampled.lambda_min,
-            "verdict": spa.verdict,
+            "lambda_th": float(th),
+            "lambda_d_ideal": float(ideal),
+            "lambda_d_sampled": float(sampled),
+            "verdict": str(verdict),
             "shots": cfg.shots_per_setting,
         }
-        for (family, p, alpha), (tangle, entropy, spa, ideal, sampled) in zip(labels, columns)
+        for (family, p, alpha), (tangle, entropy, th, ideal, sampled, verdict) in zip(labels, columns)
     ]
     return _report(args, cfg, rows)
 

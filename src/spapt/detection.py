@@ -17,7 +17,8 @@ basis-dependent baseline the operation-based routes are contrasted with.
 
 Each function takes one state, table or operator, or a stack of them with one
 stacked eigensolve, through the same code, giving each entry its single result
-bit for bit; only the cross-check :func:`lambda_min_det_scan` refuses a stack.
+bit for bit (a stack's verdict holds arrays); only the cross-check
+:func:`lambda_min_det_scan` refuses a stack.
 """
 
 from __future__ import annotations
@@ -75,19 +76,22 @@ class FHatOperator:
         object.__setattr__(self, "mat", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionVerdict:
     """Outcome of one detection run; ``entangled`` iff the minimum
     eigenvalue falls below the method threshold by more than rounding
     noise (1e-12), so a state on the threshold, such as a pure product
-    state or the Werner state at p = 2/3, is ``undetected``."""
+    state or the Werner state at p = 2/3, is ``undetected``.  For a stack,
+    ``lambda_min``, ``verdict`` and ``margin`` are arrays, one entry per
+    state or table; it compares and hashes by identity, as arrays have no
+    single truth value."""
 
     method: str
-    lambda_min: float
+    lambda_min: float | np.ndarray
     threshold: float
-    verdict: str
+    verdict: str | np.ndarray
     shots: int
-    margin: float
+    margin: float | np.ndarray
 
 
 def _f_hat_map() -> np.ndarray:
@@ -210,18 +214,6 @@ def lambda_min_det_scan(operator: FHatOperator) -> float:
     return hi
 
 
-def _verdict(method: str, lam: float, threshold: float, shots: int) -> DetectionVerdict:
-    verdict = "entangled" if lam < threshold - ROUND_TOL else "undetected"
-    return DetectionVerdict(
-        method=method,
-        lambda_min=float(lam),
-        threshold=float(threshold),
-        verdict=verdict,
-        shots=int(shots),
-        margin=abs(float(lam) - float(threshold)),
-    )
-
-
 _TWO_NINTHS_I = (2.0 / 9.0) * np.eye(4)
 _TWO_NINTHS_I.setflags(write=False)
 
@@ -235,15 +227,16 @@ def _spa_pt_closed_form(mats: np.ndarray) -> np.ndarray:
 _THRESHOLDS = {"ppt": PPT_THRESHOLD, "spa_spectrum": SPA_THRESHOLD}
 
 
-def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVerdict | list[DetectionVerdict]:
+def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVerdict:
     """Run one detection method on a state or on a measured table, or on
     each of a stack of them.
 
     ``ppt`` and ``spa_spectrum`` require a state.  ``f_hat`` accepts a
     state (its ideal table is computed internally) or a table, whose
     ``shots_per_setting`` is echoed into the verdict.  A stack is one
-    stacked eigensolve and gives the list of its verdicts, each equal bit
-    for bit to the verdict of its entry alone.
+    stacked eigensolve and gives one verdict of arrays, whose entry k
+    equals the verdict of entry k alone; a single verdict holds a Python
+    float and str.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -260,9 +253,11 @@ def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVe
         # the partial transpose of a validated state is Hermitian: solved without a second gate
         lams = gated_eig(transpose_second(target.mat) if method == "ppt" else _spa_pt_closed_form(target.mat)).values[..., 0]
         threshold, shots = _THRESHOLDS[method], 0
-    if lams.ndim == 0:
-        return _verdict(method, lams, threshold, shots)
-    return [_verdict(method, lam, threshold, shots) for lam in lams]
+    entangled = lams < threshold - ROUND_TOL
+    if lams.ndim == 0:  # Python numbers, cheaper than numpy arithmetic on 0-d arrays
+        lam = float(lams)
+        return DetectionVerdict(method, lam, threshold, "entangled" if entangled else "undetected", shots, abs(lam - threshold))
+    return DetectionVerdict(method, lams, threshold, np.where(entangled, "entangled", "undetected"), shots, np.abs(lams - threshold))
 
 
 def witness_expectation(rho: DensityMatrix, q_projector: np.ndarray) -> float | np.ndarray:

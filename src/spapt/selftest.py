@@ -103,18 +103,13 @@ def _suite_verdict_equivalence(seed: int) -> None:
     states = random_density_matrix(np.random.default_rng([seed, 11]), count=1000)
     ppt = detect(states, "ppt")
     spa = detect(states, "spa_spectrum")
-    _check(all(a.verdict == b.verdict for a, b in zip(ppt, spa)), "ppt and spa_spectrum verdicts disagree")
+    _check(np.array_equal(ppt.verdict, spa.verdict), "ppt and spa_spectrum verdicts disagree")
     spec_pt = herm_eig(partial_transpose(states.mat)).values
     spec_spa = _channel_spectra(states)
     dev = float(np.max(np.abs(spec_spa - (spec_pt / 9.0 + 2.0 / 9.0))))
     _check(dev < EXACT_BOUND, f"affine spectrum law deviates by {dev:.3e}")
-    dev = float(np.max(np.abs(np.array([v.lambda_min for v in spa]) - spec_spa[:, 0])))
+    dev = float(np.max(np.abs(spa.lambda_min - spec_spa[:, 0])))
     _check(dev < EXACT_BOUND, f"spa_spectrum deviates from the channel output by {dev:.3e}")
-
-
-def _bell_states() -> DensityMatrix:
-    """The four Bell states, in the order of ``BELL_KINDS``, as one stack."""
-    return DensityMatrix([bell_vector(kind).projector() for kind in BELL_KINDS])
 
 
 def _suite_spa_range_law(seed: int) -> None:
@@ -127,10 +122,10 @@ def _suite_spa_range_law(seed: int) -> None:
     # (states, range their output min eigenvalues must lie in, what fails otherwise)
     for states, low, high, failure in (
         (mixed, 1.0 / 6.0 - EXACT_BOUND, 0.25 + ROUND_BOUND, "mixed state outside [1/6, 1/4]"),
-        (_bell_states(), 1.0 / 6.0 - EXACT_BOUND, 1.0 / 6.0 + EXACT_BOUND, "Bell state does not attain 1/6"),
+        (bell(BELL_KINDS), 1.0 / 6.0 - EXACT_BOUND, 1.0 / 6.0 + EXACT_BOUND, "Bell state does not attain 1/6"),
         (DensityMatrix(products), SPA_THRESHOLD - EXACT_BOUND, SPA_THRESHOLD + EXACT_BOUND, "pure product input does not attain 2/9"),
     ):
-        lam = np.array([v.lambda_min for v in detect(states, "spa_spectrum")])
+        lam = detect(states, "spa_spectrum").lambda_min
         outside = lam[(lam < low) | (lam > high)]
         _check(not outside.size, f"{failure}: output min eigenvalues {outside[:3]}")
         dev = float(np.max(np.abs(lam - _channel_spectra(states)[:, 0])))
@@ -138,8 +133,8 @@ def _suite_spa_range_law(seed: int) -> None:
 
 
 def _suite_bell_basis_independence(seed: int) -> None:
-    bells = _bell_states()
-    lams_th = np.array([v.lambda_min for v in detect(bells, "spa_spectrum")])
+    bells = bell(BELL_KINDS)
+    lams_th = detect(bells, "spa_spectrum").lambda_min
     lams_d = lambda_min_d(f_hat(ideal_probabilities(bells)))
     _check(lams_th.max() - lams_th.min() <= EXACT_BOUND, "spa_spectrum differs across Bell states")
     _check(lams_d.max() - lams_d.min() <= EXACT_BOUND, "f_hat differs across Bell states")
@@ -148,13 +143,13 @@ def _suite_bell_basis_independence(seed: int) -> None:
 
 
 def _suite_tomography_roundtrip(seed: int) -> None:
-    states = DensityMatrix.concatenate([_bell_states(), werner(0.3), random_density_matrix(np.random.default_rng([seed, 13]), count=5)])
+    states = DensityMatrix.concatenate([bell(BELL_KINDS), werner(0.3), random_density_matrix(np.random.default_rng([seed, 13]), count=5)])
     dev = float(np.max(np.abs(qst_linear_inversion(pauli_expectations(states)) - states.mat)))
     _check(dev < EXACT_BOUND, f"linear inversion round trip deviates by {dev:.3e}")
 
 
 def _suite_trajectory_convergence(seed: int) -> None:
-    bells = _bell_states()
+    bells = bell(BELL_KINDS)
     runs = trajectory_spa_pt(bells, ShotConfig(shots_per_setting=100000, seed=seed))
     for kind, run, exact in zip(BELL_KINDS, runs, apply(spa_pt(), bells)):
         fid = fidelity(run, exact)

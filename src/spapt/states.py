@@ -213,8 +213,11 @@ def bell_vector(kind: str) -> PureState:
     return PureState(np.array(amp, dtype=complex) / _SQRT2)
 
 
-def bell(kind: str) -> DensityMatrix:
-    """Rank-1 projector onto the named Bell vector."""
+def bell(kind: str | list[str] | tuple[str, ...]) -> DensityMatrix:
+    """Rank-1 projector onto the named Bell vector, or the stack of them for
+    a list or tuple of names."""
+    if isinstance(kind, (list, tuple)):
+        return DensityMatrix(np.array([bell_vector(k).projector() for k in kind]).reshape(-1, 4, 4))
     return DensityMatrix(bell_vector(kind).projector())
 
 
@@ -324,26 +327,29 @@ def min_eigenvalue(rho: DensityMatrix) -> float | np.ndarray:
     return _per_entry(rho.spectrum.values[..., 0])
 
 
-def _random_state_matrix(rng: np.random.Generator, n_components: int) -> np.ndarray:
-    weights = rng.dirichlet(np.ones(n_components))
-    mat = np.zeros((4, 4), dtype=complex)
-    for w in weights:
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        mat += w * np.outer(v, v.conj())
-    mat = (mat + mat.conj().T) / 2.0
-    return mat / np.real(np.trace(mat))
-
-
 def random_density_matrix(rng: np.random.Generator, n_components: int = 4, count: int | None = None) -> DensityMatrix:
     """Random full-rank two-qubit state, or a stack of ``count`` of them
     drawn one after the other from ``rng``.
 
     Mixture of ``n_components`` Haar-random pure states with uniform
-    simplex (Dirichlet) weights; cheap and spans full-rank states.
+    simplex (Dirichlet) weights; cheap and spans full-rank states.  Only
+    the draws run state by state; the arithmetic runs once on the stack.
     """
     n_components = require_integer(n_components, 1, float("inf"), f"n_components must be a positive integer, got {n_components!r}")
-    if count is None:
-        return DensityMatrix(_random_state_matrix(rng, n_components))
-    count = require_integer(count, 0, float("inf"), f"count must be a nonnegative integer or None, got {count!r}")
-    return DensityMatrix(np.array([_random_state_matrix(rng, n_components) for _ in range(count)]).reshape(-1, 4, 4))
+    if count is not None:
+        count = require_integer(count, 0, float("inf"), f"count must be a nonnegative integer or None, got {count!r}")
+    n = 1 if count is None else count
+    weights, normals = np.empty((n, n_components)), np.empty((n, n_components, 2, 4))
+    for k in range(n):
+        weights[k] = rng.dirichlet(np.ones(n_components))
+        normals[k] = rng.standard_normal((n_components, 2, 4))
+    v = normals[..., 0, :] + 1j * normals[..., 1, :]
+    # the norm as np.linalg.norm computes it for one vector, dot products of the
+    # strided real and imaginary parts, for the same bits
+    v /= np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))[..., None]
+    mat = np.zeros((n, 4, 4), dtype=complex)
+    for k in range(n_components):
+        mat += weights[:, k, None, None] * (v[:, k, :, None] * v[:, k, None, :].conj())
+    mat = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
+    mat = mat / mat.trace(axis1=-2, axis2=-1).real[:, None, None]
+    return DensityMatrix(mat[0] if count is None else mat)

@@ -92,6 +92,21 @@ def test_a_family_of_an_array_is_the_stack_of_its_single_states_bit_for_bit(para
     assert all(_same_state(rho_family(ps, 0.71)[k], rho_family(p, 0.71)) for k, p in enumerate(ps))
 
 
+def test_bell_of_a_list_of_names_is_the_stack_of_its_single_states_bit_for_bit():
+    for kinds in (BELL_KINDS, list(reversed(BELL_KINDS)), ["psi-", "psi-"]):
+        stack = bell(kinds)
+        assert stack.mat.shape == (len(kinds), 4, 4)
+        for k, kind in enumerate(kinds):
+            one = bell(kind)
+            assert stack[k].mat.tobytes() == one.mat.tobytes()
+            assert stack[k].spectrum.values.tobytes() == one.spectrum.values.tobytes()
+            assert stack[k].spectrum.vectors.tobytes() == one.spectrum.vectors.tobytes()
+    assert bell([]).mat.shape == (0, 4, 4)
+    for bad in (5, None, ["phi+", 5]):
+        with pytest.raises(ValidationError, match="^unknown Bell kind"):
+            bell(bad)
+
+
 @pytest.mark.parametrize(
     "family, args, message",
     [
@@ -151,8 +166,10 @@ def test_a_batch_of_n_equals_n_batches_of_one():
     tables = sample_table(states, cfg)
     assert all(_same_table(tables, k, sample_table(one, cfg)) for k, one in enumerate(singles))
     for method in ("ppt", "spa_spectrum", "f_hat"):
-        assert detect(states, method) == [detect(one, method) for one in singles]
-    assert [v.lambda_min for v in detect(tables, "f_hat")] == [lambda_min_d(f_hat(sample_table(one, cfg))) for one in singles]
+        verdicts, single = detect(states, method), detect(singles[0], method)
+        assert (type(single.lambda_min), type(single.verdict), type(single.margin)) == (float, str, float)
+        assert all(_same(_entry(verdicts, k), _whole(detect(one, method))) for k, one in enumerate(singles))
+    assert detect(tables, "f_hat").lambda_min.tolist() == [lambda_min_d(f_hat(sample_table(one, cfg))) for one in singles]
     assert tangle(states).tolist() == [tangle(one) for one in singles]
     assert linear_entropy(states).tolist() == [linear_entropy(one) for one in singles]
 
@@ -189,6 +206,33 @@ def test_random_batch_draws_the_same_states_as_single_calls():
     rng = np.random.default_rng(8)
     for rho in batch:
         assert np.array_equal(rho.mat, random_density_matrix(rng, n_components=3).mat)
+
+
+def _reference_random_state_matrix(rng, n_components):
+    """One random state drawn and built one component at a time, the reference for the stacked draw."""
+    weights = rng.dirichlet(np.ones(n_components))
+    mat = np.zeros((4, 4), dtype=complex)
+    for w in weights:
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        v /= np.linalg.norm(v)
+        mat += w * np.outer(v, v.conj())
+    mat = (mat + mat.conj().T) / 2.0
+    return mat / np.real(np.trace(mat))
+
+
+@pytest.mark.parametrize("n_components", [1, 2, 4, 7])
+@pytest.mark.parametrize("count", [None, 0, 1, 37])
+def test_random_states_equal_the_reference_drawn_state_by_state_and_leave_the_generator_as_it_does(n_components, count):
+    for seed in range(5):
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_density_matrix(rng, n_components, count).mat
+        if count is None:
+            expected = _reference_random_state_matrix(reference_rng, n_components)
+        else:
+            expected = np.array([_reference_random_state_matrix(reference_rng, n_components) for _ in range(count)]).reshape(-1, 4, 4)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_random_batch_count_must_be_a_nonnegative_integer():
@@ -294,6 +338,8 @@ def _entry(result, k):
         return result[k].mat
     if isinstance(result, ProbabilityTable):
         return (result.p[k], result.q[k], result.r[k], result.shots_per_setting)
+    if isinstance(result, DetectionVerdict):
+        return (result.method, result.lambda_min[k], result.threshold, result.verdict[k], result.shots, result.margin[k])
     return result[k]
 
 
@@ -302,15 +348,27 @@ def _whole(result):
         return result.mat
     if isinstance(result, ProbabilityTable):
         return (result.p, result.q, result.r, result.shots_per_setting)
+    if isinstance(result, DetectionVerdict):
+        return (result.method, result.lambda_min, result.threshold, result.verdict, result.shots, result.margin)
     return result
 
 
 def _same(a, b):
+    """Equal results: arrays entry by entry with ``==``, and the fields of a verdict one by one."""
     if isinstance(a, tuple):
         return all(_same(x, y) for x, y in zip(a, b, strict=True))
-    if isinstance(a, DetectionVerdict):
-        return a == b
     return np.array_equal(a, b)
+
+
+def _length(result):
+    """The number of entries of a per-entry result."""
+    if isinstance(result, ProbabilityTable):
+        return len(result.p)
+    if isinstance(result, FHatOperator):
+        return len(result.mat)
+    if isinstance(result, DetectionVerdict):
+        return len(result.lambda_min)
+    return len(result)
 
 
 @pytest.mark.parametrize("function, call, per_entry", STATE_CALLS.values(), ids=STATE_CALLS)
@@ -321,7 +379,7 @@ def test_each_function_of_a_state_serves_a_stack_entry_by_entry_or_refuses_it(fu
             call(stack)
         return
     result = call(stack)
-    assert len(result.p if isinstance(result, ProbabilityTable) else result) == 3
+    assert _length(result) == 3
     for k in range(3):
         assert _same(_entry(result, k), _whole(call(stack[k])))
 
@@ -331,8 +389,7 @@ PER_ENTRY = {name: call for name, (_, call, per_entry) in STATE_CALLS.items() if
 
 @pytest.mark.parametrize("call", PER_ENTRY.values(), ids=PER_ENTRY)
 def test_each_function_with_a_per_entry_meaning_maps_an_empty_stack_to_an_empty_result(call):
-    result = call(DensityMatrix(np.zeros((0, 4, 4))))
-    assert len(result.p if isinstance(result, ProbabilityTable) else result) == 0
+    assert _length(call(DensityMatrix(np.zeros((0, 4, 4))))) == 0
 
 
 def test_a_stack_of_stacks_is_not_a_state():
@@ -391,7 +448,8 @@ def test_each_function_of_a_table_serves_a_stack_entry_by_entry_or_refuses_it(fu
     if isinstance(result, FHatOperator):
         assert [m.tobytes() for m in result.mat] == [call(_table(stack, k)).mat.tobytes() for k in range(3)]
     else:
-        assert list(result) == [call(_table(stack, k)) for k in range(3)]
+        assert _length(result) == 3
+        assert all(_same(_entry(result, k), _whole(call(_table(stack, k)))) for k in range(3))
 
 
 PER_ENTRY_OF_A_TABLE = {name: call for name, (_, call, per_entry) in TABLE_CALLS.items() if per_entry}
@@ -399,8 +457,7 @@ PER_ENTRY_OF_A_TABLE = {name: call for name, (_, call, per_entry) in TABLE_CALLS
 
 @pytest.mark.parametrize("call", PER_ENTRY_OF_A_TABLE.values(), ids=PER_ENTRY_OF_A_TABLE)
 def test_each_function_of_a_table_with_a_per_entry_meaning_maps_an_empty_stack_to_an_empty_result(call):
-    result = call(ProbabilityTable(np.zeros((0, 4, 4)), np.zeros((0, 4)), np.zeros((0, 4)), 0))
-    assert len(result.mat if isinstance(result, FHatOperator) else result) == 0
+    assert _length(call(ProbabilityTable(np.zeros((0, 4, 4)), np.zeros((0, 4)), np.zeros((0, 4)), 0))) == 0
 
 
 def test_every_function_of_a_table_is_checked_on_a_stack():
@@ -409,7 +466,7 @@ def test_every_function_of_a_table_is_checked_on_a_stack():
 
 def test_lambda_min_d_of_a_stack_is_the_lambda_of_detect_per_entry():
     tables = sample_table(DensityMatrix(MATRICES), ShotConfig(shots_per_setting=700, seed=5))
-    assert lambda_min_d(f_hat(tables)).tolist() == [v.lambda_min for v in detect(tables, "f_hat")]
+    assert np.array_equal(lambda_min_d(f_hat(tables)), detect(tables, "f_hat").lambda_min)
 
 
 def test_an_operator_stack_of_stacks_is_refused_naming_its_shape():
@@ -489,8 +546,11 @@ def test_single_matrix_errors_keep_their_wording():
 
 def test_value_classes_compare_and_hash_by_identity():
     table = ideal_probabilities(bell("phi+"))
-    objects = [PureState(np.array([1.0, 0.0])), bell("phi+"), table, f_hat(table)]
-    twins = [PureState(np.array([1.0, 0.0])), bell("phi+"), ideal_probabilities(bell("phi+")), FHatOperator(f_hat(table).mat)]
+    objects = [PureState(np.array([1.0, 0.0])), bell("phi+"), table, f_hat(table), detect(table, "f_hat"), detect(bell(BELL_KINDS), "ppt")]
+    twins = [
+        PureState(np.array([1.0, 0.0])), bell("phi+"), ideal_probabilities(bell("phi+")), FHatOperator(f_hat(table).mat), detect(table, "f_hat"),
+        detect(bell(BELL_KINDS), "ppt"),
+    ]
     for obj, twin in zip(objects, twins):
         assert obj == obj
         assert obj != twin
@@ -500,8 +560,15 @@ def test_value_classes_compare_and_hash_by_identity():
 
 def test_detect_batch_accepts_an_empty_batch_and_rejects_mixed_targets():
     empty = DensityMatrix(np.zeros((0, 4, 4)))
-    for method in ("ppt", "spa_spectrum", "f_hat"):
-        assert detect(empty, method) == []
+    empty_table = ProbabilityTable(np.zeros((0, 4, 4)), np.zeros((0, 4)), np.zeros((0, 4)), 7)
+    for target, method, threshold, shots in (
+        (empty, "ppt", 0.0, 0), (empty, "spa_spectrum", 2.0 / 9.0, 0), (empty, "f_hat", 2.0 / 9.0, 0), (empty_table, "f_hat", 2.0 / 9.0, 7),
+    ):
+        verdict = detect(target, method)
+        assert (verdict.method, verdict.threshold, verdict.shots) == (method, threshold, shots)
+        assert verdict.lambda_min.shape == verdict.verdict.shape == verdict.margin.shape == (0,)
+        assert verdict.lambda_min.dtype == verdict.margin.dtype == np.float64
+        assert verdict.verdict.dtype.kind == "U"
     # a list is not a stack: a state and a table cannot share one call
     with pytest.raises(ValidationError, match="f_hat needs"):
         detect([bell("phi+"), ideal_probabilities(bell("phi+"))], "f_hat")

@@ -494,18 +494,20 @@ def test_selftest_fails_a_broken_bound_under_python_optimize():
 
 
 @pytest.mark.parametrize(
-    "count, lift, failure",
-    [(4, 1.0 / 12.0, "Bell state does not attain 1/6"), (20, 1.0 / 36.0, "pure product input does not attain 2/9")],
+    "builder, lift, failure",
+    [("bell", 1.0 / 12.0, "Bell state does not attain 1/6"), ("DensityMatrix", 1.0 / 36.0, "pure product input does not attain 2/9")],
     ids=["bell", "product"],
 )
-def test_range_law_suite_fails_an_output_just_above_its_upper_bound(monkeypatch, count, lift, failure):
-    # white noise eps mixed into the suite's 4 Bell (20 pure product) inputs
-    # lifts their output minimum from 1/6 (2/9) by eps/12 (eps/36): half the
-    # bound EXACT_BOUND above passes, one and a half times it fails
+def test_range_law_suite_fails_an_output_just_above_its_upper_bound(monkeypatch, builder, lift, failure):
+    # white noise eps mixed into the suite's 4 Bell (20 pure product) inputs, built
+    # by its one call of bell (DensityMatrix), lifts their output minimum from
+    # 1/6 (2/9) by eps/12 (eps/36): half the bound EXACT_BOUND above passes, one
+    # and a half times it fails
+    exact = getattr(selftest, builder)
     for excess in (0.5, 1.5):
         eps = excess * selftest.EXACT_BOUND / lift
-        noisy = lambda m: DensityMatrix((1.0 - eps) * np.asarray(m) + eps * np.eye(4) / 4.0 if len(m) == count else m)
-        monkeypatch.setattr(selftest, "DensityMatrix", noisy)
+        noisy = lambda arg: DensityMatrix((1.0 - eps) * exact(arg).mat + eps * np.eye(4) / 4.0)
+        monkeypatch.setattr(selftest, builder, noisy)
         if excess < 1.0:
             selftest._suite_spa_range_law(42)
         else:
@@ -539,8 +541,9 @@ def test_bell_basis_suite_fails_a_spa_spectrum_spread_just_above_its_bound(monke
         def offset_detect(rho, method, offset=excess * selftest.EXACT_BOUND):
             verdicts = exact(rho, method)
             assert np.array_equal(rho.mat[3], psi_minus)
-            verdicts[3] = dataclasses.replace(verdicts[3], lambda_min=verdicts[3].lambda_min + offset)
-            return verdicts
+            lams = verdicts.lambda_min.copy()
+            lams[3] += offset
+            return dataclasses.replace(verdicts, lambda_min=lams)
 
         monkeypatch.setattr(selftest, "detect", offset_detect)
         if excess < 1.0:

@@ -257,14 +257,16 @@ def test_f_hat_verdicts_of_tables_at_their_bounds_solve_without_a_second_gate():
     p[2, 3, 3], q[2, 3] = low, low
     sampled = sample_table(random_density_matrix(np.random.default_rng(24), count=40), ShotConfig(1000, 24))
     p, q, r = np.concatenate([p, sampled.p]), np.concatenate([q, sampled.q]), np.concatenate([r, sampled.r])
-    tables = ProbabilityTable(p, q, r, 1000)
-    for k, verdict in enumerate(detect(tables, "f_hat")):
+    verdicts = detect(ProbabilityTable(p, q, r, 1000), "f_hat")
+    assert (verdicts.method, verdicts.threshold, verdicts.shots) == ("f_hat", SPA_THRESHOLD, 1000)
+    for k in range(len(p)):
         one = ProbabilityTable(p[k], q[k], r[k], 1000)
         mat = f_hat(one).mat
         assert np.array_equal(mat, linalg.dag(mat))
         assert ((mat + linalg.dag(mat)) / 2.0).tobytes() == mat.tobytes()
-        assert verdict.lambda_min == lambda_min_d(f_hat(one))
-        assert verdict == detect(one, "f_hat")
+        single = detect(one, "f_hat")
+        assert verdicts.lambda_min[k] == lambda_min_d(f_hat(one)) == single.lambda_min
+        assert (verdicts.verdict[k], verdicts.margin[k]) == (single.verdict, single.margin)
 
 
 def test_detect_rejects_unknown_method():

@@ -47,7 +47,7 @@ MUTANTS = (
     Mutant("spa-one-ninth", "detection.py", "transpose_second(mats) / 9.0", "transpose_second(mats) / 8.0"),
     Mutant("spa-two-ninths-identity", "detection.py", "_TWO_NINTHS_I = (2.0 / 9.0)", "_TWO_NINTHS_I = (1.0 / 9.0)"),
     Mutant("spa-threshold", "detection.py", "SPA_THRESHOLD = 2.0 / 9.0", "SPA_THRESHOLD = 1.0 / 4.0"),
-    Mutant("verdict-rule", "detection.py", "lam < threshold - ROUND_TOL", "lam <= threshold + ROUND_TOL"),
+    Mutant("verdict-rule", "detection.py", "lams < threshold - ROUND_TOL", "lams <= threshold + ROUND_TOL"),
     Mutant("witness-without-partial-transpose", "detection.py", "witness = partial_transpose(q)", "witness = q"),
     Mutant("f-hat-inversion-identity", "detection.py", "np.kron(s, np.eye(2) / 2.0)", "np.kron(s, np.eye(2))"),
     Mutant("det-scan-bracket", "detection.py", "lo = min(a1 - b1, a2 - b1 - b2, a3 - b2 - b3, a4 - b3) - RAW_TOL", "lo = min(a1, a2, a3, a4) - RAW_TOL"),
@@ -108,6 +108,13 @@ MUTANTS = (
         "        if count_nonzero(inside) != inside.size:\n            _name_entry_defect(p, q, r, lead)\n", "",
     ),
     Mutant("measure-prepare-inversion-coefficient", "selftest.py", "(4.0 / 3.0) * mixed", "(2.0 / 3.0) * mixed"),
+    # the stacked verdict and the stacked random states
+    Mutant("verdict-labels-swapped", "detection.py", 'np.where(entangled, "entangled", "undetected")', 'np.where(entangled, "undetected", "entangled")'),
+    Mutant(
+        "random-state-norm-summed", "states.py",
+        "np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)", "(v.real * v.real).sum(-1) + (v.imag * v.imag).sum(-1)",
+    ),
+    Mutant("random-state-components-reversed", "states.py", "for k in range(n_components):", "for k in reversed(range(n_components)):"),
 )
 
 
