@@ -36,7 +36,6 @@ from .linalg import (
     TRACE_TOL,
     ValidationError,
     as_numeric,
-    dag,
     gated_eig,
     herm_eig,
     partial_transpose,
@@ -420,8 +419,7 @@ def replace_channel(dim: int) -> Channel:
 def apply(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
     """Apply a physical channel to a state, or to each state of a stack;
     the output is validated."""
-    out = channel.apply_matrix(rho.mat)
-    return DensityMatrix((out + dag(out)) / 2.0)
+    return DensityMatrix(channel.apply_matrix(rho.mat))
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,8 +33,8 @@ from .linalg import (
     RAW_TOL,
     ROUND_TOL,
     ValidationError,
-    dag,
     gated_eig,
+    hermitian_part,
     partial_transpose,
     require_hermitian,
     transpose_second,
@@ -135,7 +135,7 @@ def f_hat(table: ProbabilityTable) -> FHatOperator:
     output of the approximated partial transpose.
     """
     mat = _f_hat_matrices(table.p, table.q, table.r)
-    return FHatOperator((mat + dag(mat)) / 2.0)
+    return FHatOperator(mat)
 
 
 def lambda_min_d(operator: FHatOperator) -> float | np.ndarray:
@@ -241,16 +241,15 @@ def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVe
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "f_hat" and isinstance(target, ProbabilityTable):
-        # a validated table is finite and bounded, so no gate; the solve's Hermitian part is f_hat(table).mat,
-        # which lambda_min_d's solve symmetrizes to the same bits
-        lams = gated_eig(_f_hat_matrices(target.p, target.q, target.r)).values[..., 0]
+        # a validated table is finite and bounded, so no gate: its Hermitian part is f_hat(table).mat to the bit
+        lams = gated_eig(hermitian_part(_f_hat_matrices(target.p, target.q, target.r))).values[..., 0]
         threshold, shots = SPA_THRESHOLD, target.shots_per_setting
     elif not isinstance(target, DensityMatrix):
         raise ValidationError("f_hat needs a DensityMatrix or a ProbabilityTable" if method == "f_hat" else f"method {method!r} needs a DensityMatrix")
     else:
         if method == "f_hat":
             return detect(ideal_probabilities(target), method)
-        # the partial transpose of a validated state is Hermitian: solved without a second gate
+        # the partial transpose of a validated state is exactly Hermitian: solved without a second gate
         lams = gated_eig(transpose_second(target.mat) if method == "ppt" else _spa_pt_closed_form(target.mat)).values[..., 0]
         threshold, shots = _THRESHOLDS[method], 0
     entangled = lams < threshold - ROUND_TOL

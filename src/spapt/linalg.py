@@ -5,11 +5,13 @@ functions: nothing here mutates its inputs, so everything is safe to call
 concurrently.  The gate, the eigensolve, the square root and the partial
 transpose take one matrix or a stack of them along leading axes, and a
 single matrix runs the same code as a stack; a failure in a stack names
-the index of its first offending entry.  Eigensolves are one LAPACK call
-(numpy's ``eigh`` gufunc) behind :func:`require_hermitian`, the
-finite/Hermitian gate that every Hermitian input of the package passes; a
-matrix that has passed it is solved by :func:`gated_eig` without a second
-gate.  The tolerance table below holds every tolerance the package uses.
+the index of its first offending entry.  :func:`require_hermitian` is the
+finite/Hermitian gate that every Hermitian input of the package passes: it
+returns the input's Hermitian part ``(m + m^dag) / 2``, exactly Hermitian,
+which every validated value stores.  :func:`gated_eig` solves such a
+matrix as it is, in one LAPACK call (numpy's ``eigh`` gufunc), and
+:func:`herm_eig` is the gate followed by the solve.  The tolerance table
+below holds every tolerance the package uses.
 """
 
 from __future__ import annotations
@@ -132,8 +134,8 @@ def as_numeric(m: Any, dtype: Any, what: str, copy: bool = True) -> np.ndarray:
         raise ValidationError(f"expected a numeric {what}, got an input numpy cannot convert: {exc}") from exc
 
 
-def _as_square(m: np.ndarray, copy: bool = False) -> np.ndarray:
-    a = as_numeric(m, complex, "matrix", copy)
+def _as_square(m: np.ndarray) -> np.ndarray:
+    a = as_numeric(m, complex, "matrix", copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -146,25 +148,27 @@ def require_all(ok: np.ndarray, message: Callable[[tuple[int, ...]], str]) -> No
         require_each(ok.all(axis=(-2, -1)), message)
 
 
-def hermitian_gate(m: np.ndarray, what: str = "matrix", tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """The checks of :func:`require_hermitian`: its read-only copy ``a`` of
-    ``m``, with ``a^dag``, which :func:`eig_of_gated` reuses."""
-    a = _as_square(m, copy=True)
+def require_hermitian(m: np.ndarray, what: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """The gate in front of every Hermitian input: the read-only Hermitian part
+    ``(m + m^dag) / 2`` of ``m``, a matrix or a stack of them, or
+    ``ValidationError`` naming ``what`` when a matrix is not square, holds NaN
+    or inf, or has an entry of ``m - m^dag`` above ``tol``.  The result is
+    exactly Hermitian; a Hermitian ``m`` comes back equal, up to zeros' signs."""
+    a = _as_square(m)
     # finite first: inf - inf in the defect would be NaN and a RuntimeWarning
     require_all(np.isfinite(a), lambda i: f"{what} entries must be finite: the matrix holds NaN or inf")
     a_dag = dag(a)
     defect = np.abs(a - a_dag)
     require_all(defect <= tol, lambda i: f"{what} is not Hermitian: max |m - m^dag| = {defect[i].max():.3e}")
-    a.setflags(write=False)
-    return a, a_dag
+    h = (a + a_dag) / 2.0
+    h.setflags(write=False)
+    return h
 
 
-def require_hermitian(m: np.ndarray, what: str = "matrix", tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """The gate in front of every Hermitian input: a read-only complex copy
-    of ``m``, a matrix or a stack of them, or ``ValidationError`` naming
-    ``what`` when a matrix is not square, holds NaN or inf, or has an entry
-    of ``m - m^dag`` above ``tol``."""
-    return hermitian_gate(m, what, tol)[0]
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^dag) / 2`` of a product that is Hermitian only up to rounding
+    and passes no gate, such as ``s @ sigma @ s``, before :func:`gated_eig`."""
+    return (m + dag(m)) / 2.0
 
 
 class Spectrum(NamedTuple):
@@ -181,32 +185,24 @@ class Spectrum(NamedTuple):
 
 def herm_eig(m: np.ndarray) -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix, or of each matrix of a
-    stack, dimension at most 16.
+    stack, dimension at most 16: :func:`gated_eig` of :func:`require_hermitian`.
 
-    One LAPACK call (numpy's ``eigh`` gufunc) on the Hermitian part of ``m``
-    after :func:`require_hermitian`.  Raises ``ValidationError`` for
-    non-square, non-finite, non-Hermitian (max |m - m^dag| entry above
-    1e-9) or oversized input, and ``NumericError`` if LAPACK does not
-    converge.
+    Raises ``ValidationError`` for non-square, non-finite, non-Hermitian (max
+    |m - m^dag| entry above 1e-9) or oversized input, and ``NumericError`` if
+    LAPACK does not converge.
     """
-    return eig_of_gated(*hermitian_gate(m))
+    return gated_eig(require_hermitian(m))
 
 
-def gated_eig(a: np.ndarray) -> Spectrum:
-    """The solve step of :func:`herm_eig`, for a matrix that has already
-    passed :func:`require_hermitian`: one ``eigh`` on its Hermitian part,
-    equal to ``numpy.linalg.eigh`` of it bit for bit.  A stack is one
-    ``eigh`` call, bit-identical entry by entry to solving each matrix
-    alone."""
-    return eig_of_gated(a, dag(a))
-
-
-def eig_of_gated(a: np.ndarray, a_dag: np.ndarray) -> Spectrum:
-    """:func:`gated_eig` of ``a`` given ``a^dag``, which the gate formed."""
-    if a.shape[-1] > _MAX_DIM:
-        raise ValidationError(f"dimension {a.shape[-1]} exceeds the supported maximum {_MAX_DIM}")
+def gated_eig(h: np.ndarray) -> Spectrum:
+    """The solve step of :func:`herm_eig`, for an exactly Hermitian matrix such
+    as the gate's output: one ``eigh`` on ``h`` as it is, equal to
+    ``numpy.linalg.eigh(h)`` bit for bit.  A stack is one ``eigh`` call,
+    bit-identical entry by entry to solving each matrix alone."""
+    if h.shape[-1] > _MAX_DIM:
+        raise ValidationError(f"dimension {h.shape[-1]} exceeds the supported maximum {_MAX_DIM}")
     try:
-        w, v = _eigh((a + a_dag) / 2.0, signature="D->dD")
+        w, v = _eigh(h, signature="D->dD")
     except (RuntimeWarning, FloatingPointError) as exc:
         # the invalid flag a failed solve sets, under -W error or np.seterr(invalid="raise")
         raise NumericError(f"eigh did not converge: {exc}") from exc
@@ -228,8 +224,7 @@ def psd_sqrt_from(spectrum: Spectrum) -> np.ndarray:
     w, v = spectrum
     lam_min = w[..., 0]
     require_each(lam_min >= -PSD_TOL, lambda i: f"matrix is not PSD: min eigenvalue = {lam_min[i]:.3e}")
-    out = (v * sqrt_spectrum(w)[..., None, :]) @ dag(v)
-    return (out + dag(out)) / 2.0
+    return hermitian_part((v * sqrt_spectrum(w)[..., None, :]) @ dag(v))
 
 
 def partial_transpose(m: np.ndarray) -> np.ndarray:

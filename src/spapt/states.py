@@ -31,11 +31,11 @@ from .linalg import (
     Spectrum,
     ValidationError,
     as_numeric,
-    eig_of_gated,
     gated_eig,
-    hermitian_gate,
+    hermitian_part,
     psd_sqrt_from,
     require_each,
+    require_hermitian,
     require_integer,
     sqrt_spectrum,
 )
@@ -91,13 +91,14 @@ class DensityMatrix:
     Hermitian within 1e-9, is not of dimension 4, unit-trace within 1e-9 or
     has an eigenvalue below -1e-9, naming the violated invariant in the
     error message, after "stack entry k: " for entry k of a stack.  A
-    stack passes one gate, one trace check and one eigensolve.  The
+    stack passes one gate, one trace check and one eigensolve.  ``mat`` is
+    the gate's read-only, exactly Hermitian part of the input.  The
     eigendecomposition that checks positivity is kept, read-only, as
-    ``spectrum``: it equals ``herm_eig(mat)`` bit for bit.  ``len(states)``
-    and ``states[k]`` give the size of a stack and its entry k, a single
-    state that holds its slice of the stack and of the spectrum and is not
-    validated again; :meth:`concatenate` joins validated states and stacks
-    with their spectra.
+    ``spectrum``: it equals ``herm_eig`` of the matrix it was built from,
+    bit for bit.  ``len(states)`` and ``states[k]`` give the size of a stack
+    and its entry k, a single state that holds its slice of the stack and of
+    the spectrum and is not validated again; :meth:`concatenate` joins
+    validated states and stacks with their spectra.
 
     The samplers of :mod:`spapt.tomography` keep, read-only in a private
     memo made on first use, what they draw from: the detection settings'
@@ -112,14 +113,14 @@ class DensityMatrix:
     _memo: dict | None = field(init=False, repr=False, default=None)  # made on first use
 
     def __post_init__(self) -> None:
-        m, m_dag = hermitian_gate(self.mat, "state")
+        m = require_hermitian(self.mat, "state")
         if m.ndim > 3:
             raise ValidationError(f"expected a square matrix or an (N, 4, 4) stack, got shape {m.shape}")
         if m.shape[-1] != 4:
             raise ValidationError(f"a state is a two-qubit state of dimension 4, got dimension {m.shape[-1]}")
         off = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
         require_each(off <= TRACE_TOL, lambda i: f"trace is not 1: |tr - 1| = {off[i]:.3e}")
-        spectrum = eig_of_gated(m, m_dag)
+        spectrum = gated_eig(m)
         lam_min = spectrum.values[..., 0]
         require_each(lam_min >= -PSD_TOL, lambda i: f"not positive semidefinite: min eigenvalue = {lam_min[i]:.3e}")
         spectrum.values.setflags(write=False)
@@ -180,7 +181,8 @@ def _per_entry(values: np.ndarray) -> float | np.ndarray:
     return float(values) if np.ndim(values) == 0 else values
 
 
-BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
+_BELL_AMPLITUDES = {"phi+": [1, 0, 0, 1], "phi-": [1, 0, 0, -1], "psi+": [0, 1, 1, 0], "psi-": [0, 1, -1, 0]}
+BELL_KINDS = tuple(_BELL_AMPLITUDES)
 
 #: (p, alpha) pairs of the nine benchmark mixtures used in the detection sweep.
 NINE_STATE_PARAMS = (
@@ -199,18 +201,10 @@ _SQRT2 = np.sqrt(2.0)
 
 
 def bell_vector(kind: str) -> PureState:
-    """One of the four maximally entangled two-qubit vectors."""
-    if kind == "phi+":
-        amp = [1, 0, 0, 1]
-    elif kind == "phi-":
-        amp = [1, 0, 0, -1]
-    elif kind == "psi+":
-        amp = [0, 1, 1, 0]
-    elif kind == "psi-":
-        amp = [0, 1, -1, 0]
-    else:
+    """One of the four maximally entangled two-qubit vectors, named by a str."""
+    if not isinstance(kind, str) or kind not in _BELL_AMPLITUDES:
         raise ValidationError(f"unknown Bell kind {kind!r}; expected one of {BELL_KINDS}")
-    return PureState(np.array(amp, dtype=complex) / _SQRT2)
+    return PureState(np.array(_BELL_AMPLITUDES[kind], dtype=complex) / _SQRT2)
 
 
 def bell(kind: str | list[str] | tuple[str, ...]) -> DensityMatrix:
@@ -287,7 +281,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     two single states; a stack is refused."""
     require_single("fidelity", rho, sigma)
     s = psd_sqrt_from(rho.spectrum)
-    w = gated_eig(s @ sigma.mat @ s).values  # both factors passed the gate
+    w = gated_eig(hermitian_part(s @ sigma.mat @ s)).values
     val = float(np.sum(sqrt_spectrum(w)) ** 2)
     return min(max(val, 0.0), 1.0)
 
@@ -300,7 +294,7 @@ def _tangles(mats: np.ndarray, spectra: Spectrum) -> np.ndarray:
     """Tangle of one two-qubit state matrix, or of each of a stack, from the
     stored eigendecompositions that give the state roots: one eigensolve."""
     s = psd_sqrt_from(spectra)
-    lam = sqrt_spectrum(gated_eig(s @ (_YY @ mats.conj() @ _YY) @ s).values)[..., ::-1]
+    lam = sqrt_spectrum(gated_eig(hermitian_part(s @ (_YY @ mats.conj() @ _YY) @ s)).values)[..., ::-1]
     c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
     return np.minimum(c * c, 1.0)
 
@@ -350,6 +344,6 @@ def random_density_matrix(rng: np.random.Generator, n_components: int = 4, count
     mat = np.zeros((n, 4, 4), dtype=complex)
     for k in range(n_components):
         mat += weights[:, k, None, None] * (v[:, k, :, None] * v[:, k, None, :].conj())
-    mat = (mat + mat.conj().swapaxes(-1, -2)) / 2.0
+    mat = (mat + mat.conj().swapaxes(-1, -2)) / 2.0  # Hermitian up to rounding: normalized after its Hermitian part, for the same bits
     mat = mat / mat.trace(axis1=-2, axis2=-1).real[:, None, None]
     return DensityMatrix(mat[0] if count is None else mat)

@@ -57,10 +57,10 @@ from .linalg import (
     as_numeric,
     count_nonzero,
     dag,
-    eig_of_gated,
-    hermitian_gate,
+    gated_eig,
     require_all,
     require_each,
+    require_hermitian,
     require_integer,
     side_by_side,
 )
@@ -351,7 +351,7 @@ def trajectory(rho: DensityMatrix, instrument: Instrument, cfg: ShotConfig) -> D
     counts, outputs = _trajectory_counts(rho, instrument, cfg)
     # per entry the one (1, K) @ (K, d * d) dot of np.tensordot(weights, outputs, axes=1), on its reshaped operands
     acc = ((counts / float(cfg.shots_per_setting))[..., None, :] @ outputs.reshape(counts.shape + (rho.dim**2,))).reshape(rho.mat.shape)
-    return DensityMatrix((acc + dag(acc)) / 2.0)
+    return DensityMatrix(acc)
 
 
 def trajectory_branch_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[int, int]:
@@ -450,10 +450,10 @@ def project_to_physical(raw: np.ndarray) -> DensityMatrix:
     iterating until all are nonnegative.  A stack iterates as one, each
     entry with its own masks, and an entry that is done stays as it is.
     """
-    a, a_dag = hermitian_gate(raw, "matrix to project", RAW_TOL)
+    a = require_hermitian(raw, "matrix to project", RAW_TOL)
     trace_dev = abs(a.trace(axis1=-2, axis2=-1) - 1.0)
     require_each(trace_dev <= RAW_TOL, lambda i: f"trace too far from 1 to project: |tr - 1| = {trace_dev[i]:.3e}")
-    w, v = eig_of_gated(a, a_dag)
+    w, v = gated_eig(a)
     n = w.shape[-1]
     x = w + (1.0 - w.sum(axis=-1, keepdims=True)) / n
     for _ in range(n + 1):
@@ -466,4 +466,4 @@ def project_to_physical(raw: np.ndarray) -> DensityMatrix:
         positive = x > 0.0
         np.add(x, deficit / positive.sum(axis=-1, keepdims=True), out=x, where=positive)
     mat = (v * np.maximum(x, 0.0)[..., None, :]) @ dag(v)  # np.clip(x, 0.0, None), bit for bit
-    return DensityMatrix((mat + dag(mat)) / 2.0)
+    return DensityMatrix(mat)

@@ -102,7 +102,7 @@ def test_bell_of_a_list_of_names_is_the_stack_of_its_single_states_bit_for_bit()
             assert stack[k].spectrum.values.tobytes() == one.spectrum.values.tobytes()
             assert stack[k].spectrum.vectors.tobytes() == one.spectrum.vectors.tobytes()
     assert bell([]).mat.shape == (0, 4, 4)
-    for bad in (5, None, ["phi+", 5]):
+    for bad in (5, None, ["phi+", 5], np.array(["phi+", "psi-"])):
         with pytest.raises(ValidationError, match="^unknown Bell kind"):
             bell(bad)
 

@@ -49,6 +49,16 @@ def test_tetrahedral_projector_sum():
     assert np.max(np.abs(acc - 2.0 * EYE2)) < 1e-10
 
 
+def test_apply_refuses_a_map_whose_output_is_not_hermitian():
+    # the output's (1, 2) entry is scaled by 1.001 and its (2, 1) entry is not: off Hermitian by 3.5e-4
+    s = np.eye(16, dtype=complex)
+    s[9, 9] = 1.001
+    with pytest.raises(ValidationError, match="^state is not Hermitian"):
+        apply(Channel(s), werner(0.3))
+    with pytest.raises(ValidationError, match="^stack entry 1: state is not Hermitian"):
+        apply(Channel(s), werner([1.0, 0.3]))
+
+
 def test_tetrahedral_overlaps_are_symmetric():
     vs = tetrahedral_states()
     overlaps = [

@@ -3,7 +3,7 @@ finite/Hermitian gate, PSD square root, partial transpose, and the
 partial-trace oracle that other test modules import.
 
 herm_eig wraps numpy's eigh gufunc, so comparing it with eigvalsh checks the
-wrapper (gate, symmetrization, ordering), not LAPACK; analytic spectra and
+wrapper (gate, Hermitian part, ordering), not LAPACK; analytic spectra and
 reconstruction identities are the independent oracles."""
 
 import numpy as np
@@ -25,10 +25,10 @@ from spapt.linalg import (
     psd_sqrt_from,
 )
 from spapt.states import DensityMatrix, bell, werner
-from spapt.channels import ChoiMatrix, choi
+from spapt.channels import ChoiMatrix, apply, choi, spa_pt
 from spapt.cli import CHANNEL_FACTORIES
-from spapt.tomography import project_to_physical
-from spapt.detection import FHatOperator, witness_expectation
+from spapt.tomography import ShotConfig, project_to_physical, qst_linear_inversion, sample_pauli_expectations, sample_table, trajectory_spa_pt
+from spapt.detection import FHatOperator, f_hat, witness_expectation
 
 PHI_PLUS = np.zeros((4, 4), dtype=complex)
 PHI_PLUS[0, 0] = PHI_PLUS[0, 3] = PHI_PLUS[3, 0] = PHI_PLUS[3, 3] = 0.5
@@ -253,7 +253,7 @@ def test_gated_eig_is_numpy_eigh_bit_for_bit(build):
     for m in build(np.random.default_rng(16)):
         a = require_hermitian((m + dag(m)) / 2.0)
         w, v = gated_eig(a)
-        want_w, want_v = np.linalg.eigh((a + dag(a)) / 2.0)
+        want_w, want_v = np.linalg.eigh(a)
         assert (w.dtype, v.dtype, w.shape, v.shape) == (want_w.dtype, want_v.dtype, want_w.shape, want_v.shape)
         assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
 
@@ -278,13 +278,69 @@ def test_the_hermitian_part_keeps_signed_zeros_bit_for_bit(m, stacked):
     # and eigh returns other bytes for them; random normals never hold a zero
     if stacked:
         m = np.array([m, werner(0.7).mat, m])
-    a = require_hermitian(m)
-    w, v = gated_eig(a)
-    want_w, want_v = np.linalg.eigh((a + dag(a)) / 2.0)
+    w, v = gated_eig(require_hermitian(m))
+    want_w, want_v = np.linalg.eigh((m + dag(m)) / 2.0)
     assert w.tobytes() == want_w.tobytes() and v.tobytes() == want_v.tobytes()
     spectrum, solved = DensityMatrix(m).spectrum, herm_eig(m)
     assert spectrum.values.tobytes() == solved.values.tobytes() and spectrum.vectors.tobytes() == solved.vectors.tobytes()
     assert spectrum.values.tobytes() == w.tobytes() and spectrum.vectors.tobytes() == v.tobytes()
+
+
+def test_a_state_documents_its_spectrum_as_herm_eig_of_its_input_not_of_its_mat():
+    # (h + h^dag) / 2.0 is no bitwise fixed point of a signed-zero h, since numpy divides
+    # a complex by 2.0 as a complex division: the spectrum is herm_eig(m), not herm_eig(mat)
+    assert "equals ``herm_eig`` of the matrix it was built from" in " ".join(DensityMatrix.__doc__.split())
+    m = _signed_zero_state()
+    rho = DensityMatrix(m)
+    assert rho.spectrum.vectors.tobytes() == herm_eig(m).vectors.tobytes() != herm_eig(rho.mat).vectors.tobytes()
+
+
+VALIDATED = ["require_hermitian", "DensityMatrix", "FHatOperator", "apply", "trajectory", "project_to_physical"]
+
+
+@pytest.fixture(scope="module")
+def validated_values():
+    """Every kind of validated Hermitian value, each built from an input Hermitian only up to rounding."""
+    rng = np.random.default_rng(27)
+    raw = random_hermitian(rng, 4)
+    raw[0, 1] += 1e-12
+    states = DensityMatrix([random_density(rng, 4) for _ in range(5)])
+    cfg = ShotConfig(shots_per_setting=500, seed=27)
+    values = {
+        "require_hermitian": require_hermitian(raw),
+        "DensityMatrix": states.mat,
+        "FHatOperator": f_hat(sample_table(states, cfg)).mat,
+        "apply": apply(spa_pt(), states).mat,
+        "trajectory": trajectory_spa_pt(states, cfg).mat,
+        "project_to_physical": project_to_physical(qst_linear_inversion(sample_pauli_expectations(states, cfg))).mat,
+    }
+    return values | {f"choi_{name}": choi(factory()).mat for name, factory in CHANNEL_FACTORIES.items()}
+
+
+@pytest.mark.parametrize("name", VALIDATED + [f"choi_{name}" for name in CHANNEL_FACTORIES])
+def test_every_validated_hermitian_value_holds_an_exactly_hermitian_matrix(validated_values, name):
+    x = validated_values[name]
+    assert np.array_equal(x, dag(x))
+    assert not x.flags.writeable
+
+
+HALF_TOL_OFF = {
+    "require_hermitian": (require_hermitian, lambda x: x),
+    "DensityMatrix": (DensityMatrix, lambda x: x.mat),
+    "FHatOperator": (FHatOperator, lambda x: x.mat),
+    "ChoiMatrix": (ChoiMatrix, lambda x: x.mat),
+}
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+@pytest.mark.parametrize("build, stored", HALF_TOL_OFF.values(), ids=HALF_TOL_OFF.keys())
+def test_an_input_off_hermitian_within_the_tolerance_is_stored_as_its_hermitian_part(build, stored, stacked):
+    m = _werner_plus({(0, 1): 0.5 * HERMITIAN_TOL, (2, 3): complex(0.0, 0.25 * HERMITIAN_TOL)})
+    if stacked:
+        m = np.array([werner(0.7).mat, m])
+    x = stored(build(m))
+    assert x.tobytes() == ((m + dag(m)) / 2.0).tobytes()
+    assert np.array_equal(x, dag(x)) and not np.array_equal(m, dag(m))
 
 
 def test_herm_eig_agrees_with_lapack_oracle():

@@ -10,6 +10,8 @@ only for a deliberate change of a report format, with
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -63,6 +65,37 @@ def test_report_digests_cover_every_command_channel_method_and_format():
 def test_report_bytes_match_their_recorded_digest(key, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert report_digest(key) == REPORT_DIGESTS[key]
+
+
+#: run in a fresh interpreter: the digests of the keys in argv[1], written as JSON to stdout
+_CHILD = """
+import json, os, sys, tempfile
+from test_report_digests import report_digest
+keys = json.loads(sys.argv[1])
+with tempfile.TemporaryDirectory() as workdir:
+    os.chdir(workdir)
+    print(json.dumps({key: report_digest(key) for key in keys}))
+"""
+
+
+def test_table1_and_fig3_digests_hold_under_one_and_two_blas_threads():
+    # the pool size is read when numpy loads, so each size runs in its own interpreter
+    keys = sorted(key for key in REPORT_DIGESTS if key.startswith(("table1|", "fig3|")))
+    assert len(keys) == 8
+    path = os.pathsep.join(filter(None, [str(DIGEST_FILE.parent.parent / "src"), str(DIGEST_FILE.parent), os.environ.get("PYTHONPATH")]))
+    runs = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", _CHILD, json.dumps(keys)],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for threads in ("1", "2")
+    }
+    for threads, run in runs.items():
+        out, _ = run.communicate(timeout=60)
+        assert run.returncode == 0, threads
+        assert json.loads(out) == {key: REPORT_DIGESTS[key] for key in keys}, threads
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ MUTANTS = (
     Mutant("det-scan-bracket", "detection.py", "lo = min(a1 - b1, a2 - b1 - b2, a3 - b2 - b3, a4 - b3) - RAW_TOL", "lo = min(a1, a2, a3, a4) - RAW_TOL"),
     Mutant("tangle-sign", "states.py", "lam[..., 2] - lam[..., 3]", "lam[..., 2] + lam[..., 3]"),
     Mutant("werner-noise", "states.py", "p * np.eye(4, dtype=complex) / 4.0", "p * np.eye(4, dtype=complex) / 2.0"),
-    Mutant("bell-psi-minus-sign", "states.py", "amp = [0, 1, -1, 0]", "amp = [0, 1, 1, 0]"),
+    Mutant("bell-psi-minus-sign", "states.py", '"psi-": [0, 1, -1, 0]', '"psi-": [0, 1, 1, 0]'),
     Mutant("inversion-side-extra-pauli", "channels.py", "PureState(PAULI_Y @ v.amplitudes)", "PureState(PAULI_Y @ PAULIS[1] @ v.amplitudes)"),
     Mutant(
         "pauli-averaging", "tomography.py",
@@ -79,13 +79,14 @@ MUTANTS = (
     Mutant("fidelity-clamp", "states.py", "return min(max(val, 0.0), 1.0)", "return val"),
     Mutant("state-of-four-axes", "states.py", "if m.ndim > 3:", "if m.ndim > 4:"),
     Mutant("projection-trace-shift", "tomography.py", "x = w + (1.0 - w.sum(axis=-1, keepdims=True)) / n", "x = w + (1.0 - w.sum(axis=-1, keepdims=True)) / (n + 1)"),
-    # the checks of the gate, the state, the solve and the projection, and the solve's Hermitian part
+    # the checks of the gate, the state, the solve and the projection, and the gate's Hermitian part
     Mutant("gate-finite-dropped", "linalg.py", "    require_all(np.isfinite(a), ", "    (np.isfinite(a), "),
     Mutant("gate-hermitian-tol", "linalg.py", "require_all(defect <= tol, ", "require_all(defect <= 1e3 * tol, "),
     Mutant("state-trace-loosened", "states.py", "require_each(off <= TRACE_TOL", "require_each(off <= 1e3 * TRACE_TOL"),
     Mutant("state-psd-loosened", "states.py", "require_each(lam_min >= -PSD_TOL", "require_each(lam_min >= -1e3 * PSD_TOL"),
     Mutant("eig-nan-dropped", "linalg.py", "if count_nonzero(w != w):", "if False:"),
     Mutant("hermitian-part-times-half", "linalg.py", "(a + a_dag) / 2.0", "(a + a_dag) * 0.5"),
+    Mutant("gate-returns-raw", "linalg.py", "h = (a + a_dag) / 2.0", "h = np.array(a)"),
     Mutant("projection-trace-loosened", "tomography.py", "require_each(trace_dev <= RAW_TOL", "require_each(trace_dev <= 1e3 * RAW_TOL"),
     # declared equivalent
     Mutant(
