@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .linalg import (
     TRACE_TOL,
     ValidationError,
     as_numeric,
-    gated_eig,
+    gated_eigvals,
     herm_eig,
     partial_transpose,
     require_hermitian,
@@ -133,6 +133,13 @@ class Channel:
         if a.shape[-2:] != (dim, dim):
             raise ValidationError(f"operator shape {a.shape} does not match channel input dim {dim}")
         return unvec((self.mat @ vec(a)[..., None])[..., 0], dim)
+
+    @cached_property
+    def choi(self) -> ChoiMatrix:
+        """Choi matrix (Lambda (x) id)[|Omega><Omega|], |Omega> normalized, formed and gated on first use (a failed
+        gate raises at every use): entry [(i, k), (j, l)] is Lambda(|k><l|)[i, j] / dim, a superoperator reshuffle."""
+        d = self.dim
+        return ChoiMatrix(self.mat.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -435,25 +442,23 @@ class ChoiMatrix:
 
 
 def choi(channel: Channel) -> ChoiMatrix:
-    """Choi matrix (Lambda (x) id)[|Omega><Omega|] with |Omega> normalized.
-
-    Entry [(i, k), (j, l)] is Lambda(|k><l|)[i, j] / dim, a reshuffle of
-    the superoperator.
-    """
-    d = channel.dim
-    shuffled = channel.mat.reshape(d, d, d, d).transpose(1, 3, 0, 2)
-    return ChoiMatrix(shuffled.reshape(d * d, d * d) / d)
+    """The channel's Choi matrix (:attr:`Channel.choi`), formed once per channel."""
+    return channel.choi
 
 
 def is_cp(channel: Channel) -> bool:
-    """Complete positivity: the Choi matrix has no eigenvalue below -1e-9.
-    The Choi matrix passed the gate when it was built."""
-    w = gated_eig(choi(channel).mat).values
-    return bool(w[0] >= -PSD_TOL)
+    """Complete positivity: no eigenvalue of the Choi matrix below -1e-9, a bool the values-only solve decides."""
+    return bool(gated_eigvals(channel.choi.mat)[0] >= -PSD_TOL)
+
+
+@cache
+def _identity_row(dim: int) -> np.ndarray:
+    """vec(I) of dimension ``dim``, read-only, shared by every :func:`is_tp` call."""
+    return _read_only(vec(np.eye(dim)))
 
 
 def is_tp(channel: Channel) -> bool:
     """Trace preservation: vec(I)^T S equals vec(I)^T within 1e-9, i.e. the
     unnormalized Choi matrix traced over the output is the identity."""
-    identity = vec(np.eye(channel.dim))
-    return bool(float(np.max(np.abs(identity @ channel.mat - identity))) <= TRACE_TOL)
+    identity = _identity_row(channel.dim)
+    return bool(np.abs(identity @ channel.mat - identity).max() <= TRACE_TOL)

@@ -2,13 +2,15 @@
 decomposition identity of the approximated partial transpose."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from spapt import channels, linalg
 from spapt.cli import CHANNEL_FACTORIES
-from spapt.linalg import PAULI_X, PAULI_Y, ValidationError, herm_eig, partial_transpose
+from spapt.linalg import PAULI_X, PAULI_Y, PSD_TOL, NumericError, ValidationError, herm_eig, partial_transpose
 from spapt.states import BELL_KINDS, DensityMatrix, bell, random_density_matrix, werner
 from spapt.channels import (
     IDENTITY_SIDE,
@@ -16,6 +18,7 @@ from spapt.channels import (
     TRANSPOSE_SIDE,
     Branch,
     Channel,
+    ChoiMatrix,
     Instrument,
     Side,
     apply,
@@ -445,3 +448,152 @@ def test_superoperator_agrees_with_block_oracle_and_choi_partial_trace(name):
         rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T))
         probs, outputs = _trajectory_components(rho, ch.instrument)
         assert np.max(np.abs(np.tensordot(probs, outputs, axes=1) - ch.apply_matrix(rho.mat))) < 1e-12
+
+
+def _channel_of_choi(j):
+    """The channel whose Choi matrix is ``j``: the inverse of :func:`choi`'s reshuffle."""
+    d = math.isqrt(len(j))
+    return Channel((d * j).reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d))
+
+
+def _random_kraus_channels(seed, count):
+    """CP maps x -> sum_k K_k x K_k^dag of 1 to 5 random Kraus operators, on one qubit or two."""
+    rng = np.random.default_rng(seed)
+    built = []
+    for k in range(count):
+        d, n = (2, 4)[k % 2], 1 + k % 5
+        ops = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        built.append(Channel(sum(np.kron(op.conj(), op) for op in ops)))
+    return built
+
+
+def _random_non_cp_channels(seed, count):
+    """Hermiticity-preserving maps whose Choi matrix is a random indefinite Hermitian."""
+    rng = np.random.default_rng(seed)
+    built = []
+    for k in range(count):
+        d = (2, 4)[k % 2]
+        g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        built.append(_channel_of_choi((g + g.conj().T) / 2.0))
+    return built
+
+
+def _choi_with_lambda_min(d, lam, seed):
+    """A Choi matrix of dimension d^2 with eigenvalues lam, then values in [0.05, 1]."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+    u, _ = np.linalg.qr(g)
+    w = np.concatenate([[lam], rng.uniform(0.05, 1.0, d * d - 1)])
+    return _channel_of_choi((u * w) @ u.conj().T)
+
+
+BOUNDARY_OFFSETS = {"-1e-6": -1e-6, "-1e-12": -1e-12, "+1e-12": 1e-12, "+1e-6": 1e-6}
+
+
+def _certificate_cases():
+    cases = {f"factory-{name}": factory for name, factory in CHANNEL_FACTORIES.items()}
+    cases.update(spa_transpose=spa_transpose, spa_inversion=spa_inversion, depolarize=depolarize, raw_partial_transpose=partial_transpose_channel)
+    cases.update({f"replace-{d}": (lambda d=d: replace_channel(d)) for d in range(1, 5)})
+    cases.update({f"kraus-{k}": (lambda ch=ch: ch) for k, ch in enumerate(_random_kraus_channels(61, 10))})
+    cases.update({f"non-cp-{k}": (lambda ch=ch: ch) for k, ch in enumerate(_random_non_cp_channels(62, 10))})
+    for d in (2, 4):
+        for name, offset in BOUNDARY_OFFSETS.items():
+            cases[f"boundary-dim{d}-{name}"] = lambda d=d, offset=offset: _choi_with_lambda_min(d, -PSD_TOL + offset, 63 + d)
+    return cases
+
+
+CERTIFICATE_CASES = _certificate_cases()
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_CASES))
+def test_is_cp_is_the_eigh_verdict_on_the_choi_matrix(name):
+    ch = CERTIFICATE_CASES[name]()
+    lam = herm_eig(choi(ch).mat).values[0]
+    assert is_cp(ch) is bool(lam >= -PSD_TOL)
+    if name.startswith("boundary"):
+        # every boundary sits 1e-12 or more from -PSD_TOL, far above the rounding of either solve
+        assert abs(lam + PSD_TOL) > 0.9e-12
+        assert is_cp(ch) is name.endswith(("+1e-12", "+1e-6"))
+    elif name.startswith(("factory", "spa", "depolarize", "replace", "kraus")):
+        assert is_cp(ch)
+    else:
+        assert not is_cp(ch)
+
+
+def test_a_channel_forms_its_choi_matrix_once_and_each_build_its_own():
+    ch = spa_pt()
+    assert choi(ch) is choi(ch) is ch.choi
+    for factory in [*CHANNEL_FACTORIES.values(), spa_transpose, spa_inversion, depolarize]:
+        first, second = factory(), factory()
+        assert choi(first) is not choi(second)
+        assert np.array_equal(choi(first).mat, choi(second).mat)
+
+
+def test_is_cp_after_choi_builds_no_second_choi_matrix(monkeypatch):
+    built, check = [], ChoiMatrix.__post_init__
+    monkeypatch.setattr(ChoiMatrix, "__post_init__", lambda self: built.append(self) or check(self))
+    for factory in CHANNEL_FACTORIES.values():
+        ch = factory()
+        before = len(built)
+        held = choi(ch)
+        assert is_cp(ch) and is_tp(ch)
+        assert choi(ch) is held
+        assert len(built) - before == 1
+    assert is_cp(spa_pt()) and len(built) == len(CHANNEL_FACTORIES) + 1
+
+
+def test_is_cp_decides_with_one_values_only_solve(monkeypatch):
+    calls = []
+
+    def counting(name):
+        solve = getattr(linalg, name)
+        return lambda a, **kwargs: calls.append(name) or solve(a, **kwargs)
+
+    for name in ("_eigh", "_eigvalsh"):
+        monkeypatch.setattr(linalg, name, counting(name))
+    ch = spa_pt()
+    assert is_cp(ch) and is_cp(ch)
+    assert calls == ["_eigvalsh", "_eigvalsh"]
+
+
+def test_a_failed_values_only_solve_is_a_numeric_error(monkeypatch):
+    # as for eigh: LAPACK given NaN sets the invalid flag, an error under
+    # pytest, and with the flag ignored its NaN eigenvalues are caught
+    eigvalsh = linalg._eigvalsh
+    monkeypatch.setattr(linalg, "_eigvalsh", lambda a, **kwargs: eigvalsh(np.full_like(a, np.nan), **kwargs))
+    with pytest.raises(NumericError, match="^eigh did not converge: invalid value"):
+        is_cp(spa_pt())
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="^eigh did not converge: LAPACK returned NaN eigenvalues$"):
+        is_cp(spa_pt())
+
+
+def test_the_values_only_solve_guards_the_dimension_as_eigh_does():
+    eye = np.eye(5)
+    for bad in (Channel(np.eye(25)), Channel(np.outer(vec(eye / 5.0), vec(eye)))):
+        assert choi(bad).mat.shape == (25, 25)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="^dimension 25 exceeds the supported maximum 16$"):
+                is_cp(bad)
+
+
+def test_a_choi_matrix_that_fails_the_gate_raises_on_every_call():
+    s = np.eye(16, dtype=complex)
+    s[9, 9] = 1.001  # the map scales one output entry and not its mirror
+    ch = Channel(s)
+    for check in (choi, is_cp, choi, is_cp):
+        with pytest.raises(ValidationError, match="^Choi matrix is not Hermitian"):
+            check(ch)
+    assert "choi" not in vars(ch)
+
+
+def test_is_tp_reads_one_read_only_identity_row_per_dimension():
+    row = channels._identity_row(4)
+    assert channels._identity_row(4) is row and np.array_equal(row, vec(np.eye(4)))
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 2.0
+    assert is_tp(spa_pt()) and is_tp(spa_transpose())
+    s = np.eye(16, dtype=complex)
+    s[0, 0] = 1.0 + 2e-9  # |0><0| -> (1 + 2e-9) |0><0|: off trace preservation by twice the tolerance
+    assert not is_tp(Channel(s))
+    s[0, 0] = 1.0 + 0.5e-9
+    assert is_tp(Channel(s))

@@ -9,7 +9,10 @@ test can observe, and as a survivor otherwise.
 
     python tools/mutants.py                 # every mutant, about 5-10 minutes
     python tools/mutants.py tangle-sign     # only the named mutants
+    python tools/mutants.py --module channels.py   # only that module's mutants
     python tools/mutants.py --list          # names and substitutions, no run
+
+``--module`` combines with names: only the named mutants of that module run.
 
 The exit status is 0 when no mutant survives and 1 otherwise, or when the
 text of a mutant no longer occurs exactly once in its module.  Tier-1 runs
@@ -116,6 +119,15 @@ MUTANTS = (
         "np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)", "(v.real * v.real).sum(-1) + (v.imag * v.imag).sum(-1)",
     ),
     Mutant("random-state-components-reversed", "states.py", "for k in range(n_components):", "for k in reversed(range(n_components)):"),
+    # the certificates read once per channel, the values-only solve, and f_hat off the ideal span
+    Mutant("is-cp-threshold", "channels.py", "gated_eigvals(channel.choi.mat)[0] >= -PSD_TOL", "gated_eigvals(channel.choi.mat)[0] >= PSD_TOL"),
+    Mutant("tp-row-writable", "channels.py", "return _read_only(vec(np.eye(dim)))", "return vec(np.eye(dim))"),
+    Mutant("eigvals-nan-dropped", "linalg.py", "if count_nonzero(w != w):", "if vectors and count_nonzero(w != w):"),
+    Mutant(
+        "f-hat-map-off-span", "detection.py", "f_map = np.array(rows).reshape(20, 16)",
+        # a direction no ideal table has a component along: sum(q + r) - sum(p[0] + p[1]) is 1 - 1
+        "f_map = np.array(rows).reshape(20, 16) + 0.05 * np.outer(np.r_[-np.ones(8), np.zeros(8), np.ones(4)], np.diag([1.0, -1.0, -1.0, 1.0]).ravel())",
+    ),
 )
 
 
@@ -137,12 +149,17 @@ def _tier1(copy: Path) -> tuple[bool, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="run only these mutants (default: all)")
+    parser.add_argument("--module", help="run only the mutants of this module of src/spapt, such as channels.py")
     parser.add_argument("--list", action="store_true", help="print the mutants and exit")
     args = parser.parse_args(argv)
     unknown = set(args.names) - {m.name for m in MUTANTS}
     if unknown:
         parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-    mutants = [m for m in MUTANTS if not args.names or m.name in args.names]
+    if args.module and args.module not in {m.module for m in MUTANTS}:
+        parser.error(f"no mutants in module {args.module}")
+    mutants = [m for m in MUTANTS if (not args.names or m.name in args.names) and (not args.module or m.module == args.module)]
+    if not mutants:
+        parser.error(f"none of the named mutants is in module {args.module}")
     if args.list:
         for m in mutants:
             print(f"{m.name:36} {m.module}: {m.old!r} -> {m.new!r}")
