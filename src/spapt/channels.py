@@ -108,6 +108,7 @@ class Channel:
 
     mat: np.ndarray
     instrument: Instrument | None = field(default=None, init=False)
+    _choi = None  # the gated Choi matrix, set on the first use of choi: a plain per-instance memo, not a dataclass field
 
     def __post_init__(self) -> None:
         m = as_numeric(self.mat, complex, "superoperator")
@@ -134,12 +135,14 @@ class Channel:
             raise ValidationError(f"operator shape {a.shape} does not match channel input dim {dim}")
         return unvec((self.mat @ vec(a)[..., None])[..., 0], dim)
 
-    @cached_property
+    @property
     def choi(self) -> ChoiMatrix:
         """Choi matrix (Lambda (x) id)[|Omega><Omega|], |Omega> normalized, formed and gated on first use (a failed
         gate raises at every use): entry [(i, k), (j, l)] is Lambda(|k><l|)[i, j] / dim, a superoperator reshuffle."""
-        d = self.dim
-        return ChoiMatrix(self.mat.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d)
+        if self._choi is None:
+            d = self.dim
+            object.__setattr__(self, "_choi", ChoiMatrix(self.mat.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d))
+        return self._choi
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

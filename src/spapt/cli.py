@@ -231,43 +231,41 @@ def _cmd_detect(args: argparse.Namespace, cfg: ShotConfig) -> int:
     return _report(args, cfg, [row], method=args.method, state=args.state)
 
 
-def _cmd_table1(args: argparse.Namespace, cfg: ShotConfig) -> int:
-    # each column is one call on the stack of Bell states; lambda_exp is the experiment's estimate:
-    # trajectory runs, sampled state tomography of the output, physicality projection, then the spectrum
+# table1 and fig3 each run on one stack of states, built once per process with its columns that
+# depend on neither seed nor shots, all read-only; later runs draw from the kept stack's memo
+@functools.cache
+def _bell_sweep() -> tuple[DensityMatrix, tuple[float, ...]]:
     states = bell(BELL_KINDS)
-    lambda_exp = min_eigenvalue(project_to_physical(qst_linear_inversion(sample_pauli_expectations(trajectory_spa_pt(states, cfg), cfg))))
-    columns = zip(BELL_KINDS, detect(states, "spa_spectrum").lambda_min, lambda_exp, detect(sample_table(states, cfg), "f_hat").lambda_min)
-    rows = [
-        {"state": kind, "lambda_th": float(th), "lambda_exp": float(exp), "lambda_d": float(d), "shots": cfg.shots_per_setting}
-        for kind, th, exp, d in columns
-    ]
-    return _report(args, cfg, rows)
+    return states, tuple(detect(states, "spa_spectrum").lambda_min.tolist())
 
 
-def _cmd_fig3(args: argparse.Namespace, cfg: ShotConfig) -> int:
-    # the sweep is one stack of states, and each column one call on it
+@functools.cache
+def _fig3_sweep() -> tuple[DensityMatrix, tuple[tuple[Any, ...], ...]]:
+    """The sweep stack and per state its family, p, alpha, tangle, linear entropy, lambda_th, ideal lambda_d and verdict."""
     grid = [round(0.05 * k, 10) for k in range(21)]
     labels = [("rho_family", p, alpha) for p, alpha in NINE_STATE_PARAMS] + [(family, p, None) for family in ("werner", "mems") for p in grid]
     p, alpha = np.array(NINE_STATE_PARAMS).T
     states = DensityMatrix.concatenate([rho_family(p, alpha), werner(grid), mems(grid)])
-    spa, ideal, sampled = detect(states, "spa_spectrum"), detect(ideal_probabilities(states), "f_hat"), detect(sample_table(states, cfg), "f_hat")
-    columns = zip(tangle(states), linear_entropy(states), spa.lambda_min, ideal.lambda_min, sampled.lambda_min, spa.verdict)
-    rows = [
-        {
-            "family": family,
-            "p": p,
-            "alpha": alpha,
-            "tangle": float(tangle),
-            "linear_entropy": float(entropy),
-            "lambda_th": float(th),
-            "lambda_d_ideal": float(ideal),
-            "lambda_d_sampled": float(sampled),
-            "verdict": str(verdict),
-            "shots": cfg.shots_per_setting,
-        }
-        for (family, p, alpha), (tangle, entropy, th, ideal, sampled, verdict) in zip(labels, columns)
-    ]
+    spa, ideal = detect(states, "spa_spectrum"), detect(ideal_probabilities(states), "f_hat")
+    columns = zip(tangle(states).tolist(), linear_entropy(states).tolist(), spa.lambda_min.tolist(), ideal.lambda_min.tolist(), spa.verdict.tolist())
+    return states, tuple(label + column for label, column in zip(labels, columns))
+
+
+def _cmd_table1(args: argparse.Namespace, cfg: ShotConfig) -> int:
+    # lambda_exp is the experiment's estimate: trajectory runs, sampled state tomography of the
+    # output, physicality projection, then the spectrum
+    states, lambda_th = _bell_sweep()
+    lambda_exp = min_eigenvalue(project_to_physical(qst_linear_inversion(sample_pauli_expectations(trajectory_spa_pt(states, cfg), cfg))))
+    columns = zip(BELL_KINDS, lambda_th, lambda_exp.tolist(), detect(sample_table(states, cfg), "f_hat").lambda_min.tolist())
+    rows = [{"state": kind, "lambda_th": th, "lambda_exp": exp, "lambda_d": d, "shots": cfg.shots_per_setting} for kind, th, exp, d in columns]
     return _report(args, cfg, rows)
+
+
+def _cmd_fig3(args: argparse.Namespace, cfg: ShotConfig) -> int:
+    sweep, fixed = _fig3_sweep()
+    sampled = detect(sample_table(sweep, cfg), "f_hat").lambda_min.tolist()
+    keys = ("family", "p", "alpha", "tangle", "linear_entropy", "lambda_th", "lambda_d_ideal", "lambda_d_sampled", "verdict", "shots")
+    return _report(args, cfg, [dict(zip(keys, (*row[:-1], d, row[-1], cfg.shots_per_setting))) for row, d in zip(fixed, sampled)])
 
 
 def _cmd_selftest(args: argparse.Namespace, cfg: ShotConfig) -> int:

@@ -6,7 +6,8 @@ or loading fails with a diagnostic naming the violated invariant.  Reports
 are emitted as JSON (full envelope with the run configuration) or CSV
 (header row, comma separated, UTF-8, LF line endings); numeric values are
 formatted with 12 significant digits in both encodings so the two agree
-exactly.
+exactly.  One emitter writes the JSON of reports and state files: the bytes
+of ``json.dumps(indent=2)``, from json's C encoder.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ def round12(x: float) -> float:
 
 
 def state_payload(rho: DensityMatrix, metadata: dict[str, Any]) -> dict[str, Any]:
-    """JSON-ready document for the state file of a single state; a stack is refused."""
+    """JSON-ready document for the state file of a single state, whose writer rounds each entry as :func:`round12` does; a stack is refused."""
     require_single("state_payload", rho)
     return {
         "dim": rho.dim,
-        "re": [[round12(v) for v in row] for row in np.real(rho.mat).tolist()],
-        "im": [[round12(v) for v in row] for row in np.imag(rho.mat).tolist()],
+        "re": np.real(rho.mat).tolist(),
+        "im": np.imag(rho.mat).tolist(),
         "metadata": {k: str(v) for k, v in metadata.items()},
     }
 
@@ -68,7 +69,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def save_state(rho: DensityMatrix, metadata: dict[str, Any], out: str | None) -> None:
-    _write_text(json.dumps(state_payload(rho, metadata), indent=2), out)
+    _write_text(_json(state_payload(rho, metadata)), out)
 
 
 def load_state(path: str) -> tuple[DensityMatrix, dict[str, Any]]:
@@ -105,14 +106,32 @@ def load_state(path: str) -> tuple[DensityMatrix, dict[str, Any]]:
     return rho, metadata
 
 
-def _rounded(value: Any) -> Any:
-    """A report with every float rounded to 12 significant digits; a report holds
-    dicts, lists, floats, ints, strings and None."""
+def _scalars(value: Any) -> Any:
+    """A dict or list with each float rounded as :func:`round12` rounds it, or None when it holds a container."""
     if isinstance(value, dict):
-        return {k: _rounded(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_rounded(v) for v in value]
-    return round12(value) if isinstance(value, float) else value
+        flat = {k: round12(v) if isinstance(v, float) else v for k, v in value.items() if not isinstance(v, (dict, list))}
+    else:
+        flat = [round12(v) if isinstance(v, float) else v for v in value if not isinstance(v, (dict, list))]
+    return flat if len(flat) == len(value) else None
+
+
+def _json(value: Any, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` of a dict or list with floats rounded as :func:`round12` rounds them (a key as json
+    writes it), its closing bracket after ``pad``.  A container of scalars, or a list of non-empty ones of one kind, is one call of json's
+    C encoder whose item separator carries newline and indent: it escapes newlines in strings, so each it writes is a separator."""
+    inner = pad + "  "
+    flat = _scalars(value)
+    if flat is not None:
+        text = json.dumps(flat, separators=("," + inner, ": "))
+        return text if len(text) == 2 else text[0] + inner + text[1:-1] + pad + text[-1]
+    rows = [_scalars(v) if v and isinstance(v, (dict, list)) else None for v in value] if isinstance(value, list) else [None]
+    if None not in rows and len({type(row) for row in rows}) == 1:  # non-empty rows, all dicts or all lists
+        (start, end), row_pad = "{}" if isinstance(rows[0], dict) else "[]", inner + "  "
+        text = json.dumps(rows, separators=("," + row_pad, ": ")).replace(end + "," + row_pad + start, inner + end + "," + inner + start + row_pad)
+        return "[" + inner + start + row_pad + text[2:-2] + inner + end + pad + "]"
+    keyed = isinstance(value, dict)
+    items = [(json.dumps({k: 0})[1:-2] if keyed else "") + (_json(v, inner) if isinstance(v, (dict, list)) else json.dumps(_scalars([v])[0])) for k, v in (value.items() if keyed else enumerate(value))]
+    return "{["[not keyed] + inner + ("," + inner).join(items) + pad + "}]"[not keyed]
 
 
 def render_report(report: dict[str, Any], output_format: str) -> str:
@@ -123,7 +142,7 @@ def render_report(report: dict[str, Any], output_format: str) -> str:
     only; the configuration is echoed inside each row by the commands.
     """
     if output_format == "json":
-        return json.dumps(_rounded(report), indent=2)
+        return _json(report)
     if output_format != "csv":
         raise ValidationError(f"unknown output format {output_format!r}; expected json or csv")
     rows = report["rows"]

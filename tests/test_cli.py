@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from spapt import linalg, selftest
 from spapt.cli import CHANNEL_FACTORIES, build_parser, main
-from spapt.io import load_state, round12
+from spapt.io import load_state, render_report, round12
 from spapt.linalg import ValidationError
 from spapt.selftest import _suite_sampled_detection_stability
 from spapt.states import NINE_STATE_PARAMS, DensityMatrix
@@ -460,6 +460,31 @@ def test_csv_and_json_carry_identical_numbers(tmp_path, bell_file, argv):
                 assert crow[key] == ""
             else:
                 assert str(value) == crow[key]
+
+
+def _rounded(value):
+    """The reference rounding of a report: every float to 12 significant digits, at any depth."""
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    return round12(value) if isinstance(value, float) else value
+
+
+_TEXT = st.text(st.sampled_from(list('ab \n\t\r"\\{}[],:') + ["é", "ü", "€", "\u2028", "😀"]) | st.characters(), max_size=6)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | _TEXT | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 1e16, -2.5e17, 1.234567890123456e300, 9.999e-5, 1e-7, 5e-324]
+)
+_KEYS = _TEXT | st.integers() | st.floats() | st.booleans() | st.none()  # json writes each as a string
+# lists of non-empty containers of scalars, all dicts or all lists, as report rows and state file matrices are
+_FLAT_ROWS = st.lists(st.dictionaries(_KEYS, _SCALARS, min_size=1, max_size=5), max_size=4) | st.lists(st.lists(_SCALARS, min_size=1, max_size=4), max_size=4)
+_VALUES = st.recursive(_SCALARS | _FLAT_ROWS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=4), max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(_VALUES, max_size=4) | st.dictionaries(_KEYS, _VALUES, max_size=4) | _FLAT_ROWS)
+def test_json_reports_are_the_bytes_of_indented_json_dumps(value):
+    assert render_report(value, "json") == json.dumps(_rounded(value), indent=2)
 
 
 def test_csv_uses_lf_line_endings(tmp_path):

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from spapt import cli
 from spapt.cli import CHANNEL_FACTORIES, DETECTORS, main
 
 DIGEST_FILE = Path(__file__).resolve().with_name("report_digests.json")
@@ -92,10 +93,39 @@ def test_table1_and_fig3_digests_hold_under_one_and_two_blas_threads():
         )
         for threads in ("1", "2")
     }
+    # both children are read before any assertion, and none outlives the test, so a mismatch
+    # fails here and leaves no running child to fail a later test
+    try:
+        outs = {threads: run.communicate(timeout=60)[0] for threads, run in runs.items()}
+    finally:
+        for run in runs.values():
+            if run.poll() is None:
+                run.kill()
+                run.communicate()
     for threads, run in runs.items():
-        out, _ = run.communicate(timeout=60)
         assert run.returncode == 0, threads
-        assert json.loads(out) == {key: REPORT_DIGESTS[key] for key in keys}, threads
+        assert json.loads(outs[threads]) == {key: REPORT_DIGESTS[key] for key in keys}, threads
+
+
+def test_warm_table1_and_fig3_write_the_bytes_of_a_cold_run(tmp_path, monkeypatch):
+    # the two sweeps are built once per process: runs on the kept stacks, whose sampler memo an
+    # earlier run filled, write what runs after clearing them write
+    monkeypatch.chdir(tmp_path)
+
+    def run(command, seed, shots):
+        assert main([command, "--seed", str(seed), "--shots", str(shots), "--out", "report.out"]) == 0
+        return Path("report.out").read_bytes()
+
+    runs = [(command, seed, shots) for command in ("fig3", "table1") for seed, shots in ((42, 100000), (7, 300))]
+    for command in ("fig3", "table1"):
+        run(command, 5, 1000)
+    warm = [run(*args) for args in runs]
+    cold = []
+    for args in runs:
+        cli._fig3_sweep.cache_clear()
+        cli._bell_sweep.cache_clear()
+        cold.append(run(*args))
+    assert warm == cold
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import io
 import numpy as np
 import pytest
 
-from spapt import linalg
+from spapt import cli, linalg
 from spapt.channels import apply, spa_pt
 from spapt.cli import main
 from spapt.detection import detect
@@ -114,7 +114,9 @@ def _apply_exact(path):
         assert main(["apply", "--state", path, "--channel", "spa_pt", "--mode", "exact"]) == 0
 
 
-def _fig3(shots):
+def _fig3(shots, cold=False):
+    if cold:
+        cli._fig3_sweep.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["fig3", "--shots", str(shots)]) == 0
 
@@ -128,12 +130,14 @@ def _fig3(shots):
         (lambda rho, path: fidelity(rho, rho), 1),
         (lambda rho, path: min_eigenvalue(rho), 0),
         (lambda rho, path: _apply_exact(path), 2),
-        # one stacked solve each: the three family stacks, tangle, spa_spectrum, ideal
-        # and sampled f_hat; the sweep stack joins the family stacks' stored spectra
-        (lambda rho, path: _fig3(1000), 7),
-        (lambda rho, path: _fig3(100000), 7),
+        # a warm fig3 solves only the sampled f_hat; the sweep and its fixed columns are kept
+        (lambda rho, path: _fig3(1000), 1),
+        (lambda rho, path: _fig3(100000), 1),
+        # a cold one adds one stacked solve each for the three family stacks, tangle, spa_spectrum and
+        # the ideal f_hat; the sweep stack joins the family stacks' stored spectra
+        (lambda rho, path: _fig3(1000, cold=True), 7),
     ],
-    ids=["DensityMatrix", "detect_spa_spectrum", "tangle", "fidelity", "min_eigenvalue", "cli_apply_exact", "cli_fig3", "cli_fig3_more_shots"],
+    ids=["DensityMatrix", "detect_spa_spectrum", "tangle", "fidelity", "min_eigenvalue", "cli_apply_exact", "cli_fig3", "cli_fig3_more_shots", "cli_fig3_cold"],
 )
 def test_eigensolves_per_call(tmp_path, eigh_calls, call, solves):
     rho = rho_family(0.12, 0.71)

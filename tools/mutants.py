@@ -69,7 +69,7 @@ MUTANTS = (
     Mutant("bell-spread-bound", "selftest.py", "lams_th.max() - lams_th.min() <= EXACT_BOUND", "lams_th.max() - lams_th.min() <= 1e-6"),
     # report bytes
     Mutant("fmt12-11-digits", "io.py", '".12g"', '".11g"'),
-    Mutant("report-indent", "io.py", "json.dumps(_rounded(report), indent=2)", "json.dumps(_rounded(report), indent=1)"),
+    Mutant("report-indent", "io.py", 'inner = pad + "  "', 'inner = pad + " "'),
     # formulas that agree on real states
     Mutant("linear-entropy-conjugate", "states.py", "(rho.mat @ rho.mat)", "(rho.mat @ rho.mat.conj())"),
     # weakened checks
@@ -127,6 +127,12 @@ MUTANTS = (
         "f-hat-map-off-span", "detection.py", "f_map = np.array(rows).reshape(20, 16)",
         # a direction no ideal table has a component along: sum(q + r) - sum(p[0] + p[1]) is 1 - 1
         "f_map = np.array(rows).reshape(20, 16) + 0.05 * np.outer(np.r_[-np.ones(8), np.zeros(8), np.ones(4)], np.diag([1.0, -1.0, -1.0, 1.0]).ravel())",
+    ),
+    # the JSON emitter and the sweeps kept per process
+    Mutant("emitter-separator-shallow", "io.py", 'json.dumps(flat, separators=("," + inner, ": "))', 'json.dumps(flat, separators=("," + pad, ": "))'),
+    Mutant(
+        "sweep-keeps-first-sampled", "cli.py", 'sampled = detect(sample_table(sweep, cfg), "f_hat").lambda_min.tolist()',
+        'sampled = _fig3_sweep.__dict__.setdefault("sampled", detect(sample_table(sweep, cfg), "f_hat").lambda_min.tolist())',
     ),
 )
 
