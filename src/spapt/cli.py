@@ -53,7 +53,6 @@ from .tomography import (
 )
 from .detection import detect
 from .io import load_state, save_state, write_report
-from .selftest import run_all
 
 __all__ = ["main", "build_parser", "CHANNEL_FACTORIES"]
 
@@ -269,18 +268,39 @@ def _cmd_fig3(args: argparse.Namespace, cfg: ShotConfig) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace, cfg: ShotConfig) -> int:
+    # imported here, so that every other command's process skips the suites' import (2-4 ms)
+    from .selftest import run_all
+
     return 0 if run_all(cfg.seed) else 3
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on the first call of main, not at import, and reused: parsing
-    # leaves no state in the parser, and building it costs more than most commands
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # the parser and its subcommands' parsers by name, built on the first call of main, not
+    # at import, and reused: parsing leaves no state in them, and building costs more than most commands
+    parser = build_parser()
+    (commands,) = (action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return parser, commands
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with one parse instead of two when
+    ``argv[0]`` names a subcommand: the top-level parse would classify every
+    token, then hand all but the first to that subcommand's parser."""
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parse refuses a token that starts with "--=" as ambiguous
+    # between --help and --version before the subcommand's parser sees it
+    if not argv or argv[0] not in commands or "--=" in " ".join(argv):
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         # every command but prepare samples: its shots and seed are checked before any work
         cfg = None if args.command == "prepare" else ShotConfig(args.shots, args.seed)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spapt import linalg, selftest
+from spapt import cli, linalg, selftest
 from spapt.cli import CHANNEL_FACTORIES, build_parser, main
 from spapt.io import load_state, render_report, round12
 from spapt.linalg import ValidationError
@@ -357,6 +357,88 @@ def test_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, bell_
     assert len(calls) >= 20
     assert len(built) <= 1
     assert build_parser() is not build_parser()
+
+
+def _parse_outcome(parse, argv):
+    """What ``parse(argv)`` returns or exits with, and what it prints."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = ("namespace", parse(list(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_dispatch_is_the_nested_parse(argv):
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(build_parser().parse_args, argv)
+
+
+DISPATCH_EDGE_CASES = {
+    "opt-equals-value": ["apply", "--state=x.json", "--channel=spa_pt", "--mode=trajectory"],
+    "abbreviation": ["detect", "--sta", "x.json", "--meth", "ppt"],
+    "ambiguous-abbreviation": ["apply", "--sta", "x.json", "--channel", "spa_pt"],
+    "double-dash-after": ["detect", "--state", "x.json", "--method", "ppt", "--", "extra"],
+    "double-dash-first": ["detect", "--", "--state", "x.json", "--method", "ppt"],
+    "subcommand-short-help": ["apply", "-h"],
+    "subcommand-long-help": ["detect", "--state", "x.json", "--help"],
+    "bad-choice": ["detect", "--state", "x.json", "--method", "bogus"],
+    "bad-int": ["detect", "--state", "x.json", "--method", "ppt", "--shots", "ten"],
+    "unknown-option": ["detect", "--state", "x.json", "--method", "ppt", "--bogus"],
+    "extra-positional": ["fig3", "extra"],
+    "repeated-option": ["detect", "--state", "a.json", "--state", "b.json", "--method", "ppt"],
+    "empty": [],
+    "version": ["--version"],
+    "top-level-help": ["-h"],
+    "unknown-command": ["bogus", "--state", "x.json"],
+    "abbreviated-command": ["appl", "--state", "x.json", "--channel", "spa_pt"],
+    "missing-positional": ["prepare"],
+    "missing-required-option": ["apply", "--state", "x.json"],
+    "negative-numbers": ["table1", "--seed", "-5", "--shots=-1"],
+    "option-without-value": ["prepare", "werner", "--out", "s.json", "--p"],
+    "top-level-option-after-command": ["fig3", "--version"],
+    "ambiguous-with-every-long-option": ["detect", "--state", "x.json", "--method", "ppt", "--=x"],
+    "option-of-another-command": ["selftest", "--shots", "5"],
+    "unknown-short-option": ["table1", "-x", "--out", "t.json"],
+    "empty-token": ["prepare", "", "--kind", "phi+"],
+    "prepare": ["prepare", "bell", "--kind", "phi+", "--out", "s.json"],
+    "apply": ["apply", "--state", "x.json", "--channel", "identity", "--state-out", "o.json", "--format", "csv"],
+    "detect": ["detect", "--state", "x.json", "--method", "f_hat_sampled", "--shots", "100", "--seed", "7"],
+    "table1": ["table1", "--shots", "100", "--seed", "7", "--out", "t.json"],
+    "fig3": ["fig3", "--format", "csv"],
+    "selftest": ["selftest", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", DISPATCH_EDGE_CASES.values(), ids=DISPATCH_EDGE_CASES.keys())
+def test_the_dispatch_parses_prints_and_exits_as_the_nested_parse(argv):
+    _assert_dispatch_is_the_nested_parse(argv)
+
+
+def _dispatch_argv():
+    """Argv lists built from the parser's own option strings and values, with
+    stray tokens: a valid command line with tokens spliced in, or a first
+    token followed by tokens."""
+    _, commands = cli._parser()
+    actions = [action for sub in commands.values() for action in sub._actions]
+    options = sorted({option for action in actions for option in action.option_strings})
+    values = sorted({str(choice) for action in actions for choice in action.choices or ()} | {"0", "-1", "2.5", "ten", "x.json"})
+    stray = ["--", "-", "", "--bogus", "-x", "-hx", "--=x", "extra", "--version", *commands]
+    prefixes = [option[:k] for option in options if option.startswith("--") for k in range(3, len(option))]
+    joined = st.builds("{}={}".format, st.sampled_from(options), st.sampled_from(values))
+    token = st.sampled_from(options) | st.sampled_from(values) | st.sampled_from(stray) | st.sampled_from(prefixes) | joined
+    pair = st.tuples(st.sampled_from(options), st.sampled_from(values))
+    tokens = st.lists(pair | st.tuples(token), max_size=5).map(lambda pieces: [t for piece in pieces for t in piece])
+    valid = st.sampled_from([DISPATCH_EDGE_CASES[name] for name in commands])
+    spliced = st.builds(lambda argv, extra, k: argv[:k] + extra + argv[k:], valid, tokens, st.integers(1, 12))
+    first = st.sampled_from([*commands, "--version", "-h", "bogus", "appl"])
+    return spliced | st.builds(lambda head, rest: [head, *rest], first, tokens)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.deferred(_dispatch_argv))
+def test_any_argv_of_the_parsers_own_tokens_dispatches_as_the_nested_parse(argv):
+    _assert_dispatch_is_the_nested_parse(argv)
 
 
 JSON_VALUES = st.recursive(

@@ -116,3 +116,17 @@ assert "numpy.random" in sys.modules, "sampling did not import numpy.random: the
 def test_only_sampling_imports_numpy_random():
     # numpy.random costs 15-19 ms to import, which a process that never samples does not pay
     _run_fresh(ONLY_SAMPLING_IMPORTS_NUMPY_RANDOM)
+
+
+ONLY_SELFTEST_IMPORTS_THE_SUITES = """
+import contextlib, io, sys
+from spapt.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["prepare", "bell", "--kind", "phi+"]) == 0
+assert "spapt.cli" in sys.modules and "spapt.selftest" not in sys.modules, "prepare imported spapt.selftest"
+"""
+
+
+def test_only_the_selftest_command_imports_the_suites():
+    # the suites cost 2-4 ms of every import of spapt.cli, which no other command uses
+    _run_fresh(ONLY_SELFTEST_IMPORTS_THE_SUITES)

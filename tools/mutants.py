@@ -134,6 +134,10 @@ MUTANTS = (
         "sweep-keeps-first-sampled", "cli.py", 'sampled = detect(sample_table(sweep, cfg), "f_hat").lambda_min.tolist()',
         'sampled = _fig3_sweep.__dict__.setdefault("sampled", detect(sample_table(sweep, cfg), "f_hat").lambda_min.tolist())',
     ),
+    # the one-parse dispatch to a subcommand's parser
+    Mutant("dispatch-extras-accepted", "cli.py", "    if extras:\n        parser.error(", "    if False:\n        parser.error("),
+    Mutant("dispatch-whole-argv", "cli.py", "parse_known_args(argv[1:], ", "parse_known_args(argv, "),
+    Mutant("dispatch-ambiguity-unguarded", "cli.py", ' or "--=" in " ".join(argv)', ""),
 )
 
 
