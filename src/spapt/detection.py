@@ -65,7 +65,7 @@ METHODS = ("ppt", "spa_spectrum", "f_hat")
 
 @dataclass(frozen=True, eq=False)
 class FHatOperator:
-    """Hermitian 4x4 operator reconstructed from a probability table, or an ``(N, 4, 4)`` stack."""
+    """Hermitian 4x4 operator from a probability table, or an ``(N, 4, 4)`` stack; a matrix given here passes the gate."""
 
     mat: np.ndarray
 
@@ -113,16 +113,6 @@ def _f_hat_map() -> np.ndarray:
 _F_HAT_MAP = _f_hat_map()
 
 
-def _f_hat_matrices(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The f_hat matrix of one table, or of each table of a stack, Hermitian
-    up to rounding: its Hermitian part is the operator.  Each table vector is
-    its own (1, 20) row times the map, so a stack equals its tables one by
-    one bit for bit; an (N, 20) matrix product would sum in another order."""
-    lead = p.shape[:-2]
-    rows = np.concatenate([p.reshape(lead + (16,)), q + r], axis=-1)[..., None, :]
-    return (rows @ _F_HAT_MAP).reshape(lead + (4, 4))
-
-
 def f_hat(table: ProbabilityTable) -> FHatOperator:
     """Assemble the detection operator from measured probabilities, one per table of a stack.
 
@@ -133,9 +123,17 @@ def f_hat(table: ProbabilityTable) -> FHatOperator:
     with a fixed map read from :data:`SPA_PT_INSTRUMENT`.  The whole map is
     linear in the table, and on exact Born probabilities it equals the
     output of the approximated partial transpose.
+
+    A table vector is its own (1, 20) row times the map, so each entry of a stack is its table's alone bit for bit.
+    A validated table is finite and bounded, so the product's Hermitian part is stored with no second gate.
     """
-    mat = _f_hat_matrices(table.p, table.q, table.r)
-    return FHatOperator(mat)
+    lead = table.p.shape[:-2]
+    rows = np.concatenate([table.p.reshape(lead + (16,)), table.q + table.r], axis=-1)[..., None, :]
+    mat = hermitian_part((rows @ _F_HAT_MAP).reshape(lead + (4, 4)))
+    mat.setflags(write=False)
+    operator = object.__new__(FHatOperator)
+    object.__setattr__(operator, "mat", mat)
+    return operator
 
 
 def lambda_min_d(operator: FHatOperator) -> float | np.ndarray:
@@ -241,8 +239,7 @@ def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVe
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "f_hat" and isinstance(target, ProbabilityTable):
-        # a validated table is finite and bounded, so no gate: its Hermitian part is f_hat(table).mat to the bit
-        lams = gated_eig(hermitian_part(_f_hat_matrices(target.p, target.q, target.r))).values[..., 0]
+        lams = gated_eig(f_hat(target).mat).values[..., 0]
         threshold, shots = SPA_THRESHOLD, target.shots_per_setting
     elif not isinstance(target, DensityMatrix):
         raise ValidationError("f_hat needs a DensityMatrix or a ProbabilityTable" if method == "f_hat" else f"method {method!r} needs a DensityMatrix")

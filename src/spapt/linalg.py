@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero  # the C function np.count_nonzero wraps, without its dispatch (0.5 us a call)
 from numpy.linalg import _umath_linalg
 
 __all__ = [
@@ -84,10 +85,6 @@ _MAX_DIM = 16
 #: the gufuncs ``numpy.linalg.eigh`` and ``eigvalsh`` wrap: bit for bit their results
 #: on complex input, without their per-call conversions and ``errstate`` block
 _eigh, _eigvalsh = _umath_linalg.eigh_lo, _umath_linalg.eigvalsh_lo
-try:  # the C function np.count_nonzero wraps, without its dispatch (0.5 us a call)
-    from numpy._core.multiarray import count_nonzero
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import count_nonzero
 
 
 def dag(m: np.ndarray) -> np.ndarray:

@@ -149,15 +149,6 @@ class ShotConfig:
 _SUM_STARTS = np.array([0, 4, 8, 12, 16])
 
 
-def _name_entry_defect(p: np.ndarray, q: np.ndarray, r: np.ndarray, lead: tuple[int, ...]) -> None:
-    """Raise ``ValidationError`` for the first of p, q, r, in order, whose entries are not finite or not in [0, 1]."""
-    for name, arr in (("p", p), ("q", q), ("r", r)):
-        entries = tuple(range(len(lead), arr.ndim))
-        require_each(np.isfinite(arr).all(axis=entries), lambda i: f"{name} entries must be finite: the table holds NaN or inf")
-        inside = (arr.min(axis=entries) >= -ROUND_TOL) & (arr.max(axis=entries) <= 1.0 + TRACE_TOL)
-        require_each(inside, lambda i: f"{name} entries must lie in [0, 1]")
-
-
 @dataclass(frozen=True, eq=False)
 class ProbabilityTable:
     """Measured statistics feeding detection, of one state or of each state
@@ -183,13 +174,15 @@ class ProbabilityTable:
         lead = p.shape[:1] if p.ndim == 3 else ()
         if p.shape != lead + (4, 4) or q.shape != lead + (4,) or r.shape != lead + (4,):
             raise ValidationError(f"expected p (4,4), q (4,), r (4,), got {p.shape}, {q.shape}, {r.shape}")
-        # one test of the whole stack's entries, which NaN fails too: each lies in [0, 1]; only then are they
-        # summed, since inf - inf would be NaN and a RuntimeWarning, and one more test bounds the sums by 1
+        # one test of the whole stack's entries, which NaN fails too: each in [0, 1], else p, q, then r is named, finite
+        # first; only then are they summed (inf - inf is NaN) and bounded by 1 + the state's trace slack + Born rounding
         entries = np.concatenate([p.reshape(lead + (16,)), q, r], axis=-1)
         inside = (entries >= -ROUND_TOL) & (entries <= 1.0 + TRACE_TOL)
         if count_nonzero(inside) != inside.size:
-            _name_entry_defect(p, q, r, lead)
-        bounded = np.add.reduceat(entries, _SUM_STARTS, axis=-1) <= 1.0 + TRACE_TOL
+            for name, cut in (("p", slice(0, 16)), ("q", slice(16, 20)), ("r", slice(20, 24))):
+                require_each(np.isfinite(entries[..., cut]).all(axis=-1), lambda i: f"{name} entries must be finite: the table holds NaN or inf")
+                require_each(inside[..., cut].all(axis=-1), lambda i: f"{name} entries must lie in [0, 1]")
+        bounded = np.add.reduceat(entries, _SUM_STARTS, axis=-1) <= 1.0 + TRACE_TOL + ROUND_TOL
         if count_nonzero(bounded) != bounded.size:
             require_each(bounded[..., :4].all(axis=-1), lambda i: "each p row must sum to at most 1 (binary A outcome per setting)")
             require_each(bounded[..., 4], lambda i: "q and r jointly exceed total probability 1")

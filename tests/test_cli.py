@@ -19,6 +19,7 @@ from spapt.io import load_state, render_report, round12
 from spapt.linalg import ValidationError
 from spapt.selftest import _suite_sampled_detection_stability
 from spapt.states import NINE_STATE_PARAMS, DensityMatrix
+from test_tomography import trace_edge_states
 
 
 def run_cli(*argv):
@@ -168,6 +169,18 @@ def test_detect_methods(tmp_path, bell_file):
         row = read_json(path)["rows"][0]
         assert row["lambda_min"] == pytest.approx(lam, abs=1e-9)
         assert row["verdict"] == verdict
+
+
+def test_detect_accepts_a_full_precision_state_file_at_the_trace_edge(tmp_path):
+    # a valid state whose ideal q + r sum exceeds 1 + TRACE_TOL by the rounding of its Born sums
+    for k, rho in enumerate(trace_edge_states()):
+        path = tmp_path / f"edge{k}.json"
+        path.write_text(json.dumps({"dim": 4, "re": np.real(rho.mat).tolist(), "im": np.imag(rho.mat).tolist(), "metadata": {}}))
+        assert load_state(str(path))[0].mat.tobytes() == rho.mat.tobytes()
+        for method in ("ppt", "f_hat_ideal"):
+            out = tmp_path / f"edge{k}-{method}.json"
+            assert run_cli("detect", "--state", str(path), "--method", method, "--out", str(out)) == 0
+            assert read_json(out)["rows"][0]["verdict"] in ("entangled", "undetected")
 
 
 def test_detect_sampled(tmp_path, bell_file):

@@ -3,7 +3,9 @@ the output range of the approximated partial transpose, agreement of the
 three detection routes away from the separable boundary, and their
 blindness to the local basis, which a fixed entanglement witness lacks.  On
 random valid probability tables, f_hat is Hermitian and linear in the
-table, and on ideal tables it is the channel output PT(rho)/9 + (2/9) I.
+table, and on ideal tables it is the channel output PT(rho)/9 + (2/9) I;
+on tables and stacks whose entries and sums reach their bounds, f_hat is
+the gated map product bit for bit, the one assembly detect reads.
 
 Examples are derandomized, so every run checks the same states."""
 
@@ -11,11 +13,11 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spapt.linalg import herm_eig, partial_transpose
+from spapt.linalg import ROUND_TOL, TRACE_TOL, herm_eig, partial_transpose, require_hermitian
 from spapt.states import DensityMatrix, bell, bell_vector
 from spapt.channels import apply, spa_pt
 from spapt.tomography import ProbabilityTable, ideal_probabilities
-from spapt.detection import SPA_THRESHOLD, detect, f_hat, witness_expectation
+from spapt.detection import _F_HAT_MAP, SPA_THRESHOLD, detect, f_hat, lambda_min_d, witness_expectation
 from test_states import haar_unitary
 
 SPA_PT = spa_pt()
@@ -101,6 +103,44 @@ def test_f_hat_is_hermitian_and_linear_in_the_table(a, b, w):
     fa, fb, fm = f_hat(a).mat, f_hat(b).mat, f_hat(mixed).mat
     assert np.array_equal(fa, fa.conj().T) and np.array_equal(fm, fm.conj().T)
     assert np.max(np.abs(fm - (w * fa + (1 - w) * fb))) < 1e-12
+
+
+@st.composite
+def bounded_tables(draw):
+    """One valid table, or a stack of 1 to 3: each p row and q followed by r
+    are the leading entries of a probability vector with one extra outcome,
+    scaled by up to 1 + TRACE_TOL + ROUND_TOL, so entries and sums reach the
+    bounds the table accepts."""
+    count = draw(st.integers(0, 3))
+    n = max(count, 1)
+    rows = draw(arrays(np.float64, (n, 4, 5), elements=st.floats(0.0, 1.0)))
+    qr = draw(arrays(np.float64, (n, 9), elements=st.floats(0.0, 1.0)))
+    assume(rows.sum(axis=-1).min() > 1e-3 and qr.sum(axis=-1).min() > 1e-3)
+    scale = draw(st.sampled_from([1.0, 1.0 + TRACE_TOL, 1.0 + TRACE_TOL + ROUND_TOL]) | st.floats(0.0, 1.0 + TRACE_TOL + ROUND_TOL))
+    p = (rows / rows.sum(axis=-1, keepdims=True) * scale)[..., :4]
+    qr = qr / qr.sum(axis=-1, keepdims=True) * scale
+    entries = np.concatenate([p.reshape(n, 16), qr[:, :8]], axis=-1)
+    sums = np.add.reduceat(entries, [0, 4, 8, 12, 16], axis=-1)
+    assume(entries.max() <= 1.0 + TRACE_TOL and sums.max() <= 1.0 + TRACE_TOL + ROUND_TOL)
+    if count == 0:
+        return ProbabilityTable(p[0], qr[0, :4], qr[0, 4:8])
+    return ProbabilityTable(p, qr[:, :4], qr[:, 4:8])
+
+
+@PROPERTY_SETTINGS
+@given(bounded_tables())
+def test_f_hat_is_the_gated_map_product_and_detect_reads_it(table):
+    lead = table.p.shape[:-2]
+    rows = np.concatenate([table.p.reshape(lead + (16,)), table.q + table.r], axis=-1)[..., None, :]
+    gated = require_hermitian((rows @ _F_HAT_MAP).reshape(lead + (4, 4)))
+    op = f_hat(table)
+    assert op.mat.shape == gated.shape and op.mat.tobytes() == gated.tobytes()
+    assert not op.mat.flags.writeable
+    lam = lambda_min_d(op)
+    assert np.asarray(detect(table, "f_hat").lambda_min).tobytes() == np.asarray(lam).tobytes()
+    for k in range(len(table.p) if lead else 0):
+        alone = f_hat(ProbabilityTable(table.p[k], table.q[k], table.r[k]))
+        assert alone.mat.tobytes() == op.mat[k].tobytes()
 
 
 @PROPERTY_SETTINGS

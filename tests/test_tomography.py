@@ -15,7 +15,7 @@ from test_states import haar_unitary
 
 from spapt import tomography
 from spapt.cli import CHANNEL_FACTORIES
-from spapt.linalg import PAULIS, ValidationError, herm_eig
+from spapt.linalg import PAULIS, ROUND_TOL, TRACE_TOL, ValidationError, herm_eig
 from spapt.states import BELL_KINDS, DensityMatrix, bell, fidelity, mems, random_density_matrix, rho_family, werner
 from spapt.channels import (
     DEPOLARIZE_SIDE,
@@ -34,6 +34,7 @@ from spapt.channels import (
     unvec,
     vec,
 )
+from spapt.detection import detect
 from spapt.tomography import (
     ProbabilityTable,
     ShotConfig,
@@ -931,3 +932,54 @@ def test_opposite_infinities_are_named_non_finite_before_any_sum(plus, minus):
         stack[name][2] = arr
     with pytest.raises(ValidationError, match=f"^stack entry 2: {plus[0]} entries must be finite"):
         ProbabilityTable(stack["p"], stack["q"], stack["r"], 0)
+
+
+@pytest.mark.parametrize(
+    "defects, message",
+    [
+        ({(3, "p", (0, 0)): 2.0, (1, "q", 0): np.nan}, "stack entry 3: p entries must lie in [0, 1]"),
+        ({(3, "p", (0, 0)): 2.0, (1, "p", (2, 1)): np.inf}, "stack entry 1: p entries must be finite: the table holds NaN or inf"),
+        ({(0, "r", 0): np.nan, (2, "q", 3): -1.0}, "stack entry 2: q entries must lie in [0, 1]"),
+        ({(0, "r", 0): np.nan, (2, "r", 3): -1.0}, "stack entry 0: r entries must be finite: the table holds NaN or inf"),
+    ],
+    ids=["p_before_q", "finite_before_range", "q_before_r", "r_finite_first"],
+)
+def test_a_bad_table_is_named_by_field_p_q_r_with_the_finite_test_first(defects, message):
+    good = ideal_probabilities(bell("phi+"))
+    stack = {name: np.array([getattr(good, name)] * 4) for name in ("p", "q", "r")}
+    for (entry, name, index), value in defects.items():
+        stack[name][entry][index] = value
+    with pytest.raises(ValidationError) as err:
+        ProbabilityTable(stack["p"], stack["q"], stack["r"], 0)
+    assert str(err.value) == message
+
+
+def trace_edge_states():
+    """Two valid states, entries 1165 and 1347 of a seeded random stack scaled to
+    |tr - 1| = 9.99999861e-10, just inside ``TRACE_TOL``, whose Born sums q + r
+    exceed 1 + TRACE_TOL by their rounding."""
+    stack = random_density_matrix(np.random.default_rng(5), count=3000)
+    return DensityMatrix(np.array(stack.mat[[1165, 1347]]) * (1.0 + 0.9999999e-9))
+
+
+def test_the_ideal_table_of_a_valid_state_at_the_trace_edge_is_accepted():
+    edge = trace_edge_states()
+    assert np.all(np.abs(edge.mat.trace(axis1=-2, axis2=-1).real - 1.0) <= TRACE_TOL)
+    stacked = ideal_probabilities(edge)
+    # summed in order, as the table sums them: 1 + 1.0000003e-9 for both
+    assert np.all(np.add.reduceat(np.concatenate([stacked.q, stacked.r], axis=-1), [0], axis=-1) > 1.0 + TRACE_TOL)
+    for k in range(2):
+        assert detect(edge[k], "f_hat").verdict == detect(edge[k], "ppt").verdict
+
+
+@pytest.mark.parametrize("field", ["p", "qr"])
+def test_a_table_sum_is_bounded_by_the_trace_and_rounding_slack(field):
+    def table(total):
+        p, q, r = np.zeros((4, 4)), np.zeros(4), np.zeros(4)
+        first, second = (p[0], p[0]) if field == "p" else (q, r)
+        first[0], second[1] = 0.5, total - 0.5
+        return ProbabilityTable(p, q, r, 0)
+
+    table(1.0 + TRACE_TOL + 0.5 * ROUND_TOL)
+    with pytest.raises(ValidationError, match="sum to at most 1" if field == "p" else "jointly exceed"):
+        table(1.0 + TRACE_TOL + 2.0 * ROUND_TOL)

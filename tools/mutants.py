@@ -109,7 +109,7 @@ MUTANTS = (
     Mutant("lambda-min-d-first-entry", "detection.py", "gated_eig(operator.mat).values[..., 0]", "gated_eig(operator.mat).values[0]"),
     Mutant(
         "table-entries-first-dropped", "tomography.py",
-        "        if count_nonzero(inside) != inside.size:\n            _name_entry_defect(p, q, r, lead)\n", "",
+        "        if count_nonzero(inside) != inside.size:\n            for name, cut in ", "        if False:\n            for name, cut in ",
     ),
     Mutant("measure-prepare-inversion-coefficient", "selftest.py", "(4.0 / 3.0) * mixed", "(2.0 / 3.0) * mixed"),
     # the stacked verdict and the stacked random states
@@ -138,6 +138,16 @@ MUTANTS = (
     Mutant("dispatch-extras-accepted", "cli.py", "    if extras:\n        parser.error(", "    if False:\n        parser.error("),
     Mutant("dispatch-whole-argv", "cli.py", "parse_known_args(argv[1:], ", "parse_known_args(argv, "),
     Mutant("dispatch-ambiguity-unguarded", "cli.py", ' or "--=" in " ".join(argv)', ""),
+    # one assembly of a table's f_hat, the table's sum bound and the order it names a bad entry in
+    Mutant("f-hat-raw-product", "detection.py", "mat = hermitian_part((rows @ _F_HAT_MAP).reshape(lead + (4, 4)))", "mat = (rows @ _F_HAT_MAP).reshape(lead + (4, 4))"),
+    Mutant("table-sum-bound-trace-only", "tomography.py", "_SUM_STARTS, axis=-1) <= 1.0 + TRACE_TOL + ROUND_TOL", "_SUM_STARTS, axis=-1) <= 1.0 + TRACE_TOL"),
+    Mutant(
+        "table-range-before-finite", "tomography.py",
+        "                require_each(np.isfinite(entries[..., cut]).all(axis=-1), lambda i: f\"{name} entries must be finite: the table holds NaN or inf\")\n"
+        "                require_each(inside[..., cut].all(axis=-1), lambda i: f\"{name} entries must lie in [0, 1]\")\n",
+        "                require_each(inside[..., cut].all(axis=-1), lambda i: f\"{name} entries must lie in [0, 1]\")\n"
+        "                require_each(np.isfinite(entries[..., cut]).all(axis=-1), lambda i: f\"{name} entries must be finite: the table holds NaN or inf\")\n",
+    ),
 )
 
 
