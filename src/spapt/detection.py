@@ -249,9 +249,9 @@ def detect(target: DensityMatrix | ProbabilityTable, method: str) -> DetectionVe
         # the partial transpose of a validated state is exactly Hermitian: solved without a second gate
         lams = gated_eig(transpose_second(target.mat) if method == "ppt" else _spa_pt_closed_form(target.mat)).values[..., 0]
         threshold, shots = _THRESHOLDS[method], 0
-    entangled = lams < threshold - ROUND_TOL
-    if lams.ndim == 0:  # Python numbers, cheaper than numpy arithmetic on 0-d arrays
-        lam = float(lams)
+    lam = float(lams) if lams.ndim == 0 else lams  # a single one as a Python number, cheaper than numpy arithmetic on 0-d arrays
+    entangled = lam < threshold - ROUND_TOL
+    if lams.ndim == 0:
         return DetectionVerdict(method, lam, threshold, "entangled" if entangled else "undetected", shots, abs(lam - threshold))
     return DetectionVerdict(method, lams, threshold, np.where(entangled, "entangled", "undetected"), shots, np.abs(lams - threshold))
 

@@ -40,8 +40,8 @@ def fmt12(x: float) -> str:
 
 
 def round12(x: float) -> float:
-    """Float rounded to 12 significant digits (what both encodings carry)."""
-    return float(fmt12(x))
+    """Float rounded to 12 significant digits (what both encodings carry): ``float(fmt12(x))``, in one call."""
+    return float("%.12g" % x)
 
 
 def state_payload(rho: DensityMatrix, metadata: dict[str, Any]) -> dict[str, Any]:

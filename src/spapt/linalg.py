@@ -156,10 +156,11 @@ def require_hermitian(m: np.ndarray, what: str = "matrix", tol: float = HERMITIA
     a = _as_square(m)
     # finite first: inf - inf in the defect would be NaN and a RuntimeWarning
     require_all(np.isfinite(a), lambda i: f"{what} entries must be finite: the matrix holds NaN or inf")
-    a_dag = dag(a)
+    a_dag = a.conj().swapaxes(-1, -2)
     defect = np.abs(a - a_dag)
     require_all(defect <= tol, lambda i: f"{what} is not Hermitian: max |m - m^dag| = {defect[i].max():.3e}")
-    h = (a + a_dag) / 2.0
+    h = a + a_dag
+    h /= 2.0  # in place: the bits of (a + a_dag) / 2.0 without a second temporary
     h.setflags(write=False)
     return h
 

@@ -18,6 +18,10 @@ result bit for bit: Born tables, sampled tables, trajectories, Pauli
 expectations, their inversion and the physicality projection.  Only
 :func:`trajectory_branch_counts` refuses a stack.
 
+A :class:`ProbabilityTable` built from outside the package passes the table
+gate; the tables the samplers form are stored as formed, without it, except
+the ideal table of a state with a stored eigenvalue below 0.
+
 A sweep measures one state at many seeds and shot budgets, and only the draws
 change between calls.  So ``sample_table`` and the trajectories keep what
 they draw from in the state's memo, read-only, from their first call for as
@@ -160,6 +164,11 @@ class ProbabilityTable:
     A stack of N tables holds (N, 4, 4), (N, 4) and (N, 4) arrays and one
     shot count; a bad table of it is named by its index.
     ``shots_per_setting == 0`` marks an ideal (analytic) table.
+
+    A table built from outside the package passes the gate.  The tables of
+    :func:`sample_table`, and of :func:`ideal_probabilities` on a state with
+    no negative eigenvalue, cannot fail it and are stored as it stores a
+    table, read-only C-order float copies, without its tests.
     """
 
     p: np.ndarray
@@ -191,6 +200,17 @@ class ProbabilityTable:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "shots_per_setting", shots)
+
+    @classmethod
+    def _from_measured(cls, p: np.ndarray, q: np.ndarray, r: np.ndarray, shots: int) -> ProbabilityTable:
+        """The table of float arrays a sampler of this module formed and an int ``shots``, stored as the gate stores one."""
+        table = object.__new__(cls)
+        for name, arr in (("p", p), ("q", q), ("r", r)):
+            kept = arr.copy()
+            kept.setflags(write=False)
+            object.__setattr__(table, name, kept)
+        object.__setattr__(table, "shots_per_setting", shots)
+        return table
 
 
 def tomo_basis() -> tuple[PureState, PureState, PureState, PureState]:
@@ -237,9 +257,13 @@ def _born_weights(mats: np.ndarray, wide: np.ndarray) -> np.ndarray:
 
 def ideal_probabilities(rho: DensityMatrix) -> ProbabilityTable:
     """Exact Born-rule table for the detection measurement settings, of one
-    state or stacked for a stack: one product for every state and setting."""
+    state or stacked for a stack: one product for every state and setting.
+    Clipped to [0, 1], the table of a state with no negative eigenvalue sums
+    to its trace up to rounding and is stored without the gate; an eigenvalue
+    below 0, inside the PSD slack, can lift a p row sum past the gate's bound."""
     born = np.minimum(np.maximum(0.0, _born_weights(rho.mat, _TABLE_SETTINGS)), 1.0)  # np.clip(weights, 0.0, 1.0), bit for bit
-    return ProbabilityTable(born[..., :4, :4], born[..., 4, :4], born[..., 4, 4:], 0)
+    build = ProbabilityTable if count_nonzero(rho.spectrum.values[..., 0] < 0.0) else ProbabilityTable._from_measured
+    return build(born[..., :4, :4], born[..., 4, :4], born[..., 4, 4:], 0)
 
 
 def _normalized_probs(values: np.ndarray) -> np.ndarray:
@@ -284,7 +308,8 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     """
     (born,) = _kept(rho, "table", _TABLE_SETTINGS, lambda: (_normalized_probs(_born_weights(rho.mat, _TABLE_SETTINGS)),))
     freq = np.array(_draw(cfg, born.reshape(-1, 8), *_TABLE_PATHS)).reshape(born.shape) / cfg.shots_per_setting
-    return ProbabilityTable(freq[..., :4, :4], freq[..., 4, :4], freq[..., 4, 4:], cfg.shots_per_setting)
+    # counts over shots: each entry in [0, 1], each p row and q + r at most 1 up to rounding
+    return ProbabilityTable._from_measured(freq[..., :4, :4], freq[..., 4, :4], freq[..., 4, 4:], cfg.shots_per_setting)
 
 
 def _trajectory_components(rho: DensityMatrix, instrument: Instrument) -> tuple[np.ndarray, np.ndarray]:

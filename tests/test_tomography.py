@@ -983,3 +983,76 @@ def test_a_table_sum_is_bounded_by_the_trace_and_rounding_slack(field):
     table(1.0 + TRACE_TOL + 0.5 * ROUND_TOL)
     with pytest.raises(ValidationError, match="sum to at most 1" if field == "p" else "jointly exceed"):
         table(1.0 + TRACE_TOL + 2.0 * ROUND_TOL)
+
+
+def _ideal_arrays(rho):
+    """p, q and r of the ideal table of ``rho``, sliced from its clipped Born weights as the table lays them out."""
+    born = np.clip(tomography._born_weights(rho.mat, tomography._TABLE_SETTINGS), 0.0, 1.0)
+    return born[..., :4, :4], born[..., 4, :4], born[..., 4, 4:]
+
+
+def _sampled_arrays(rho, cfg):
+    """p, q and r of ``sample_table(rho, cfg)``, drawn from one fresh default_rng([seed, tag, *i]) per state and setting."""
+    born = tomography._born_weights(rho.mat, tomography._TABLE_SETTINGS).reshape(-1, 5, 8)
+    paths = [(0, i) for i in range(4)] + [(1,)]
+    counts = np.array(
+        [[np.random.default_rng([cfg.seed, *path]).multinomial(cfg.shots_per_setting, tomography._normalized_probs(b[i])) for i, path in enumerate(paths)] for b in born]
+    ).reshape(rho.mat.shape[:-2] + (5, 8))
+    freq = counts / cfg.shots_per_setting
+    return freq[..., :4, :4], freq[..., 4, :4], freq[..., 4, 4:]
+
+
+def assert_stored_as_the_gate_stores(table, p, q, r, shots):
+    """``table`` holds, array by array, what ``ProbabilityTable(p, q, r, shots)`` stores, which accepts them."""
+    gated = ProbabilityTable(p, q, r, shots)
+    for name in ("p", "q", "r"):
+        kept, want = getattr(table, name), getattr(gated, name)
+        assert kept.tobytes() == want.tobytes() and kept.dtype == want.dtype == np.float64 and kept.shape == want.shape
+        assert not kept.flags.writeable and not want.flags.writeable
+        assert kept.flags.c_contiguous and want.flags.c_contiguous and kept.flags.owndata and want.flags.owndata
+    assert type(table.shots_per_setting) is int and table.shots_per_setting == gated.shots_per_setting == shots
+
+
+def _sampler_states():
+    edge = trace_edge_states()
+    return {
+        "single": random_density_matrix(np.random.default_rng(21)),
+        "stack": DensityMatrix(np.concatenate([werner(np.array([0.2, 0.6, 0.9])).mat, random_density_matrix(np.random.default_rng(22), count=3).mat])),
+        "empty_stack": random_density_matrix(np.random.default_rng(23), count=0),
+        "trace_edge_stack": edge,
+        "trace_edge_1165": edge[0],
+        "trace_edge_1347": edge[1],
+    }
+
+
+@pytest.mark.parametrize("shots", [1, 10**3, 10**7])
+@pytest.mark.parametrize("name", sorted(_sampler_states()))
+def test_the_samplers_store_their_tables_as_the_gate_stores_the_same_arrays(name, shots):
+    rho = _sampler_states()[name]
+    assert_stored_as_the_gate_stores(ideal_probabilities(rho), *_ideal_arrays(rho), 0)
+    cfg = ShotConfig(shots, 7)
+    assert_stored_as_the_gate_stores(sample_table(rho, cfg), *_sampled_arrays(rho, cfg), shots)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.one_of(st.none(), st.integers(0, 4)), st.sampled_from([1, 10**3, 10**7]), st.integers(0, 2**64 - 1))
+def test_the_samplers_tables_of_random_states_are_stored_as_the_gate_stores_them(state_seed, components, count, shots, seed):
+    rho = random_density_matrix(np.random.default_rng(state_seed), components, count)
+    assert_stored_as_the_gate_stores(ideal_probabilities(rho), *_ideal_arrays(rho), 0)
+    cfg = ShotConfig(shots, seed)
+    assert_stored_as_the_gate_stores(sample_table(rho, cfg), *_sampled_arrays(rho, cfg), shots)
+
+
+def test_the_ideal_table_of_a_state_with_an_eigenvalue_below_zero_passes_the_gate():
+    # eigenvalues -eps inside the PSD slack lift the p row of P_0 = |0><0| to 1 + 2 eps, past the table's sum bound
+    eps = 0.9e-9
+    edge = DensityMatrix(np.diag([0.5 + eps, 0.5 + eps, -eps, -eps]).astype(complex))
+    assert edge.spectrum.values[0] < 0.0
+    with pytest.raises(ValidationError, match="each p row must sum to at most 1"):
+        ideal_probabilities(edge)
+    with pytest.raises(ValidationError, match="^stack entry 1: each p row must sum to at most 1"):
+        ideal_probabilities(DensityMatrix(np.stack([MAXIMALLY_MIXED.mat, edge.mat])))
+    # one inside the bound is accepted, as the gate stores it
+    inside = DensityMatrix(np.diag([0.5, 0.5, eps, -eps]).astype(complex))
+    assert inside.spectrum.values[0] < 0.0
+    assert_stored_as_the_gate_stores(ideal_probabilities(inside), *_ideal_arrays(inside), 0)

@@ -50,7 +50,7 @@ MUTANTS = (
     Mutant("spa-one-ninth", "detection.py", "transpose_second(mats) / 9.0", "transpose_second(mats) / 8.0"),
     Mutant("spa-two-ninths-identity", "detection.py", "_TWO_NINTHS_I = (2.0 / 9.0)", "_TWO_NINTHS_I = (1.0 / 9.0)"),
     Mutant("spa-threshold", "detection.py", "SPA_THRESHOLD = 2.0 / 9.0", "SPA_THRESHOLD = 1.0 / 4.0"),
-    Mutant("verdict-rule", "detection.py", "lams < threshold - ROUND_TOL", "lams <= threshold + ROUND_TOL"),
+    Mutant("verdict-rule", "detection.py", "lam < threshold - ROUND_TOL", "lam <= threshold + ROUND_TOL"),
     Mutant("witness-without-partial-transpose", "detection.py", "witness = partial_transpose(q)", "witness = q"),
     Mutant("f-hat-inversion-identity", "detection.py", "np.kron(s, np.eye(2) / 2.0)", "np.kron(s, np.eye(2))"),
     Mutant("det-scan-bracket", "detection.py", "lo = min(a1 - b1, a2 - b1 - b2, a3 - b2 - b3, a4 - b3) - RAW_TOL", "lo = min(a1, a2, a3, a4) - RAW_TOL"),
@@ -69,6 +69,7 @@ MUTANTS = (
     Mutant("bell-spread-bound", "selftest.py", "lams_th.max() - lams_th.min() <= EXACT_BOUND", "lams_th.max() - lams_th.min() <= 1e-6"),
     # report bytes
     Mutant("fmt12-11-digits", "io.py", '".12g"', '".11g"'),
+    Mutant("round12-11-digits", "io.py", '"%.12g" % x', '"%.11g" % x'),
     Mutant("report-indent", "io.py", 'inner = pad + "  "', 'inner = pad + " "'),
     # formulas that agree on real states
     Mutant("linear-entropy-conjugate", "states.py", "(rho.mat @ rho.mat)", "(rho.mat @ rho.mat.conj())"),
@@ -85,17 +86,13 @@ MUTANTS = (
     # the checks of the gate, the state, the solve and the projection, and the gate's Hermitian part
     Mutant("gate-finite-dropped", "linalg.py", "    require_all(np.isfinite(a), ", "    (np.isfinite(a), "),
     Mutant("gate-hermitian-tol", "linalg.py", "require_all(defect <= tol, ", "require_all(defect <= 1e3 * tol, "),
-    Mutant("state-trace-loosened", "states.py", "require_each(off <= TRACE_TOL", "require_each(off <= 1e3 * TRACE_TOL"),
-    Mutant("state-psd-loosened", "states.py", "require_each(lam_min >= -PSD_TOL", "require_each(lam_min >= -1e3 * PSD_TOL"),
+    Mutant("state-trace-loosened", "states.py", "ok = off <= TRACE_TOL", "ok = off <= 1e3 * TRACE_TOL"),
+    Mutant("state-psd-loosened", "states.py", "ok = lam_min >= -PSD_TOL", "ok = lam_min >= -1e3 * PSD_TOL"),
     Mutant("eig-nan-dropped", "linalg.py", "if count_nonzero(w != w):", "if False:"),
-    Mutant("hermitian-part-times-half", "linalg.py", "(a + a_dag) / 2.0", "(a + a_dag) * 0.5"),
-    Mutant("gate-returns-raw", "linalg.py", "h = (a + a_dag) / 2.0", "h = np.array(a)"),
+    Mutant("hermitian-part-times-half", "linalg.py", "h /= 2.0", "h *= 0.5"),
+    Mutant("gate-returns-raw", "linalg.py", "h = a + a_dag\n    h /= 2.0", "h = np.array(a)\n    h /= 1.0"),
     Mutant("projection-trace-loosened", "tomography.py", "require_each(trace_dev <= RAW_TOL", "require_each(trace_dev <= 1e3 * RAW_TOL"),
     # declared equivalent
-    Mutant(
-        "born-clip-abs", "tomography.py", "np.minimum(np.maximum(0.0, _born_weights", "np.minimum(np.abs(_born_weights",
-        "a Born weight of a valid state is below 0 by rounding noise only, and f_hat is continuous in it",
-    ),
     Mutant("mems-kink-strict", "states.py", "np.where(p >= 2.0 / 3.0", "np.where(p > 2.0 / 3.0", "at p = 2/3 both branches give f = 1/3 to the bit"),
     Mutant("fig3-grid-unrounded", "cli.py", "grid = [round(0.05 * k, 10) for k in range(21)]", "grid = [0.05 * k for k in range(21)]", "the grid moves by an ulp, below the 12 digits a report carries"),
     # the array families
@@ -148,6 +145,18 @@ MUTANTS = (
         "                require_each(inside[..., cut].all(axis=-1), lambda i: f\"{name} entries must lie in [0, 1]\")\n"
         "                require_each(np.isfinite(entries[..., cut]).all(axis=-1), lambda i: f\"{name} entries must be finite: the table holds NaN or inf\")\n",
     ),
+    # the samplers' tables stored without the table gate, and a single state's checks as Python comparisons
+    Mutant("table-builder-writable", "tomography.py", "kept.setflags(write=False)", "kept.setflags(write=True)"),
+    # a state with an eigenvalue below 0, inside the PSD slack, has Born weights below 0 by up to PSD_TOL
+    Mutant("born-clip-abs", "tomography.py", "np.minimum(np.maximum(0.0, _born_weights", "np.minimum(np.abs(_born_weights"),
+    Mutant("ideal-q-r-swapped", "tomography.py", "born[..., 4, :4], born[..., 4, 4:], 0)", "born[..., 4, 4:], born[..., 4, :4], 0)"),
+    Mutant(
+        "ideal-table-never-gated", "tomography.py",
+        "build = ProbabilityTable if count_nonzero(rho.spectrum.values[..., 0] < 0.0) else ProbabilityTable._from_measured",
+        "build = ProbabilityTable._from_measured",
+    ),
+    Mutant("state-single-trace-unchecked", "states.py", "if m.ndim == 3 or not ok:\n            require_each(ok, lambda i: f\"trace", "if m.ndim == 3:\n            require_each(ok, lambda i: f\"trace"),
+    Mutant("state-single-psd-unchecked", "states.py", "if m.ndim == 3 or not ok:\n            require_each(ok, lambda i: f\"not positive", "if m.ndim == 3:\n            require_each(ok, lambda i: f\"not positive"),
 )
 
 
