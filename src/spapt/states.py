@@ -349,6 +349,5 @@ def random_density_matrix(rng: np.random.Generator, n_components: int = 4, count
     mat = np.zeros((n, 4, 4), dtype=complex)
     for k in range(n_components):
         mat += weights[:, k, None, None] * (v[:, k, :, None] * v[:, k, None, :].conj())
-    mat = (mat + mat.conj().swapaxes(-1, -2)) / 2.0  # Hermitian up to rounding: normalized after its Hermitian part, for the same bits
-    mat = mat / mat.trace(axis1=-2, axis2=-1).real[:, None, None]
+    mat = mat / mat.trace(axis1=-2, axis2=-1).real[:, None, None]  # Hermitian up to rounding: the gate takes its Hermitian part
     return DensityMatrix(mat[0] if count is None else mat)

@@ -19,8 +19,7 @@ expectations, their inversion and the physicality projection.  Only
 :func:`trajectory_branch_counts` refuses a stack.
 
 A :class:`ProbabilityTable` built from outside the package passes the table
-gate; the tables the samplers form are stored as formed, without it, except
-the ideal table of a state with a stored eigenvalue below 0.
+gate; the tables the samplers form are stored as formed, without it.
 
 A sweep measures one state at many seeds and shot budgets, and only the draws
 change between calls.  So ``sample_table`` and the trajectories keep what
@@ -53,6 +52,7 @@ import numpy as np
 
 from .linalg import (
     PAULIS,
+    PSD_TOL,
     RAW_TOL,
     ROUND_TOL,
     TRACE_TOL,
@@ -166,9 +166,9 @@ class ProbabilityTable:
     ``shots_per_setting == 0`` marks an ideal (analytic) table.
 
     A table built from outside the package passes the gate.  The tables of
-    :func:`sample_table`, and of :func:`ideal_probabilities` on a state with
-    no negative eigenvalue, cannot fail it and are stored as it stores a
-    table, read-only C-order float copies, without its tests.
+    :func:`sample_table` and :func:`ideal_probabilities` cannot fail it and
+    are stored as it stores a table, read-only C-order float copies,
+    without its tests.
     """
 
     p: np.ndarray
@@ -183,15 +183,17 @@ class ProbabilityTable:
         lead = p.shape[:1] if p.ndim == 3 else ()
         if p.shape != lead + (4, 4) or q.shape != lead + (4,) or r.shape != lead + (4,):
             raise ValidationError(f"expected p (4,4), q (4,), r (4,), got {p.shape}, {q.shape}, {r.shape}")
-        # one test of the whole stack's entries, which NaN fails too: each in [0, 1], else p, q, then r is named, finite
-        # first; only then are they summed (inf - inf is NaN) and bounded by 1 + the state's trace slack + Born rounding
+        # one test of the whole stack's entries, which NaN fails too: each in [0, 1], else p, q, then r is named, finite first;
+        # only then are they summed (inf - inf is NaN) and bounded by what a valid state's ideal table reaches, + Born rounding:
+        # |tr - 1| <= TRACE_TOL and lambda_min >= -PSD_TOL leave at most three eigenvalues below 0, so tr rho+ <= 1 + TRACE_TOL
+        # + 3 PSD_TOL, which bounds each weight max(0, tr rho E) summed over a p row (P_i (x) I <= I) or over q and r (I)
         entries = np.concatenate([p.reshape(lead + (16,)), q, r], axis=-1)
         inside = (entries >= -ROUND_TOL) & (entries <= 1.0 + TRACE_TOL)
         if count_nonzero(inside) != inside.size:
             for name, cut in (("p", slice(0, 16)), ("q", slice(16, 20)), ("r", slice(20, 24))):
                 require_each(np.isfinite(entries[..., cut]).all(axis=-1), lambda i: f"{name} entries must be finite: the table holds NaN or inf")
                 require_each(inside[..., cut].all(axis=-1), lambda i: f"{name} entries must lie in [0, 1]")
-        bounded = np.add.reduceat(entries, _SUM_STARTS, axis=-1) <= 1.0 + TRACE_TOL + ROUND_TOL
+        bounded = np.add.reduceat(entries, _SUM_STARTS, axis=-1) <= 1.0 + TRACE_TOL + 3.0 * PSD_TOL + ROUND_TOL
         if count_nonzero(bounded) != bounded.size:
             require_each(bounded[..., :4].all(axis=-1), lambda i: "each p row must sum to at most 1 (binary A outcome per setting)")
             require_each(bounded[..., 4], lambda i: "q and r jointly exceed total probability 1")
@@ -256,14 +258,11 @@ def _born_weights(mats: np.ndarray, wide: np.ndarray) -> np.ndarray:
 
 
 def ideal_probabilities(rho: DensityMatrix) -> ProbabilityTable:
-    """Exact Born-rule table for the detection measurement settings, of one
-    state or stacked for a stack: one product for every state and setting.
-    Clipped to [0, 1], the table of a state with no negative eigenvalue sums
-    to its trace up to rounding and is stored without the gate; an eigenvalue
-    below 0, inside the PSD slack, can lift a p row sum past the gate's bound."""
-    born = np.minimum(np.maximum(0.0, _born_weights(rho.mat, _TABLE_SETTINGS)), 1.0)  # np.clip(weights, 0.0, 1.0), bit for bit
-    build = ProbabilityTable if count_nonzero(rho.spectrum.values[..., 0] < 0.0) else ProbabilityTable._from_measured
-    return build(born[..., :4, :4], born[..., 4, :4], born[..., 4, 4:], 0)
+    """Exact Born-rule table for the detection settings, of one state or stacked for a stack, one product for all.
+    Clipped at 0, a valid state's table lies within the gate's bounds and is stored without it; no weight reaches
+    1, since an effect of trace 1/2 and norm 1/2 weighs at most half the largest eigenvalue."""
+    born = np.maximum(0.0, _born_weights(rho.mat, _TABLE_SETTINGS))
+    return ProbabilityTable._from_measured(born[..., :4, :4], born[..., 4, :4], born[..., 4, 4:], 0)
 
 
 def _normalized_probs(values: np.ndarray) -> np.ndarray:

@@ -209,15 +209,16 @@ def test_random_batch_draws_the_same_states_as_single_calls():
 
 
 def _reference_random_state_matrix(rng, n_components):
-    """One random state drawn and built one component at a time, the reference for the stacked draw."""
+    """One random state drawn and built one component at a time, the reference for the stacked draw: the mixture,
+    divided by its trace, then the Hermitian part the state gate takes."""
     weights = rng.dirichlet(np.ones(n_components))
     mat = np.zeros((4, 4), dtype=complex)
     for w in weights:
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         v /= np.linalg.norm(v)
         mat += w * np.outer(v, v.conj())
-    mat = (mat + mat.conj().T) / 2.0
-    return mat / np.real(np.trace(mat))
+    mat = mat / np.real(np.trace(mat))
+    return (mat + mat.conj().T) / 2.0
 
 
 @pytest.mark.parametrize("n_components", [1, 2, 4, 7])

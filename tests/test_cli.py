@@ -17,9 +17,9 @@ from spapt import cli, linalg, selftest
 from spapt.cli import CHANNEL_FACTORIES, build_parser, main
 from spapt.io import load_state, render_report, round12
 from spapt.linalg import ValidationError
-from spapt.selftest import _suite_sampled_detection_stability
+from spapt.selftest import EXACT_BOUND, _suite_sampled_detection_stability
 from spapt.states import NINE_STATE_PARAMS, DensityMatrix
-from test_tomography import trace_edge_states
+from test_tomography import clip_shift_norm, trace_edge_states
 
 
 def run_cli(*argv):
@@ -181,6 +181,21 @@ def test_detect_accepts_a_full_precision_state_file_at_the_trace_edge(tmp_path):
             out = tmp_path / f"edge{k}-{method}.json"
             assert run_cli("detect", "--state", str(path), "--method", method, "--out", str(out)) == 0
             assert read_json(out)["rows"][0]["verdict"] in ("entangled", "undetected")
+
+
+def test_detect_f_hat_ideal_accepts_a_state_file_with_an_eigenvalue_below_zero(tmp_path):
+    # inside the PSD slack, the ideal p row of |0><0| sums to 1 + 2 eps, within the table's sum bound
+    eps = 0.9e-9
+    rho = DensityMatrix(np.diag([0.5 + eps, 0.5 + eps, -eps, -eps]).astype(complex))
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"dim": 4, "re": np.real(rho.mat).tolist(), "im": np.imag(rho.mat).tolist(), "metadata": {}}))
+    lams = {}
+    for method in ("f_hat_ideal", "spa_spectrum"):
+        out = tmp_path / f"{method}.json"
+        assert run_cli("detect", "--state", str(path), "--method", method, "--out", str(out)) == 0
+        lams[method] = read_json(out)["rows"][0]["lambda_min"]
+    # the clip at 0 of its eight Born weights of -eps / 2 moves f-hat's lambda_min by 3.0e-10, within the bound 5.1e-10
+    assert abs(lams["f_hat_ideal"] - lams["spa_spectrum"]) <= EXACT_BOUND + clip_shift_norm(rho)
 
 
 def test_detect_sampled(tmp_path, bell_file):

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spapt.linalg import ROUND_TOL, TRACE_TOL, herm_eig, partial_transpose, require_hermitian
+from spapt.linalg import PSD_TOL, ROUND_TOL, TRACE_TOL, herm_eig, partial_transpose, require_hermitian
 from spapt.states import DensityMatrix, bell, bell_vector
 from spapt.channels import apply, spa_pt
 from spapt.tomography import ProbabilityTable, ideal_probabilities
@@ -109,19 +109,20 @@ def test_f_hat_is_hermitian_and_linear_in_the_table(a, b, w):
 def bounded_tables(draw):
     """One valid table, or a stack of 1 to 3: each p row and q followed by r
     are the leading entries of a probability vector with one extra outcome,
-    scaled by up to 1 + TRACE_TOL + ROUND_TOL, so entries and sums reach the
-    bounds the table accepts."""
+    scaled by up to the table's sum bound 1 + TRACE_TOL + 3 PSD_TOL +
+    ROUND_TOL, so entries and sums reach the bounds the table accepts."""
     count = draw(st.integers(0, 3))
     n = max(count, 1)
     rows = draw(arrays(np.float64, (n, 4, 5), elements=st.floats(0.0, 1.0)))
     qr = draw(arrays(np.float64, (n, 9), elements=st.floats(0.0, 1.0)))
     assume(rows.sum(axis=-1).min() > 1e-3 and qr.sum(axis=-1).min() > 1e-3)
-    scale = draw(st.sampled_from([1.0, 1.0 + TRACE_TOL, 1.0 + TRACE_TOL + ROUND_TOL]) | st.floats(0.0, 1.0 + TRACE_TOL + ROUND_TOL))
+    bound = 1.0 + TRACE_TOL + 3.0 * PSD_TOL + ROUND_TOL
+    scale = draw(st.sampled_from([1.0, 1.0 + TRACE_TOL, bound]) | st.floats(0.0, bound))
     p = (rows / rows.sum(axis=-1, keepdims=True) * scale)[..., :4]
     qr = qr / qr.sum(axis=-1, keepdims=True) * scale
     entries = np.concatenate([p.reshape(n, 16), qr[:, :8]], axis=-1)
     sums = np.add.reduceat(entries, [0, 4, 8, 12, 16], axis=-1)
-    assume(entries.max() <= 1.0 + TRACE_TOL and sums.max() <= 1.0 + TRACE_TOL + ROUND_TOL)
+    assume(entries.max() <= 1.0 + TRACE_TOL and sums.max() <= bound)
     if count == 0:
         return ProbabilityTable(p[0], qr[0, :4], qr[0, 4:8])
     return ProbabilityTable(p, qr[:, :4], qr[:, 4:8])

@@ -15,7 +15,7 @@ from test_states import haar_unitary
 
 from spapt import tomography
 from spapt.cli import CHANNEL_FACTORIES
-from spapt.linalg import PAULIS, ROUND_TOL, TRACE_TOL, ValidationError, herm_eig
+from spapt.linalg import PAULIS, PSD_TOL, ROUND_TOL, TRACE_TOL, ValidationError, herm_eig
 from spapt.states import BELL_KINDS, DensityMatrix, bell, fidelity, mems, random_density_matrix, rho_family, werner
 from spapt.channels import (
     DEPOLARIZE_SIDE,
@@ -34,7 +34,8 @@ from spapt.channels import (
     unvec,
     vec,
 )
-from spapt.detection import detect
+from spapt.detection import _F_HAT_MAP, detect
+from spapt.selftest import EXACT_BOUND
 from spapt.tomography import (
     ProbabilityTable,
     ShotConfig,
@@ -974,15 +975,20 @@ def test_the_ideal_table_of_a_valid_state_at_the_trace_edge_is_accepted():
 
 @pytest.mark.parametrize("field", ["p", "qr"])
 def test_a_table_sum_is_bounded_by_the_trace_and_rounding_slack(field):
+    # the most a p row or q + r of a valid state's ideal table sums to, 1 + TRACE_TOL + 3 PSD_TOL, and Born rounding
+    bound = 1.0 + TRACE_TOL + 3.0 * PSD_TOL + ROUND_TOL
+
     def table(total):
         p, q, r = np.zeros((4, 4)), np.zeros(4), np.zeros(4)
         first, second = (p[0], p[0]) if field == "p" else (q, r)
         first[0], second[1] = 0.5, total - 0.5
         return ProbabilityTable(p, q, r, 0)
 
-    table(1.0 + TRACE_TOL + 0.5 * ROUND_TOL)
-    with pytest.raises(ValidationError, match="sum to at most 1" if field == "p" else "jointly exceed"):
-        table(1.0 + TRACE_TOL + 2.0 * ROUND_TOL)
+    table(bound - 0.5 * ROUND_TOL)
+    message = "each p row must sum to at most 1 (binary A outcome per setting)" if field == "p" else "q and r jointly exceed total probability 1"
+    with pytest.raises(ValidationError) as err:
+        table(bound + 2.0 * ROUND_TOL)
+    assert str(err.value) == message
 
 
 def _ideal_arrays(rho):
@@ -1043,16 +1049,70 @@ def test_the_samplers_tables_of_random_states_are_stored_as_the_gate_stores_them
     assert_stored_as_the_gate_stores(sample_table(rho, cfg), *_sampled_arrays(rho, cfg), shots)
 
 
+def clip_shift_norm(rho):
+    """The operator norm of what the ideal table's clip at 0 adds to f-hat, which is linear in the table, for one
+    state or each of a stack: by Weyl's inequality it bounds how far the clip moves f-hat's lambda_min, and it is 0
+    for a state whose Born weights are all nonnegative."""
+    shift = np.maximum(0.0, -tomography._born_weights(rho.mat, tomography._TABLE_SETTINGS))
+    lead = shift.shape[:-2]
+    rows = np.concatenate([shift[..., :4, :4].reshape(lead + (16,)), shift[..., 4, :4] + shift[..., 4, 4:]], axis=-1)
+    return np.linalg.norm((rows @ _F_HAT_MAP).reshape(lead + (4, 4)), 2, axis=(-2, -1))
+
+
+def assert_the_ideal_table_is_stored_and_detects_as_the_spectrum(rho):
+    """The ideal table of ``rho`` holds what the gate stores of the same arrays, which it accepts, and f-hat's
+    lambda_min is the SPA-PT spectrum's within EXACT_BOUND, plus the clip's shift where a Born weight is below 0, for
+    one state or each of a stack."""
+    table = ideal_probabilities(rho)
+    assert_stored_as_the_gate_stores(table, *_ideal_arrays(rho), 0)
+    gap = np.abs(detect(table, "f_hat").lambda_min - detect(rho, "spa_spectrum").lambda_min)
+    shift = clip_shift_norm(rho)
+    assert np.all((gap <= EXACT_BOUND) | (shift > 0.0))
+    assert np.all(gap <= EXACT_BOUND + shift)
+    return table
+
+
 def test_the_ideal_table_of_a_state_with_an_eigenvalue_below_zero_passes_the_gate():
-    # eigenvalues -eps inside the PSD slack lift the p row of P_0 = |0><0| to 1 + 2 eps, past the table's sum bound
+    # eigenvalues -eps inside the PSD slack lift the p row of P_0 = |0><0| to 1 + 2 eps, past 1 + TRACE_TOL + ROUND_TOL
+    # but inside the table's sum bound, which holds the three eigenvalues a valid state may have below 0
     eps = 0.9e-9
     edge = DensityMatrix(np.diag([0.5 + eps, 0.5 + eps, -eps, -eps]).astype(complex))
     assert edge.spectrum.values[0] < 0.0
-    with pytest.raises(ValidationError, match="each p row must sum to at most 1"):
-        ideal_probabilities(edge)
-    with pytest.raises(ValidationError, match="^stack entry 1: each p row must sum to at most 1"):
-        ideal_probabilities(DensityMatrix(np.stack([MAXIMALLY_MIXED.mat, edge.mat])))
-    # one inside the bound is accepted, as the gate stores it
+    for rho, k in ((edge, ...), (DensityMatrix(np.stack([MAXIMALLY_MIXED.mat, edge.mat])), 1)):
+        table = assert_the_ideal_table_is_stored_and_detects_as_the_spectrum(rho)
+        assert table.p[k][0].sum() > 1.0 + TRACE_TOL + ROUND_TOL
+    # p rows that sum to 1, and one eigenvalue below 0 that puts Born weights below 0, which the table clips
     inside = DensityMatrix(np.diag([0.5, 0.5, eps, -eps]).astype(complex))
-    assert inside.spectrum.values[0] < 0.0
-    assert_stored_as_the_gate_stores(ideal_probabilities(inside), *_ideal_arrays(inside), 0)
+    assert inside.spectrum.values[0] < 0.0 and clip_shift_norm(inside) > 0.0
+    assert_the_ideal_table_is_stored_and_detects_as_the_spectrum(inside)
+    # three eigenvalues below 0 but no Born weight below 0: f-hat is held to EXACT_BOUND itself
+    unclipped = psd_edge_state(0, "haar", 3, 1.0)
+    assert unclipped.spectrum.values[2] < 0.0 and clip_shift_norm(unclipped) == 0.0
+    assert_the_ideal_table_is_stored_and_detects_as_the_spectrum(unclipped)
+
+
+def psd_edge_state(seed, vector, negatives, trace_sign):
+    """A valid state at both edges of the state gate: ``negatives`` eigenvalues at -0.999 PSD_TOL, trace 1 +
+    0.999 TRACE_TOL ``trace_sign``, and the rest of the weight on one vector, Haar-random, a product of Haar qubits,
+    or a ``tomo_basis`` state on A with a Haar qubit on B."""
+    rng = np.random.default_rng(seed)
+    qubit = lambda: haar_unitary(rng)[:, 0]
+    psi = {
+        "haar": lambda: haar_unitary(rng, 4)[:, 0],
+        "product": lambda: np.kron(qubit(), qubit()),
+        "tomo_basis": lambda: np.kron(tomo_basis()[rng.integers(4)].amplitudes, qubit()),
+    }[vector]()
+    # orthonormal columns after psi, from Haar ones: the eigenvectors below 0
+    others = np.linalg.qr(np.column_stack([psi, haar_unitary(rng, 4)[:, :3]]))[0][:, 1 : 1 + negatives]
+    slack = 0.999 * PSD_TOL
+    top = 1.0 + trace_sign * 0.999 * TRACE_TOL + negatives * slack
+    return DensityMatrix(top * np.outer(psi, psi.conj()) - slack * others @ others.conj().T)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["haar", "product", "tomo_basis"]), st.integers(1, 3), st.sampled_from([-1.0, 1.0]))
+def test_the_ideal_table_of_a_state_at_the_psd_and_trace_edges_is_stored_and_accepted(seed, vector, negatives, trace_sign):
+    rho = psd_edge_state(seed, vector, negatives, trace_sign)
+    assert rho.spectrum.values[negatives - 1] < 0.0
+    table = assert_the_ideal_table_is_stored_and_detects_as_the_spectrum(rho)
+    assert max(table.p.max(), table.q.max(), table.r.max()) < 1.0

@@ -137,7 +137,11 @@ MUTANTS = (
     Mutant("dispatch-ambiguity-unguarded", "cli.py", ' or "--=" in " ".join(argv)', ""),
     # one assembly of a table's f_hat, the table's sum bound and the order it names a bad entry in
     Mutant("f-hat-raw-product", "detection.py", "mat = hermitian_part((rows @ _F_HAT_MAP).reshape(lead + (4, 4)))", "mat = (rows @ _F_HAT_MAP).reshape(lead + (4, 4))"),
-    Mutant("table-sum-bound-trace-only", "tomography.py", "_SUM_STARTS, axis=-1) <= 1.0 + TRACE_TOL + ROUND_TOL", "_SUM_STARTS, axis=-1) <= 1.0 + TRACE_TOL"),
+    Mutant("table-sum-bound-trace-only", "tomography.py", "_SUM_STARTS, axis=-1) <= 1.0 + TRACE_TOL + 3.0 * PSD_TOL + ROUND_TOL", "_SUM_STARTS, axis=-1) <= 1.0 + TRACE_TOL + 0.0 * PSD_TOL"),
+    Mutant(
+        "table-sum-bound-psd-slack-dropped", "tomography.py",
+        "_SUM_STARTS, axis=-1) <= 1.0 + TRACE_TOL + 3.0 * PSD_TOL + ROUND_TOL", "_SUM_STARTS, axis=-1) <= 1.0 + TRACE_TOL + 0.0 * PSD_TOL + ROUND_TOL",
+    ),
     Mutant(
         "table-range-before-finite", "tomography.py",
         "                require_each(np.isfinite(entries[..., cut]).all(axis=-1), lambda i: f\"{name} entries must be finite: the table holds NaN or inf\")\n"
@@ -148,15 +152,16 @@ MUTANTS = (
     # the samplers' tables stored without the table gate, and a single state's checks as Python comparisons
     Mutant("table-builder-writable", "tomography.py", "kept.setflags(write=False)", "kept.setflags(write=True)"),
     # a state with an eigenvalue below 0, inside the PSD slack, has Born weights below 0 by up to PSD_TOL
-    Mutant("born-clip-abs", "tomography.py", "np.minimum(np.maximum(0.0, _born_weights", "np.minimum(np.abs(_born_weights"),
+    Mutant("born-clip-abs", "tomography.py", "np.maximum(0.0, _born_weights(rho.mat, _TABLE_SETTINGS))", "np.abs(_born_weights(rho.mat, _TABLE_SETTINGS))"),
     Mutant("ideal-q-r-swapped", "tomography.py", "born[..., 4, :4], born[..., 4, 4:], 0)", "born[..., 4, 4:], born[..., 4, :4], 0)"),
-    Mutant(
-        "ideal-table-never-gated", "tomography.py",
-        "build = ProbabilityTable if count_nonzero(rho.spectrum.values[..., 0] < 0.0) else ProbabilityTable._from_measured",
-        "build = ProbabilityTable._from_measured",
-    ),
     Mutant("state-single-trace-unchecked", "states.py", "if m.ndim == 3 or not ok:\n            require_each(ok, lambda i: f\"trace", "if m.ndim == 3:\n            require_each(ok, lambda i: f\"trace"),
     Mutant("state-single-psd-unchecked", "states.py", "if m.ndim == 3 or not ok:\n            require_each(ok, lambda i: f\"not positive", "if m.ndim == 3:\n            require_each(ok, lambda i: f\"not positive"),
+    # the state gate as the only owner of a random state's Hermitian part
+    Mutant(
+        "random-state-own-hermitian-part", "states.py",
+        "    mat = mat / mat.trace(axis1=-2, axis2=-1).real[:, None, None]",
+        "    mat = (mat + mat.conj().swapaxes(-1, -2)) / 2.0\n    mat = mat / mat.trace(axis1=-2, axis2=-1).real[:, None, None]",
+    ),
 )
 
 
