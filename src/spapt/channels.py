@@ -74,13 +74,13 @@ __all__ = [
 
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization of a matrix, or of each matrix of a stack."""
-    a = np.asarray(m, dtype=complex)
+    a = as_numeric(m, complex, "matrix", copy=False)
     return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))  # reshape cannot infer -1 for an empty stack
 
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`, for one vector or a stack of them."""
-    a = np.asarray(v, dtype=complex)
+    a = as_numeric(v, complex, "vectorized matrix", copy=False)
     return a.reshape(a.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
 
 
@@ -108,7 +108,7 @@ class Channel:
 
     mat: np.ndarray
     instrument: Instrument | None = field(default=None, init=False)
-    _choi = None  # the gated Choi matrix, set on the first use of choi: a plain per-instance memo, not a dataclass field
+    _choi = None  # the gated Choi matrix, set on the first call of choi: a plain per-instance memo, not a dataclass field
 
     def __post_init__(self) -> None:
         m = as_numeric(self.mat, complex, "superoperator")
@@ -129,20 +129,11 @@ class Channel:
         """Apply the map to a raw matrix, or to each matrix of a stack (no
         physicality validation).  Each matrix is one matrix-vector product
         with the superoperator."""
-        a = np.asarray(operator, dtype=complex)
+        a = as_numeric(operator, complex, "operator", copy=False)
         dim = self.dim
         if a.shape[-2:] != (dim, dim):
             raise ValidationError(f"operator shape {a.shape} does not match channel input dim {dim}")
         return unvec((self.mat @ vec(a)[..., None])[..., 0], dim)
-
-    @property
-    def choi(self) -> ChoiMatrix:
-        """Choi matrix (Lambda (x) id)[|Omega><Omega|], |Omega> normalized, formed and gated on first use (a failed
-        gate raises at every use): entry [(i, k), (j, l)] is Lambda(|k><l|)[i, j] / dim, a superoperator reshuffle."""
-        if self._choi is None:
-            d = self.dim
-            object.__setattr__(self, "_choi", ChoiMatrix(self.mat.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d))
-        return self._choi
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -221,16 +212,11 @@ class Side:
         return _read_only(np.array(self.povm or [np.eye(self.dim, dtype=complex)] * self.draws))
 
     @cached_property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        """Projectors onto the prepared states."""
-        return tuple(v.projector() for v in self.prepared)
-
-    @cached_property
     def maps(self) -> np.ndarray:
         """Superoperator per outcome, x -> tr(M_k x) |v_k><v_k|, or per
         correction, x -> U x U^dag."""
         if self.povm:
-            return _read_only(np.array([np.outer(vec(p), vec(m.T)) for p, m in zip(self.projectors, self.povm)]))
+            return _read_only(np.array([np.outer(vec(v.projector()), vec(m.T)) for v, m in zip(self.prepared, self.povm)]))
         return _read_only(np.array([np.kron(u.conj(), u) for u in self.corrections]))
 
 
@@ -241,7 +227,8 @@ class Branch:
     subsystem A first.
 
     A run of the branch ends in one category: an outcome or a correction
-    per side, with side A's index running slowest.
+    per side, with side A's index running slowest.  The branch is a
+    declaration only; its instrument derives the category tables.
     """
 
     weight: Fraction
@@ -274,25 +261,6 @@ class Branch:
         """How many equally likely corrections follow each joint outcome."""
         return math.prod(s.draws for s in self.sides)
 
-    @cached_property
-    def effects(self) -> np.ndarray:
-        """Born effect per category, laid :func:`~spapt.linalg.side_by_side`:
-        a run ends in category c with probability
-        ``weigh(tr(rho effects[:, c, :])) / draws``."""
-        return side_by_side(reduce(_kron, (s.effects for s in self.sides)))
-
-    @cached_property
-    def maps(self) -> np.ndarray:
-        """Superoperator per category: a run ending in category c emits
-        ``maps[c] @ vec(rho)`` divided by ``tr(rho effects[c])``."""
-        return _read_only(reduce(_tensor, (s.maps for s in self.sides)))
-
-    @cached_property
-    def superoperator(self) -> np.ndarray:
-        """``weight`` times the product of the sides' averaged superoperators."""
-        local = (s.maps.sum(axis=0, keepdims=True) / s.draws for s in self.sides)
-        return _read_only(self.weigh(reduce(_tensor, local)[0]))
-
 
 @dataclass(frozen=True, eq=False)
 class Instrument:
@@ -320,16 +288,25 @@ class Instrument:
 
     @cached_property
     def categories(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All branches' categories in order: Born effects side by side, superoperators stacked, and rows
-        (numerator, denominator, draws), so a category of Born weight w has probability
-        ``((w * numerator) / denominator) / draws``, bit for bit its branch's ``weigh(w) / draws``."""
+        """All branches' categories in order: Born effects (the Kronecker products of the sides' effects) laid
+        :func:`~spapt.linalg.side_by_side`, superoperators (the tensor products of the sides' maps) stacked, and
+        rows (numerator, denominator, draws).  A run ends in category c with probability
+        ``((w * numerator) / denominator) / draws`` of Born weight ``w = tr(rho effects[:, c, :])``, bit for bit
+        its branch's ``weigh(w) / draws``, and emits ``maps[c] @ vec(rho)`` divided by ``w``."""
+        maps = [reduce(_tensor, (s.maps for s in b.sides)) for b in self.branches]
         weighing = np.array([(b.weight.numerator, b.weight.denominator, b.draws) for b in self.branches], dtype=float)
-        weighing = np.repeat(weighing, [len(b.maps) for b in self.branches], axis=0).T
-        return _read_only(np.concatenate([b.effects for b in self.branches], axis=1)), _read_only(np.concatenate([b.maps for b in self.branches])), _read_only(weighing)
+        weighing = np.repeat(weighing, [len(m) for m in maps], axis=0).T
+        effects = np.concatenate([reduce(_kron, (s.effects for s in b.sides)) for b in self.branches])
+        return side_by_side(effects), _read_only(np.concatenate(maps)), _read_only(weighing)
+
+    @cached_property
+    def _superoperator(self) -> np.ndarray:
+        """Each branch's ``weigh`` of the product of its sides' averaged superoperators, summed over the branches."""
+        return _read_only(sum(b.weigh(reduce(_tensor, (s.maps.sum(axis=0, keepdims=True) / s.draws for s in b.sides))[0]) for b in self.branches))
 
     def channel(self) -> Channel:
-        """The exact channel, the sum of the branches' superoperators, carrying this instrument."""
-        channel = Channel(sum(b.superoperator for b in self.branches))
+        """The exact channel carrying this instrument: a copy of the summed superoperator, with its own Choi memo."""
+        channel = Channel(self._superoperator)
         object.__setattr__(channel, "instrument", self)
         return channel
 
@@ -445,13 +422,18 @@ class ChoiMatrix:
 
 
 def choi(channel: Channel) -> ChoiMatrix:
-    """The channel's Choi matrix (:attr:`Channel.choi`), formed once per channel."""
-    return channel.choi
+    """Choi matrix (Lambda (x) id)[|Omega><Omega|], |Omega> normalized, formed and gated on the first call per channel
+    and kept on it (a failed gate raises at every call): entry [(i, k), (j, l)] is Lambda(|k><l|)[i, j] / dim, a
+    superoperator reshuffle."""
+    if channel._choi is None:
+        d = channel.dim
+        object.__setattr__(channel, "_choi", ChoiMatrix(channel.mat.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d))
+    return channel._choi
 
 
 def is_cp(channel: Channel) -> bool:
     """Complete positivity: no eigenvalue of the Choi matrix below -1e-9, a bool the values-only solve decides."""
-    return bool(gated_eigvals(channel.choi.mat)[0] >= -PSD_TOL)
+    return bool(gated_eigvals(choi(channel).mat)[0] >= -PSD_TOL)
 
 
 @cache

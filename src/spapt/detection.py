@@ -103,8 +103,8 @@ def _f_hat_map() -> np.ndarray:
     gram = np.einsum("aij,bji->ab", projectors, projectors).real
     dual = np.einsum("il,ijk->ljk", np.linalg.inv(gram), projectors)
     transpose, inversion = SPA_PT_INSTRUMENT.branches
-    rows = [transpose.weigh(np.kron(d, s)) for d in dual for s in transpose.sides[1].projectors]
-    rows += [inversion.weigh(np.kron(s, np.eye(2) / 2.0)) for s in inversion.sides[0].projectors]
+    rows = [transpose.weigh(np.kron(d, v.projector())) for d in dual for v in transpose.sides[1].prepared]
+    rows += [inversion.weigh(np.kron(v.projector(), np.eye(2) / 2.0)) for v in inversion.sides[0].prepared]
     f_map = np.array(rows).reshape(20, 16)
     f_map.setflags(write=False)
     return f_map

@@ -295,23 +295,18 @@ _YY = np.kron(PAULI_Y, PAULI_Y)
 _YY.setflags(write=False)
 
 
-def _tangles(mats: np.ndarray, spectra: Spectrum) -> np.ndarray:
-    """Tangle of one two-qubit state matrix, or of each of a stack, from the
-    stored eigendecompositions that give the state roots: one eigensolve."""
-    s = psd_sqrt_from(spectra)
-    lam = sqrt_spectrum(gated_eig(hermitian_part(s @ (_YY @ mats.conj() @ _YY) @ s)).values)[..., ::-1]
-    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
-    return np.minimum(c * c, 1.0)
-
-
 def tangle(rho: DensityMatrix) -> float | np.ndarray:
     """Squared concurrence of a two-qubit state, or of each state of a stack.
 
     Computed as C = max(0, l1 - l2 - l3 - l4) with l_k the descending
     square roots of the eigenvalues of rho * spin_flip(rho); those equal
     the eigenvalues of the Hermitian sqrt(rho) spin_flip(rho) sqrt(rho).
+    The stored eigendecomposition gives the state root, so it is one eigensolve.
     """
-    return _per_entry(_tangles(rho.mat, rho.spectrum))
+    s = psd_sqrt_from(rho.spectrum)
+    lam = sqrt_spectrum(gated_eig(hermitian_part(s @ (_YY @ rho.mat.conj() @ _YY) @ s)).values)[..., ::-1]
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return _per_entry(np.minimum(c * c, 1.0))
 
 
 def linear_entropy(rho: DensityMatrix) -> float | np.ndarray:

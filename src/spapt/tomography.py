@@ -44,6 +44,7 @@ integers, in one vectorized pass of numpy's output hash.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from functools import cache
@@ -204,10 +205,12 @@ class ProbabilityTable:
         object.__setattr__(self, "shots_per_setting", shots)
 
     @classmethod
-    def _from_measured(cls, p: np.ndarray, q: np.ndarray, r: np.ndarray, shots: int) -> ProbabilityTable:
-        """The table of float arrays a sampler of this module formed and an int ``shots``, stored as the gate stores one."""
+    def _from_measured(cls, settings: np.ndarray, shots: int) -> ProbabilityTable:
+        """The table of the (..., 5, 8) float outcomes of the detection settings a sampler of this module formed, laid
+        out as ``_TABLE_SETTINGS``, and an int ``shots``, stored as the gate stores one: p is the first four outcomes
+        of rows 0..3, q and r the two halves of row 4."""
         table = object.__new__(cls)
-        for name, arr in (("p", p), ("q", q), ("r", r)):
+        for name, arr in (("p", settings[..., :4, :4]), ("q", settings[..., 4, :4]), ("r", settings[..., 4, 4:])):
             kept = arr.copy()
             kept.setflags(write=False)
             object.__setattr__(table, name, kept)
@@ -261,8 +264,7 @@ def ideal_probabilities(rho: DensityMatrix) -> ProbabilityTable:
     """Exact Born-rule table for the detection settings, of one state or stacked for a stack, one product for all.
     Clipped at 0, a valid state's table lies within the gate's bounds and is stored without it; no weight reaches
     1, since an effect of trace 1/2 and norm 1/2 weighs at most half the largest eigenvalue."""
-    born = np.maximum(0.0, _born_weights(rho.mat, _TABLE_SETTINGS))
-    return ProbabilityTable._from_measured(born[..., :4, :4], born[..., 4, :4], born[..., 4, 4:], 0)
+    return ProbabilityTable._from_measured(np.maximum(0.0, _born_weights(rho.mat, _TABLE_SETTINGS)), 0)
 
 
 def _normalized_probs(values: np.ndarray) -> np.ndarray:
@@ -308,12 +310,14 @@ def sample_table(rho: DensityMatrix, cfg: ShotConfig) -> ProbabilityTable:
     (born,) = _kept(rho, "table", _TABLE_SETTINGS, lambda: (_normalized_probs(_born_weights(rho.mat, _TABLE_SETTINGS)),))
     freq = np.array(_draw(cfg, born.reshape(-1, 8), *_TABLE_PATHS)).reshape(born.shape) / cfg.shots_per_setting
     # counts over shots: each entry in [0, 1], each p row and q + r at most 1 up to rounding
-    return ProbabilityTable._from_measured(freq[..., :4, :4], freq[..., 4, :4], freq[..., 4, 4:], cfg.shots_per_setting)
+    return ProbabilityTable._from_measured(freq, cfg.shots_per_setting)
 
 
-def _trajectory_components(rho: DensityMatrix, instrument: Instrument) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome probabilities and emitted states of one single-copy run of a
-    local instrument, one per category, for one state or each of a stack.
+def _trajectory_components(rho: DensityMatrix, instrument: Instrument) -> tuple[np.ndarray, ...]:
+    """What one single-copy run of a local instrument draws from, for one state
+    or each of a stack: the mask of categories of nonzero probability, every
+    category's emitted state, in C order, so that ``trajectory`` reads them as
+    rows without a copy, then each entry's probabilities of its drawn categories.
 
     Categories run as in the instrument's table, over branch, then over the
     outcomes and corrections of the branch's sides, side A slowest: for
@@ -325,25 +329,19 @@ def _trajectory_components(rho: DensityMatrix, instrument: Instrument) -> tuple[
     effects, maps, (numerator, denominator, draws) = instrument.categories
     w = _born_weights(rho.mat, effects)
     live = w > ZERO_WEIGHT_TOL
-    probs = np.where(live, ((w * numerator) / denominator) / draws, 0.0)
+    probs = _normalized_probs(np.where(live, ((w * numerator) / denominator) / draws, 0.0))
     # vec(rho) as a column, so that each category's product is the matrix-vector one of maps @ vec(rho)
     emitted = (maps @ vec(rho.mat)[..., None, :, None])[..., 0]
-    return _normalized_probs(probs), unvec(emitted / np.where(live, w, 1.0)[..., None], rho.dim)
-
-
-def _drawn_components(rho: DensityMatrix, instrument: Instrument) -> tuple[np.ndarray, ...]:
-    """The mask of categories of nonzero probability, every category's emitted state, in C order, so
-    that ``trajectory`` reads them as rows without a copy, then each entry's drawn probabilities."""
-    probs, outputs = _trajectory_components(rho, instrument)
+    outputs = np.ascontiguousarray(unvec(emitted / np.where(live, w, 1.0)[..., None], rho.dim))
     drawn = probs > 0.0
     rows = zip(probs.reshape(-1, probs.shape[-1]), drawn.reshape(-1, probs.shape[-1]))
-    return drawn, np.ascontiguousarray(outputs), *(row[mask] for row, mask in rows)
+    return drawn, outputs, *(row[mask] for row, mask in rows)
 
 
 def _trajectory_counts(rho: DensityMatrix, instrument: Instrument, cfg: ShotConfig) -> tuple[np.ndarray, np.ndarray]:
     """Run counts and output states per category, of one state or each of a stack; each entry draws
     only its categories of nonzero probability, from the one trajectory substream."""
-    drawn, outputs, *rows = _kept(rho, "trajectory", instrument, lambda: _drawn_components(rho, instrument))
+    drawn, outputs, *rows = _kept(rho, "trajectory", instrument, lambda: _trajectory_components(rho, instrument))
     counts = np.zeros(drawn.shape, dtype=np.int64)
     # the entries' draws joined in C order, as the mask reads them; the empty int64 start serves an empty stack
     counts[drawn] = np.concatenate([np.zeros(0, dtype=np.int64), *_draw(cfg, rows, (_TAG_TRAJ,))])
@@ -376,7 +374,7 @@ def trajectory_branch_counts(rho: DensityMatrix, cfg: ShotConfig) -> tuple[int, 
     the inversion branch (expected fractions 1/3 and 2/3); a stack is refused."""
     require_single("trajectory_branch_counts", rho)
     counts, _ = _trajectory_counts(rho, SPA_PT_INSTRUMENT, cfg)
-    split = len(SPA_PT_INSTRUMENT.branches[0].maps)
+    split = math.prod(len(s.effects) for s in SPA_PT_INSTRUMENT.branches[0].sides)
     return int(counts[:split].sum()), int(counts[split:].sum())
 
 

@@ -2,8 +2,11 @@
 decomposition identity of the approximated partial transpose."""
 
 import dataclasses
+import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,6 +364,16 @@ def test_vec_stacks_columns_of_each_matrix_of_a_stack():
     assert np.array_equal(unvec(columns[0], 3), stack[0])
 
 
+UNCONVERTIBLE = {"ragged": [[1, 2], [3]], "string": "ab", "object": {"a": 1}}
+
+
+@pytest.mark.parametrize("bad", sorted(UNCONVERTIBLE))
+def test_apply_matrix_vec_and_unvec_name_an_input_numpy_cannot_convert(bad):
+    for call, what in ((spa_pt().apply_matrix, "operator"), (vec, "matrix"), (lambda v: unvec(v, 2), "vectorized matrix")):
+        with pytest.raises(ValidationError, match=f"^expected a numeric {what}, got an input numpy cannot convert"):
+            call(UNCONVERTIBLE[bad])
+
+
 def test_replace_channel_takes_an_integer_dim_from_one_to_four():
     for dim in range(1, 5):
         assert np.array_equal(replace_channel(dim).apply_matrix(np.eye(dim)), np.eye(dim))
@@ -446,8 +459,8 @@ def test_superoperator_agrees_with_block_oracle_and_choi_partial_trace(name):
     if d == 4:
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T))
-        probs, outputs = _trajectory_components(rho, ch.instrument)
-        assert np.max(np.abs(np.tensordot(probs, outputs, axes=1) - ch.apply_matrix(rho.mat))) < 1e-12
+        drawn, outputs, probs = _trajectory_components(rho, ch.instrument)
+        assert np.max(np.abs(np.tensordot(probs, outputs[drawn], axes=1) - ch.apply_matrix(rho.mat))) < 1e-12
 
 
 def _channel_of_choi(j):
@@ -522,11 +535,38 @@ def test_is_cp_is_the_eigh_verdict_on_the_choi_matrix(name):
 
 def test_a_channel_forms_its_choi_matrix_once_and_each_build_its_own():
     ch = spa_pt()
-    assert choi(ch) is choi(ch) is ch.choi
+    assert choi(ch) is choi(ch) is ch._choi
+    assert not hasattr(Channel, "choi") and Channel._choi is None
     for factory in [*CHANNEL_FACTORIES.values(), spa_transpose, spa_inversion, depolarize]:
         first, second = factory(), factory()
         assert choi(first) is not choi(second)
         assert np.array_equal(choi(first).mat, choi(second).mat)
+
+
+#: sha256 prefix of the bytes of each exact channel's superoperator and Choi
+#: matrix, keyed "channel|superoperator" and "channel|choi"
+CHANNEL_DIGESTS = json.loads((Path(__file__).with_name("channel_digests.json")).read_text())
+DIGEST_CHANNELS = {
+    **CHANNEL_FACTORIES,
+    "spa_transpose": spa_transpose,
+    "spa_inversion": spa_inversion,
+    "depolarize": depolarize,
+    "partial_transpose_channel": partial_transpose_channel,
+    "replace_channel(4)": lambda: replace_channel(4),
+}
+
+
+def test_channel_digests_cover_every_exact_channel():
+    assert sorted(CHANNEL_DIGESTS) == sorted(f"{name}|{part}" for name in DIGEST_CHANNELS for part in ("superoperator", "choi"))
+
+
+@pytest.mark.parametrize("key", sorted(CHANNEL_DIGESTS))
+def test_exact_channel_matches_its_recorded_digest(key):
+    name, part = key.split("|")
+    ch = DIGEST_CHANNELS[name]()
+    out = ch.superoperator() if part == "superoperator" else choi(ch).mat
+    assert out.dtype == complex
+    assert hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()[:16] == CHANNEL_DIGESTS[key]
 
 
 def test_is_cp_after_choi_builds_no_second_choi_matrix(monkeypatch):

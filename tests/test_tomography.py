@@ -235,10 +235,10 @@ def test_a_category_of_tiny_born_weight_keeps_its_probability():
     w = np.array([-v[1].conjugate(), v[0].conjugate()])  # orthogonal to v
     rho_b = (1.0 - eps) * np.outer(w, w.conj()) + eps * np.outer(v, v.conj())
     rho = DensityMatrix(np.kron(np.diag([1.0, 0.0]), rho_b))
-    weight = tomography._born_weights(rho.mat, _TRANSPOSE_BRANCH.effects)[0]
+    weight = tomography._born_weights(rho.mat, _wide(_branch_tables(_TRANSPOSE_BRANCH)[0]))[0]
     assert weight == pytest.approx(eps / 2.0, rel=1e-3)
-    probs, _ = tomography._trajectory_components(rho, SPA_PT_INSTRUMENT)
-    assert probs[0] == pytest.approx(weight / 3.0, rel=1e-9)
+    drawn, _, probs = tomography._trajectory_components(rho, SPA_PT_INSTRUMENT)
+    assert drawn[0] and probs[0] == pytest.approx(weight / 3.0, rel=1e-9)
 
 
 #: sha256 prefix of the 9-decimal-rounded trajectory average, as the seed
@@ -353,15 +353,15 @@ def test_trajectory_counts_are_one_default_rng_draw_over_the_drawn_categories(na
     # probability, and a zero last category would consume a draw if it were drawn
     instrument = CHANNEL_FACTORIES[name]().instrument
     for rho in (_blind_to_last_tetrahedral_outcome(), werner(0.3)):
-        probs, _ = tomography._trajectory_components(rho, instrument)
-        drawn = probs > 0.0
+        drawn, _, probs = tomography._trajectory_components(rho, instrument)
+        assert len(probs) == np.count_nonzero(drawn) and (probs > 0.0).all()
         for seed, shots in ((42, 1000), (2**64 - 1, 10**6)):
-            expected = np.zeros(len(probs), dtype=np.int64)
-            expected[drawn] = np.random.default_rng([seed, 2]).multinomial(shots, probs[drawn])
+            expected = np.zeros(len(drawn), dtype=np.int64)
+            expected[drawn] = np.random.default_rng([seed, 2]).multinomial(shots, probs)
             counts, _ = tomography._trajectory_counts(rho, instrument, ShotConfig(shots, seed))
             assert np.array_equal(counts, expected)
-    probs, _ = tomography._trajectory_components(_blind_to_last_tetrahedral_outcome(), SPA_PT_INSTRUMENT)
-    assert probs[-1] == 0.0
+    drawn, *_ = tomography._trajectory_components(_blind_to_last_tetrahedral_outcome(), SPA_PT_INSTRUMENT)
+    assert not drawn[-1]
 
 
 def test_pauli_expectations_are_the_per_setting_default_rng_draws():
@@ -418,15 +418,37 @@ def test_slice_pauli_averages_equal_the_matmul_and_mean_forms_bit_for_bit(monkey
 ALL_INSTRUMENTS = [factory().instrument for factory in (*CHANNEL_FACTORIES.values(), spa_transpose, spa_inversion, depolarize)]
 
 
+def _wide(effects):
+    """A stack of effects laid side by side, ``[E_0 | E_1 | ...]``, as ``_born_weights`` reads them."""
+    return np.moveaxis(effects, -2, 0)
+
+
+def _branch_tables(branch):
+    """Reference tables of one branch from its sides, side A's index slowest:
+    each category's Born effect as ``np.kron`` of the sides' effects, and its
+    superoperator as ``np.kron`` of the sides' maps, reindexed from (column A,
+    row A, column B, row B) to the joint vec order (column A, column B, row A,
+    row B).  Each entry is one product of two entries, as in the instrument,
+    whose ``einsum`` adds it to a zero: + 0.0 stores a product of -0 as +0 alike."""
+    if len(branch.sides) == 1:
+        return branch.sides[0].effects, branch.sides[0].maps
+    a, b = branch.sides
+    effects = np.array([np.kron(ea, eb) for ea in a.effects for eb in b.effects]) + 0.0
+    order = (a.dim, a.dim, b.dim, b.dim) * 2
+    maps = np.array([np.kron(ma, mb).reshape(order).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(branch.dim**2, -1) for ma in a.maps for mb in b.maps]) + 0.0
+    return effects, maps
+
+
 def _per_branch_components(rho, instrument):
     """Reference trajectory components, one Born product, map product and
     ``weigh(w) / draws`` per branch, concatenated."""
     probs, outputs = [], []
     for branch in instrument.branches:
-        w = tomography._born_weights(rho.mat, branch.effects)
+        effects, maps = _branch_tables(branch)
+        w = tomography._born_weights(rho.mat, _wide(effects))
         live = w > 1e-14
         probs.append(np.where(live, branch.weigh(w) / branch.draws, 0.0))
-        outputs.append(unvec((branch.maps @ vec(rho.mat)) / np.where(live, w, 1.0)[:, None], rho.dim))
+        outputs.append(unvec((maps @ vec(rho.mat)) / np.where(live, w, 1.0)[:, None], rho.dim))
     return tomography._normalized_probs(np.concatenate(probs)), np.concatenate(outputs)
 
 
@@ -438,8 +460,9 @@ def test_the_category_table_equals_its_branches_bit_for_bit():
         assert instrument.categories is instrument.categories
         assert not any(a.flags.writeable for a in (effects, maps, weighing))
         branches = instrument.branches
-        assert _same_bytes(effects, np.concatenate([b.effects for b in branches], axis=1))
-        assert _same_bytes(maps, np.concatenate([b.maps for b in branches]))
+        tables = [_branch_tables(b) for b in branches]
+        assert _same_bytes(effects, _wide(np.concatenate([t[0] for t in tables])))
+        assert _same_bytes(maps, np.concatenate([t[1] for t in tables]))
         assert weighing.shape == (3, len(maps))
         d = instrument.dim
         for _ in range(20):
@@ -448,15 +471,16 @@ def test_the_category_table_equals_its_branches_bit_for_bit():
             # a two-qubit instrument is weighed on its Born products; a one-qubit
             # one, which no state of the package runs, on random weights
             w = tomography._born_weights(mat, effects) if d == 4 else rng.random(len(maps))
-            per_branch = np.split(w, np.cumsum([len(b.maps) for b in branches])[:-1])
+            per_branch = np.split(w, np.cumsum([len(t[1]) for t in tables])[:-1])
             if d == 4:
-                assert _same_bytes(w, np.concatenate([tomography._born_weights(mat, b.effects) for b in branches]))
+                assert _same_bytes(w, np.concatenate([tomography._born_weights(mat, _wide(t[0])) for t in tables]))
             numerator, denominator, draws = weighing
             assert _same_bytes(((w * numerator) / denominator) / draws, np.concatenate([b.weigh(x) / b.draws for b, x in zip(branches, per_branch)]))
-            assert _same_bytes(maps @ vec(mat), np.concatenate([b.maps @ vec(mat) for b in branches]))
+            assert _same_bytes(maps @ vec(mat), np.concatenate([t[1] @ vec(mat) for t in tables]))
         for rho in (random_density_matrix(rng), _blind_to_last_tetrahedral_outcome(), bell("psi-")) if d == 4 else ():
-            got, want = tomography._trajectory_components(rho, instrument), _per_branch_components(rho, instrument)
-            assert _same_bytes(got[0], want[0]) and _same_bytes(got[1], want[1])
+            drawn, outputs, drawn_probs = tomography._trajectory_components(rho, instrument)
+            probs, want_outputs = _per_branch_components(rho, instrument)
+            assert _same_bytes(drawn, probs > 0.0) and _same_bytes(drawn_probs, probs[probs > 0.0]) and _same_bytes(outputs, want_outputs)
 
 
 def test_trajectory_is_deterministic():
@@ -794,9 +818,10 @@ def test_stacked_born_tables_equal_the_per_effect_products_bit_for_bit():
             assert _same_bytes(expectations[k], _per_effect_born(single, PAULIS, PAULIS))
         for branch, branch_effects in zip(branches, kron_effects):
             want = np.array([[np.real(np.trace(m @ e)) for e in branch_effects] for m in states.mat]).reshape(count, len(branch_effects))
-            assert _same_bytes(tomography._born_weights(states.mat, branch.effects), want)
+            wide = _wide(np.array(branch_effects))
+            assert _same_bytes(tomography._born_weights(states.mat, wide), want)
             for k in range(count):
-                assert _same_bytes(tomography._born_weights(states.mat[k], branch.effects), want[k])
+                assert _same_bytes(tomography._born_weights(states.mat[k], wide), want[k])
 
 
 def test_sampled_tomography_reaches_high_fidelity():

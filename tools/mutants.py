@@ -52,7 +52,7 @@ MUTANTS = (
     Mutant("spa-threshold", "detection.py", "SPA_THRESHOLD = 2.0 / 9.0", "SPA_THRESHOLD = 1.0 / 4.0"),
     Mutant("verdict-rule", "detection.py", "lam < threshold - ROUND_TOL", "lam <= threshold + ROUND_TOL"),
     Mutant("witness-without-partial-transpose", "detection.py", "witness = partial_transpose(q)", "witness = q"),
-    Mutant("f-hat-inversion-identity", "detection.py", "np.kron(s, np.eye(2) / 2.0)", "np.kron(s, np.eye(2))"),
+    Mutant("f-hat-inversion-identity", "detection.py", "np.kron(v.projector(), np.eye(2) / 2.0)", "np.kron(v.projector(), np.eye(2))"),
     Mutant("det-scan-bracket", "detection.py", "lo = min(a1 - b1, a2 - b1 - b2, a3 - b2 - b3, a4 - b3) - RAW_TOL", "lo = min(a1, a2, a3, a4) - RAW_TOL"),
     Mutant("tangle-sign", "states.py", "lam[..., 2] - lam[..., 3]", "lam[..., 2] + lam[..., 3]"),
     Mutant("werner-noise", "states.py", "p * np.eye(4, dtype=complex) / 4.0", "p * np.eye(4, dtype=complex) / 2.0"),
@@ -117,7 +117,7 @@ MUTANTS = (
     ),
     Mutant("random-state-components-reversed", "states.py", "for k in range(n_components):", "for k in reversed(range(n_components)):"),
     # the certificates read once per channel, the values-only solve, and f_hat off the ideal span
-    Mutant("is-cp-threshold", "channels.py", "gated_eigvals(channel.choi.mat)[0] >= -PSD_TOL", "gated_eigvals(channel.choi.mat)[0] >= PSD_TOL"),
+    Mutant("is-cp-threshold", "channels.py", "gated_eigvals(choi(channel).mat)[0] >= -PSD_TOL", "gated_eigvals(choi(channel).mat)[0] >= PSD_TOL"),
     Mutant("tp-row-writable", "channels.py", "return _read_only(vec(np.eye(dim)))", "return vec(np.eye(dim))"),
     Mutant("eigvals-nan-dropped", "linalg.py", "if count_nonzero(w != w):", "if vectors and count_nonzero(w != w):"),
     Mutant(
@@ -153,7 +153,7 @@ MUTANTS = (
     Mutant("table-builder-writable", "tomography.py", "kept.setflags(write=False)", "kept.setflags(write=True)"),
     # a state with an eigenvalue below 0, inside the PSD slack, has Born weights below 0 by up to PSD_TOL
     Mutant("born-clip-abs", "tomography.py", "np.maximum(0.0, _born_weights(rho.mat, _TABLE_SETTINGS))", "np.abs(_born_weights(rho.mat, _TABLE_SETTINGS))"),
-    Mutant("ideal-q-r-swapped", "tomography.py", "born[..., 4, :4], born[..., 4, 4:], 0)", "born[..., 4, 4:], born[..., 4, :4], 0)"),
+    Mutant("ideal-q-r-swapped", "tomography.py", '("q", settings[..., 4, :4]), ("r", settings[..., 4, 4:])', '("q", settings[..., 4, 4:]), ("r", settings[..., 4, :4])'),
     Mutant("state-single-trace-unchecked", "states.py", "if m.ndim == 3 or not ok:\n            require_each(ok, lambda i: f\"trace", "if m.ndim == 3:\n            require_each(ok, lambda i: f\"trace"),
     Mutant("state-single-psd-unchecked", "states.py", "if m.ndim == 3 or not ok:\n            require_each(ok, lambda i: f\"not positive", "if m.ndim == 3:\n            require_each(ok, lambda i: f\"not positive"),
     # the state gate as the only owner of a random state's Hermitian part
@@ -162,6 +162,9 @@ MUTANTS = (
         "    mat = mat / mat.trace(axis1=-2, axis2=-1).real[:, None, None]",
         "    mat = (mat + mat.conj().swapaxes(-1, -2)) / 2.0\n    mat = mat / mat.trace(axis1=-2, axis2=-1).real[:, None, None]",
     ),
+    # the instrument's one cached superoperator and the per-channel Choi memo
+    Mutant("instrument-superoperator-unweighed", "channels.py", "sum(b.weigh(reduce(_tensor, ", "sum((lambda x: x)(reduce(_tensor, "),
+    Mutant("choi-memo-on-the-class", "channels.py", 'object.__setattr__(channel, "_choi", ', 'setattr(Channel, "_choi", '),
 )
 
 
