@@ -75,12 +75,17 @@ __all__ = [
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization of a matrix, or of each matrix of a stack."""
     a = as_numeric(m, complex, "matrix", copy=False)
+    if a.ndim < 2:
+        raise ValidationError(f"vec takes a matrix or a stack of matrices, got shape {a.shape}")
     return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))  # reshape cannot infer -1 for an empty stack
 
 
 def unvec(v: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`vec`, for one vector or a stack of them."""
     a = as_numeric(v, complex, "vectorized matrix", copy=False)
+    dim = require_integer(dim, 1, math.inf, "unvec takes a positive integer dim")
+    if a.ndim < 1 or a.shape[-1] != dim * dim:
+        raise ValidationError(f"unvec to {dim}x{dim} takes a last axis of length {dim * dim}, got shape {a.shape}")
     return a.reshape(a.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
 
 

@@ -57,10 +57,6 @@ from .io import load_state, save_state, write_report
 __all__ = ["main", "build_parser", "CHANNEL_FACTORIES"]
 
 
-class UsageError(Exception):
-    """Bad command line that argparse cannot catch on its own."""
-
-
 class _Parser(argparse.ArgumentParser):
     # exit code 1 for usage errors (argparse defaults to 2, which this
     # package reserves for validation failures)
@@ -82,7 +78,7 @@ CHANNEL_FACTORIES: dict[str, Callable[[], Channel]] = {
 }
 
 
-def _family(name: str, build: Callable[..., DensityMatrix], *flags: str) -> tuple[Callable[..., Any], tuple[str, ...]]:
+def _family(name: str, build: Callable[..., DensityMatrix], **flags: dict[str, Any]) -> tuple[Callable[..., Any], dict[str, dict[str, Any]]]:
     return (lambda *values: (build(*values), {"family": name, **dict(zip(flags, values))})), flags
 
 
@@ -91,16 +87,16 @@ def _state_file(path: str) -> tuple[DensityMatrix, dict[str, Any]]:
     return rho, {**metadata, "family": "file", "source": path}
 
 
-# family -> (builder returning the state and its metadata, flags the builder takes in order)
+_P_FLAG = {"type": float, "help": "mixing parameter in [0, 1]"}
+# family -> (builder returning the state and its metadata, the flags the builder takes in order,
+# each with its argparse options); each family is a subcommand of prepare that requires its flags
 FAMILIES = {
-    "bell": _family("bell", bell, "kind"),
-    "werner": _family("werner", werner, "p"),
-    "mems": _family("mems", mems, "p"),
-    "rho_family": _family("rho_family", rho_family, "p", "alpha"),
-    "file": (_state_file, ("path",)),
+    "bell": _family("bell", bell, kind={"choices": BELL_KINDS, "help": "Bell state name"}),
+    "werner": _family("werner", werner, p=_P_FLAG),
+    "mems": _family("mems", mems, p=_P_FLAG),
+    "rho_family": _family("rho_family", rho_family, p=_P_FLAG, alpha={"type": float, "help": "amplitude parameter in [0, 1]"}),
+    "file": (_state_file, {"path": {"help": "existing state file to revalidate"}}),
 }
-#: every flag that some family takes, in first-use order
-_FAMILY_FLAGS = tuple(dict.fromkeys(flag for _, flags in FAMILIES.values() for flag in flags))
 
 # CLI method -> (library method, whether it reads a sampled table instead of the state)
 DETECTORS = {
@@ -124,12 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     prepare = sub.add_parser("prepare", help="write a state file for a named family")
-    prepare.add_argument("family", choices=tuple(FAMILIES))
-    prepare.add_argument("--kind", choices=BELL_KINDS, help="Bell state name (family bell)")
-    prepare.add_argument("--p", type=float, help="mixing parameter in [0, 1]")
-    prepare.add_argument("--alpha", type=float, help="amplitude parameter in [0, 1] (family rho_family)")
-    prepare.add_argument("--path", help="existing state file to revalidate (family file)")
-    prepare.add_argument("--out", default=None, help="state file path (default: stdout)")
+    families = prepare.add_subparsers(dest="family", required=True)
+    for name, (_, flags) in FAMILIES.items():
+        # no abbreviations: another family's --p would read as file's --path
+        family = families.add_parser(name, allow_abbrev=False)
+        for flag, options in flags.items():
+            family.add_argument(f"--{flag}", required=True, **options)
+        family.add_argument("--out", default=None, help="state file path (default: stdout)")
     prepare.set_defaults(handler=_cmd_prepare)
 
     apply_cmd = sub.add_parser("apply", help="apply a channel to a state file")
@@ -174,13 +171,7 @@ def _report(args: argparse.Namespace, cfg: ShotConfig, rows: list[dict[str, Any]
 
 def _cmd_prepare(args: argparse.Namespace, cfg: None) -> int:
     build, flags = FAMILIES[args.family]
-    values = [getattr(args, flag) for flag in flags]
-    if None in values:
-        raise UsageError(f"family {args.family} requires " + " and ".join(f"--{flag}" for flag in flags))
-    foreign = [flag for flag in _FAMILY_FLAGS if flag not in flags and getattr(args, flag) is not None]
-    if foreign:
-        raise UsageError(f"family {args.family} does not take " + " or ".join(f"--{flag}" for flag in foreign))
-    rho, metadata = build(*values)
+    rho, metadata = build(*(getattr(args, flag) for flag in flags))
     metadata["version"] = __version__
     save_state(rho, metadata, args.out)
     return 0
@@ -305,9 +296,6 @@ def main(argv: list[str] | None = None) -> int:
         # every command but prepare samples: its shots and seed are checked before any work
         cfg = None if args.command == "prepare" else ShotConfig(args.shots, args.seed)
         return args.handler(args, cfg)
-    except UsageError as exc:
-        print(f"spapt: error: {exc}", file=sys.stderr)
-        return 1
     except ValidationError as exc:
         print(f"spapt: validation error: {exc}", file=sys.stderr)
         return 2

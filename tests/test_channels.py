@@ -286,10 +286,16 @@ def test_instrument_validation():
         (lambda: Side(corrections=None), "corrections must be a tuple or list"),
         (lambda: Side(povm=tetrahedral_povm(), prepared=5), "prepared must be a tuple or list"),
         (lambda: Instrument(5), "branches must be a tuple or list"),
+        (lambda: Side(corrections=(np.ones((2, 3)),)), "^the effects or corrections of a side must be square matrices of one dimension$"),
+        (lambda: Side(corrections=(EYE2, np.eye(3))), "^the effects or corrections of a side must be square matrices of one dimension$"),
+        (lambda: Side(povm=(np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])), prepared=tetrahedral_states()[:2]), r"^effect is not PSD: min eigenvalue = -5\.000e-01$"),
+        (lambda: Branch(1.5, (IDENTITY_SIDE,)), r"^branch weight must lie in \[0, 1\], got 1\.5$"),
+        (lambda: Branch(-0.5, (IDENTITY_SIDE,)), r"^branch weight must lie in \[0, 1\], got -0\.5$"),
     ],
     ids=[
         "channel-string", "channel-ragged", "side-povm", "side-corrections", "side-prepared", "branch-string", "branch-none", "branch-inf", "branch-nan", "branch-one-side",
         "side-povm-not-a-sequence", "side-corrections-none", "side-prepared-not-a-sequence", "instrument-branches-not-a-sequence",
+        "side-not-square", "side-of-two-dimensions", "side-effect-not-psd", "branch-weight-above-1", "branch-weight-below-0",
     ],
 )
 def test_channel_layer_input_is_a_validation_error_naming_the_field(build, field):
@@ -374,6 +380,26 @@ def test_apply_matrix_vec_and_unvec_name_an_input_numpy_cannot_convert(bad):
             call(UNCONVERTIBLE[bad])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: vec(5), r"vec takes a matrix or a stack of matrices, got shape \(\)"),
+        (lambda: vec([1, 2]), r"vec takes a matrix or a stack of matrices, got shape \(2,\)"),
+        (lambda: unvec([1, 2, 3], 2), r"unvec to 2x2 takes a last axis of length 4, got shape \(3,\)"),
+        (lambda: unvec(np.zeros(4), 5), r"unvec to 5x5 takes a last axis of length 25, got shape \(4,\)"),
+        (lambda: unvec(5, 1), r"unvec to 1x1 takes a last axis of length 1, got shape \(\)"),
+        (lambda: unvec(np.zeros(4), "2"), "unvec takes a positive integer dim"),
+        (lambda: unvec(np.zeros(4), 2.0), "unvec takes a positive integer dim"),
+        (lambda: unvec(np.zeros(4), -2), "unvec takes a positive integer dim"),
+        (lambda: unvec(np.zeros(1), True), "unvec takes a positive integer dim"),
+    ],
+    ids=["vec-scalar", "vec-vector", "unvec-short-axis", "unvec-dim-too-large", "unvec-scalar", "unvec-dim-string", "unvec-dim-float", "unvec-dim-negative", "unvec-dim-bool"],
+)
+def test_vec_and_unvec_refuse_a_wrong_shape_or_dim(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
+
+
 def test_replace_channel_takes_an_integer_dim_from_one_to_four():
     for dim in range(1, 5):
         assert np.array_equal(replace_channel(dim).apply_matrix(np.eye(dim)), np.eye(dim))
@@ -385,6 +411,9 @@ def test_replace_channel_takes_an_integer_dim_from_one_to_four():
 def test_apply_rejects_dimension_mismatch():
     with pytest.raises(ValidationError, match=r"operator shape \(4, 4\) does not match channel input dim 2"):
         apply(spa_transpose(), bell("phi+"))
+    # apply_matrix checks the shape itself, before vec sees the operator
+    with pytest.raises(ValidationError, match=r"^operator shape \(16,\) does not match channel input dim 4$"):
+        spa_pt().apply_matrix(np.zeros(16))
 
 
 def _spa_transpose_oracle(x):

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -72,29 +73,67 @@ def test_prepare_rejects_unknown_family():
     assert info.value.code == 1
 
 
-def test_prepare_requires_family_parameters():
-    assert run_cli("prepare", "bell") == 1
-    assert run_cli("prepare", "rho_family", "--p", "0.1") == 1
+@pytest.fixture
+def columns_80(monkeypatch):
+    # argparse wraps usage and help to the terminal's width, which COLUMNS sets
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def _prepare_usage_error(capsys, tmp_path, *argv):
+    """A prepare command line that argparse refuses: its stderr, once no output file was written."""
+    out = tmp_path / "state.json"
+    with pytest.raises(SystemExit) as info:
+        run_cli("prepare", *argv, "--out", str(out))
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not out.exists()
+    return captured.err
+
+
+@pytest.mark.usefixtures("columns_80")
+def test_prepare_requires_family_parameters(tmp_path, capsys):
+    for argv, usage, missing in [
+        (("bell",), "bell [-h] --kind {phi+,phi-,psi+,psi-} [--out OUT]", "--kind"),
+        (("werner",), "werner [-h] --p P [--out OUT]", "--p"),
+        (("rho_family", "--p", "0.1"), "rho_family [-h] --p P --alpha ALPHA [--out OUT]", "--alpha"),
+        (("rho_family",), "rho_family [-h] --p P --alpha ALPHA [--out OUT]", "--p, --alpha"),
+        (("file",), "file [-h] --path PATH [--out OUT]", "--path"),
+    ]:
+        assert _prepare_usage_error(capsys, tmp_path, *argv) == (
+            f"usage: spapt prepare {usage}\nspapt prepare {argv[0]}: error: the following arguments are required: {missing}\n"
+        )
 
 
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, extra",
     [
-        (("bell", "--kind", "phi+", "--p", "0.3"), "--p"),
-        (("werner", "--p", "0.3", "--kind", "phi+"), "--kind"),
-        (("mems", "--p", "0.5", "--alpha", "0.7"), "--alpha"),
-        (("rho_family", "--p", "0.1", "--alpha", "0.7", "--path", "{state}"), "--path"),
-        (("file", "--path", "{state}", "--kind", "phi+"), "--kind"),
+        (("bell", "--kind", "phi+", "--p", "0.3"), "--p 0.3"),
+        (("werner", "--p", "0.3", "--kind", "phi+"), "--kind phi+"),
+        (("mems", "--p", "0.5", "--alpha", "0.7"), "--alpha 0.7"),
+        (("rho_family", "--p", "0.1", "--alpha", "0.7", "--path", "{state}"), "--path {state}"),
+        (("file", "--path", "{state}", "--kind", "phi+"), "--kind phi+"),
+        # a family flag is not abbreviated, so --p of another family is not file's --path
+        (("file", "--path", "{state}", "--p", "0.3"), "--p 0.3"),
     ],
-    ids=["bell", "werner", "mems", "rho_family", "file"],
+    ids=["bell", "werner", "mems", "rho_family", "file", "file-p-not-path"],
 )
-def test_prepare_rejects_a_flag_its_family_does_not_take(tmp_path, bell_file, capsys, argv, flag):
-    out = tmp_path / "state.json"
-    assert run_cli("prepare", *(arg.format(state=bell_file) for arg in argv), "--out", str(out)) == 1
+@pytest.mark.usefixtures("columns_80")
+def test_prepare_rejects_a_flag_its_family_does_not_take(tmp_path, bell_file, capsys, argv, extra):
+    err = _prepare_usage_error(capsys, tmp_path, *(arg.format(state=bell_file) for arg in argv))
+    usage = "usage: spapt [-h] [--version] {prepare,apply,detect,table1,fig3,selftest} ...\n"
+    assert err == usage + f"spapt: error: unrecognized arguments: {extra.format(state=bell_file)}\n"
+
+
+@pytest.mark.usefixtures("columns_80")
+def test_prepare_family_help_lists_its_flags(capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli("prepare", "bell", "-h")
+    assert info.value.code == 0
     captured = capsys.readouterr()
-    assert captured.err == f"spapt: error: family {argv[0]} does not take {flag}\n"
-    assert captured.out == ""
-    assert not out.exists()
+    assert captured.out.startswith("usage: spapt prepare bell [-h] --kind {phi+,phi-,psi+,psi-} [--out OUT]\n")
+    assert "\n  --kind {phi+,phi-,psi+,psi-}\n" in captured.out and "\n  --out OUT " in captured.out
+    assert captured.err == ""
 
 
 def test_prepare_roundtrip_through_file_family(tmp_path, bell_file):
@@ -285,8 +324,9 @@ def test_oversized_shot_count_is_a_validation_error(bell_file, capsys):
         (b'{"dim": true, "re": [], "im": []}', "key 'dim' must be a JSON integer"),
         (b'{"dim": 1, "re": [[1' + b"0" * 400 + b']], "im": [[0]]}', "malformed arrays"),
         (b"\xff\xfe{}", "is not valid JSON"),
+        (json.dumps({"dim": 4, "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist(), "metadata": [1]}).encode(), ": metadata must be a mapping\n"),
     ],
-    ids=["int", "null", "dim-infinity", "dim-float", "dim-string", "dim-bool", "int-overflow", "not-utf8"],
+    ids=["int", "null", "dim-infinity", "dim-float", "dim-string", "dim-bool", "int-overflow", "not-utf8", "metadata-list"],
 )
 def test_malformed_state_document_is_a_validation_error(tmp_path, capsys, raw, message):
     bad = tmp_path / "bad.json"
@@ -379,7 +419,7 @@ def test_reused_parser_carries_nothing_from_one_call_to_the_next(tmp_path, bell_
         assert call("detect", "--state", bell_file, "--method", "ppt")[0] == 0
 
         code, captured = call("prepare", "werner")
-        assert code == 1 and "requires --p" in captured.err
+        assert code == 1 and captured.err.endswith("spapt prepare werner: error: the following arguments are required: --p\n")
         code, captured = call("prepare", "werner", "--p", "0.5")
         assert code == 0 and json.loads(captured.out)["metadata"]["family"] == "werner"
     assert len(calls) >= 20
@@ -429,6 +469,8 @@ DISPATCH_EDGE_CASES = {
     "option-of-another-command": ["selftest", "--shots", "5"],
     "unknown-short-option": ["table1", "-x", "--out", "t.json"],
     "empty-token": ["prepare", "", "--kind", "phi+"],
+    "prepare-missing-flag": ["prepare", "werner", "--out", "s.json"],
+    "prepare-foreign-flag": ["prepare", "werner", "--p", "0.5", "--kind", "phi+"],
     "prepare": ["prepare", "bell", "--kind", "phi+", "--out", "s.json"],
     "apply": ["apply", "--state", "x.json", "--channel", "identity", "--state-out", "o.json", "--format", "csv"],
     "detect": ["detect", "--state", "x.json", "--method", "f_hat_sampled", "--shots", "100", "--seed", "7"],
@@ -443,12 +485,18 @@ def test_the_dispatch_parses_prints_and_exits_as_the_nested_parse(argv):
     _assert_dispatch_is_the_nested_parse(argv)
 
 
+def _nested_parsers(parser):
+    """``parser`` and every parser under it: the subcommands and prepare's families."""
+    subs = [sub for action in parser._actions if isinstance(action, argparse._SubParsersAction) for sub in action.choices.values()]
+    return [parser, *(nested for sub in subs for nested in _nested_parsers(sub))]
+
+
 def _dispatch_argv():
     """Argv lists built from the parser's own option strings and values, with
     stray tokens: a valid command line with tokens spliced in, or a first
     token followed by tokens."""
-    _, commands = cli._parser()
-    actions = [action for sub in commands.values() for action in sub._actions]
+    parser, commands = cli._parser()
+    actions = [action for sub in _nested_parsers(parser) for action in sub._actions]
     options = sorted({option for action in actions for option in action.option_strings})
     values = sorted({str(choice) for action in actions for choice in action.choices or ()} | {"0", "-1", "2.5", "ten", "x.json"})
     stray = ["--", "-", "", "--bogus", "-x", "-hx", "--=x", "extra", "--version", *commands]
@@ -618,6 +666,28 @@ def test_reports_embed_reproducible_config(tmp_path):
 
 def test_selftest_command():
     assert run_cli("selftest", "--seed", "42") == 0
+
+
+def test_selftest_counts_a_failing_suite_and_exits_3(monkeypatch, capsys):
+    def broken(seed):
+        raise AssertionError("broken on purpose")
+
+    name = selftest.SUITES[0][0]
+    monkeypatch.setattr(selftest, "SUITES", ((name, broken),) + selftest.SUITES[1:])
+    assert run_cli("selftest") == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(rf"\[FAIL\] {name} \(\d+\.\d\d s\): broken on purpose", lines[0])
+    assert all(line.startswith("[PASS] ") for line in lines[1:-1]) and len(lines) == 11
+    assert re.fullmatch(r"9/10 suites passed in \d+\.\d\d s", lines[-1])
+
+
+def test_render_report_refuses_an_unknown_format_and_an_empty_csv():
+    report = {"command": "detect", "config": {}, "rows": []}
+    with pytest.raises(ValidationError, match="^unknown output format 'xml'; expected json or csv$"):
+        render_report(report, "xml")
+    with pytest.raises(ValidationError, match="^cannot render an empty CSV report$"):
+        render_report(report, "csv")
+    assert json.loads(render_report(report, "json")) == report
 
 
 def test_selftest_fails_a_broken_bound_under_python_optimize():

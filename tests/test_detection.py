@@ -329,6 +329,8 @@ def test_witness_rejects_non_projectors():
         witness_expectation(bell("phi+"), np.eye(4, dtype=complex))
     with pytest.raises(ValidationError):
         witness_expectation(bell("phi+"), np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
+    with pytest.raises(ValidationError, match=r"^expected a 4x4 projector, got \(2, 2\)$"):
+        witness_expectation(bell("phi+"), np.diag([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("eps, refused", [(1e-6, True), (1e-11, False)], ids=["defect-1e-6", "defect-1e-11"])

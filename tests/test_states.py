@@ -279,6 +279,12 @@ def test_pure_state_requires_unit_norm():
     assert PureState(np.array([1.0 + 1e-13, 0.0], dtype=complex)).dim == 2
 
 
+@pytest.mark.parametrize("bad, shape", [([1.0, 0.0, 0.0], r"\(3,\)"), ([[1.0, 0.0], [0.0, 0.0]], r"\(2, 2\)"), (1.0, r"\(\)")], ids=["length-3", "matrix", "scalar"])
+def test_pure_state_is_a_vector_of_length_2_or_4(bad, shape):
+    with pytest.raises(ValidationError, match=f"^expected a vector of length 2 or 4, got shape {shape}$"):
+        PureState(bad)
+
+
 @pytest.mark.parametrize("bad", [[np.nan, 0.0], [1.0, np.nan], [np.nan, 0.0, 0.0, 0.0]])
 def test_pure_state_rejects_nan_amplitudes(bad):
     with pytest.raises(ValidationError, match="not normalized"):

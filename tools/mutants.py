@@ -165,6 +165,10 @@ MUTANTS = (
     # the instrument's one cached superoperator and the per-channel Choi memo
     Mutant("instrument-superoperator-unweighed", "channels.py", "sum(b.weigh(reduce(_tensor, ", "sum((lambda x: x)(reduce(_tensor, "),
     Mutant("choi-memo-on-the-class", "channels.py", 'object.__setattr__(channel, "_choi", ', 'setattr(Channel, "_choi", '),
+    # argparse as the one owner of prepare's flags, vec's shape check, and the selftest's failure count
+    Mutant("prepare-flag-optional", "cli.py", 'family.add_argument(f"--{flag}", required=True, **options)', 'family.add_argument(f"--{flag}", **options)'),
+    Mutant("vec-any-shape", "channels.py", "    if a.ndim < 2:\n        raise ValidationError(f\"vec takes", "    if False:\n        raise ValidationError(f\"vec takes"),
+    Mutant("selftest-failure-uncounted", "selftest.py", "failures += 1", "failures += 0"),
 )
 
 
